@@ -775,3 +775,56 @@ func BenchmarkDistributionRender(b *testing.B) {
 		_ = d.Bars(50)
 	}
 }
+
+// BenchmarkTraceHash measures the trace-hash layer alone over one
+// fault-free E3-fig3 minute trace (the Figure-3 machine and horizon).
+// The trace's records are replayed into one reused trace per
+// iteration, as a pooled machine reuses its trace run after run;
+// replayed records carry their rendered text. "end-of-run" times Hash
+// over the finished trace (the fold a campaign pays without
+// incremental hashing); "incremental" times the appends with
+// hash-on-append switched on plus the final Hash read (the streamed
+// campaigns' path). ns_per_record divides by the record count.
+func BenchmarkTraceHash(b *testing.B) {
+	m, err := core.BuildMachine(core.DefaultMachineOptions(2022))
+	if err != nil {
+		b.Fatal(err)
+	}
+	m.Run(core.PlanE3Fig3().EffectiveDuration())
+	recs := m.Board.Trace().Records()
+	want := m.Board.Trace().Hash()
+	replay := func(tr *sim.Trace) {
+		for _, r := range recs {
+			tr.Add(r.At, r.Kind, r.CPU, r.Msg)
+		}
+	}
+	report := func(b *testing.B) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(recs)), "ns_per_record")
+		b.ReportMetric(float64(len(recs)), "records")
+	}
+	b.Run("end-of-run", func(b *testing.B) {
+		tr := sim.NewTrace()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			tr.Reset()
+			replay(tr)
+			b.StartTimer()
+			if tr.Hash() != want {
+				b.Fatal("replayed trace hashes differently")
+			}
+		}
+		report(b)
+	})
+	b.Run("incremental", func(b *testing.B) {
+		tr := sim.NewTrace()
+		for i := 0; i < b.N; i++ {
+			tr.Reset()
+			tr.SetIncrementalHash(true)
+			replay(tr)
+			if tr.Hash() != want {
+				b.Fatal("replayed trace hashes differently")
+			}
+		}
+		report(b)
+	})
+}

@@ -42,8 +42,8 @@ type RunResult struct {
 	// (sim.Trace.Hash), the per-run reproducibility fingerprint shard
 	// artefacts carry: two processes that claim the same run of the same
 	// campaign must produce the same hash. Zero unless
-	// RunOptions.CaptureTraceHash was set — hashing renders every trace
-	// message, so ordinary campaigns skip it.
+	// RunOptions.CaptureTraceHash was set — hashing folds every trace
+	// record as it is appended, a cost ordinary campaigns skip.
 	TraceHash uint64
 }
 

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"regexp"
 	"testing"
 
 	"github.com/dessertlab/certify/internal/core"
@@ -204,6 +205,89 @@ func TestAdaptiveMergeShardInvariance(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestAdaptiveMasterIndexCoversCertifiedPrefix: shards other than the
+// first run their whole window, so an adaptive campaign's artefacts
+// hold records past the decision index. The master index and the
+// campaign dossier must count and serve only the certified prefix the
+// merge certifies, never the surplus on disk.
+func TestAdaptiveMasterIndexCoversCertifiedPrefix(t *testing.T) {
+	const runs, seed = 18, uint64(2022)
+	stop := &core.StopSpec{Policy: core.StopPolicyCIWidth, WidthBP: 6000}
+	spec := &Spec{Plan: shortE3(), Runs: runs, MasterSeed: seed, Shards: 3, Mode: core.ModeDistribution, Stop: stop}
+	dir := t.TempDir()
+	merged, shards := runSharded(t, spec, dir)
+	k := merged.Stop.DecidedAt
+	onDisk := 0
+	paths := make([]string, len(shards))
+	for i, sf := range shards {
+		onDisk += sf.Records
+		paths[i] = sf.Path
+	}
+	if !merged.Stop.Fired || onDisk <= k {
+		t.Fatalf("decision %+v with %d records on disk — want surplus records past an early stop", merged.Stop, onDisk)
+	}
+
+	mi, err := WriteMasterIndexFile(filepath.Join(dir, MasterIndexFileName), paths)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mi.Runs != runs || mi.CertifiedRuns != k {
+		t.Fatalf("master index runs %d, certified %d; want %d and %d", mi.Runs, mi.CertifiedRuns, runs, k)
+	}
+	records, injections, shardOutcomes := 0, 0, map[string]int{}
+	for _, s := range mi.Shards {
+		records += s.Records
+		injections += s.Injections
+		for o, n := range s.Outcomes {
+			shardOutcomes[o] += n
+		}
+	}
+	if records != k || injections != merged.InjectionsTotal() || mi.Injections != merged.InjectionsTotal() {
+		t.Fatalf("master index: %d records, %d/%d injections; merge certifies %d runs, %d injections",
+			records, injections, mi.Injections, k, merged.InjectionsTotal())
+	}
+	for _, o := range core.AllOutcomes() {
+		if mi.Outcomes[o.String()] != merged.Count(o) || shardOutcomes[o.String()] != merged.Count(o) {
+			t.Fatalf("outcome %v: master %d, shard rows %d, merge %d",
+				o, mi.Outcomes[o.String()], shardOutcomes[o.String()], merged.Count(o))
+		}
+	}
+
+	cd, err := OpenCampaignFromMaster(filepath.Join(dir, MasterIndexFileName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cd.Close()
+	if cd.NumRuns() != k || len(cd.Entries()) != k {
+		t.Fatalf("campaign dossier serves %d runs (%d entries), want %d", cd.NumRuns(), len(cd.Entries()), k)
+	}
+	if _, err := cd.Run(k - 1); err != nil {
+		t.Fatalf("last certified run: %v", err)
+	}
+	if _, err := cd.Run(k); err == nil {
+		t.Fatalf("run %d past the certified prefix was served", k)
+	}
+	all, err := cd.RunRange(0, runs)
+	if err != nil || len(all) != k {
+		t.Fatalf("RunRange(0,%d) = %d records (%v), want %d", runs, len(all), err, k)
+	}
+	byOutcome := 0
+	for _, o := range core.AllOutcomes() {
+		recs, err := cd.ByOutcome(o.String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		byOutcome += len(recs)
+	}
+	matches, err := cd.Grep(regexp.MustCompile("."))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if byOutcome != k || len(matches) != k {
+		t.Fatalf("ByOutcome serves %d records, Grep %d; want %d", byOutcome, len(matches), k)
 	}
 }
 

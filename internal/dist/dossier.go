@@ -137,17 +137,24 @@ func (d *Dossier) Entries() []IndexEntry { return d.entries }
 // OutcomeCounts tallies records per outcome name straight from the
 // index — no record decoding.
 func (d *Dossier) OutcomeCounts() map[string]int {
-	out := make(map[string]int, 8)
-	for _, e := range d.entries {
+	return tallyOutcomes(make(map[string]int, 8), d.entries)
+}
+
+// InjectionsTotal sums performed injections across the indexed runs.
+func (d *Dossier) InjectionsTotal() int { return sumInjections(d.entries) }
+
+// tallyOutcomes adds entries' per-outcome counts into out.
+func tallyOutcomes(out map[string]int, entries []IndexEntry) map[string]int {
+	for _, e := range entries {
 		out[e.Outcome]++
 	}
 	return out
 }
 
-// InjectionsTotal sums performed injections across the indexed runs.
-func (d *Dossier) InjectionsTotal() int {
+// sumInjections sums entries' performed injections.
+func sumInjections(entries []IndexEntry) int {
 	n := 0
-	for _, e := range d.entries {
+	for _, e := range entries {
 		n += e.Injections
 	}
 	return n

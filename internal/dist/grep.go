@@ -142,7 +142,11 @@ func (cd *CampaignDossier) Grep(re *regexp.Regexp) ([]GrepMatch, error) {
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, ms...)
+		for _, m := range ms {
+			if m.Index < cd.runs {
+				out = append(out, m)
+			}
+		}
 	}
 	// Shards are window-ordered and each shard's matches are index-
 	// ordered, so the concatenation already is — but don't rely on it.

@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+
+	"github.com/dessertlab/certify/internal/core"
 )
 
 // MasterIndexFileName is the campaign-level index document a merge (or
@@ -38,25 +40,32 @@ type MasterShard struct {
 // It is JSON, human-inspectable, and the entry point `certify inspect`
 // uses to open a whole campaign as one random-access dossier.
 type MasterIndex struct {
-	Schema     int            `json:"schema"`
-	Plan       string         `json:"plan"`
-	PlanHash   string         `json:"plan_hash"`
-	MasterSeed string         `json:"master_seed"`
-	Runs       int            `json:"runs"`
-	ShardCount int            `json:"shard_count"`
-	Mode       string         `json:"mode"`
-	Outcomes   map[string]int `json:"outcomes"`
-	Injections int            `json:"injections"`
-	Shards     []MasterShard  `json:"shards"`
+	Schema     int    `json:"schema"`
+	Plan       string `json:"plan"`
+	PlanHash   string `json:"plan_hash"`
+	MasterSeed string `json:"master_seed"`
+	Runs       int    `json:"runs"`
+	// CertifiedRuns is an adaptive campaign's certified prefix K, the
+	// merge's decision index; Outcomes, Injections and every shard row
+	// count runs [0, K) only. Absent for fixed-N campaigns.
+	CertifiedRuns int            `json:"certified_runs,omitempty"`
+	ShardCount    int            `json:"shard_count"`
+	Mode          string         `json:"mode"`
+	Outcomes      map[string]int `json:"outcomes"`
+	Injections    int            `json:"injections"`
+	Shards        []MasterShard  `json:"shards"`
 }
 
 // CampaignDossier serves random access over a whole campaign: the
 // shard dossiers opened together, queries routed by run index. It
 // accepts exactly the shard sets Merge accepts — one campaign, all
-// shards present and complete, windows tiling [0, Runs).
+// shards present and complete, windows tiling [0, Runs). For an
+// adaptive campaign it serves the certified prefix [0, K) Merge
+// certifies: records a shard wrote past the decision index are not
+// campaign evidence, so routing and counts never reach them.
 type CampaignDossier struct {
 	shards []*Dossier // sorted by window start
-	runs   int
+	runs   int        // Runs, or the certified prefix K when adaptive
 }
 
 // OpenCampaignDossier opens every shard artefact and verifies the set
@@ -110,8 +119,44 @@ func OpenCampaignDossier(paths []string) (*CampaignDossier, error) {
 		return nil, fmt.Errorf("dist: shard windows end at %d, campaign has %d runs", next, ref.Runs)
 	}
 	cd.runs = ref.Runs
+	if ref.Stop != nil {
+		if err := cd.certify(ref); err != nil {
+			return nil, err
+		}
+	}
 	ok = true
 	return cd, nil
+}
+
+// certify replays the stop policy over the index's outcomes, exactly as
+// Merge replays it over the records, and narrows the dossier to the
+// certified prefix.
+func (cd *CampaignDossier) certify(ref Manifest) error {
+	decided, fired, err := replayStop(ref, func(i int) (core.Outcome, error) {
+		d, _ := cd.route(i)
+		e, ok := d.Entry(i)
+		if !ok {
+			return 0, errStopGap(d.path, i, ref)
+		}
+		return parseOutcome(e.Outcome)
+	})
+	if err != nil {
+		return err
+	}
+	for _, d := range cd.shards {
+		if err := checkShardStop(d.path, d.man, d.NumRuns(), decided, fired); err != nil {
+			return err
+		}
+	}
+	cd.runs = decided
+	return nil
+}
+
+// certified returns the shard's index rows inside the campaign's
+// certified prefix (all of them for a fixed-N campaign).
+func (cd *CampaignDossier) certified(d *Dossier) []IndexEntry {
+	n := sort.Search(len(d.entries), func(i int) bool { return d.entries[i].Index >= cd.runs })
+	return d.entries[:n]
 }
 
 // OpenCampaignFromMaster opens the campaign a master index file
@@ -146,10 +191,11 @@ func (cd *CampaignDossier) Close() error {
 	return first
 }
 
-// NumRuns returns the campaign's total run count.
+// NumRuns returns the campaign's run count: Runs, or the certified
+// prefix K of an adaptive campaign.
 func (cd *CampaignDossier) NumRuns() int { return cd.runs }
 
-// Window returns the campaign's run-index window [0, runs).
+// Window returns the campaign's run-index window [0, NumRuns()).
 func (cd *CampaignDossier) Window() (start, end int) { return 0, cd.runs }
 
 // Shards returns the shard dossiers in window order (read-only).
@@ -158,7 +204,7 @@ func (cd *CampaignDossier) Shards() []*Dossier { return cd.shards }
 // route returns the shard dossier whose window holds run k.
 func (cd *CampaignDossier) route(k int) (*Dossier, error) {
 	i := sort.Search(len(cd.shards), func(i int) bool { return cd.shards[i].man.End > k })
-	if k < 0 || i >= len(cd.shards) {
+	if k < 0 || k >= cd.runs || i >= len(cd.shards) {
 		return nil, fmt.Errorf("dist: run %d outside campaign [0,%d)", k, cd.runs)
 	}
 	return cd.shards[i], nil
@@ -196,13 +242,14 @@ func (cd *CampaignDossier) Entry(k int) (IndexEntry, bool) {
 func (cd *CampaignDossier) Entries() []IndexEntry {
 	out := make([]IndexEntry, 0, cd.runs)
 	for _, d := range cd.shards {
-		out = append(out, d.entries...)
+		out = append(out, cd.certified(d)...)
 	}
 	return out
 }
 
 // RunRange returns the decoded records with indices in [from, to).
 func (cd *CampaignDossier) RunRange(from, to int) ([]*RunRecord, error) {
+	to = min(to, cd.runs)
 	var out []*RunRecord
 	for _, d := range cd.shards {
 		recs, err := d.Runs(from, to)
@@ -219,11 +266,16 @@ func (cd *CampaignDossier) RunRange(from, to int) ([]*RunRecord, error) {
 func (cd *CampaignDossier) ByOutcome(outcome string) ([]*RunRecord, error) {
 	var out []*RunRecord
 	for _, d := range cd.shards {
-		recs, err := d.ByOutcome(outcome)
-		if err != nil {
-			return nil, err
+		for _, e := range cd.certified(d) {
+			if e.Outcome != outcome {
+				continue
+			}
+			rec, err := d.Run(e.Index)
+			if err != nil {
+				return nil, err
+			}
+			out = append(out, rec)
 		}
-		out = append(out, recs...)
 	}
 	return out, nil
 }
@@ -232,9 +284,7 @@ func (cd *CampaignDossier) ByOutcome(outcome string) ([]*RunRecord, error) {
 func (cd *CampaignDossier) OutcomeCounts() map[string]int {
 	out := make(map[string]int, 8)
 	for _, d := range cd.shards {
-		for o, n := range d.OutcomeCounts() {
-			out[o] += n
-		}
+		tallyOutcomes(out, cd.certified(d))
 	}
 	return out
 }
@@ -243,7 +293,7 @@ func (cd *CampaignDossier) OutcomeCounts() map[string]int {
 func (cd *CampaignDossier) InjectionsTotal() int {
 	n := 0
 	for _, d := range cd.shards {
-		n += d.InjectionsTotal()
+		n += sumInjections(cd.certified(d))
 	}
 	return n
 }
@@ -263,16 +313,20 @@ func (cd *CampaignDossier) MasterIndex() *MasterIndex {
 		Outcomes:   cd.OutcomeCounts(),
 		Injections: cd.InjectionsTotal(),
 	}
+	if ref.Stop != nil {
+		mi.CertifiedRuns = cd.runs
+	}
 	for _, d := range cd.shards {
+		entries := cd.certified(d)
 		mi.Shards = append(mi.Shards, MasterShard{
 			Path:       d.path,
 			Shard:      d.man.Shard,
 			Start:      d.man.Start,
 			End:        d.man.End,
-			Records:    d.NumRuns(),
+			Records:    len(entries),
 			Indexed:    d.Indexed(),
-			Outcomes:   d.OutcomeCounts(),
-			Injections: d.InjectionsTotal(),
+			Outcomes:   tallyOutcomes(make(map[string]int, 8), entries),
+			Injections: sumInjections(entries),
 		})
 	}
 	return mi

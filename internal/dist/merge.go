@@ -365,43 +365,71 @@ func Merge(paths []string) (*core.CampaignResult, []*ShardFile, error) {
 // shard that stopped anywhere other than the replayed decision index.
 // shards are sorted by window start and verified to tile [0, ref.Runs).
 func mergeAdaptive(ref Manifest, shards []*ShardFile) (*core.CampaignResult, []*ShardFile, error) {
-	policy, err := analytics.NewStopPolicy(ref.Stop)
-	if err != nil {
-		return nil, shards, err
-	}
-	policy.Reset()
 	merged := &core.CampaignResult{Plan: ref.Plan}
-	decided, fired := ref.Runs, false
 	si := 0
-	for i := 0; i < ref.Runs && !fired; i++ {
+	decided, fired, err := replayStop(ref, func(i int) (core.Outcome, error) {
 		for shards[si].Manifest.End <= i {
 			si++
 		}
 		sf := shards[si]
 		s, ok := sf.Samples[i]
 		if !ok {
-			return nil, shards, fmt.Errorf(
-				"dist: %s holds no record for run %d, but the stop policy (%s) has not fired by then — shard stopped early or artefact tampered: %w",
-				sf.Path, i, ref.Stop.Identity(), ErrCampaignMismatch)
+			return 0, errStopGap(sf.Path, i, ref)
 		}
 		merged.AddSample(s.Outcome, s.Injections, sim.Time(s.DetectionNS))
-		if policy.Observe(i, s.Outcome) {
-			decided, fired = i+1, true
-		}
+		return s.Outcome, nil
+	})
+	if err != nil {
+		return nil, shards, err
 	}
-	// Every shard that recorded fewer runs than its window claims the
-	// policy stopped it — which is only consistent if it stopped exactly
-	// at the replayed decision index.
 	for _, sf := range shards {
-		if sf.Records == sf.Manifest.End-sf.Manifest.Start {
-			continue
-		}
-		if !fired || sf.Manifest.Start+sf.Records != decided {
-			return nil, shards, fmt.Errorf(
-				"dist: %s stopped after %d of %d runs but the stop policy (%s) decides at index %d: %w",
-				sf.Path, sf.Records, sf.Manifest.End-sf.Manifest.Start, ref.Stop.Identity(), decided, ErrCampaignMismatch)
+		if err := checkShardStop(sf.Path, sf.Manifest, sf.Records, decided, fired); err != nil {
+			return nil, shards, err
 		}
 	}
 	merged.Stop = &core.StopDecision{DecidedAt: decided, Fired: fired}
 	return merged, shards, nil
+}
+
+// replayStop feeds run outcomes to a fresh instance of the campaign's
+// stop policy in strict global-index order and returns the certified
+// prefix length K, and whether the policy fired before the max-N guard.
+// outcome(i) supplies run i; it is called for i = 0, 1, ... K-1 only.
+func replayStop(ref Manifest, outcome func(i int) (core.Outcome, error)) (decided int, fired bool, err error) {
+	policy, err := analytics.NewStopPolicy(ref.Stop)
+	if err != nil {
+		return 0, false, err
+	}
+	policy.Reset()
+	for i := 0; i < ref.Runs; i++ {
+		o, err := outcome(i)
+		if err != nil {
+			return 0, false, err
+		}
+		if policy.Observe(i, o) {
+			return i + 1, true, nil
+		}
+	}
+	return ref.Runs, false, nil
+}
+
+// errStopGap refuses an adaptive shard set that lacks run i although
+// the replayed stop policy still needs it.
+func errStopGap(path string, i int, ref Manifest) error {
+	return fmt.Errorf(
+		"dist: %s holds no record for run %d, but the stop policy (%s) has not fired by then — shard stopped early or artefact tampered: %w",
+		path, i, ref.Stop.Identity(), ErrCampaignMismatch)
+}
+
+// checkShardStop audits one adaptive shard against the replayed
+// decision: a shard that recorded fewer runs than its window claims the
+// policy stopped it, which is only consistent if it stopped exactly at
+// the decision index.
+func checkShardStop(path string, m Manifest, records, decided int, fired bool) error {
+	if records == m.End-m.Start || (fired && m.Start+records == decided) {
+		return nil
+	}
+	return fmt.Errorf(
+		"dist: %s stopped after %d of %d runs but the stop policy (%s) decides at index %d: %w",
+		path, records, m.End-m.Start, m.Stop.Identity(), decided, ErrCampaignMismatch)
 }

@@ -126,9 +126,16 @@ func (j *Job) finish(state State, mutate func()) {
 	close(j.done)
 }
 
+// finishCompleted records a completed job. The job table outlives the
+// campaign, so it keeps only the aggregate the job views read: a
+// full-mode result's per-run records (transcripts included) are already
+// in the artefact, and holding them would grow the daemon with every
+// job it completes.
 func (j *Job) finishCompleted(res *core.CampaignResult, cached bool) {
+	agg := *res
+	agg.Runs = nil
 	j.finish(StateCompleted, func() {
-		j.result = res
+		j.result = &agg
 		j.cached = cached
 	})
 }

@@ -533,3 +533,32 @@ func TestServerGoldenCampaignE2E(t *testing.T) {
 		t.Fatal("served golden artefact differs from an independent execution's canonical form")
 	}
 }
+
+// TestCompletedJobDropsPerRunRecords: a finished full-mode job keeps
+// only its aggregate in the job table — the per-run records and their
+// transcripts live in the artefact — so the daemon does not grow with
+// every job it completes, and the job view still reports the split.
+func TestCompletedJobDropsPerRunRecords(t *testing.T) {
+	s, c := newTestServer(t, Config{SkipGoldenCheck: true, WorkersPerJob: 1})
+	_, v := rawSubmit(t, c.Base, &SubmitRequest{PlanFile: shortPlanText, Runs: 4, Seed: 9, Mode: "full"})
+	fin := waitTerminal(t, c, v.ID)
+	if fin.State != StateCompleted {
+		t.Fatalf("job = %s (%s)", fin.State, fin.Error)
+	}
+	total := 0
+	for _, n := range fin.Distribution {
+		total += n
+	}
+	if total != 4 {
+		t.Fatalf("job view distribution sums to %d, want 4", total)
+	}
+	j, ok := s.Job(v.ID)
+	if !ok {
+		t.Fatal("job missing from the table")
+	}
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.result == nil || j.result.Total() != 4 || len(j.result.Runs) != 0 {
+		t.Fatalf("job table keeps %v", j.result)
+	}
+}

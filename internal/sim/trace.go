@@ -145,8 +145,9 @@ type Trace struct {
 	hstate      uint64
 	hashed      int
 	incremental bool
-	hbuf        []byte // reusable per-record hash line buffer
-	argv        []any  // reusable boxed-operand scratch for fmt.Appendf
+	hbuf        []byte     // reusable per-record hash line buffer
+	argv        []any      // reusable boxed-operand scratch for fmt.Appendf
+	memo        suffixMemo // suffix tables; kept across Reset and restore
 
 	// lastSnap identifies the snapshot whose content is the current
 	// prefix of this trace. The trace is append-only between Resets, so
@@ -403,40 +404,60 @@ func (t *Trace) SetIncrementalHash(on bool) {
 // foldTo folds records [hashed, upTo) into the running digest. The byte
 // stream is identical to the eager full-trace hash: FNV-1a is a
 // sequential fold, so hashing a prefix and continuing later equals
-// hashing the whole stream at once.
+// hashing the whole stream at once. Each record contributes the line
+// "at|kind|cpu|text\n". For a record whose text is already final, only
+// the timestamp's whole-millisecond digits fold byte by byte; the rest
+// of the line — six sub-millisecond digits, kind, cpu and text — folds
+// through the trace's suffix memo (see suffixTable), which turns a
+// repeated suffix into one multiply-add. Periodic interrupts recur at
+// the same sub-millisecond offset, so their suffixes repeat exactly.
 func (t *Trace) foldTo(upTo int) {
 	h := t.hstate
 	for i := t.hashed; i < upTo; i++ {
 		r := &t.recs[i]
-		buf := t.hbuf[:0]
-		buf = strconv.AppendInt(buf, int64(r.at), 10)
-		buf = append(buf, '|')
-		buf = strconv.AppendUint(buf, uint64(r.kind), 10)
-		buf = append(buf, '|')
-		buf = strconv.AppendInt(buf, int64(r.cpu), 10)
-		buf = append(buf, '|')
-		switch {
-		case r.rendered || r.argN == 0:
-			buf = append(buf, r.text...)
-		default:
-			// Format straight into the hash buffer: byte-identical to
-			// render()'s fmt.Sprintf, but no message string is retained.
-			argv := t.argv[:0]
-			for j := 0; j < int(r.argN); j++ {
-				argv = append(argv, t.args[int(r.argPos)+j].value())
+		if r.rendered || r.argN == 0 {
+			key := suffixKey{text: r.text, kind: r.kind, cpu: r.cpu, sub: -1}
+			head := int64(r.at)
+			if head >= int64(Millisecond) {
+				key.sub = int32(head % int64(Millisecond))
+				head /= int64(Millisecond)
 			}
-			buf = fmt.Appendf(buf, r.text, argv...)
-			for j := range argv {
-				argv[j] = nil // drop boxed values, keep capacity
+			h = foldDecimal(h, head)
+			tab := t.memo.lookup(key)
+			if tab != nil {
+				if out, ok := tab.fold(h); ok {
+					h = out
+					continue
+				}
 			}
-			t.argv = argv[:0]
+			buf := key.appendTo(t.hbuf[:0])
+			if tab == nil {
+				tab = t.memo.admit(key, len(buf))
+			}
+			if tab != nil {
+				h = tab.learn(h, buf)
+			} else {
+				h = fnvFold(h, buf)
+			}
+			t.hbuf = buf
+			continue
 		}
+		buf := strconv.AppendInt(t.hbuf[:0], int64(r.at), 10)
+		// Format straight into the hash buffer: byte-identical to
+		// render()'s fmt.Sprintf, but no message string is retained.
+		buf = appendKindCPU(buf, r.kind, r.cpu)
+		argv := t.argv[:0]
+		for j := 0; j < int(r.argN); j++ {
+			argv = append(argv, t.args[int(r.argPos)+j].value())
+		}
+		buf = fmt.Appendf(buf, r.text, argv...)
+		for j := range argv {
+			argv[j] = nil // drop boxed values, keep capacity
+		}
+		t.argv = argv[:0]
 		buf = append(buf, '\n')
 		t.hbuf = buf
-		for _, b := range buf {
-			h ^= uint64(b)
-			h *= fnvPrime64
-		}
+		h = fnvFold(h, buf)
 	}
 	t.hstate = h
 	t.hashed = upTo

@@ -1,6 +1,10 @@
 package sim
 
-import "testing"
+import (
+	"fmt"
+	"hash/fnv"
+	"testing"
+)
 
 // populate fills a trace with a representative mix of static, deferred
 // and pre-rendered records.
@@ -99,5 +103,187 @@ func TestResetClearsIncrementalState(t *testing.T) {
 	populate(ref)
 	if tr.Hash() != ref.Hash() {
 		t.Fatalf("post-reset hash %#x, fresh-trace hash %#x", tr.Hash(), ref.Hash())
+	}
+}
+
+// referenceHash is the digest's definition, kept here independent of
+// the trace's folding: FNV-1a over every record's rendered line
+// "at|kind|cpu|msg\n", byte by byte.
+func referenceHash(recs []Record) uint64 {
+	h := fnv.New64a()
+	for _, r := range recs {
+		fmt.Fprintf(h, "%d|%d|%d|%s\n", int64(r.At), uint8(r.Kind), r.CPU, r.Msg)
+	}
+	return h.Sum64()
+}
+
+// traceOps appends n pseudo-random records covering every shape the
+// suffix memo distinguishes: hot periodic records (the vIRQ shape: same
+// kind, cpu, text and sub-millisecond offset every millisecond), a
+// pool of repeated texts wider than the memo (so tables are recycled),
+// one-off texts, Add and Addf with and without arguments, timestamps
+// of -1, 0, below one millisecond and exactly one millisecond, and cpu
+// -1. uniq numbers the one-off texts across calls.
+func traceOps(tr *Trace, rng *RNG, n int, uniq *int) {
+	hot := []string{`vIRQ 27 → cell "freertos-cell"`, `vIRQ 27 → cell "banana-pi"`}
+	var pool []string
+	for i := 0; i < 3*suffixSlots; i++ {
+		pool = append(pool, fmt.Sprintf("watchdog: cell %d state=running", i))
+	}
+	pool = append(pool, "", "→")
+	stamps := []Time{-1, 0, 1, 999_999, Millisecond, Millisecond + 100_000, Minute}
+	for i := 0; i < n; i++ {
+		ms := Time(1+rng.Intn(60_000)) * Millisecond
+		switch rng.Intn(8) {
+		case 0:
+			*uniq++
+			tr.Add(stamps[rng.Intn(len(stamps))], KindUART, -1, fmt.Sprintf("uart line %d", *uniq))
+		case 1:
+			cpu := rng.Intn(2)
+			tr.Addf(ms+Time(rng.Intn(1000)), KindIRQ, cpu, "irq %d asserted on cpu%d", Int(int64(32+rng.Intn(8))), Int(int64(cpu)))
+		case 2:
+			tr.Addf(stamps[rng.Intn(len(stamps))], Kind(1+rng.Intn(int(KindWedge))), rng.Intn(4)-1, pool[rng.Intn(len(pool))])
+		case 3:
+			tr.Add(ms, KindCellEvent, rng.Intn(2), pool[rng.Intn(len(pool))])
+		default:
+			cpu := rng.Intn(2)
+			tr.Add(ms+100_000, KindIRQ, cpu, hot[cpu])
+		}
+	}
+}
+
+// TestTraceHashMatchesReference checks the folded digest against the
+// reference byte loop across mixed traces, Reset, snapshot restore, and
+// incremental versus end-of-run hashing, on one trace whose memo is
+// carried through all of it.
+func TestTraceHashMatchesReference(t *testing.T) {
+	rng := NewRNG(42)
+	uniq := 0
+	check := func(step string, tr *Trace) {
+		t.Helper()
+		if got, want := tr.Hash(), referenceHash(tr.Records()); got != want {
+			t.Fatalf("%s: hash %#x, reference %#x", step, got, want)
+		}
+	}
+	tr := NewTrace()
+	for round := 0; round < 20; round++ {
+		tr.Reset()
+		tr.SetIncrementalHash(round%2 == 0)
+		traceOps(tr, rng, 400, &uniq)
+		check(fmt.Sprintf("round %d", round), tr)
+	}
+	if tr.memo.n != suffixSlots {
+		t.Fatalf("memo holds %d tables after 20 rounds, want all %d slots in use", tr.memo.n, suffixSlots)
+	}
+
+	// Snapshot restore: a boot prefix, then runs that each restore it,
+	// alternate incremental and end-of-run hashing, and check every run.
+	tr.Reset()
+	traceOps(tr, rng, 50, &uniq)
+	_ = tr.Hash() // the snapshot carries a folded digest
+	traceOps(tr, rng, 10, &uniq)
+	var snap traceSnapshot
+	tr.capture(&snap)
+	for run := 0; run < 20; run++ {
+		tr.restore(&snap)
+		tr.SetIncrementalHash(run%2 == 1)
+		traceOps(tr, rng, 300, &uniq)
+		check(fmt.Sprintf("restored run %d", run), tr)
+	}
+
+	// The same records hash identically on a cold trace and on the warm
+	// trace whose memo has seen everything above.
+	cold := NewTrace()
+	tr.Reset()
+	coldN, warmN := uniq, uniq
+	traceOps(cold, NewRNG(7), 500, &coldN)
+	traceOps(tr, NewRNG(7), 500, &warmN)
+	check("cold trace", cold)
+	if cold.Hash() != tr.Hash() {
+		t.Fatalf("warm memo hash %#x, cold trace %#x", tr.Hash(), cold.Hash())
+	}
+}
+
+// TestSuffixMemoBoundedAcrossPooledRuns recycles one trace through 500
+// snapshot-restored runs, as a pooled machine does, each run repeating
+// texts no other run uses. The memo must stay within its slot cap,
+// recycle its tables in place without allocating, and keep the digest
+// exact throughout.
+func TestSuffixMemoBoundedAcrossPooledRuns(t *testing.T) {
+	const runs, perRun = 500, 20
+	texts := make([][]string, runs)
+	for r := range texts {
+		for j := 0; j < perRun; j++ {
+			texts[r] = append(texts[r], fmt.Sprintf("run %d task %d switched", r, j))
+		}
+	}
+	tr := NewTrace()
+	tr.Add(0, KindBoot, -1, "power on")
+	var snap traceSnapshot
+	tr.capture(&snap)
+	run := 0
+	oneRun := func() {
+		tr.restore(&snap)
+		tr.SetIncrementalHash(true)
+		for rep := 0; rep < 3; rep++ {
+			for j, s := range texts[run] {
+				at := Time(rep*perRun+j+1) * Millisecond
+				tr.Add(at+100_000, KindIRQ, 1, `vIRQ 27 → cell "freertos-cell"`)
+				tr.Add(at, KindTask, 0, s)
+			}
+		}
+		_ = tr.Hash()
+		run++
+	}
+	for run < 100 {
+		oneRun()
+	}
+	if got := testing.AllocsPerRun(runs-run-1, oneRun); got != 0 {
+		t.Fatalf("steady-state pooled run allocates %.0f times, want 0", got)
+	}
+	if run != runs || tr.memo.n > suffixSlots {
+		t.Fatalf("after %d runs the memo holds %d tables, cap %d", run, tr.memo.n, suffixSlots)
+	}
+	if got, want := tr.Hash(), referenceHash(tr.Records()); got != want {
+		t.Fatalf("last run: hash %#x, reference %#x", got, want)
+	}
+}
+
+// TestRepeatedAddAllocatesNothing pins the hot path: appending a
+// repeated text with hash-on-append switched on allocates nothing.
+func TestRepeatedAddAllocatesNothing(t *testing.T) {
+	tr := NewTrace()
+	tr.Grow(4096, 0)
+	tr.SetIncrementalHash(true)
+	at := Millisecond + 100_000
+	add := func() {
+		tr.Add(at, KindIRQ, 1, `vIRQ 27 → cell "freertos-cell"`)
+		at += Millisecond
+	}
+	if got := testing.AllocsPerRun(2000, add); got != 0 {
+		t.Fatalf("repeated incremental Add allocates %.2f times per call, want 0", got)
+	}
+}
+
+// TestOneOffTextsClaimNoTable: texts seen once (UART lines, console
+// notes) only enter the candidate ring — no table, no allocation.
+func TestOneOffTextsClaimNoTable(t *testing.T) {
+	texts := make([]string, 2001)
+	for i := range texts {
+		texts[i] = fmt.Sprintf("[ %4d.%03d] console note %d", i/1000, i%1000, i)
+	}
+	tr := NewTrace()
+	tr.Grow(4096, 0)
+	tr.SetIncrementalHash(true)
+	i := 0
+	add := func() {
+		tr.Add(Time(i)*Millisecond, KindUART, -1, texts[i])
+		i++
+	}
+	if got := testing.AllocsPerRun(2000, add); got != 0 {
+		t.Fatalf("one-off incremental Add allocates %.2f times per call, want 0", got)
+	}
+	if tr.memo.n != 0 {
+		t.Fatalf("one-off texts promoted %d suffix tables, want none", tr.memo.n)
 	}
 }

@@ -38,6 +38,13 @@
 #                                    # width target vs its 4000-run max-N
 #                                    # guard (BenchmarkAdaptiveCampaign,
 #                                    # runs_saved_pct is the ≥30% bar)
+#   scripts/bench.sh hash            # trace-hash layer: ns_per_record of the
+#                                    # end-of-run and incremental folds over
+#                                    # one E3-fig3 minute (BenchmarkTraceHash)
+#                                    # next to BenchmarkShardedCampaign, the
+#                                    # campaign row that hashes every run
+#                                    # (CampaignThroughput has no OnRun and
+#                                    # never hashes)
 #   scripts/bench.sh soak            # not a benchmark: a quick soak gate —
 #                                    # short FuzzFaultInjection sweep plus a
 #                                    # -race -short pass over the fault-model
@@ -48,7 +55,9 @@
 #
 # Emits BENCH_<YYYYMMDD>.json: one object per benchmark with ns/op,
 # allocs/op, B/op and every ReportMetric series (correct_pct,
-# runs_per_sec, ...). The static checks (go vet, gofmt) run first so a
+# runs_per_sec, ...). An existing archive (or OUT file) is never
+# overwritten: a second run on the same day writes
+# BENCH_<YYYYMMDD>-2.json, then -3, and so on. The static checks (go vet, gofmt) run first so a
 # dirty tree never produces an archived measurement.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -86,9 +95,18 @@ elif [ "$PATTERN" = "obs" ]; then
     PATTERN='ObsOverhead|CampaignThroughput'
 elif [ "$PATTERN" = "adaptive" ]; then
     PATTERN='AdaptiveCampaign'
+elif [ "$PATTERN" = "hash" ]; then
+    PATTERN='TraceHash|ShardedCampaign'
 fi
 BENCHTIME="${BENCHTIME:-1x}"
 OUT="${OUT:-BENCH_$(date +%Y%m%d).json}"
+# Never overwrite an archive: take the first free -N suffix.
+base="${OUT%.json}"
+n=2
+while [ -e "$OUT" ]; do
+    OUT="$base-$n.json"
+    n=$((n + 1))
+done
 
 echo "== static checks =="
 go vet ./...
