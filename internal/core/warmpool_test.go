@@ -151,13 +151,17 @@ func TestWarmPoolDifferentialDeterminism(t *testing.T) {
 // every model × plan family × master seed × retention mode, a pooled
 // campaign must reproduce the cold fresh-build fingerprints exactly.
 func TestSnapshotDifferentialFaultModels(t *testing.T) {
+	// More runs than workers: each worker holds at most one machine, so
+	// at most `workers` cold builds happen and the remaining runs must
+	// restore a pooled machine — whatever the host's core count.
+	const workers = 2
 	runs := 4
 	masters := []uint64{2022, 7, 0xfeedface}
 	plans := shortPlans()
 	if testing.Short() {
 		// The race gate runs this too: keep every fault model but trim
 		// the seed and plan axes.
-		runs = 2
+		runs = workers + 1
 		masters = masters[:1]
 		plans = plans[2:] // E3, the paper's main campaign family
 	}
@@ -177,7 +181,7 @@ func TestSnapshotDifferentialFaultModels(t *testing.T) {
 						warm := make([]runFingerprint, runs)
 						c := &Campaign{
 							Plan: &plan, Runs: runs, MasterSeed: master,
-							Mode: mode, Pool: pool,
+							Mode: mode, Pool: pool, Workers: workers,
 							OnRun: func(index int, r *RunResult) {
 								mu.Lock()
 								warm[index] = fingerprint(r)

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"regexp"
+	"sync"
 	"testing"
 
 	"github.com/dessertlab/certify/internal/core"
@@ -325,10 +326,13 @@ func TestAdaptiveMergeRejectsTamperedStop(t *testing.T) {
 		t.Fatal(err)
 	}
 	partial := &core.CampaignResult{Plan: plan.Name}
+	var mu sync.Mutex // OnRun is called from concurrent workers
 	c := &core.Campaign{Plan: plan, Runs: short, MasterSeed: seed, Mode: core.ModeDistribution,
 		OnRun: func(index int, r *core.RunResult) {
 			w.OnRun(index, r)
+			mu.Lock()
 			partial.AddSample(r.Outcome(), len(r.Injections), r.DetectionLatency)
+			mu.Unlock()
 		}}
 	if _, err := c.Execute(context.Background()); err != nil {
 		t.Fatal(err)

@@ -23,6 +23,9 @@ import (
 // fallback cache, the read counter). Open one per goroutine.
 type Dossier struct {
 	path string
+	r    io.ReaderAt
+	// f is the file OpenDossier opened: Close releases it and the
+	// live-tail rescan stats it. Nil for OpenDossierAt readers.
 	f    *os.File
 	size int64
 	gz   bool
@@ -48,10 +51,10 @@ type Dossier struct {
 	reads int64 // ReadAt calls served, for access-cost assertions
 }
 
-// OpenDossier opens the artefact at path for random access. The file
-// must carry a readable manifest line (anything else is not a shard
-// artefact and errors, exactly as ReadShard would); everything about
-// the index footer is best-effort — Indexed reports which path serves.
+// OpenDossier opens the artefact file at path for random access; see
+// OpenDossierAt. A file-backed dossier also follows a shard that is
+// still being written: a record read past the scanned end re-stats the
+// file and rescans it once it has grown.
 func OpenDossier(path string) (*Dossier, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -62,13 +65,28 @@ func OpenDossier(path string) (*Dossier, error) {
 		f.Close()
 		return nil, err
 	}
-	d := &Dossier{path: path, f: f, size: st.Size()}
+	d, err := OpenDossierAt(f, st.Size(), path)
+	if err != nil {
+		f.Close()
+		return nil, err
+	}
+	d.f = f
+	return d, nil
+}
+
+// OpenDossierAt opens the artefact held in the first size bytes of r
+// for random access. The artefact must carry a readable manifest line
+// (anything else is not a shard artefact and errors, exactly as
+// ReadShardAt would); everything about the index footer is
+// best-effort — Indexed reports which path serves. path only names the
+// artefact in errors.
+func OpenDossierAt(r io.ReaderAt, size int64, path string) (*Dossier, error) {
+	d := &Dossier{path: path, r: r, size: size}
 	var magic [2]byte
 	if n, _ := d.ReadAt(magic[:], 0); n == 2 && magic[0] == 0x1f && magic[1] == 0x8b {
 		d.gz = true
 	}
 	if err := d.readManifest(); err != nil {
-		f.Close()
 		return nil, err
 	}
 	if ix, err := d.loadFooter(); err == nil {
@@ -78,7 +96,6 @@ func OpenDossier(path string) (*Dossier, error) {
 		}
 	}
 	if err := d.degrade(); err != nil {
-		f.Close()
 		return nil, err
 	}
 	metDossierFallbackScans.Inc()
@@ -89,14 +106,20 @@ func OpenDossier(path string) (*Dossier, error) {
 // tests can assert the indexed path's O(1) cost. Implements io.ReaderAt.
 func (d *Dossier) ReadAt(p []byte, off int64) (int, error) {
 	d.reads++
-	return d.f.ReadAt(p, off)
+	return d.r.ReadAt(p, off)
 }
 
 // Reads returns how many file reads the dossier has performed.
 func (d *Dossier) Reads() int64 { return d.reads }
 
-// Close releases the underlying file.
-func (d *Dossier) Close() error { return d.f.Close() }
+// Close releases the file OpenDossier opened; it is a no-op for a
+// dossier over a caller's reader.
+func (d *Dossier) Close() error {
+	if d.f == nil {
+		return nil
+	}
+	return d.f.Close()
+}
 
 // Path returns the artefact path the dossier serves.
 func (d *Dossier) Path() string { return d.path }
@@ -474,6 +497,9 @@ func (d *Dossier) adoptIndex(ix *shardIndex) error {
 // over the longer file. A stable size keeps the cache — the common case
 // for archived artefacts, where the stat is the only cost.
 func (d *Dossier) refreshScan() error {
+	if d.f == nil {
+		return nil // a caller's reader has a fixed size
+	}
 	st, err := d.f.Stat()
 	if err != nil {
 		return err

@@ -36,12 +36,12 @@ var ErrTorn = errors.New("dist: artefact truncated before its manifest")
 // campaigns at each other" from plain I/O failure.
 var ErrCampaignMismatch = errors.New("campaign identity mismatch")
 
-// openShardReader opens path and returns a line reader, decompressing
+// openShardReader returns a line reader over r, decompressing
 // transparently when the content (magic bytes, not just the suffix) is
 // gzip. The returned bool reports whether the stream is compressed —
 // readers use it to classify decode errors as torn crash remnants.
-func openShardReader(f *os.File, path string) (io.Reader, bool, error) {
-	br := bufio.NewReaderSize(f, 64<<10)
+func openShardReader(r io.Reader, path string) (io.Reader, bool, error) {
+	br := bufio.NewReaderSize(r, 64<<10)
 	magic, err := br.Peek(2)
 	if err != nil {
 		// Shorter than the gzip magic: nothing identifiable in there.
@@ -118,20 +118,31 @@ func parseHex(s string) (uint64, error) {
 	return strconv.ParseUint(s, 0, 64)
 }
 
-// ReadShard parses one shard artefact file: manifest first line, run
-// records folded into a CampaignResult, optional summary footer. It
-// validates record indices against the manifest's window and rejects
-// duplicates; a missing or inconsistent footer yields Complete=false
-// rather than an error, because that is the normal state of a crashed
-// shard awaiting rerun.
+// ReadShard parses the shard artefact file at path; see ReadShardAt.
 func ReadShard(path string) (*ShardFile, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	return ReadShardAt(f, st.Size(), path)
+}
 
-	r, compressed, err := openShardReader(f, path)
+// ReadShardAt parses one shard artefact held in the first size bytes
+// of ra: manifest first line, run records folded into a
+// CampaignResult, optional summary footer. It validates record indices
+// against the manifest's window and rejects duplicates; a missing or
+// inconsistent footer yields Complete=false rather than an error,
+// because that is the normal state of a crashed shard awaiting rerun.
+// The verdict depends on the bytes alone; path only names the artefact
+// in errors (and, for a file too short to carry gzip magic, its .gz
+// suffix marks it torn).
+func ReadShardAt(ra io.ReaderAt, size int64, path string) (*ShardFile, error) {
+	r, compressed, err := openShardReader(io.NewSectionReader(ra, 0, size), path)
 	if err != nil {
 		return nil, err
 	}
@@ -157,7 +168,7 @@ func ReadShard(path string) (*ShardFile, error) {
 		// artefact's lines are newline-terminated; the scanner hands back
 		// a final unterminated token verbatim, so "token == whole file"
 		// detects the missing newline.)
-		if st, serr := f.Stat(); !compressed && serr == nil && int64(len(sc.Bytes())) == st.Size() {
+		if !compressed && int64(len(sc.Bytes())) == size {
 			return nil, fmt.Errorf("dist: %s cut off inside its first line: %w", path, ErrTorn)
 		}
 		return nil, fmt.Errorf("dist: %s does not start with a manifest line", path)

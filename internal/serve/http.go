@@ -74,11 +74,21 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
+// maxSubmitBytes bounds a submission body. An inline plan file is a
+// few hundred bytes, so a megabyte is ample headroom while keeping any
+// one request from making the daemon buffer an arbitrary body.
+const maxSubmitBytes = 1 << 20
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req SubmitRequest
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			writeAPIError(w, http.StatusRequestEntityTooLarge, ClassUsage, "request body exceeds %d bytes", maxSubmitBytes)
+			return
+		}
 		writeAPIError(w, http.StatusBadRequest, ClassUsage, "bad request body: %v", err)
 		return
 	}
@@ -186,9 +196,10 @@ func (s *Server) handleRunRecord(w http.ResponseWriter, r *http.Request) {
 	w.Write([]byte("\n"))
 }
 
-// handleArtefact streams the completed job's canonical artefact — the
+// handleArtefact serves the completed job's canonical artefact — the
 // byte stream that is identical between a fresh execution and a cache
-// hit of the same campaign.
+// hit of the same campaign — rendered once per artefact content and
+// then answered from the cache's verified-content memo.
 func (s *Server) handleArtefact(w http.ResponseWriter, r *http.Request) {
 	j := s.job(w, r)
 	if j == nil {
@@ -198,17 +209,14 @@ func (s *Server) handleArtefact(w http.ResponseWriter, r *http.Request) {
 		writeAPIError(w, http.StatusConflict, ClassConflict, "job %s is %s — artefact is served for completed jobs", j.id, st)
 		return
 	}
-	d, err := dist.OpenDossier(s.ArtefactPath(j))
+	body, err := s.cache.canonical(s.ArtefactPath(j))
 	if err != nil {
 		writeAPIError(w, http.StatusInternalServerError, ClassInternal, "%v", err)
 		return
 	}
-	defer d.Close()
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	if err := dist.WriteCanonical(w, d); err != nil {
-		// Headers are gone; the truncated body fails the client's parse.
-		return
-	}
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	w.Write(body)
 }
 
 // handleEvents is the live stream: NDJSON events (SSE data frames when

@@ -55,7 +55,32 @@ type Job struct {
 	startSeq int
 	errText  string
 	errClass string
-	result   *core.CampaignResult
+	result   *tally
+}
+
+// tally is a completed campaign's aggregate as job views report it. It
+// has no mutators, so the verified-content memo entry it was computed
+// for and every job answered from that entry share one value; and it
+// holds no per-run records — a full-mode result's records (transcripts
+// included) are already in the artefact, and holding them would grow
+// the daemon with every job it completes.
+type tally struct {
+	counts          []int // by position in core.AllOutcomes()
+	injections      int
+	meanDetectionNS int64
+}
+
+func newTally(res *core.CampaignResult) *tally {
+	outs := core.AllOutcomes()
+	t := &tally{
+		counts:          make([]int, len(outs)),
+		injections:      res.InjectionsTotal(),
+		meanDetectionNS: int64(res.MeanDetectionLatency()),
+	}
+	for i, o := range outs {
+		t.counts[i] = res.Count(o)
+	}
+	return t
 }
 
 func newJob(id, tenant, key string, spec *dist.Spec, parent context.Context) *Job {
@@ -126,16 +151,11 @@ func (j *Job) finish(state State, mutate func()) {
 	close(j.done)
 }
 
-// finishCompleted records a completed job. The job table outlives the
-// campaign, so it keeps only the aggregate the job views read: a
-// full-mode result's per-run records (transcripts included) are already
-// in the artefact, and holding them would grow the daemon with every
-// job it completes.
-func (j *Job) finishCompleted(res *core.CampaignResult, cached bool) {
-	agg := *res
-	agg.Runs = nil
+// finishCompleted records a completed job and the tally its views
+// report.
+func (j *Job) finishCompleted(t *tally, cached bool) {
 	j.finish(StateCompleted, func() {
-		j.result = &agg
+		j.result = t
 		j.cached = cached
 	})
 }
@@ -192,13 +212,14 @@ func (j *Job) View() JobView {
 		ErrorClass: j.errClass,
 	}
 	if j.result != nil {
-		dist := make(map[string]int, len(core.AllOutcomes()))
-		for _, o := range core.AllOutcomes() {
-			dist[o.String()] = j.result.Count(o)
+		outs := core.AllOutcomes()
+		dist := make(map[string]int, len(outs))
+		for i, o := range outs {
+			dist[o.String()] = j.result.counts[i]
 		}
 		v.Distribution = dist
-		v.InjectionsTotal = j.result.InjectionsTotal()
-		v.MeanDetectionNS = int64(j.result.MeanDetectionLatency())
+		v.InjectionsTotal = j.result.injections
+		v.MeanDetectionNS = j.result.meanDetectionNS
 	}
 	return v
 }

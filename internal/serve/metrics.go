@@ -28,6 +28,22 @@ var (
 		"certify_serve_cache_poisoned_total",
 		"Cache entries removed as poisoned (foreign or unreadable).")
 
+	metMemoHits = obs.Default.NewCounter(
+		"certify_serve_verified_memo_hits_total",
+		"Cache reads (submit probes and artefact downloads) answered from a memoised verdict because the artefact's SHA-256 matched it.")
+	metMemoMisses = obs.Default.NewCounter(
+		"certify_serve_verified_memo_misses_total",
+		"Cache reads of a present artefact with no memoised verdict (or, for downloads, no memoised canonical bytes) for its SHA-256, which ran full verification.")
+	metMemoEvictions = obs.Default.NewCounter(
+		"certify_serve_verified_memo_evictions_total",
+		"Memoised verdicts evicted to keep the memo within its entry and byte bounds.")
+	metMemoEntries = obs.Default.NewGauge(
+		"certify_serve_verified_memo_entries",
+		"Verdicts the verified-content memo holds.")
+	metMemoHeldBytes = obs.Default.NewGauge(
+		"certify_serve_verified_memo_held_bytes",
+		"Bytes the verified-content memo holds: memoised canonical artefacts plus a fixed charge per verdict.")
+
 	metJobTransitions = obs.Default.NewCounterVec(
 		"certify_serve_job_transitions_total",
 		"Job lifecycle transitions, by state entered.",

@@ -218,9 +218,9 @@ func (s *Server) Submit(req *SubmitRequest) (*Job, error) {
 	s.mu.Unlock()
 
 	// Synchronous cache probe: a verified hit never touches the queue.
-	if sf, ok := s.cache.lookup(spec); ok {
+	if t, ok := s.cache.lookup(spec); ok {
 		s.cacheHits.Add(1)
-		j.finishCompleted(sf.Result, true)
+		j.finishCompleted(t, true)
 		s.log.Info("job served from cache",
 			"job", id, "tenant", tenant, "plan", spec.Plan.Name, "runs", spec.Runs)
 		return j, nil
@@ -392,9 +392,9 @@ func (s *Server) execute(j *Job) {
 	}
 	// Re-check under the key lock: an identical job that just finished
 	// ahead of us already paid for the result.
-	if sf, ok := s.cache.lookup(j.spec); ok {
+	if t, ok := s.cache.lookup(j.spec); ok {
 		s.cacheHits.Add(1)
-		j.finishCompleted(sf.Result, true)
+		j.finishCompleted(t, true)
 		s.log.Info("job served from cache", "job", j.id, "tenant", j.tenant)
 		return
 	}
@@ -407,7 +407,7 @@ func (s *Server) execute(j *Job) {
 	res, _, err := dist.ExecuteShardPool(j.ctx, j.spec, 0, s.cfg.WorkersPerJob, path, s.pool)
 	switch {
 	case err == nil:
-		j.finishCompleted(res, false)
+		j.finishCompleted(newTally(res), false)
 		s.log.Info("job completed",
 			"job", j.id, "tenant", j.tenant, "shard", 0,
 			"runs", j.spec.Runs, "elapsed", time.Since(execStart).String())

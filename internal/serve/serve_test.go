@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -129,6 +130,38 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
+// TestSubmitBodyBound: a submission body past the 1 MiB cap is refused
+// with 413 and class usage, without disturbing the server, while an
+// ordinary inline plan_file request is still accepted.
+func TestSubmitBodyBound(t *testing.T) {
+	_, c := newTestServer(t, Config{SkipGoldenCheck: true, WorkersPerJob: 1})
+	big := `{"plan_file":"` + strings.Repeat("a", 2<<20) + `","runs":1}`
+	resp, err := http.Post(c.Base+"/campaigns", "application/json", strings.NewReader(big))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var eb errorBody
+	err = json.NewDecoder(resp.Body).Decode(&eb)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || eb.Class != ClassUsage {
+		t.Fatalf("2 MiB body: status %d class %q (%s), want 413 %q", resp.StatusCode, eb.Class, eb.Error, ClassUsage)
+	}
+
+	if h, err := c.Health(context.Background()); err != nil || h.Status != "ok" {
+		t.Fatalf("server unhealthy after an oversize body: %+v %v", h, err)
+	}
+	status, v := rawSubmit(t, c.Base, &SubmitRequest{PlanFile: shortPlanText, Runs: 2, Seed: 5})
+	if status != http.StatusAccepted {
+		t.Fatalf("inline plan_file submit: status %d, want 202", status)
+	}
+	if done := waitTerminal(t, c, v.ID); done.State != StateCompleted {
+		t.Fatalf("inline plan_file job = %s (%s)", done.State, done.Error)
+	}
+}
+
 // TestSeedWireFormat pins the flexible seed encoding: JSON numbers and
 // numeric strings both land on the same campaign.
 func TestSeedWireFormat(t *testing.T) {
@@ -229,9 +262,13 @@ func TestCacheHitByteIdentical(t *testing.T) {
 // TestCachePoisoning flips bytes in a cached artefact and pins the
 // soundness property: the poisoned entry is never served — the
 // campaign re-executes and the client still receives the correct
-// result.
+// result. Every poison is applied while the verified-content memo holds
+// a verdict (and canonical bytes) for the entry's current content, and
+// the file's mtime is put back afterwards: only the bytes tell the
+// memo the entry changed.
 func TestCachePoisoning(t *testing.T) {
 	s, c := newTestServer(t, Config{SkipGoldenCheck: true, WorkersPerJob: 2})
+	ctx := context.Background()
 	req := &SubmitRequest{PlanFile: shortPlanText, Runs: 6, Seed: 3}
 	_, v1 := rawSubmit(t, c.Base, req)
 	v1done := waitTerminal(t, c, v1.ID)
@@ -242,6 +279,23 @@ func TestCachePoisoning(t *testing.T) {
 	path := s.ArtefactPath(job)
 	golden := canonicalBytes(t, path)
 
+	// A valid, complete artefact of another campaign, whose verdict the
+	// memo also holds: swapped in, its digest hits — with a manifest
+	// that must not match the request.
+	other := &SubmitRequest{PlanFile: shortPlanText, Runs: 6, Seed: 4}
+	_, vo := rawSubmit(t, c.Base, other)
+	if done := waitTerminal(t, c, vo.ID); done.State != StateCompleted {
+		t.Fatalf("other job: %s (%s)", done.State, done.Error)
+	}
+	if _, v := rawSubmit(t, c.Base, other); !v.Cached {
+		t.Fatal("other campaign's repeat was not a cache hit")
+	}
+	otherJob, _ := s.Job(vo.ID)
+	foreign, err := os.ReadFile(s.ArtefactPath(otherJob))
+	if err != nil {
+		t.Fatal(err)
+	}
+
 	poisons := []struct {
 		name string
 		mut  func([]byte) []byte
@@ -251,6 +305,17 @@ func TestCachePoisoning(t *testing.T) {
 			// no longer parses as a known outcome.
 			return bytes.Replace(b, []byte(`"outcome":"`), []byte(`"outcome":"X`), 1)
 		}},
+		{"same-length byte flip", func(b []byte) []byte {
+			// Overwrite the first outcome value's leading letter in place:
+			// same size, unknown outcome.
+			i := bytes.Index(b, []byte(`"outcome":"`))
+			if i < 0 {
+				t.Fatal("no outcome to flip")
+			}
+			b = bytes.Clone(b)
+			b[i+len(`"outcome":"`)] = 'X'
+			return b
+		}},
 		{"truncated summary", func(b []byte) []byte {
 			// Drop everything from the summary footer on: incomplete shard.
 			i := bytes.Index(b, []byte(`{"type":"summary"`))
@@ -259,13 +324,39 @@ func TestCachePoisoning(t *testing.T) {
 			}
 			return b[:i]
 		}},
+		{"truncated mid-record", func(b []byte) []byte { return b[:len(b)/2] }},
+		{"valid artefact of another campaign", func([]byte) []byte { return foreign }},
 	}
 	for _, p := range poisons {
+		// The memo holds the entry's current content: a repeat and a
+		// download both answer from it.
+		if _, v := rawSubmit(t, c.Base, req); !v.Cached {
+			t.Fatalf("%s: set-up repeat was not a cache hit", p.name)
+		}
+		var dl bytes.Buffer
+		if err := c.Artefact(ctx, &dl, v1.ID); err != nil {
+			t.Fatal(err)
+		}
+		sum, err := digestFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e, ok := s.cache.memo.get(sum); !ok || e.canonical == nil {
+			t.Fatalf("%s: memo holds no verdict with canonical bytes for the entry", p.name)
+		}
+
+		st, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
 		data, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := os.WriteFile(path, p.mut(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Chtimes(path, st.ModTime(), st.ModTime()); err != nil {
 			t.Fatal(err)
 		}
 		_, v := rawSubmit(t, c.Base, req)
@@ -283,6 +374,13 @@ func TestCachePoisoning(t *testing.T) {
 		}
 		if !bytes.Equal(canonicalBytes(t, path), golden) {
 			t.Fatalf("%s: re-executed artefact not byte-identical to the original", p.name)
+		}
+		dl.Reset()
+		if err := c.Artefact(ctx, &dl, v.ID); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(dl.Bytes(), golden) {
+			t.Fatalf("%s: downloaded artefact not byte-identical to the original", p.name)
 		}
 	}
 }
@@ -558,7 +656,14 @@ func TestCompletedJobDropsPerRunRecords(t *testing.T) {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.result == nil || j.result.Total() != 4 || len(j.result.Runs) != 0 {
-		t.Fatalf("job table keeps %v", j.result)
+	if j.result == nil {
+		t.Fatal("job table keeps no tally")
+	}
+	kept := 0
+	for _, n := range j.result.counts {
+		kept += n
+	}
+	if kept != 4 {
+		t.Fatalf("job table keeps %+v", j.result)
 	}
 }

@@ -27,7 +27,11 @@
 #                                    # submit answered from the verified
 #                                    # artefact store vs fresh execution
 #                                    # (BenchmarkServerCachedRequest,
-#                                    # speedup_x is the ≥100x bar)
+#                                    # speedup_x is the ≥100x bar), and a
+#                                    # full-mode E1-hvc entry's repeat
+#                                    # submit and download split apart
+#                                    # (BenchmarkServerCachedRequestFullMode:
+#                                    # cached_submit_ms, artefact_ms)
 #   scripts/bench.sh obs             # flight-recorder overhead: identical
 #                                    # campaign with metric recording on vs
 #                                    # off (BenchmarkObsOverhead) next to the
