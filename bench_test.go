@@ -612,23 +612,34 @@ func BenchmarkDossierRandomAccess(b *testing.B) {
 // record arena from the plan profile (core.TraceBudget) must eliminate
 // the append-growth allocations the arena used to pay. Before/after is
 // asserted at two levels: the arena itself (exact — a budgeted trace
-// absorbs a run's worth of records in its two up-front allocations),
-// and a full cold machine build + run (the budgeted configuration must
-// allocate strictly less than the unhinted one).
+// absorbs a real run's records in its two up-front allocations), and a
+// full cold machine build + run (the budgeted configuration must
+// allocate strictly less than the unhinted one). Whether the budget
+// covers every builtin plan's peak use is TestTraceBudgetCoversBuiltinPlans
+// in internal/core.
 func TestTraceArenaPresize(t *testing.T) {
 	plan := *core.PlanE3Fig3()
 	plan.Duration = 5 * sim.Second
 	recBudget, argBudget := core.TraceBudget(&plan)
-	if recBudget <= 0 || argBudget < 2*recBudget {
+	if recBudget <= 0 || argBudget <= 0 {
 		t.Fatalf("TraceBudget(%v) = %d recs / %d args — not a usable profile", plan.Duration, recBudget, argBudget)
 	}
 
-	// Arena level: filling a budget-sized record stream into a fresh
-	// trace costs exactly the two arena allocations when pre-sized, and
-	// a doubling cascade when not.
+	// Arena level: replaying a real E3-fig3 run's records, append by
+	// append, into a fresh trace costs exactly the two arena allocations
+	// when pre-sized, and a doubling cascade when not.
+	src, err := core.BuildMachine(core.DefaultMachineOptions(2022))
+	if err != nil {
+		t.Fatal(err)
+	}
+	src.Run(plan.EffectiveDuration())
+	recs := src.Board.Trace().Records()
+	if len(recs) == 0 || len(recs) > recBudget {
+		t.Fatalf("a %v E3-fig3 run holds %d records; budget %d", plan.Duration, len(recs), recBudget)
+	}
 	fill := func(tr *sim.Trace) {
-		for i := 0; i < recBudget; i++ {
-			tr.Addf(sim.Time(i), sim.KindNote, 1, "evt %d/%d", sim.Int(int64(i)), sim.Uint(uint64(i)))
+		for _, r := range recs {
+			tr.Add(r.At, r.Kind, r.CPU, r.Msg)
 		}
 	}
 	presized := testing.AllocsPerRun(3, func() {

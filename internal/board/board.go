@@ -204,12 +204,14 @@ func (b *Board) DeepReset(seed uint64, opts Options) {
 	}
 }
 
-// Snapshot is a deep copy of the whole board at one instant: scheduler
-// (events, clock, trace), RAM image, interrupt controller, both UARTs,
-// the GPIO bank, every core and the timer bookkeeping. The timer cancel
-// closures are Event handles into the engine slab; the engine snapshot
-// restores slot generations exactly, so the captured closures remain
-// valid after a restore.
+// Snapshot is the whole board at one instant: scheduler (events, clock,
+// trace position), RAM image, interrupt controller, both UARTs, the GPIO
+// bank, every core and the timer bookkeeping. The append-only logs —
+// trace records, UART captures, LED toggles — are held as lengths only;
+// their content lives once in the golden Log a restore is handed. The
+// timer cancel closures are Event handles into the engine slab; the
+// engine snapshot restores slot generations exactly, so the captured
+// closures remain valid after a restore.
 type Snapshot struct {
 	engine *sim.EngineSnapshot
 	ram    *memmap.RAMSnapshot
@@ -224,8 +226,23 @@ type Snapshot struct {
 // RAMPages returns how many RAM pages the snapshot image holds.
 func (s *Snapshot) RAMPages() int { return s.ram.Pages() }
 
-// CaptureSnapshot deep-copies the board state and switches the RAM into
-// dirty-page tracking so later restores copy back only touched pages.
+// Now returns the virtual time of the snapshot.
+func (s *Snapshot) Now() sim.Time { return s.engine.Now() }
+
+// Log is the published fault-free prefix of the board's append-only
+// logs — trace, both UART captures, the GPIO toggle history — shared
+// read-only by every machine on one golden trajectory. A published Log
+// is never written again; Publish returns a new one.
+type Log struct {
+	trace *sim.TraceLog
+	uart0 uart.Log
+	uart7 uart.Log
+	gpio  gpio.Log
+}
+
+// CaptureSnapshot copies the board state, records its log lengths, and
+// switches the RAM into dirty-page tracking so later restores copy back
+// only touched pages.
 func (b *Board) CaptureSnapshot() *Snapshot {
 	s := &Snapshot{
 		engine: b.Engine.CaptureSnapshot(),
@@ -242,19 +259,44 @@ func (b *Board) CaptureSnapshot() *Snapshot {
 	return s
 }
 
+// Publish returns l extended with the board's logs past l's end. The
+// board must be a later state of the golden run l was published from; a
+// nil l starts a new log.
+func (b *Board) Publish(l *Log) *Log {
+	if l == nil {
+		l = &Log{}
+	}
+	return &Log{
+		trace: b.Trace().Publish(l.trace),
+		uart0: b.UART0.Publish(l.uart0),
+		uart7: b.UART7.Publish(l.uart7),
+		gpio:  b.GPIO.Publish(l.gpio),
+	}
+}
+
 // RestoreSnapshot rewinds the board to a captured state with a fresh RNG
-// seed, reusing every live buffer. Returns how many RAM pages the
-// preceding run dirtied and how many the restore copied back — the
-// flight recorder's dirty-page metrics. The observable result must be
-// indistinguishable from a cold build followed by the same boot (the
-// differential determinism suite in internal/core holds it to that).
-func (b *Board) RestoreSnapshot(s *Snapshot, seed uint64) (dirtied, restored int) {
-	b.Engine.RestoreSnapshot(s.engine, seed)
+// seed, reusing every live buffer. The logs are rewritten from the
+// golden log l, which must cover the snapshot; from is the snapshot the
+// board last captured or restored on the same golden lineage (nil when
+// unknown), whose log prefix is already in place and is not copied
+// again. Returns how many RAM pages the preceding run dirtied and how
+// many the restore copied back — the flight recorder's dirty-page
+// metrics. The observable result must be indistinguishable from the
+// straight run that reached the snapshot (the differential and
+// checkpoint exactness suites in internal/core hold it to that).
+func (b *Board) RestoreSnapshot(s *Snapshot, seed uint64, l *Log, from *Snapshot) (dirtied, restored int) {
+	var fromEngine *sim.EngineSnapshot
+	var fromUART0, fromUART7 *uart.Snapshot
+	var fromGPIO *gpio.Snapshot
+	if from != nil {
+		fromEngine, fromUART0, fromUART7, fromGPIO = from.engine, from.uart0, from.uart7, from.gpio
+	}
+	b.Engine.RestoreSnapshot(s.engine, seed, l.trace, fromEngine)
 	dirtied, restored = b.RAM.RestoreSnapshot(s.ram)
 	b.GIC.RestoreSnapshot(s.gic)
-	b.UART0.RestoreSnapshot(s.uart0)
-	b.UART7.RestoreSnapshot(s.uart7)
-	b.GPIO.RestoreSnapshot(s.gpio)
+	b.UART0.RestoreSnapshot(s.uart0, l.uart0, fromUART0)
+	b.UART7.RestoreSnapshot(s.uart7, l.uart7, fromUART7)
+	b.GPIO.RestoreSnapshot(s.gpio, l.gpio, fromGPIO)
 	for i, c := range b.CPUs {
 		c.RestoreSnapshot(s.cpus[i])
 	}

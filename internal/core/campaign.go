@@ -161,11 +161,12 @@ func (c *CampaignResult) MergeFrom(o *CampaignResult) {
 // out across workers. Every run is an isolated deterministic machine, so
 // parallelism cannot perturb results; the aggregate is seed-reproducible.
 // Each worker keeps one warm machine (via its RunScratch): after the
-// first cold build, consecutive runs deep-reset the whole stack — board,
-// hypervisor, both guests — back to power-on state instead of
-// reallocating it. Setting Pool shares warm machines across workers and
-// across campaigns instead. The differential determinism suite pins
-// warm == cold, so neither reuse mode can perturb results.
+// first cold build, consecutive runs rewind it to the latest golden
+// checkpoint their injector cannot have fired before (see DESIGN.md
+// "Golden timeline") instead of rebuilding the stack. Setting Pool
+// shares warm machines across workers and across campaigns instead. The
+// differential determinism and checkpoint exactness suites pin warm ==
+// cold, so neither reuse mode can perturb results.
 type Campaign struct {
 	// Plan to execute.
 	Plan *TestPlan
@@ -185,13 +186,14 @@ type Campaign struct {
 	// bit-identical to one campaign covering the whole range. Zero for
 	// ordinary (unsharded) campaigns.
 	Offset int
-	// OnRun, when non-nil, observes every classified run before
+	// OnRun, when non-nil, observes every committed run before
 	// Distribution mode drops it: the streaming-artefact hook. It
 	// receives the run's global index (Offset + scheduling index) and the
 	// full RunResult, including TraceHash, which is computed only when
-	// this hook is set. Workers call it concurrently and in completion
-	// order, not index order — the callback must be goroutine-safe and
-	// must not retain r past the call in ModeDistribution.
+	// this hook is set. It is called from one goroutine, in strict index
+	// order whatever order the workers finish in, so a streamed artefact
+	// is byte-identical for any worker count. It must not retain r past
+	// the call in ModeDistribution.
 	OnRun func(index int, r *RunResult)
 	// Pool, when non-nil, supplies warm machines to all workers from one
 	// shared pool instead of one private warm machine per worker. Pass
@@ -205,15 +207,15 @@ type Campaign struct {
 	// determinism suite enforces exactly that).
 	ColdBuild bool
 	// Stop, when non-nil, makes the campaign adaptive. Classified runs
-	// are committed in strict global-index order (a reorder buffer holds
-	// out-of-order worker completions); the policy observes each
-	// committed run, and the first observation that returns true ends
-	// the campaign — runs with higher indices are discarded even when
-	// already executed. OnRun is then invoked in index order, only for
-	// committed runs, so a streamed artefact of a stopped campaign is
-	// byte-identical to a truncation of the full campaign's canonical
-	// artefact. CampaignResult.Stop records the decision. Runs acts as
-	// the max-N guard: an adaptive campaign never exceeds it.
+	// are always committed in strict global-index order (a reorder
+	// buffer holds out-of-order worker completions); the policy observes
+	// each committed run, and the first observation that returns true
+	// ends the campaign — runs with higher indices are discarded even
+	// when already executed, and OnRun never sees them, so a streamed
+	// artefact of a stopped campaign is byte-identical to a truncation
+	// of the full campaign's canonical artefact. CampaignResult.Stop
+	// records the decision. Runs acts as the max-N guard: an adaptive
+	// campaign never exceeds it. Nil runs exactly Runs runs.
 	Stop StopPolicy
 	// Stratify rotates runs across the register-class strata of the
 	// plan's field set (StratifyPlan): run with global index g draws its
@@ -270,114 +272,23 @@ func (c *Campaign) Execute(ctx context.Context) (*CampaignResult, error) {
 		planFor = func(idx int) *TestPlan { return strata[(c.Offset+idx)%len(strata)] }
 	}
 
-	if c.Stop != nil {
-		return c.executeAdaptive(ctx, n, workers, seeds, planFor)
-	}
-
-	retain := c.Mode == ModeFull
-	var (
-		results []*RunResult // ModeFull: per-index, preserves seed order
-		partial = make([]*CampaignResult, 0, workers)
-		errs    = make([]error, n)
-		wg      sync.WaitGroup
-		work    = make(chan int)
-	)
-	if retain {
-		results = make([]*RunResult, n)
-	}
-
-	for w := 0; w < workers; w++ {
-		var local *CampaignResult
-		if !retain {
-			local = &CampaignResult{Plan: c.Plan.Name}
-			partial = append(partial, local)
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ro := RunOptions{
-				Mode:             c.Mode,
-				CaptureTraceHash: c.OnRun != nil,
-			}
-			switch {
-			case c.ColdBuild:
-				// fresh build per run
-			case c.Pool != nil:
-				ro.Pool = c.Pool
-			default:
-				ro.Scratch = NewRunScratch()
-			}
-			for idx := range work {
-				r, err := RunExperimentOpts(planFor(idx), seeds[idx], ro)
-				if err != nil {
-					errs[idx] = err
-					continue
-				}
-				if c.OnRun != nil {
-					c.OnRun(c.Offset+idx, r)
-				}
-				if retain {
-					results[idx] = r
-				} else {
-					local.addRun(r, false)
-				}
-			}
-		}()
-	}
-feed:
-	for i := 0; i < n; i++ {
-		select {
-		case <-ctx.Done():
-			break feed
-		case work <- i:
-		}
-	}
-	close(work)
-	wg.Wait()
-
-	agg := &CampaignResult{Plan: c.Plan.Name}
-	for i, err := range errs {
-		if err != nil {
-			// Report the global index: artefacts, manifests and OnRun all
-			// identify runs that way, so the operator can cross-reference.
-			return nil, fmt.Errorf("run %d (seed %#x): %w", c.Offset+i, seeds[i], err)
-		}
-	}
-	if retain {
-		for _, r := range results {
-			if r == nil {
-				continue // cancelled before scheduling
-			}
-			agg.addRun(r, true)
-		}
-	} else {
-		for _, p := range partial {
-			agg.MergeFrom(p)
-		}
-	}
-	if agg.total == 0 {
-		// Distinguish "cancelled before the first run finished" from a
-		// genuinely empty campaign: callers (the serve daemon's job
-		// executor, the fan-out supervisor) branch on errors.Is(err,
-		// context.Canceled) to record an abort instead of a failure.
-		if cerr := ctx.Err(); cerr != nil {
-			return nil, fmt.Errorf("core: campaign cancelled before any run completed: %w", cerr)
-		}
-		return nil, fmt.Errorf("core: campaign produced no runs")
-	}
-	return agg, nil
+	return c.execute(ctx, n, workers, seeds, planFor)
 }
 
-// executeAdaptive is the Stop-policy execution path: workers still race
-// over the run indices, but classified runs are committed — OnRun,
-// aggregation, policy observation — in strict global-index order
-// through a reorder buffer. The stop decision is therefore a pure
-// function of the seed-chain prefix: a stopped campaign's committed
-// runs are bit-identical to the first K runs of the full campaign, no
-// matter how many workers raced or in what order they finished.
-func (c *Campaign) executeAdaptive(ctx context.Context, n, workers int, seeds []uint64, planFor func(int) *TestPlan) (*CampaignResult, error) {
+// execute is the one campaign executor: workers race over the run
+// indices, but classified runs are committed — OnRun, aggregation, stop
+// policy observation — in strict global-index order through a reorder
+// buffer. Artefacts are therefore index-ordered by construction and
+// byte-identical for any worker count, and an adaptive stop decision is
+// a pure function of the seed-chain prefix: a stopped campaign's
+// committed runs are bit-identical to the first K runs of the full
+// campaign, no matter how many workers raced or in what order they
+// finished. A fixed-N campaign is the same executor with no policy.
+func (c *Campaign) execute(ctx context.Context, n, workers int, seeds []uint64, planFor func(int) *TestPlan) (*CampaignResult, error) {
 	retain := c.Mode == ModeFull
-	c.Stop.Reset()
+	if c.Stop != nil {
+		c.Stop.Reset()
+	}
 
 	type completion struct {
 		idx int
@@ -415,6 +326,12 @@ func (c *Campaign) executeAdaptive(ctx context.Context, n, workers int, seeds []
 	go func() {
 		defer close(work)
 		for i := 0; i < n; i++ {
+			// select picks among ready cases at random: check the
+			// context first, so a cancelled campaign never schedules
+			// another run just because a worker happened to be idle.
+			if ctx.Err() != nil {
+				return
+			}
 			select {
 			case <-ctx.Done():
 				return
@@ -451,7 +368,7 @@ func (c *Campaign) executeAdaptive(ctx context.Context, n, workers int, seeds []
 				c.OnRun(c.Offset+next, e.r)
 			}
 			agg.addRun(e.r, retain)
-			fired := c.Stop.Observe(c.Offset+next, e.r.Outcome())
+			fired := c.Stop != nil && c.Stop.Observe(c.Offset+next, e.r.Outcome())
 			next++
 			if fired {
 				stopAt = next
@@ -470,6 +387,8 @@ func (c *Campaign) executeAdaptive(ctx context.Context, n, workers int, seeds []
 		return nil, fmt.Errorf("core: campaign produced no runs")
 	}
 	switch {
+	case c.Stop == nil:
+		// Fixed-N: no decision to record.
 	case stopAt >= 0:
 		agg.Stop = &StopDecision{DecidedAt: c.Offset + stopAt, Fired: stopAt < n}
 	case next == n:

@@ -45,7 +45,9 @@ func (f *fold) str(s string) {
 // captures, the GIC's full register file and per-CPU pending/active
 // bitmaps, the LED history, RAM content, each CPU's architectural state,
 // the hypervisor's cells/per-CPU blocks/console/ivshmem links, root
-// Linux's lifecycle state and the FreeRTOS kernel's scheduler state.
+// Linux's lifecycle state and the FreeRTOS kernel's scheduler state,
+// task control blocks included (working registers and the task bodies'
+// own locals).
 //
 // The leak-detection property test relies on this being discriminating:
 // a freshly built machine and a deep-reset machine booted with the same
@@ -199,6 +201,9 @@ func (m *Machine) StateDigest() uint64 {
 			f.u64(uint64(t.State))
 			f.b(t.Asserted)
 			for _, w := range t.Work {
+				f.u64(uint64(w))
+			}
+			for _, w := range t.Locals() {
 				f.u64(uint64(w))
 			}
 		}

@@ -60,6 +60,11 @@ type Injector struct {
 	// machine is the bound experiment target for machine-level fault
 	// models (MachineFaulter); nil for pure register models.
 	machine *Machine
+
+	// tape, while taping is set, logs the virtual time of every matching
+	// call: the call log of the golden timeline the run is extending.
+	tape   []sim.Time
+	taping bool
 }
 
 // NewInjector builds an injector for the plan. rng must be the target
@@ -136,6 +141,46 @@ func (in *Injector) Calls() map[jailhouse.InjectionPoint]uint64 {
 // TotalCalls returns all matching calls across points.
 func (in *Injector) TotalCalls() uint64 { return in.callTotal }
 
+// triggers is the injection predicate: whether the call-th matching
+// call, made at virtual time at, fires an injection — the arm latch, the
+// arm window and the rate with its phase. Hook and the golden-timeline
+// eligibility check (firstTrigger) both decide through it, so a run is
+// never started from a checkpoint past a call the hook would fire on.
+func (in *Injector) triggers(call uint64, at sim.Time) bool {
+	if !in.armed {
+		return false
+	}
+	if in.armFrom > 0 && at < in.armFrom {
+		return false
+	}
+	if in.disarmAt > 0 && at > in.disarmAt {
+		return false
+	}
+	return (call+in.phase)%uint64(in.plan.EffectiveRate()) == 0
+}
+
+// firstTrigger returns the number of the first call in a golden call
+// log (calls[n-1] is the time of matching call n) on which the injector
+// fires, or 0 when it fires on none of them.
+func (in *Injector) firstTrigger(calls []sim.Time) uint64 {
+	for i, at := range calls {
+		if in.triggers(uint64(i+1), at) {
+			return uint64(i + 1)
+		}
+	}
+	return 0
+}
+
+// preload sets the matching-call counters to a checkpoint's golden
+// counts, as if the injector had watched the prefix it skips.
+func (in *Injector) preload(calls map[jailhouse.InjectionPoint]uint64, total uint64) {
+	clear(in.calls)
+	for p, n := range calls {
+		in.calls[p] = n
+	}
+	in.callTotal = total
+}
+
 // Hook is the jailhouse.EntryHook adapter.
 func (in *Injector) Hook(point jailhouse.InjectionPoint, cpu int, cell string, ctx *armv7.TrapContext) jailhouse.InjectionResult {
 	if !in.plan.TargetsPoint(point) {
@@ -149,17 +194,10 @@ func (in *Injector) Hook(point jailhouse.InjectionPoint, cpu int, cell string, c
 	}
 	in.calls[point]++
 	in.callTotal++
-
-	if !in.armed {
-		return jailhouse.InjectionResult{}
+	if in.taping {
+		in.tape = append(in.tape, in.now())
 	}
-	if in.armFrom > 0 && in.now() < in.armFrom {
-		return jailhouse.InjectionResult{}
-	}
-	if in.disarmAt > 0 && in.now() > in.disarmAt {
-		return jailhouse.InjectionResult{}
-	}
-	if (in.callTotal+in.phase)%uint64(in.plan.EffectiveRate()) != 0 {
+	if !in.triggers(in.callTotal, in.now()) {
 		return jailhouse.InjectionResult{}
 	}
 

@@ -10,7 +10,6 @@ package core
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"github.com/dessertlab/certify/internal/board"
 	"github.com/dessertlab/certify/internal/guest/freertos"
@@ -44,13 +43,22 @@ type Machine struct {
 	// of killing the campaign worker.
 	simFault string
 
-	// snapshots holds one post-boot image per MachineOptions profile
-	// (options minus seed and scratch). Restore rewinds the machine from
-	// the image instead of replaying the boot path — the snapshot-fork
-	// mechanism MachinePool and the warm scratch path ride on. Snapshots
-	// reference this machine's own objects (cells, kernels, scheduled
-	// closures) and must never be shared across machines.
-	snapshots map[profileKey]*machineSnapshot
+	// boots holds one post-boot image per MachineOptions profile
+	// (options minus seed and scratch): checkpoint 0 of every golden
+	// timeline of that profile. Restore rewinds the machine from it
+	// instead of replaying the boot path. Checkpoints reference this
+	// machine's own objects (cells, kernels, scheduled closures) and must
+	// never be shared across machines; only their logs are shared.
+	boots map[profileKey]*checkpoint
+	// timelines holds the golden timelines of the run shapes this
+	// machine served recently (at most maxTimelines, LRU by lruClock).
+	timelines []*timeline
+	lruClock  uint64
+	// at is the checkpoint last captured or restored: the machine's logs
+	// are golden up to its lengths (nil after a deep reset).
+	at *checkpoint
+	// rec, when set, lets the next Run extend a timeline.
+	rec recording
 }
 
 // profileKey identifies a boot profile: every MachineOptions field that
@@ -81,17 +89,6 @@ func profileOf(opts MachineOptions) profileKey {
 		traceRecords:    opts.TraceRecords,
 		traceArgs:       opts.TraceArgs,
 	}
-}
-
-// machineSnapshot composes the per-layer images of one post-boot state.
-type machineSnapshot struct {
-	board    *board.Snapshot
-	hv       *jailhouse.Snapshot
-	linux    *rootlinux.Snapshot
-	rtos     *freertos.Kernel // the kernel bound at capture (nil if none yet)
-	rtosSnap freertos.KernelSnapshot
-	rtosNext int
-	cellID   uint32
 }
 
 // MachineOptions tunes the assembly.
@@ -131,14 +128,15 @@ type MachineOptions struct {
 // RunScratch carries the reusable state one campaign worker threads
 // through consecutive runs: the board's heavy buffers for the first
 // (cold) build, and after that the warm machine itself, which later runs
-// deep-reset instead of rebuilding. Never share between goroutines.
+// rewind to a golden checkpoint instead of rebuilding. Never share
+// between goroutines.
 type RunScratch struct {
 	board   board.Scratch
 	machine *Machine
 }
 
 // NewRunScratch returns an empty scratch; the first run through it
-// builds cold and parks its machine here, every following run deep-resets
+// builds cold and parks its machine here, every following run rewinds
 // that machine.
 func NewRunScratch() *RunScratch { return &RunScratch{} }
 
@@ -192,6 +190,8 @@ func (m *Machine) DeepReset(opts MachineOptions) error {
 	m.CellID = 0
 	m.rtosNext = 0
 	m.simFault = ""
+	m.at = nil
+	m.rec = recording{}
 	return m.boot(opts)
 }
 
@@ -298,61 +298,41 @@ func (m *Machine) Tainted() bool {
 }
 
 // CaptureSnapshot stores the machine's current state as the post-boot
-// image for the given options' profile. Must be called on a freshly
-// booted machine, before its first Run — the FreeRTOS capture relies on
-// no task slice having executed yet.
+// image for the given options' profile — checkpoint 0 of the profile's
+// golden timelines — and publishes its logs to the profile's golden
+// store. Must be called on a freshly booted machine, before its first
+// Run: the image has to lie on the profile's fault-free trajectory.
 func (m *Machine) CaptureSnapshot(opts MachineOptions) {
-	if m.snapshots == nil {
-		m.snapshots = make(map[profileKey]*machineSnapshot)
+	if m.boots == nil {
+		m.boots = make(map[profileKey]*checkpoint)
 	}
-	s := &machineSnapshot{
-		board:    m.Board.CaptureSnapshot(),
-		hv:       m.HV.CaptureSnapshot(),
-		linux:    m.Linux.CaptureSnapshot(),
-		rtos:     m.RTOS,
-		rtosNext: m.rtosNext,
-		cellID:   m.CellID,
-	}
-	if m.RTOS != nil {
-		s.rtosSnap = m.RTOS.CaptureSnapshot()
-	}
-	m.snapshots[profileOf(opts)] = s
+	pk := profileOf(opts)
+	m.boots[pk] = m.capture(pk)
 }
 
 // Restore brings the machine back to the post-boot state for opts: from
-// the profile's snapshot when one exists (copying back only dirtied RAM
-// pages and the captured control blocks — no boot replay), falling back
-// to a full DeepReset otherwise. The first reset of a new profile
-// captures its image, so every later Restore of that profile is cheap.
-// A tainted machine (sim-fault, machine wedge) always deep-resets and
-// never captures — its state is not trusted as a snapshot source. The
-// observable result must be indistinguishable from BuildMachine with the
-// same options; warmpool_test.go's differential suites hold it to that.
+// the profile's post-boot checkpoint when one exists (copying back only
+// dirtied RAM pages, log tails and the captured control blocks — no boot
+// replay), falling back to a full DeepReset otherwise. The first reset
+// of a new profile captures its image, so every later Restore of that
+// profile is cheap. A tainted machine (sim-fault, machine wedge) always
+// deep-resets and never captures — its state is not trusted as a
+// snapshot source. The observable result must be indistinguishable from
+// BuildMachine with the same options; warmpool_test.go's differential
+// suites hold it to that.
 func (m *Machine) Restore(opts MachineOptions) error {
-	s := m.snapshots[profileOf(opts)]
-	if s == nil || m.Tainted() {
+	c := m.boots[profileOf(opts)]
+	if c == nil || m.Tainted() {
 		if err := m.DeepReset(opts); err != nil {
 			return err
 		}
-		if s == nil {
+		if c == nil {
 			m.CaptureSnapshot(opts)
 		}
 		return nil
 	}
-	start := time.Now()
-	dirtied, restored := m.Board.RestoreSnapshot(s.board, opts.Seed)
-	m.HV.RestoreSnapshot(s.hv)
-	m.Linux.RestoreSnapshot(s.linux)
-	m.RTOS = s.rtos
-	if s.rtos != nil {
-		s.rtos.RestoreSnapshot(s.rtosSnap)
-	}
-	m.rtosNext = s.rtosNext
-	m.CellID = s.cellID
-	m.simFault = ""
-	metSnapshotRestore.ObserveSince(start)
-	metPagesDirtied.Add(uint64(dirtied))
-	metPagesRestored.Add(uint64(restored))
+	m.rec = recording{}
+	m.restoreTo(c, opts.Seed)
 	return nil
 }
 
@@ -371,6 +351,10 @@ func inmateImage() []byte {
 // simulation itself failing under an injected fault — is recovered here,
 // halts the engine, and classifies as sim-fault: one bad run must never
 // kill a shard worker or poison a campaign aggregate.
+//
+// When the run was prepared at its golden timeline's frontier, the
+// fault-free stretch runs in checkpoint-spacing segments that extend the
+// timeline (see record); the result is the same as one Engine.Run.
 func (m *Machine) Run(d sim.Time) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -378,7 +362,12 @@ func (m *Machine) Run(d sim.Time) {
 			m.Board.Engine.Halt("sim fault: " + m.simFault)
 		}
 	}()
-	_ = m.Board.Engine.Run(m.Board.Now() + d)
+	horizon := m.Board.Now() + d
+	if r := m.rec; r.tl != nil {
+		m.rec = recording{}
+		m.record(r, horizon)
+	}
+	_ = m.Board.Engine.Run(horizon)
 }
 
 // SimFault returns the recovered panic message of a simulation fault

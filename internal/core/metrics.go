@@ -26,40 +26,49 @@ var (
 
 	metPoolGet = obs.Default.NewHistogram(
 		"certify_pool_get_seconds",
-		"MachinePool.Get latency (deep reset or cold build included).",
+		"Machine acquisition from the pool: an idle pop or a cold build (the warm rewind is timed by certify_pool_machine_restore_seconds).",
 		obs.LatencyBuckets)
 	metPoolPut = obs.Default.NewHistogram(
 		"certify_pool_put_seconds",
 		"MachinePool.Put latency.",
 		obs.LatencyBuckets)
-	metDeepReset = obs.Default.NewHistogram(
-		"certify_pool_deep_reset_seconds",
-		"Machine.DeepReset latency on the pool and scratch warm paths.",
+	metRestore = obs.Default.NewHistogram(
+		"certify_pool_machine_restore_seconds",
+		"Warm-machine rewind latency on the pool and scratch paths: a checkpoint restore, or a deep reset for a profile the machine never booted.",
 		obs.LatencyBuckets)
 	metPoolColdBuilds = obs.Default.NewCounter(
 		"certify_pool_cold_builds_total",
 		"Pool Gets that built a machine cold (pool empty).")
 	metPoolReuses = obs.Default.NewCounter(
 		"certify_pool_reuses_total",
-		"Pool Gets answered by deep-resetting a warm machine.")
+		"Pool acquisitions answered by a warm machine (rewound by checkpoint restore, not rebuilt).")
 
 	metScratchReuses = obs.Default.NewCounter(
 		"certify_core_scratch_reuses_total",
-		"Runs that deep-reset a per-worker scratch machine.")
+		"Runs that rewound a warm per-worker scratch machine instead of rebuilding it.")
 	metScratchColdBuilds = obs.Default.NewCounter(
 		"certify_core_scratch_cold_builds_total",
 		"Runs that built a machine cold (first scratch use or no reuse).")
 
 	metSnapshotRestore = obs.Default.NewHistogram(
 		"certify_core_snapshot_restore_seconds",
-		"Machine.Restore latency when answered from a post-boot snapshot.",
+		"Latency of one checkpoint restore (post-boot image or golden-timeline checkpoint).",
 		obs.LatencyBuckets)
 	metPagesDirtied = obs.Default.NewCounter(
 		"certify_core_snapshot_pages_dirtied_total",
 		"RAM pages the preceding run touched, summed over snapshot restores.")
 	metPagesRestored = obs.Default.NewCounter(
 		"certify_core_snapshot_pages_restored_total",
-		"RAM pages copied back from post-boot snapshot images.")
+		"RAM pages copied back from checkpoint images.")
+	metCheckpointRestores = obs.Default.NewCounter(
+		"certify_core_checkpoint_restores_total",
+		"Runs started from a golden-timeline checkpoint past the post-boot image.")
+	metCheckpointSkipped = obs.Default.NewCounter(
+		"certify_core_checkpoint_skipped_virtual_seconds_total",
+		"Virtual seconds of fault-free prefix not re-simulated because runs started from golden-timeline checkpoints.")
+	metCheckpointCaptures = obs.Default.NewCounter(
+		"certify_core_checkpoint_captures_total",
+		"Golden-timeline checkpoints captured by runs that had not yet injected.")
 	metPoolDrops = obs.Default.NewCounter(
 		"certify_pool_tainted_drops_total",
 		"Machines dropped at MachinePool.Put because the run ended in a sim-fault or machine wedge.")

@@ -7,12 +7,12 @@ import (
 
 // MachinePool recycles fully built machines across experiment runs: Get
 // hands out a warm machine rewound to its post-boot state via
-// Machine.Restore — a snapshot restore that copies back only dirtied RAM
-// pages and captured control blocks, never replaying the boot path —
-// building cold only when the pool is empty. Because boot replay is the
-// dominant reset cost once the event slab and trace are pooled (see
-// DESIGN.md "Snapshot-fork machines"), the snapshot restore is what
-// lifts campaign throughput past the deep-reset warm pool.
+// Machine.Restore — a checkpoint restore that copies back only dirtied
+// RAM pages, log tails and captured control blocks, never replaying the
+// boot path — building cold only when the pool is empty. The experiment
+// runner goes further and rewinds a pooled machine straight to the
+// latest golden checkpoint its run may start from (see DESIGN.md
+// "Golden timeline"); pooled machines keep their timelines across Gets.
 //
 // The pool is safe for concurrent use; the machines it hands out are
 // not — exactly one goroutine owns a machine between Get and Put. A
@@ -22,7 +22,7 @@ import (
 // Admissibility rests on the differential determinism suite: a run on a
 // pooled machine must be byte-identical — outcomes, latencies, per-run
 // trace hashes — to the same run on a cold-built machine. Get therefore
-// never hides a DeepReset failure by quietly rebuilding: a warm boot
+// never hides a restore failure by quietly rebuilding: a warm boot
 // that fails where a cold boot would succeed is a state leak, and it
 // must surface.
 type MachinePool struct {
@@ -43,10 +43,29 @@ func NewMachinePool() *MachinePool { return &MachinePool{} }
 // machine's later Gets restore instead of resetting. opts.Scratch is
 // ignored for pooled machines (they recycle their own buffers).
 func (p *MachinePool) Get(opts MachineOptions) (*Machine, error) {
+	m, fresh, err := p.take(opts)
+	if err != nil || fresh {
+		return m, err
+	}
+	rewind := time.Now()
+	if err := m.Restore(opts); err != nil {
+		// The machine is mid-boot garbage now; drop it rather than pool
+		// it, and report the failure instead of masking a possible leak
+		// with a silent rebuild.
+		return nil, err
+	}
+	metRestore.ObserveSince(rewind)
+	return m, nil
+}
+
+// take hands out an idle machine as its last run left it (fresh false;
+// the caller rewinds it — Get to the post-boot image, the experiment
+// runner to a golden checkpoint), or a cold build for opts with its
+// post-boot image captured (fresh true).
+func (p *MachinePool) take(opts MachineOptions) (m *Machine, fresh bool, err error) {
 	start := time.Now()
 	defer metPoolGet.ObserveSince(start)
 	p.mu.Lock()
-	var m *Machine
 	if n := len(p.idle); n > 0 {
 		m = p.idle[n-1]
 		p.idle[n-1] = nil
@@ -57,26 +76,17 @@ func (p *MachinePool) Get(opts MachineOptions) (*Machine, error) {
 	}
 	p.mu.Unlock()
 
-	if m == nil {
-		opts.Scratch = nil // pool machines own their buffers
-		metPoolColdBuilds.Inc()
-		m, err := BuildMachine(opts)
-		if err != nil {
-			return nil, err
-		}
-		m.CaptureSnapshot(opts)
-		return m, nil
+	if m != nil {
+		metPoolReuses.Inc()
+		return m, false, nil
 	}
-	resetStart := time.Now()
-	if err := m.Restore(opts); err != nil {
-		// The machine is mid-boot garbage now; drop it rather than pool
-		// it, and report the failure instead of masking a possible leak
-		// with a silent rebuild.
-		return nil, err
+	opts.Scratch = nil // pool machines own their buffers
+	metPoolColdBuilds.Inc()
+	if m, err = BuildMachine(opts); err != nil {
+		return nil, false, err
 	}
-	metDeepReset.ObserveSince(resetStart)
-	metPoolReuses.Inc()
-	return m, nil
+	m.CaptureSnapshot(opts)
+	return m, true, nil
 }
 
 // Put returns a machine to the pool for the next Get to rewind — unless

@@ -58,8 +58,8 @@ type RunOptions struct {
 	Mode CampaignMode
 	// Scratch, when non-nil, keeps one warm machine per worker: the
 	// first run through a scratch builds cold, every following run
-	// deep-resets that machine instead of rebuilding the stack. Never
-	// share between goroutines.
+	// rewinds that machine to a golden checkpoint instead of rebuilding
+	// the stack. Never share between goroutines.
 	Scratch *RunScratch
 	// Pool, when non-nil, draws the machine from a shared warm pool
 	// (Get before the run, Put after) and takes precedence over Scratch.
@@ -84,12 +84,33 @@ func RunExperimentOpts(plan *TestPlan, seed uint64, ro RunOptions) (*RunResult, 
 		return nil, err
 	}
 	started := time.Now()
+	opts := runMachineOptions(plan, seed, ro.Mode)
+	m, fresh, release, err := acquireMachine(ro, opts)
+	if err != nil {
+		return nil, err
+	}
+	defer release()
+	res, err := runOn(m, fresh, ro.Pool != nil || ro.Scratch != nil, opts, plan, ro)
+	if err != nil {
+		return nil, err
+	}
+	metRunsTotal.Inc()
+	metRunDuration.ObserveSince(started)
+	if ev := m.Board.Engine.Executed(); ev > 0 {
+		metSimEvents.Add(ev)
+		metSimEventsPerRun.Observe(float64(ev))
+	}
+	return res, nil
+}
+
+// runMachineOptions derives the machine configuration of a plan's run.
+func runMachineOptions(plan *TestPlan, seed uint64, mode CampaignMode) MachineOptions {
 	opts := MachineOptions{Seed: seed, StateWatchdog: true}
 	// Pre-size the trace arenas from the plan profile: one allocation
 	// per arena up front instead of a doubling cascade during the run.
 	// Reused machines (scratch, pool) keep their grown arenas either way.
 	opts.TraceRecords, opts.TraceArgs = TraceBudget(plan)
-	if ro.Mode == ModeDistribution {
+	if mode == ModeDistribution {
 		opts.LeanCapture = true
 	}
 	switch plan.Workload {
@@ -99,42 +120,50 @@ func RunExperimentOpts(plan *TestPlan, seed uint64, ro RunOptions) (*RunResult, 
 	case WorkloadDelayedCreate:
 		opts.DelayedCreate = true
 	}
-	m, release, err := acquireMachine(ro, opts)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	if ro.CaptureTraceHash {
-		// Fold the digest on append: end-of-run hashing then reads a
-		// finished state instead of rendering the whole trace. Records the
-		// machine build already emitted are caught up here.
-		m.Board.Trace().SetIncrementalHash(true)
-	}
+	return opts
+}
 
+// runOn executes one run of plan on m, booted (fresh) or left by its
+// previous run, and assembles the result. With timeline set, the run
+// starts from the latest golden checkpoint its injector cannot have
+// fired before and extends the timeline while it stays fault-free;
+// otherwise m must be fresh and runs straight from boot.
+func runOn(m *Machine, fresh, timeline bool, opts MachineOptions, plan *TestPlan, ro RunOptions) (*RunResult, error) {
 	// Derive the injector's random stream from the run seed so the
 	// workload's own draws do not perturb injection choices.
-	injSeed := seed
+	injSeed := opts.Seed
 	rng := sim.NewRNG(sim.SplitMix64(&injSeed))
 	inj, err := NewInjector(plan, DefaultProfile(), rng, m.Board.Now)
 	if err != nil {
 		return nil, err
 	}
-	// Steady workloads arm after the cell is up (the rig starts its test
-	// once the workload runs); management workloads inject from the
-	// start — create/boot windows are their subject.
-	from := m.Board.Now()
-	if plan.Workload == WorkloadSteady {
-		from += 2 * sim.Second
-	}
-	inj.ArmWindow(from, m.Board.Now()+plan.EffectiveDuration())
 	inj.BindMachine(m)
+	start := m.Board.Now()
+	if timeline {
+		rewind := time.Now()
+		if start, err = m.prepare(opts, plan, inj, fresh); err != nil {
+			return nil, fmt.Errorf("restore machine: %w", err)
+		}
+		if !fresh {
+			metRestore.ObserveSince(rewind)
+		}
+	} else {
+		armRun(inj, plan, start)
+	}
+	if ro.CaptureTraceHash {
+		// Fold the digest on append: end-of-run hashing then reads a
+		// finished state instead of rendering the whole trace. Records
+		// already present (boot, or a checkpoint's folded prefix) are
+		// caught up here.
+		m.Board.Trace().SetIncrementalHash(true)
+	}
 	m.HV.Hook = inj.Hook
 
-	m.Run(plan.EffectiveDuration())
+	m.Run(start + plan.EffectiveDuration() - m.Board.Now())
 
 	res := &RunResult{
 		Plan:             plan.Name,
-		Seed:             seed,
+		Seed:             opts.Seed,
 		Verdict:          Classify(m),
 		Injections:       inj.Records(),
 		CellLines:        m.Board.UART7.LineCount(),
@@ -153,40 +182,45 @@ func RunExperimentOpts(plan *TestPlan, seed uint64, ro RunOptions) (*RunResult, 
 	if m.RTOS != nil {
 		res.LEDToggles = m.RTOS.LEDToggleCount()
 	}
-	metRunsTotal.Inc()
-	metRunDuration.ObserveSince(started)
-	if ev := m.Board.Engine.Executed(); ev > 0 {
-		metSimEvents.Add(ev)
-		metSimEventsPerRun.Observe(float64(ev))
-	}
 	return res, nil
+}
+
+// armRun arms the run's injection window relative to the post-boot
+// instant start and returns the arm offset. Steady workloads arm after
+// the cell is up (the rig starts its test once the workload runs);
+// management workloads inject from the start — create/boot windows are
+// their subject.
+func armRun(inj *Injector, plan *TestPlan, start sim.Time) sim.Time {
+	var offset sim.Time
+	if plan.Workload == WorkloadSteady {
+		offset = 2 * sim.Second
+	}
+	inj.ArmWindow(start+offset, start+plan.EffectiveDuration())
+	return offset
 }
 
 // noRelease is the release stub for machines nobody reclaims.
 func noRelease() {}
 
 // acquireMachine resolves the run's machine source: a shared pool, a
-// per-worker scratch (warm after its first run), or a cold build. The
-// release callback returns pooled machines; everything the caller still
-// needs from the machine (transcripts, counters) must be copied out
-// before release runs — RunExperimentOpts copies during result
-// assembly, so its deferred release is safe.
-func acquireMachine(ro RunOptions, opts MachineOptions) (*Machine, func(), error) {
+// per-worker scratch (warm after its first run), or a cold build. fresh
+// reports a machine just built and booted for opts; a warm machine
+// comes back as its previous run left it, for Machine.prepare to
+// rewind. The release callback returns pooled machines; everything the
+// caller still needs from the machine (transcripts, counters) must be
+// copied out before release runs — RunExperimentOpts copies during
+// result assembly, so its deferred release is safe.
+func acquireMachine(ro RunOptions, opts MachineOptions) (m *Machine, fresh bool, release func(), err error) {
 	switch {
 	case ro.Pool != nil:
-		m, err := ro.Pool.Get(opts)
+		m, fresh, err := ro.Pool.take(opts)
 		if err != nil {
-			return nil, nil, fmt.Errorf("pool machine: %w", err)
+			return nil, false, nil, fmt.Errorf("pool machine: %w", err)
 		}
-		return m, func() { ro.Pool.Put(m) }, nil
+		return m, fresh, func() { ro.Pool.Put(m) }, nil
 	case ro.Scratch != nil && ro.Scratch.machine != nil && !ro.Scratch.machine.Tainted():
-		start := time.Now()
-		if err := ro.Scratch.machine.Restore(opts); err != nil {
-			return nil, nil, fmt.Errorf("restore machine: %w", err)
-		}
-		metDeepReset.ObserveSince(start)
 		metScratchReuses.Inc()
-		return ro.Scratch.machine, noRelease, nil
+		return ro.Scratch.machine, false, noRelease, nil
 	case ro.Scratch != nil:
 		// First use — or the previous run left the scratch machine tainted
 		// (sim-fault, machine wedge); drop it and rebuild cold, exactly as
@@ -195,19 +229,19 @@ func acquireMachine(ro RunOptions, opts MachineOptions) (*Machine, func(), error
 		opts.Scratch = ro.Scratch
 		m, err := BuildMachine(opts)
 		if err != nil {
-			return nil, nil, fmt.Errorf("build machine: %w", err)
+			return nil, false, nil, fmt.Errorf("build machine: %w", err)
 		}
 		m.CaptureSnapshot(opts)
 		ro.Scratch.machine = m // warm from now on
 		metScratchColdBuilds.Inc()
-		return m, noRelease, nil
+		return m, true, noRelease, nil
 	default:
 		m, err := BuildMachine(opts)
 		if err != nil {
-			return nil, nil, fmt.Errorf("build machine: %w", err)
+			return nil, false, nil, fmt.Errorf("build machine: %w", err)
 		}
 		metScratchColdBuilds.Inc()
-		return m, noRelease, nil
+		return m, true, noRelease, nil
 	}
 }
 

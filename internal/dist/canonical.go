@@ -18,9 +18,10 @@ func writeJSONLine(w io.Writer, v any) error {
 
 // WriteCanonical renders a complete shard artefact as its canonical
 // byte stream: the manifest line, every run record in ascending global
-// run-index order, then the summary footer — no index footer. Artefact
-// files on disk are written in completion order (workers race), so two
-// executions of the same campaign produce permuted files; the canonical
+// run-index order, then the summary footer — no index footer. Campaigns
+// commit runs in index order, but artefacts from older builds were
+// written in completion order (workers raced), so two executions of the
+// same campaign may still sit on disk as permuted files; the canonical
 // stream is the order-free quotient. Because every run's record content
 // is deterministic (seed chain → trace → classification → fixed JSON
 // field order) and the summary is rebuilt from the records with

@@ -59,6 +59,14 @@ func synthResult(k int) *core.RunResult {
 // index footer. Returns the spec so callers can open sibling shards.
 func writeSyntheticShard(t testing.TB, path string, spec *Spec, index int) {
 	t.Helper()
+	writeSyntheticShardOrdered(t, path, spec, index, true)
+}
+
+// writeSyntheticShardOrdered is writeSyntheticShard with the record
+// order chosen: scrambled (the completion order older builds streamed)
+// or ascending index (what campaigns commit today).
+func writeSyntheticShardOrdered(t testing.TB, path string, spec *Spec, index int, scrambled bool) {
+	t.Helper()
 	sh, err := spec.Shard(index)
 	if err != nil {
 		t.Fatal(err)
@@ -73,8 +81,11 @@ func writeSyntheticShard(t testing.TB, path string, spec *Spec, index int) {
 	agg := &core.CampaignResult{Plan: spec.Plan.Name}
 	n := sh.Runs()
 	for i := 0; i < n; i++ {
-		// Scrambled but deterministic completion order.
-		k := sh.Start + (i*7+3)%n
+		k := sh.Start + i
+		if scrambled {
+			// Scrambled but deterministic completion order.
+			k = sh.Start + (i*7+3)%n
+		}
 		r := synthResult(k)
 		w.OnRun(k, r)
 		agg.AddSample(r.Outcome(), len(r.Injections), r.DetectionLatency)

@@ -261,8 +261,8 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	}
 	if cfg.Launcher == nil {
 		// Default in-process workers share one warm-machine pool: every
-		// shard after the first mostly deep-resets machines the earlier
-		// shards booted.
+		// shard after the first mostly rewinds machines (and reuses the
+		// golden checkpoints) the earlier shards booted and recorded.
 		cfg.Launcher = InProcess{Pool: core.NewMachinePool()}
 	}
 	if cfg.Poll <= 0 {

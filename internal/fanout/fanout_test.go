@@ -22,6 +22,19 @@ func shortE3() *core.TestPlan {
 	return &plan
 }
 
+// killableE3 is the shortened E3 plan for the crash-and-resume tests.
+// The doomed shard's window must comfortably outlast one JSONL flush
+// interval, or the shard completes inside a single batch and the
+// killer's tail never sees a record to kill on. Runs restored from
+// golden checkpoints only simulate from their first injection on, and
+// an 8 s E3 run rarely injects at all, so the window is made of 30 s
+// runs — long enough that most of them inject and simulate real work.
+func killableE3() *core.TestPlan {
+	plan := shortE3()
+	plan.Duration = 30 * sim.Second
+	return plan
+}
+
 // serialReference runs the unsharded campaign and collects per-run
 // trace hashes — the bit-identity baseline every fan-out must hit.
 func serialReference(t *testing.T, plan *core.TestPlan, runs int, seed uint64) (*core.CampaignResult, map[int]uint64) {
@@ -158,12 +171,12 @@ func (l *killFirstLauncher) Start(ctx context.Context, req StartRequest) (Worker
 // supervisor restarts it and the merged result is still bit-identical
 // to the serial campaign, with a truthful crash in the manifest. The
 // campaign is sized so the doomed shard's window comfortably outlasts
-// one JSONL flush interval — warm machines made 8-run shards finish
-// inside a single batch, which would let the shard complete before the
-// killer's tail ever saw a record.
+// one JSONL flush interval (see killableE3) — warm machines made 8-run
+// shards finish inside a single batch, which would let the shard
+// complete before the killer's tail ever saw a record.
 func TestFanoutKilledWorkerResumes(t *testing.T) {
 	const runs, seed = 120, uint64(2022)
-	plan := shortE3()
+	plan := killableE3()
 	serial, hashes := serialReference(t, plan, runs, seed)
 
 	spec := &dist.Spec{Plan: plan, Runs: runs, MasterSeed: seed, Shards: 3, Mode: core.ModeDistribution}

@@ -62,7 +62,7 @@ type Launcher interface {
 // process after its buffers flushed.
 //
 // Pool, when non-nil, is the shared warm-machine pool every shard's
-// workers draw from: machines booted by one shard are deep-reset and
+// workers draw from: machines booted by one shard are rewound and
 // reused by the next instead of being rebuilt. The supervisor installs
 // one automatically when it defaults to this launcher; wrapping
 // launchers that construct InProcess themselves opt in by sharing one

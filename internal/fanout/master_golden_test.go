@@ -111,9 +111,10 @@ func runCrossPath(t *testing.T, plan *core.TestPlan, runs int) {
 // shortened E3 plan. Sized like TestFanoutKilledWorkerResumes: the
 // doomed shard's window must comfortably outlast one JSONL flush
 // interval, or warm machines finish the whole shard inside a single
-// batch and the killer's tail never sees a record to kill on.
+// batch and the killer's tail never sees a record to kill on (see
+// killableE3).
 func TestFanoutMasterIndexCrossPath(t *testing.T) {
-	runCrossPath(t, shortE3(), 120)
+	runCrossPath(t, killableE3(), 120)
 }
 
 // TestFanoutMasterIndexGoldenSeed2022 is the cross-path golden gate:

@@ -41,41 +41,70 @@ func (p *Port) Reset(now func() sim.Time) {
 	}
 }
 
-// Snapshot is a deep copy of the port's line levels and toggle history.
+// Snapshot is the port's line levels and toggle-history lengths at one
+// instant. The histories are append-only and live once in the golden
+// Log the restore is handed.
 type Snapshot struct {
 	state   map[int]bool
-	toggles map[int][]Toggle
+	toggles map[int]int
 }
 
-// CaptureSnapshot deep-copies the port state.
+// Log is the published fault-free prefix of every pin's toggle history,
+// shared read-only by every machine on one golden trajectory (see
+// sim.Prefix). A published Log map is never written again: Publish
+// returns a new one.
+type Log map[int]*sim.Prefix[Toggle]
+
+// CaptureSnapshot records the line levels and history lengths.
 func (p *Port) CaptureSnapshot() *Snapshot {
 	s := &Snapshot{
 		state:   make(map[int]bool, len(p.state)),
-		toggles: make(map[int][]Toggle, len(p.toggles)),
+		toggles: make(map[int]int, len(p.toggles)),
 	}
 	for pin, on := range p.state {
 		s.state[pin] = on
 	}
 	for pin, ts := range p.toggles {
-		s.toggles[pin] = append([]Toggle(nil), ts...)
+		s.toggles[pin] = len(ts)
 	}
 	return s
 }
 
-// RestoreSnapshot rewinds the port to a captured state, reusing the live
-// capture buffers where pins overlap.
-func (p *Port) RestoreSnapshot(s *Snapshot) {
+// Publish returns l extended with the toggles past l's end on every pin.
+// The port must be a later state of the run l was published from.
+func (p *Port) Publish(l Log) Log {
+	out := make(Log, len(l)+len(p.toggles))
+	for pin, pre := range l {
+		out[pin] = pre
+	}
+	for pin, ts := range p.toggles {
+		out[pin] = l[pin].Extend(ts, len(ts))
+	}
+	return out
+}
+
+// RestoreSnapshot rewinds the port to a captured state, rewriting each
+// pin's history from the golden log l and reusing the live capture
+// buffers. from is the snapshot the port last captured or restored on
+// the same golden lineage (nil when unknown): history up to its lengths
+// is already golden and is not copied again.
+func (p *Port) RestoreSnapshot(s *Snapshot, l Log, from *Snapshot) {
 	clear(p.state)
 	for pin, on := range s.state {
 		p.state[pin] = on
 	}
-	for pin := range p.toggles {
+	for pin, ts := range p.toggles {
 		if _, ok := s.toggles[pin]; !ok {
-			p.toggles[pin] = p.toggles[pin][:0]
+			clear(ts)
+			p.toggles[pin] = ts[:0]
 		}
 	}
-	for pin, ts := range s.toggles {
-		p.toggles[pin] = append(p.toggles[pin][:0], ts...)
+	for pin, n := range s.toggles {
+		valid := 0
+		if from != nil {
+			valid = from.toggles[pin]
+		}
+		p.toggles[pin] = sim.Rewind(p.toggles[pin], l[pin], valid, n)
 	}
 }
 

@@ -14,6 +14,7 @@ package freertos
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/dessertlab/certify/internal/armv7"
 	"github.com/dessertlab/certify/internal/board"
@@ -71,8 +72,18 @@ type TCB struct {
 	// was suspended.
 	Asserted bool
 
+	// locals is the task body's own working state — loop counters and
+	// sequence numbers. It lives in the control block, not in the step
+	// closure, so the closure is immutable and a kernel snapshot is a
+	// plain by-value copy at any instant.
+	locals [2]uint32
+
 	runs uint64
 }
+
+// Locals returns the task body's working state (for the machine-level
+// state digest).
+func (t *TCB) Locals() [2]uint32 { return t.locals }
 
 // Kernel is one FreeRTOS instance bound to a cell CPU.
 type Kernel struct {
@@ -150,35 +161,67 @@ func (k *Kernel) DeepReset(cpu int) {
 	k.ContextSwitches, k.TicksSeen = 0, 0
 }
 
-// KernelSnapshot captures a kernel at the machine's post-boot capture
-// point: after the workload is installed but before the scheduler has
-// run a single task slice. Task step closures carry per-task mutable
-// locals that cannot be copied, so the snapshot does not try — it
-// records only what distinguishes the capture point (the bound CPU and
-// whether Boot already started the scheduler), and RestoreSnapshot
-// rebuilds the workload from scratch, which is byte-equivalent exactly
-// because nothing had run yet. Capturing a kernel mid-run would not be
-// admissible; core.Machine only captures before its first Run.
+// KernelSnapshot is a by-value copy of a kernel at any instant: the
+// kernel struct itself (scheduler latches, counters, task list order,
+// recycling pools — every slice a private copy), every control block's
+// content, and the queues with private copies of their buffers and
+// waiter lists. Control blocks are captured by pointer plus content —
+// step closures and queue waiter lists hold those pointers, so restoring
+// content into the same objects keeps them valid. Task step closures
+// carry no mutable state (it lives in TCB.locals), which is what makes a
+// mid-run capture admissible.
 type KernelSnapshot struct {
-	cpu     int
-	started bool
+	kernel Kernel
+	tcbs   []TCB   // content of kernel.tasks[i]
+	queues []Queue // content of kernel.queues[i]
 }
 
-// CaptureSnapshot records the kernel's capture-point state.
+// CaptureSnapshot copies the kernel state.
 func (k *Kernel) CaptureSnapshot() KernelSnapshot {
-	return KernelSnapshot{cpu: k.cpu, started: k.started}
+	s := KernelSnapshot{
+		kernel: *k,
+		tcbs:   make([]TCB, len(k.tasks)),
+		queues: make([]Queue, len(k.queues)),
+	}
+	s.kernel.tasks = slices.Clone(k.tasks)
+	s.kernel.queues = slices.Clone(k.queues)
+	s.kernel.tcbPool = slices.Clone(k.tcbPool)
+	s.kernel.queuePool = slices.Clone(k.queuePool)
+	for i, t := range k.tasks {
+		s.tcbs[i] = *t
+	}
+	for i, q := range k.queues {
+		img := *q
+		img.buf = slices.Clone(q.buf)
+		img.sendWaiters = slices.Clone(q.sendWaiters)
+		img.recvWaiters = slices.Clone(q.recvWaiters)
+		s.queues[i] = img
+	}
+	return s
 }
 
-// RestoreSnapshot rewinds the kernel to the captured post-boot state:
-// deep reset, the paper workload reinstalled with fresh step closures,
-// and — when the capture happened after Boot — the idle task and the
-// started latch re-established, mirroring the tail of Boot itself.
+// RestoreSnapshot rewinds the kernel to a captured state in place. Every
+// slice is copied into the kernel's own backing arrays, never aliased
+// with the snapshot's, so the run that follows cannot write into the
+// image through an append.
 func (k *Kernel) RestoreSnapshot(s KernelSnapshot) {
-	k.DeepReset(s.cpu)
-	k.InstallPaperWorkload()
-	if s.started {
-		k.idle = k.CreateTask("IDLE", IdlePriority, func(*Kernel, *TCB) bool { return true })
-		k.started = true
+	tasks, queues, tcbPool, queuePool := k.tasks, k.queues, k.tcbPool, k.queuePool
+	clear(tasks)
+	clear(queues)
+	*k = s.kernel
+	k.tasks = append(tasks[:0], s.kernel.tasks...)
+	k.queues = append(queues[:0], s.kernel.queues...)
+	k.tcbPool = append(tcbPool[:0], s.kernel.tcbPool...)
+	k.queuePool = append(queuePool[:0], s.kernel.queuePool...)
+	for i, t := range k.tasks {
+		*t = s.tcbs[i]
+	}
+	for i, q := range k.queues {
+		buf, sw, rw := q.buf, q.sendWaiters, q.recvWaiters
+		*q = s.queues[i]
+		q.buf = append(buf[:0], s.queues[i].buf...)
+		q.sendWaiters = append(sw[:0], s.queues[i].sendWaiters...)
+		q.recvWaiters = append(rw[:0], s.queues[i].recvWaiters...)
 	}
 }
 

@@ -36,8 +36,8 @@ func NewPaperWorkload(hv *jailhouse.Hypervisor, cpu int) *Kernel {
 // InstallPaperWorkload populates the kernel with the paper's task set.
 // It assumes a pristine kernel — freshly built, or just deep-reset; the
 // warm machine path calls it after DeepReset to rebuild the workload
-// from recycled control blocks with fresh step closures (closures carry
-// per-task mutable state and are the one thing a reset cannot rewind).
+// from recycled control blocks. Step closures capture only immutable
+// parameters (queue, task id); per-task working state lives in the TCB.
 func (k *Kernel) InstallPaperWorkload() {
 	q := k.NewQueue("seq", 8)
 
@@ -86,13 +86,9 @@ func taskName(base string, i int) string {
 // blinkTask toggles the board LED and reports, the cell's most visible
 // liveness signal.
 func blinkTask() StepFunc {
-	on := false
 	return func(k *Kernel, t *TCB) bool {
-		on = !on
-		v := uint32(0)
-		if on {
-			v = 1
-		}
+		t.locals[0] ^= 1 // LED level
+		v := t.locals[0]
 		_ = k.hv.GuestWrite32(k.cpu, board.GPIOBase, v)
 		k.Printf("[blink] led=%d tick=%d\r\n", v, k.tick)
 		k.Delay(t, blinkPeriodTicks)
@@ -102,10 +98,10 @@ func blinkTask() StepFunc {
 
 // senderTask pushes an increasing sequence number into the queue.
 func senderTask(q *Queue) StepFunc {
-	seq := uint32(0)
 	return func(k *Kernel, t *TCB) bool {
-		if q.Send(k, t, seq) {
-			seq++
+		seq := &t.locals[0]
+		if q.Send(k, t, *seq) {
+			*seq++
 			k.Delay(t, senderPeriod)
 		}
 		return true
@@ -116,17 +112,16 @@ func senderTask(q *Queue) StepFunc {
 // sequence check is what turns a corrupted r0-r3 operand into visible
 // (but survivable) evidence.
 func receiverTask(q *Queue) StepFunc {
-	expect := uint32(0)
-	var got uint32
 	return func(k *Kernel, t *TCB) bool {
-		if !q.Receive(k, t, &got) {
+		expect, got := &t.locals[0], &t.locals[1]
+		if !q.Receive(k, t, got) {
 			return true
 		}
-		if got != expect {
-			k.Printf("[recv] ASSERT: seq %d != expected %d\r\n", got, expect)
-			expect = got // resynchronise and continue
+		if *got != *expect {
+			k.Printf("[recv] ASSERT: seq %d != expected %d\r\n", *got, *expect)
+			*expect = *got // resynchronise and continue
 		}
-		expect++
+		*expect++
 		if q.Receives%receiverReport == 0 {
 			k.Printf("[recv] ok, %d messages\r\n", q.Receives)
 		}
@@ -139,11 +134,11 @@ func receiverTask(q *Queue) StepFunc {
 // so a flipped working register becomes a diverged sum the task itself
 // detects — the floating-point workload's self-check.
 func floatTask(id int) StepFunc {
-	n := 0
 	return func(k *Kernel, t *TCB) bool {
 		if t.Asserted {
 			return false
 		}
+		n := int(t.locals[0])
 		sum := math.Float64frombits(uint64(t.Work[0])<<32 | uint64(t.Work[1]))
 		for i := 0; i < 50; i++ {
 			term := 1.0 / float64(2*n+1)
@@ -153,6 +148,7 @@ func floatTask(id int) StepFunc {
 			sum += term
 			n++
 		}
+		t.locals[0] = uint32(n)
 		if n > 1000 && (math.IsNaN(sum) || math.Abs(sum-math.Pi/4) > 0.1) {
 			k.Printf("[float%d] ASSERT: diverged sum=%f n=%d\r\n", id, sum, n)
 			t.Asserted = true
@@ -172,11 +168,11 @@ func floatTask(id int) StepFunc {
 // detecting working-register corruption (r8-r11 image slots).
 func integerTask(id int) StepFunc {
 	const rounds = 32
-	iter := uint32(0)
 	return func(k *Kernel, t *TCB) bool {
 		if t.Asserted {
 			return false
 		}
+		iter := t.locals[0]
 		if t.Work[1] != iter*rounds {
 			k.Printf("[int%02d] ASSERT: checksum %d != %d\r\n", id, t.Work[1], iter*rounds)
 			t.Asserted = true
@@ -186,6 +182,7 @@ func integerTask(id int) StepFunc {
 			t.Work[1]++
 		}
 		iter++
+		t.locals[0] = iter
 		if iter%intReport == 0 {
 			k.Printf("[int%02d] %d iterations ok\r\n", id, iter)
 		}

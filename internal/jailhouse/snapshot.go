@@ -3,16 +3,19 @@ package jailhouse
 import (
 	"github.com/dessertlab/certify/internal/armv7"
 	"github.com/dessertlab/certify/internal/memmap"
+	"github.com/dessertlab/certify/internal/sim"
 )
 
-// This file implements the hypervisor's part of the machine-snapshot
-// mechanism (see DESIGN.md, "Snapshot-fork machines"): a deep copy of
-// every mutable control block taken once after boot, restored in place
-// between campaign runs so the boot path is never replayed. Cell and
-// guest objects are captured by pointer plus content — the snapshot
-// belongs to one machine, and the closures the boot scheduled reference
-// exactly these objects, so restoring content into the same objects is
-// what keeps those closures valid.
+// This file implements the hypervisor's part of the machine checkpoint
+// mechanism (see DESIGN.md, "Golden timeline"): a copy of every mutable
+// control block at one instant of the fault-free trajectory — after boot,
+// or at a later checkpoint — restored in place so neither the boot path
+// nor the golden prefix of a run is replayed. Cell and guest objects are
+// captured by pointer plus content — the snapshot belongs to one
+// machine, and the closures scheduled on its engine reference exactly
+// these objects, so restoring content into the same objects is what
+// keeps those closures valid. The console is append-only and is held as
+// a length; its content lives once in the golden console log.
 
 // cellSnapshot is the captured content of one Cell.
 type cellSnapshot struct {
@@ -34,9 +37,9 @@ type linkSnapshot struct {
 	ringsA, ringsB uint64
 }
 
-// Snapshot is a deep copy of the hypervisor's mutable state at one
-// instant: configuration binding, cell list with per-cell content,
-// per-CPU blocks, console, IRQ scratch frames, ivshmem links and the
+// Snapshot is a copy of the hypervisor's mutable state at one instant:
+// configuration binding, cell list with per-cell content, per-CPU
+// blocks, console length, IRQ scratch frames, ivshmem links and the
 // firmware-taint latch.
 type Snapshot struct {
 	sysCfg     *SystemConfig
@@ -48,7 +51,7 @@ type Snapshot struct {
 	percpu     []PerCPU
 	offlined   []int
 	hook       EntryHook
-	console    []string
+	console    int
 	putcAccum  []byte
 	irqCtx     []armv7.TrapContext
 	irqCtxBusy []bool
@@ -57,9 +60,9 @@ type Snapshot struct {
 	hypTraps   uint64
 }
 
-// CaptureSnapshot deep-copies the hypervisor state. The board is
-// captured separately (board.Board.CaptureSnapshot); core.Machine
-// composes the two.
+// CaptureSnapshot copies the hypervisor state. The board is captured
+// separately (board.Board.CaptureSnapshot); core.Machine composes the
+// two.
 func (h *Hypervisor) CaptureSnapshot() *Snapshot {
 	s := &Snapshot{
 		sysCfg:     h.sysCfg,
@@ -68,7 +71,7 @@ func (h *Hypervisor) CaptureSnapshot() *Snapshot {
 		panicMsg:   h.panicMsg,
 		nextCellID: h.nextCellID,
 		hook:       h.Hook,
-		console:    append([]string(nil), h.ConsoleLines...),
+		console:    len(h.ConsoleLines),
 		putcAccum:  append([]byte(nil), h.putcAccum...),
 		irqCtx:     append([]armv7.TrapContext(nil), h.irqCtx...),
 		irqCtxBusy: append([]bool(nil), h.irqCtxBusy...),
@@ -97,12 +100,23 @@ func (h *Hypervisor) CaptureSnapshot() *Snapshot {
 	return s
 }
 
+// PublishConsole returns the golden console log l extended with this
+// hypervisor's console lines past l's end. The hypervisor must be a
+// later state of the golden run l was published from.
+func (h *Hypervisor) PublishConsole(l *sim.Prefix[string]) *sim.Prefix[string] {
+	return l.Extend(h.ConsoleLines, len(h.ConsoleLines))
+}
+
 // RestoreSnapshot rewinds the hypervisor to a captured state in place.
 // Cells the run created after the capture are dropped from the cell
 // list; cells present at capture get their content written back into
 // the same objects, so guest models and scheduled closures holding those
-// pointers keep working.
-func (h *Hypervisor) RestoreSnapshot(s *Snapshot) {
+// pointers keep working. The console is rewritten from the golden log,
+// copying only the lines past from (the snapshot this hypervisor last
+// captured or restored on the same golden lineage; nil when unknown).
+// The injection hook comes back as captured: a run installs its own
+// after the restore.
+func (h *Hypervisor) RestoreSnapshot(s *Snapshot, console *sim.Prefix[string], from *Snapshot) {
 	h.sysCfg = s.sysCfg
 	h.enabled = s.enabled
 	h.panicked, h.panicMsg = s.panicked, s.panicMsg
@@ -134,11 +148,11 @@ func (h *Hypervisor) RestoreSnapshot(s *Snapshot) {
 		h.rootOfflined[cpu] = true
 	}
 	h.Hook = s.hook
-	old := len(h.ConsoleLines)
-	h.ConsoleLines = append(h.ConsoleLines[:0], s.console...)
-	for i := len(h.ConsoleLines); i < old; i++ {
-		h.ConsoleLines[:old][i] = "" // release retained strings
+	valid := 0
+	if from != nil {
+		valid = from.console
 	}
+	h.ConsoleLines = sim.Rewind(h.ConsoleLines, console, valid, s.console)
 	h.putcAccum = append(h.putcAccum[:0], s.putcAccum...)
 	copy(h.irqCtx, s.irqCtx)
 	copy(h.irqCtxBusy, s.irqCtxBusy)

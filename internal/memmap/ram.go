@@ -166,10 +166,13 @@ func (m *RAM) Reset() {
 	}
 }
 
-// RAMSnapshot is an immutable deep copy of the materialised page set at
-// capture time. It doubles as the identity token for delta restores: a
-// RAM remembers which snapshot its dirty set is relative to, and only a
-// restore of that same snapshot may take the dirty-pages-only path.
+// RAMSnapshot is an immutable image of the materialised page set at
+// capture time. Pages a capture finds unchanged since the previous
+// snapshot of the same RAM are shared with it by reference, so a
+// timeline of checkpoints stores each page version once. It doubles as
+// the identity token for delta restores: a RAM remembers which snapshot
+// its dirty set is relative to, and only a restore of that same snapshot
+// may take the dirty-pages-only path.
 type RAMSnapshot struct {
 	pages map[uint64][]byte
 }
@@ -177,13 +180,26 @@ type RAMSnapshot struct {
 // Pages returns how many pages the snapshot image holds.
 func (s *RAMSnapshot) Pages() int { return len(s.pages) }
 
-// CaptureSnapshot deep-copies the current content and switches the RAM
-// into dirty-page tracking mode: from here on, Write and Zero mark the
-// pages they touch so a later RestoreSnapshot of this image copies back
-// only what changed.
+// CaptureSnapshot images the current content and switches the RAM into
+// dirty-page tracking mode: from here on, Write and Zero mark the pages
+// they touch so a later RestoreSnapshot of this image copies back only
+// what changed. A page not dirtied since the previous capture or restore
+// is shared with that snapshot instead of copied.
 func (m *RAM) CaptureSnapshot() *RAMSnapshot {
 	s := &RAMSnapshot{pages: make(map[uint64][]byte, len(m.pages))}
+	prev := m.lastSnap
+	if !m.tracking || m.allDirty {
+		prev = nil
+	}
 	for page, p := range m.pages {
+		if prev != nil {
+			if img, ok := prev.pages[page]; ok {
+				if _, dirty := m.dirty[page]; !dirty {
+					s.pages[page] = img
+					continue
+				}
+			}
+		}
 		cp := make([]byte, pageSize)
 		copy(cp, p)
 		s.pages[page] = cp
@@ -204,8 +220,9 @@ func (m *RAM) CaptureSnapshot() *RAMSnapshot {
 // and how many pages the restore had to copy. When the dirty set is
 // relative to this very snapshot the restore is a delta — each dirtied
 // page is recopied from the image (or dropped, if the image never had
-// it); otherwise (first restore of a different image, or after a bulk
-// Reset set allDirty) every page is rebuilt from the image.
+// it); otherwise (a different image, or after a bulk Reset set allDirty)
+// every page is rewritten from the image, reusing live page buffers.
+// Live pages are always the RAM's own buffers, never a snapshot's.
 func (m *RAM) RestoreSnapshot(s *RAMSnapshot) (dirtied, restored int) {
 	if m.tracking && m.lastSnap == s && !m.allDirty {
 		dirtied = len(m.dirty)
@@ -225,11 +242,18 @@ func (m *RAM) RestoreSnapshot(s *RAMSnapshot) (dirtied, restored int) {
 		}
 	} else {
 		dirtied = len(m.pages)
-		clear(m.pages)
+		for page := range m.pages {
+			if _, ok := s.pages[page]; !ok {
+				delete(m.pages, page)
+			}
+		}
 		for page, img := range s.pages {
-			cp := make([]byte, pageSize)
-			copy(cp, img)
-			m.pages[page] = cp
+			p, live := m.pages[page]
+			if !live {
+				p = make([]byte, pageSize)
+				m.pages[page] = p
+			}
+			copy(p, img)
 			restored++
 		}
 	}

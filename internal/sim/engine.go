@@ -398,32 +398,41 @@ func (e *Engine) Step() bool {
 	return false
 }
 
-// EngineSnapshot is a deep copy of the scheduler at one instant: clock,
+// EngineSnapshot is a copy of the scheduler at one instant: clock,
 // sequence counter, the whole event slab (callbacks included — closures
-// are captured by reference, which is safe because every closure a boot
-// schedules references the machine object the snapshot belongs to), the
-// free list, the heap order and the trace contents. It is immutable after
-// capture and may be restored into its engine any number of times.
+// are captured by reference, which is safe because every closure the
+// machine schedules references machine objects whose content the
+// machine-level checkpoint restores), the free list, the heap order and
+// the trace position. The trace records themselves are not copied: they
+// live once in the golden TraceLog the restore is handed. A snapshot is
+// immutable after capture and may be restored into its engine any
+// number of times.
 type EngineSnapshot struct {
 	now      Time
 	seq      uint64
 	slots    []slot
 	freeList []int32
 	heap     []heapEnt
-	trace    traceSnapshot
+	trace    TraceMark
 }
 
-// CaptureSnapshot deep-copies the engine's scheduler and trace state.
-// The snapshot belongs to this engine: slot callbacks are closures over
-// the machine that scheduled them, so restoring it into a different
-// engine would resurrect events that mutate the wrong machine.
+// Now returns the virtual time of the snapshot.
+func (s *EngineSnapshot) Now() Time { return s.now }
+
+// CaptureSnapshot copies the engine's scheduler state and marks the
+// trace position (folding the digest up to it). The snapshot belongs to
+// this engine: slot callbacks are closures over the machine that
+// scheduled them, so restoring it into a different engine would
+// resurrect events that mutate the wrong machine.
 func (e *Engine) CaptureSnapshot() *EngineSnapshot {
-	s := &EngineSnapshot{now: e.now, seq: e.seq}
-	s.slots = append([]slot(nil), e.slots...)
-	s.freeList = append([]int32(nil), e.freeList...)
-	s.heap = append([]heapEnt(nil), e.heap...)
-	e.trace.capture(&s.trace)
-	return s
+	return &EngineSnapshot{
+		now:      e.now,
+		seq:      e.seq,
+		slots:    append([]slot(nil), e.slots...),
+		freeList: append([]int32(nil), e.freeList...),
+		heap:     append([]heapEnt(nil), e.heap...),
+		trace:    e.trace.Mark(),
+	}
 }
 
 // RestoreSnapshot rewinds the engine to a captured state and reseeds the
@@ -431,9 +440,11 @@ func (e *Engine) CaptureSnapshot() *EngineSnapshot {
 // restored exactly, so Event handles held inside snapshotted closures
 // (periodic-timer cancels, watchdog handles) remain valid after the
 // restore; handles minted after the capture are invalidated. halted and
-// the executed counter reset as Reset would — they are run products, not
-// boot products.
-func (e *Engine) RestoreSnapshot(s *EngineSnapshot, seed uint64) {
+// the executed counter reset as Reset would — they are run products.
+// The trace is rewound from the golden log l (Trace.Rewind); from is the
+// snapshot the engine last captured or restored on the same golden
+// lineage, nil when unknown.
+func (e *Engine) RestoreSnapshot(s *EngineSnapshot, seed uint64, l *TraceLog, from *EngineSnapshot) {
 	e.now, e.seq = s.now, s.seq
 	e.halted, e.haltMsg = false, ""
 	e.executed = 0
@@ -447,7 +458,11 @@ func (e *Engine) RestoreSnapshot(s *EngineSnapshot, seed uint64) {
 	e.freeList = append(e.freeList[:0], s.freeList...)
 	e.heap = append(e.heap[:0], s.heap...)
 	e.rng.Reseed(seed)
-	e.trace.restore(&s.trace)
+	var valid TraceMark
+	if from != nil {
+		valid = from.trace
+	}
+	e.trace.Rewind(l, s.trace, valid)
 }
 
 // Executed returns the number of events delivered since the last Reset.

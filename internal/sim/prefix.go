@@ -1,0 +1,56 @@
+package sim
+
+// Prefix is one published version of the fault-free prefix of an
+// append-only log — trace records, UART lines and bytes, LED toggles,
+// the hypervisor console. Machines that replay the same golden
+// trajectory share it read-only instead of each keeping a copy in every
+// checkpoint: a checkpoint stores only its logs' lengths, and a restore
+// copies the prefix back from here.
+//
+// A longer version is derived with Extend. Versions of one lineage share
+// a backing array, but Extend only writes past the end of the version it
+// extends, so the items of a published version never change and readers
+// need no lock. Callers serialise Extend per lineage and always extend
+// the newest version.
+type Prefix[T any] struct{ items []T }
+
+// Len returns how many items the version holds; a nil version is empty.
+func (p *Prefix[T]) Len() int {
+	if p == nil {
+		return 0
+	}
+	return len(p.items)
+}
+
+// Extend returns the version covering log[:n]. log[:p.Len()] must equal
+// p's items — the log is a later state of the same golden run. A version
+// that already covers n is returned unchanged.
+func (p *Prefix[T]) Extend(log []T, n int) *Prefix[T] {
+	have := p.Len()
+	if n <= have {
+		return p
+	}
+	var items []T
+	if p != nil {
+		items = p.items
+	}
+	return &Prefix[T]{items: append(items, log[have:n]...)}
+}
+
+// Rewind returns log rewritten to p's first n items, reusing log's
+// buffer. valid is how many leading items of log are already known to
+// equal p's (the length at the machine's last capture or restore on the
+// same lineage); only the rest is copied. Items dropped from the tail
+// are zeroed so the strings and pointers they hold are released.
+func Rewind[T any](log []T, p *Prefix[T], valid, n int) []T {
+	old := len(log)
+	if valid = min(valid, old, n); valid < n {
+		log = append(log[:valid], p.items[valid:n]...)
+	} else {
+		log = log[:n]
+	}
+	if len(log) < old {
+		clear(log[len(log):old])
+	}
+	return log
+}

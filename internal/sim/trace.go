@@ -148,13 +148,6 @@ type Trace struct {
 	hbuf        []byte     // reusable per-record hash line buffer
 	argv        []any      // reusable boxed-operand scratch for fmt.Appendf
 	memo        suffixMemo // suffix tables; kept across Reset and restore
-
-	// lastSnap identifies the snapshot whose content is the current
-	// prefix of this trace. The trace is append-only between Resets, so
-	// while lastSnap matches, restoring that snapshot is a truncation —
-	// no prefix copy. Reset and a restore from a different snapshot
-	// clear/replace it.
-	lastSnap *traceSnapshot
 }
 
 // NewTrace returns an empty trace.
@@ -193,57 +186,77 @@ func (t *Trace) Reset() {
 	t.hstate = fnvOffset64
 	t.hashed = 0
 	t.incremental = false
-	t.lastSnap = nil
 }
 
-// traceSnapshot is a deep copy of a trace's contents and running digest
-// at one instant, captured into an EngineSnapshot so a machine restore
-// rewinds the trace to its post-boot prefix instead of replaying it.
-type traceSnapshot struct {
-	recs   []record
-	args   []Arg
-	hstate uint64
-	hashed int
+// TraceMark is a trace position captured into a checkpoint: record and
+// argument counts plus the running digest over exactly those records.
+// The records themselves live once in the golden TraceLog, not in every
+// checkpoint.
+type TraceMark struct {
+	recs, args int
+	hstate     uint64
 }
 
-// capture deep-copies the trace into s (reusing s's buffers). The trace
-// content now equals the snapshot's, so s becomes the truncation anchor.
-func (t *Trace) capture(s *traceSnapshot) {
-	s.recs = append(s.recs[:0], t.recs...)
-	s.args = append(s.args[:0], t.args...)
-	s.hstate = t.hstate
-	s.hashed = t.hashed
-	t.lastSnap = s
+// Mark returns the trace's current position with the digest fully
+// folded (hashed == Len), so a trace rewound to the mark never re-folds
+// its prefix, whatever hashing mode the restored run uses.
+func (t *Trace) Mark() TraceMark {
+	t.foldTo(len(t.recs))
+	return TraceMark{recs: len(t.recs), args: len(t.args), hstate: t.hstate}
 }
 
-// restore rewinds the trace to a captured prefix, keeping live buffers.
-// When the snapshot is the one this trace's prefix already derives from
-// (the steady state of a pooled machine restoring the same post-boot
-// image run after run), the prefix is untouched — records are append-only
-// between Resets, and render()'s in-place message caching is
-// semantics-preserving — so the restore is a truncation with no copy.
-// Records and args the run appended beyond the snapshot are zeroed (past
-// the new length, within capacity) so their rendered strings are
-// released. Incremental hashing is switched off, exactly as Reset does:
-// the run harness re-enables it per run when it wants hash-on-append.
-func (t *Trace) restore(s *traceSnapshot) {
-	oldRecs, oldArgs := len(t.recs), len(t.args)
-	if t.lastSnap == s && oldRecs >= len(s.recs) && oldArgs >= len(s.args) {
-		t.recs = t.recs[:len(s.recs)]
-		t.args = t.args[:len(s.args)]
-	} else {
-		t.recs = append(t.recs[:0], s.recs...)
-		t.args = append(t.args[:0], s.args...)
-		t.lastSnap = s
+// TraceLog is the published fault-free prefix of a trace, shared
+// read-only by every machine on one golden trajectory (see Prefix).
+// Records are rendered before publication, so the copies a restore
+// takes carry their final text and never render again — and render()
+// only ever writes into a machine's own copy.
+type TraceLog struct {
+	recs *Prefix[record]
+	args *Prefix[Arg]
+}
+
+// Len returns how many records the log holds.
+func (l *TraceLog) Len() int {
+	if l == nil {
+		return 0
 	}
-	for i := len(t.recs); i < oldRecs; i++ {
-		t.recs[:oldRecs][i] = record{}
+	return l.recs.Len()
+}
+
+// Publish returns l extended with this trace's records past l's end,
+// rendered first. The trace must be a later state of the run l was
+// published from — the same golden trajectory. A nil l starts a log.
+func (t *Trace) Publish(l *TraceLog) *TraceLog {
+	if l.Len() >= len(t.recs) {
+		return l
 	}
-	for i := len(t.args); i < oldArgs; i++ {
-		t.args[:oldArgs][i] = Arg{}
+	for i := l.Len(); i < len(t.recs); i++ {
+		t.render(i)
 	}
-	t.hstate = s.hstate
-	t.hashed = s.hashed
+	out := &TraceLog{}
+	if l != nil {
+		*out = *l
+	}
+	out.recs = out.recs.Extend(t.recs, len(t.recs))
+	out.args = out.args.Extend(t.args, len(t.args))
+	return out
+}
+
+// Rewind rewrites the trace to the golden prefix ending at mark to.
+// from is the mark of the machine's last capture or restore on the same
+// golden lineage (the zero mark when unknown): the trace's content up to
+// from is already golden, so only the difference is copied — restoring
+// an earlier mark is a truncation. Incremental hashing is switched off,
+// exactly as Reset does; the run harness re-enables it per run.
+func (t *Trace) Rewind(l *TraceLog, to, from TraceMark) {
+	var golden TraceLog
+	if l != nil {
+		golden = *l
+	}
+	t.recs = Rewind(t.recs, golden.recs, from.recs, to.recs)
+	t.args = Rewind(t.args, golden.args, from.args, to.args)
+	t.hstate = to.hstate
+	t.hashed = to.recs
 	t.incremental = false
 }
 
@@ -297,6 +310,10 @@ func (t *Trace) render(i int) string {
 
 // Len returns the number of records.
 func (t *Trace) Len() int { return len(t.recs) }
+
+// ArgLen returns the number of deferred-format arguments held — the
+// occupancy of the argument arena TraceBudget provisions.
+func (t *Trace) ArgLen() int { return len(t.args) }
 
 // at builds the public view of record i, rendering its message.
 func (t *Trace) at(i int) Record {

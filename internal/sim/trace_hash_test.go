@@ -153,8 +153,8 @@ func traceOps(tr *Trace, rng *RNG, n int, uniq *int) {
 }
 
 // TestTraceHashMatchesReference checks the folded digest against the
-// reference byte loop across mixed traces, Reset, snapshot restore, and
-// incremental versus end-of-run hashing, on one trace whose memo is
+// reference byte loop across mixed traces, Reset, checkpoint rewinds,
+// and incremental versus end-of-run hashing, on one trace whose memo is
 // carried through all of it.
 func TestTraceHashMatchesReference(t *testing.T) {
 	rng := NewRNG(42)
@@ -176,16 +176,22 @@ func TestTraceHashMatchesReference(t *testing.T) {
 		t.Fatalf("memo holds %d tables after 20 rounds, want all %d slots in use", tr.memo.n, suffixSlots)
 	}
 
-	// Snapshot restore: a boot prefix, then runs that each restore it,
-	// alternate incremental and end-of-run hashing, and check every run.
+	// Checkpoint restore: a golden prefix, then runs that each rewind to
+	// it — by truncation, or by copying the published log back when the
+	// trace's own prefix is not known to be golden — alternate
+	// incremental and end-of-run hashing, and check every run.
 	tr.Reset()
 	traceOps(tr, rng, 50, &uniq)
-	_ = tr.Hash() // the snapshot carries a folded digest
+	_ = tr.Hash()
 	traceOps(tr, rng, 10, &uniq)
-	var snap traceSnapshot
-	tr.capture(&snap)
+	mark := tr.Mark() // folds the digest up to the mark
+	golden := tr.Publish(nil)
 	for run := 0; run < 20; run++ {
-		tr.restore(&snap)
+		from := mark
+		if run%3 == 0 {
+			from = TraceMark{}
+		}
+		tr.Rewind(golden, mark, from)
 		tr.SetIncrementalHash(run%2 == 1)
 		traceOps(tr, rng, 300, &uniq)
 		check(fmt.Sprintf("restored run %d", run), tr)
@@ -205,7 +211,7 @@ func TestTraceHashMatchesReference(t *testing.T) {
 }
 
 // TestSuffixMemoBoundedAcrossPooledRuns recycles one trace through 500
-// snapshot-restored runs, as a pooled machine does, each run repeating
+// checkpoint-restored runs, as a pooled machine does, each run repeating
 // texts no other run uses. The memo must stay within its slot cap,
 // recycle its tables in place without allocating, and keep the digest
 // exact throughout.
@@ -219,11 +225,11 @@ func TestSuffixMemoBoundedAcrossPooledRuns(t *testing.T) {
 	}
 	tr := NewTrace()
 	tr.Add(0, KindBoot, -1, "power on")
-	var snap traceSnapshot
-	tr.capture(&snap)
+	mark := tr.Mark()
+	golden := tr.Publish(nil)
 	run := 0
 	oneRun := func() {
-		tr.restore(&snap)
+		tr.Rewind(golden, mark, mark)
 		tr.SetIncrementalHash(true)
 		for rep := 0; rep < 3; rep++ {
 			for j, s := range texts[run] {

@@ -89,45 +89,67 @@ func (u *UART) Reset(name string, now func() sim.Time) {
 	u.OnLine = nil
 }
 
-// Snapshot is a deep copy of a UART's register and capture state at one
-// instant. The line hook is captured as a func value: the machine's boot
-// wires it to objects the snapshot belongs to, so restoring the same
-// value is exact.
+// Snapshot is a UART's register and capture state at one instant. The
+// captured lines and bytes are append-only logs and are not copied: the
+// snapshot keeps their lengths, and the content lives once in the golden
+// Log the restore is handed. The line hook is captured as a func value:
+// the machine's boot wires it to objects the snapshot belongs to, so
+// restoring the same value is exact.
 type Snapshot struct {
 	ier     uint32
 	lcr     uint32
-	txLog   []byte
 	noBytes bool
-	lines   []Line
+	lines   int
+	bytes   int
 	cur     string
 	onLine  func(Line)
 }
 
-// CaptureSnapshot deep-copies the UART state.
+// Log is the published fault-free prefix of a UART's line and byte
+// captures, shared read-only by every machine on one golden trajectory
+// (see sim.Prefix). The zero value is an empty log.
+type Log struct {
+	lines *sim.Prefix[Line]
+	bytes *sim.Prefix[byte]
+}
+
+// CaptureSnapshot records the UART state and its log lengths.
 func (u *UART) CaptureSnapshot() *Snapshot {
 	return &Snapshot{
 		ier:     u.ier,
 		lcr:     u.lcr,
-		txLog:   append([]byte(nil), u.txLog...),
 		noBytes: u.noBytes,
-		lines:   append([]Line(nil), u.lines...),
+		lines:   len(u.lines),
+		bytes:   len(u.txLog),
 		cur:     u.cur.String(),
 		onLine:  u.OnLine,
 	}
 }
 
+// Publish returns l extended with this UART's captures past l's end. The
+// UART must be a later state of the run l was published from.
+func (u *UART) Publish(l Log) Log {
+	return Log{
+		lines: l.lines.Extend(u.lines, len(u.lines)),
+		bytes: l.bytes.Extend(u.txLog, len(u.txLog)),
+	}
+}
+
 // RestoreSnapshot rewinds the UART to a captured state, reusing the live
-// line/byte buffers. Lines the run appended beyond the snapshot are
-// zeroed so their strings are released.
-func (u *UART) RestoreSnapshot(s *Snapshot) {
+// line/byte buffers: the captures are rewritten from the golden log l,
+// copying only what lies past from (the snapshot this UART last captured
+// or restored on the same golden lineage; nil when unknown). Lines the
+// run appended beyond the snapshot are zeroed so their strings are
+// released.
+func (u *UART) RestoreSnapshot(s *Snapshot, l Log, from *Snapshot) {
+	var valid Snapshot
+	if from != nil {
+		valid = *from
+	}
 	u.ier, u.lcr = s.ier, s.lcr
 	u.noBytes = s.noBytes
-	u.txLog = append(u.txLog[:0], s.txLog...)
-	old := len(u.lines)
-	u.lines = append(u.lines[:0], s.lines...)
-	for i := len(u.lines); i < old; i++ {
-		u.lines[:old][i] = Line{}
-	}
+	u.txLog = sim.Rewind(u.txLog, l.bytes, valid.bytes, s.bytes)
+	u.lines = sim.Rewind(u.lines, l.lines, valid.lines, s.lines)
 	u.cur.Reset()
 	u.cur.WriteString(s.cur)
 	u.OnLine = s.onLine

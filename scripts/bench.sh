@@ -19,6 +19,13 @@
 #                                    # restore vs deep reset per warm run
 #                                    # (BenchmarkSnapshotRestore) next to the
 #                                    # warm ladder and throughput anchors
+#   scripts/bench.sh checkpoint      # golden-timeline checkpoints: campaigns
+#                                    # that start runs from the latest golden
+#                                    # checkpoint before their first injection
+#                                    # — E3-fig3 (late first injection, the
+#                                    # gain), E1-hvc (recreate cycles) and
+#                                    # A3-irqchip (injects at ~2 s: must not
+#                                    # regress). Use BENCHTIME>=5x.
 #   scripts/bench.sh inspect         # indexed dossier random access vs full
 #                                    # sequential scan on a 10k-run artefact,
 #                                    # plain and gzip
@@ -91,6 +98,8 @@ elif [ "$PATTERN" = "warm" ]; then
     PATTERN='WarmMachineCampaign|CampaignThroughput'
 elif [ "$PATTERN" = "snapshot" ]; then
     PATTERN='SnapshotRestore|WarmMachineCampaign|CampaignThroughput'
+elif [ "$PATTERN" = "checkpoint" ]; then
+    PATTERN='Figure3MediumIntensityCampaign|E1HighIntensityRootHVC|A3IRQChipInjection'
 elif [ "$PATTERN" = "inspect" ]; then
     PATTERN='DossierRandomAccess'
 elif [ "$PATTERN" = "serve" ]; then
