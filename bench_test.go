@@ -229,13 +229,16 @@ func BenchmarkS1SEooCAssessment(b *testing.B) {
 
 // BenchmarkCampaignThroughput is the repo's perf trajectory anchor: the
 // campaign pipeline's sustained rate in runs per wall-clock second, at
-// three campaign sizes and in both retention modes. Distribution mode
-// streams runs into counters (no transcripts, no retained results) and is
-// the configuration production-scale campaigns use; Full mode is the
-// dossier configuration. Compare the runs_per_sec metric across PRs.
+// three campaign sizes and in both retention modes, on the full-length
+// Figure-3 plan — every path a run can take: checkpoint starts,
+// injections, convergence cut-offs and straight runs to the horizon.
+// Distribution mode streams runs into counters (no transcripts, no
+// retained results) and is the configuration production-scale campaigns
+// use; Full mode is the dossier configuration. Compare the runs_per_sec
+// metric across PRs (archives before the full-length plan ran a 5 s
+// plan that almost never injected).
 func BenchmarkCampaignThroughput(b *testing.B) {
 	base := *core.PlanE3Fig3()
-	base.Duration = 5 * sim.Second
 	base.Name = "E3-throughput"
 	for _, n := range []int{40, 400, 4000} {
 		for _, mode := range []core.CampaignMode{core.ModeFull, core.ModeDistribution} {

@@ -447,3 +447,24 @@ func (c *CPU) String() string {
 	}
 	return fmt.Sprintf("cpu%d(%s,%s,pc=%#x)", c.Index, c.Mode(), state, c.regs[RegPC])
 }
+
+// Matches reports whether the core's architectural state equals the
+// snapshot's — the convergence check of a faulty run against a golden
+// checkpoint.
+func (c *CPU) Matches(s *Snapshot) bool {
+	if c.regs != s.regs || c.cpsr != s.cpsr || len(c.banks) != len(s.banks) ||
+		c.fiqBank != s.fiqBank || c.fiqShadow != s.fiqShadow || c.inFIQRegs != s.inFIQRegs ||
+		c.ELRHyp != s.elrHyp || c.SPSRHyp != s.spsrHyp || c.HSR != s.hsr ||
+		c.HVBAR != s.hvbar || c.HCR != s.hcr || c.VTTBR != s.vttbr ||
+		c.HDFAR != s.hdfar || c.HIFAR != s.hifar || c.HPFAR != s.hpfar ||
+		c.MIDR != s.midr || c.MPIDR != s.mpidr || c.SCTLR != s.sctlr || c.VBAR != s.vbar ||
+		c.Online != s.online || c.Parked != s.parked {
+		return false
+	}
+	for m, b := range c.banks {
+		if sb, ok := s.banks[m]; !ok || *b != sb {
+			return false
+		}
+	}
+	return true
+}

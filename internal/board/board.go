@@ -63,9 +63,29 @@ func (b *BusFault) Error() string {
 	return fmt.Sprintf("board: bus fault on %s at %#x", op, b.Addr)
 }
 
+// Event kinds of a machine's handler table. Every event a machine
+// schedules names one of these plus a target and an argument, so a
+// queued event is plain data: checkpoints copy it, digests fold it, and
+// a faulty run's queue can be compared with the golden one. The board
+// installs the table (its own timer handler included); each layer
+// registers the handlers of its kinds through Board.Handle when it is
+// constructed.
+const (
+	EvTimer           sim.HandlerKind = iota // generic timer tick; target: CPU
+	EvCellCPUBoot                            // jailhouse: start-SGI guest boot; target: CPU, arg: cell ID
+	EvPSCIBoot                               // jailhouse: PSCI CPU_ON guest boot; target: CPU, arg: cell ID
+	EvLinuxHousekeep                         // root Linux distributor housekeeping
+	EvLinuxStateQuery                        // root Linux "jailhouse cell state" watchdog
+	EvLinuxRecreate                          // root Linux E1 destroy/recreate cycle
+	EvDelayedCreate                          // machine's delayed cell bring-up (E2)
+	EvRaiseSPI                               // fault model: latch an SPI; target: IRQ
+	EvSendSGI                                // fault model: SGI; target: source CPU, arg: mask<<8 | SGI ID
+	NumEventKinds
+)
+
 // Timer is a per-CPU generic timer that raises the virtual-timer PPI.
 type Timer struct {
-	cancel func()
+	ev sim.Event // the periodic tick; zero when stopped
 }
 
 // Board is one simulated Banana Pi M1.
@@ -152,6 +172,10 @@ func NewWithOptions(seed uint64, opts Options) *Board {
 	for i := 0; i < NumCPUs; i++ {
 		b.CPUs = append(b.CPUs, armv7.NewCPU(i))
 	}
+	for k := sim.HandlerKind(0); k < NumEventKinds; k++ {
+		eng.SetHandler(k, nil) // a recycled engine drops the last machine's handlers
+	}
+	b.Handle(EvTimer, func(cpu int32, _ uint64) { _ = b.GIC.RaisePPI(int(cpu), gic.IRQVirtualTimer) })
 	b.addMMIO("uart0", UART0Base, uart.RegionSize,
 		func(_ int, off uint64) (uint32, error) { return b.UART0.ReadReg(off) },
 		func(_ int, off uint64, v uint32) error { return b.UART0.WriteReg(off, v) })
@@ -198,8 +222,8 @@ func (b *Board) DeepReset(seed uint64, opts Options) {
 		c.Reset()
 	}
 	for i := range b.timers {
-		// The engine reset already dropped the events; the cancel
-		// closures are stale and must not survive into the next run.
+		// The engine reset already dropped the events; the handles are
+		// stale and must not survive into the next run.
 		b.timers[i] = Timer{}
 	}
 }
@@ -209,9 +233,9 @@ func (b *Board) DeepReset(seed uint64, opts Options) {
 // bank, every core and the timer bookkeeping. The append-only logs —
 // trace records, UART captures, LED toggles — are held as lengths only;
 // their content lives once in the golden Log a restore is handed. The
-// timer cancel closures are Event handles into the engine slab; the
-// engine snapshot restores slot generations exactly, so the captured
-// closures remain valid after a restore.
+// timers are Event handles into the engine slab; the engine snapshot
+// restores slot generations exactly, so they remain valid after a
+// restore.
 type Snapshot struct {
 	engine *sim.EngineSnapshot
 	ram    *memmap.RAMSnapshot
@@ -304,6 +328,67 @@ func (b *Board) RestoreSnapshot(s *Snapshot, seed uint64, l *Log, from *Snapshot
 	return dirtied, restored
 }
 
+// The Matches* checks compare the board's live state with a golden
+// snapshot, a layer at a time so a caller can order them cheapest first
+// and stop at the first difference. Logs are not state and are never
+// compared; handles are compared by the event they refer to.
+
+// MatchesCPUs reports whether every core's architectural state equals
+// the snapshot's.
+func (b *Board) MatchesCPUs(s *Snapshot) bool {
+	for i, c := range b.CPUs {
+		if !c.Matches(s.cpus[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// MatchesDevices reports whether the interrupt controller, both UARTs,
+// the GPIO levels and the timer programming equal the snapshot's.
+func (b *Board) MatchesDevices(s *Snapshot) bool {
+	if !b.GIC.Matches(s.gic) || !b.UART0.Matches(s.uart0) || !b.UART7.Matches(s.uart7) || !b.GPIO.Matches(s.gpio) {
+		return false
+	}
+	for i, t := range b.timers {
+		if !b.SameEvent(t.ev, s, s.timers[i].ev) {
+			return false
+		}
+	}
+	return true
+}
+
+// MatchesQueue reports whether the engine's clock and queued events
+// equal the snapshot's (sim.Engine.QueueMatches).
+func (b *Board) MatchesQueue(s *Snapshot) bool { return b.Engine.QueueMatches(s.engine) }
+
+// MatchesRAM reports whether RAM content equals the snapshot's image.
+func (b *Board) MatchesRAM(s *Snapshot) bool { return b.RAM.Matches(s.ram) }
+
+// SameEvent reports whether live handle ev and handle golden, held by
+// state captured with s, refer to the same queued event.
+func (b *Board) SameEvent(ev sim.Event, s *Snapshot, golden sim.Event) bool {
+	return b.Engine.SameEvent(ev, s.engine, golden)
+}
+
+// Splice moves a board whose state matches golden snapshot from to the
+// later golden snapshot to of the same lineage without simulating the
+// stretch between them: every state layer becomes to's, and each log —
+// trace, UART captures, LED toggles — keeps this run's content and gains
+// the golden content between the two snapshots from l. The RNG is kept.
+func (b *Board) Splice(from, to *Snapshot, l *Log) {
+	b.Engine.Splice(from.engine, to.engine, l.trace)
+	b.RAM.Splice(from.ram, to.ram)
+	b.GIC.RestoreSnapshot(to.gic)
+	b.UART0.Splice(from.uart0, to.uart0, l.uart0)
+	b.UART7.Splice(from.uart7, to.uart7, l.uart7)
+	b.GPIO.Splice(from.gpio, to.gpio, l.gpio)
+	for i, c := range b.CPUs {
+		c.RestoreSnapshot(to.cpus[i])
+	}
+	b.timers = append(b.timers[:0], to.timers...)
+}
+
 func (b *Board) addMMIO(name string, base, size uint64,
 	read func(int, uint64) (uint32, error),
 	write func(int, uint64, uint32) error) {
@@ -353,9 +438,7 @@ func (b *Board) StartTimer(cpu int, period sim.Time) {
 	if cpu < 0 || cpu >= NumCPUs {
 		return
 	}
-	b.timers[cpu].cancel = b.Engine.Every(period, func() {
-		_ = b.GIC.RaisePPI(cpu, gic.IRQVirtualTimer)
-	})
+	b.timers[cpu].ev = b.Engine.Every(period, EvTimer, int32(cpu), 0)
 }
 
 // StopTimer cancels cpu's timer programming.
@@ -363,11 +446,12 @@ func (b *Board) StopTimer(cpu int) {
 	if cpu < 0 || cpu >= NumCPUs {
 		return
 	}
-	if b.timers[cpu].cancel != nil {
-		b.timers[cpu].cancel()
-		b.timers[cpu].cancel = nil
-	}
+	b.timers[cpu].ev.Cancel()
+	b.timers[cpu].ev = sim.Event{}
 }
+
+// Handle installs h as the machine's handler for events of kind k.
+func (b *Board) Handle(k sim.HandlerKind, h sim.Handler) { b.Engine.SetHandler(k, h) }
 
 // Trace returns the engine's trace, the board-wide event record.
 func (b *Board) Trace() *sim.Trace { return b.Engine.Trace() }

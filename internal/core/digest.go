@@ -41,7 +41,8 @@ func (f *fold) str(s string) {
 }
 
 // StateDigest fingerprints every layer of the machine's observable
-// state: engine clock and queue depth, the rendered trace, both UART
+// state: engine clock and queued events (kind, target, argument, time,
+// period and cancel flag, in delivery order), the rendered trace, both UART
 // captures, the GIC's full register file and per-CPU pending/active
 // bitmaps, the LED history, RAM content, each CPU's architectural state,
 // the hypervisor's cells/per-CPU blocks/console/ivshmem links, root
@@ -61,7 +62,16 @@ func (m *Machine) StateDigest() uint64 {
 	// Engine and trace.
 	eng := m.Board.Engine
 	f.i64(int64(eng.Now()))
-	f.i64(int64(eng.Pending()))
+	queue := eng.Queue(nil)
+	f.i64(int64(len(queue)))
+	for _, ev := range queue {
+		f.u64(uint64(ev.Kind))
+		f.i64(int64(ev.Target))
+		f.u64(ev.Arg)
+		f.i64(int64(ev.When))
+		f.i64(int64(ev.Period))
+		f.b(ev.Canceled)
+	}
 	halted, haltMsg := eng.Halted()
 	f.b(halted)
 	f.str(haltMsg)

@@ -265,7 +265,7 @@ func (g *GICFault) ApplyMachine(m *Machine, rng *sim.RNG, point jailhouse.Inject
 		irq := gic.NumSGI + gic.NumPPI + rng.Intn(gic.NumSPI)
 		// Raised after the current handler unwinds, not from inside it —
 		// the hardware analogue of a pending bit set by a glitch.
-		m.Board.Engine.After(0, func() { _ = d.RaiseSPI(irq) })
+		m.Board.Engine.After(0, board.EvRaiseSPI, int32(irq), 0)
 		return fmt.Sprintf("gic: spurious SPI %d latched pending", irq)
 	default:
 		d.EnableDistributor(false)
@@ -302,16 +302,15 @@ func (s *IRQStorm) Name() string { return "irq-storm" }
 func (s *IRQStorm) Plan(rng *sim.RNG) []Flip { return nil }
 
 // ApplyMachine implements MachineFaulter. All random draws happen here,
-// up front; the scheduled closures replay them deterministically.
+// up front; the scheduled events carry them as data.
 func (s *IRQStorm) ApplyMachine(m *Machine, rng *sim.RNG, point jailhouse.InjectionPoint, cpu int) string {
-	d := m.Board.GIC
 	eng := m.Board.Engine
 	n := stormMinEvents + rng.Intn(stormMaxExtra)
 	for i := 0; i < n; i++ {
 		at := sim.Time(rng.Intn(int(stormSpan) + 1))
 		if rng.Bool(0.75) {
 			irq := gic.NumSGI + gic.NumPPI + rng.Intn(gic.NumSPI)
-			eng.After(at, func() { _ = d.RaiseSPI(irq) })
+			eng.After(at, board.EvRaiseSPI, int32(irq), 0)
 		} else {
 			// SGIs 2..15: outside the hypervisor's management IDs (0, 1),
 			// so the storm exercises the unexpected-SGI shedding path
@@ -319,7 +318,7 @@ func (s *IRQStorm) ApplyMachine(m *Machine, rng *sim.RNG, point jailhouse.Inject
 			id := 2 + rng.Intn(gic.NumSGI-2)
 			src := rng.Intn(board.NumCPUs)
 			mask := uint8(1 << uint(rng.Intn(board.NumCPUs)))
-			eng.After(at, func() { _ = d.SendSGI(src, mask, id) })
+			eng.After(at, board.EvSendSGI, int32(src), uint64(mask)<<8|uint64(id))
 		}
 	}
 	return fmt.Sprintf("irq storm: %d spurious interrupts over %v", n, stormSpan.Duration())

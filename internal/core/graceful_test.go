@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/dessertlab/certify/internal/board"
 	"github.com/dessertlab/certify/internal/jailhouse"
 	"github.com/dessertlab/certify/internal/sim"
 )
@@ -37,12 +38,20 @@ type wedgeModel struct{}
 func (wedgeModel) Name() string             { return "test-wedge" }
 func (wedgeModel) Plan(rng *sim.RNG) []Flip { return nil }
 func (wedgeModel) ApplyMachine(m *Machine, rng *sim.RNG, point jailhouse.InjectionPoint, cpu int) string {
-	eng := m.Board.Engine
-	eng.SetWedgeLimit(4096)
-	var spin func()
-	spin = func() { eng.After(0, spin) }
-	eng.After(0, spin)
+	m.Board.Engine.SetWedgeLimit(4096)
+	armSpin(m)
 	return "event-loop livelock armed"
+}
+
+// spinKind is a handler kind past the machine's table, for tests only.
+const spinKind = board.NumEventKinds
+
+// armSpin queues a zero-delay event whose handler reposts it forever —
+// a livelock only the wedge watchdog ends.
+func armSpin(m *Machine) {
+	eng := m.Board.Engine
+	m.Board.Handle(spinKind, func(int32, uint64) { eng.After(0, spinKind, 0, 0) })
+	eng.After(0, spinKind, 0, 0)
 }
 
 // panicModel is a defective fault model: its planner panics. The run

@@ -159,16 +159,29 @@ func (in *Injector) triggers(call uint64, at sim.Time) bool {
 	return (call+in.phase)%uint64(in.plan.EffectiveRate()) == 0
 }
 
-// firstTrigger returns the number of the first call in a golden call
-// log (calls[n-1] is the time of matching call n) on which the injector
-// fires, or 0 when it fires on none of them.
-func (in *Injector) firstTrigger(calls []sim.Time) uint64 {
+// firstTrigger returns the position n (1-based) of the first call in a
+// stretch of a golden call log on which the injector fires, or 0 when
+// it fires on none of them. calls[n-1] is the time of matching call
+// base+n: the whole log starts at base 0; a stretch after a checkpoint
+// is numbered on from a run's own call count.
+func (in *Injector) firstTrigger(calls []sim.Time, base uint64) uint64 {
 	for i, at := range calls {
-		if in.triggers(uint64(i+1), at) {
+		if in.triggers(base+uint64(i+1), at) {
 			return uint64(i + 1)
 		}
 	}
 	return 0
+}
+
+// advance adds the golden matching calls between two checkpoints to the
+// counters, as if the injector had watched the stretch a cut-off skips.
+func (in *Injector) advance(from, to *checkpoint) {
+	for p, n := range to.calls {
+		if d := n - from.calls[p]; d != 0 {
+			in.calls[p] += d
+		}
+	}
+	in.callTotal += to.total - from.total
 }
 
 // preload sets the matching-call counters to a checkpoint's golden

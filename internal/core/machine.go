@@ -38,6 +38,12 @@ type Machine struct {
 	rtosArena []*freertos.Kernel
 	rtosNext  int
 
+	// createCfg is the configuration of a pending delayed cell bring-up
+	// (E2; nil when none is scheduled), createWatchdog whether the
+	// bring-up arms the state watchdog.
+	createCfg      *jailhouse.CellConfig
+	createWatchdog bool
+
 	// simFault records a Go panic recovered during Run — a defect in the
 	// simulation itself, surfaced as a truthful sim-fault outcome instead
 	// of killing the campaign worker.
@@ -47,7 +53,7 @@ type Machine struct {
 	// (options minus seed and scratch): checkpoint 0 of every golden
 	// timeline of that profile. Restore rewinds the machine from it
 	// instead of replaying the boot path. Checkpoints reference this
-	// machine's own objects (cells, kernels, scheduled closures) and must
+	// machine's own objects (cells, kernels, control blocks) and must
 	// never be shared across machines; only their logs are shared.
 	boots map[profileKey]*checkpoint
 	// timelines holds the golden timelines of the run shapes this
@@ -57,8 +63,11 @@ type Machine struct {
 	// at is the checkpoint last captured or restored: the machine's logs
 	// are golden up to its lengths (nil after a deep reset).
 	at *checkpoint
-	// rec, when set, lets the next Run extend a timeline.
-	rec recording
+	// run, when set, makes the next Run a timeline run (see prepare).
+	run timelineRun
+	// owed is a timeline extension a cut-off check found missing; the
+	// next prepare pays it.
+	owed *extension
 }
 
 // profileKey identifies a boot profile: every MachineOptions field that
@@ -162,6 +171,9 @@ func BuildMachine(opts MachineOptions) (*Machine, error) {
 	hv := jailhouse.New(brd)
 	linux := rootlinux.New(hv)
 	m := &Machine{Board: brd, HV: hv, Linux: linux}
+	brd.Handle(board.EvDelayedCreate, func(int32, uint64) { m.delayedCreate() })
+	brd.Handle(board.EvRaiseSPI, func(irq int32, _ uint64) { _ = brd.GIC.RaiseSPI(int(irq)) })
+	brd.Handle(board.EvSendSGI, func(src int32, arg uint64) { _ = brd.GIC.SendSGI(int(src), uint8(arg>>8), int(arg&0xFF)) })
 	if err := m.boot(opts); err != nil {
 		return nil, err
 	}
@@ -189,9 +201,11 @@ func (m *Machine) DeepReset(opts MachineOptions) error {
 	m.RTOS = nil
 	m.CellID = 0
 	m.rtosNext = 0
+	m.createCfg = nil
 	m.simFault = ""
 	m.at = nil
-	m.rec = recording{}
+	m.run = timelineRun{}
+	m.owed = nil
 	return m.boot(opts)
 }
 
@@ -247,22 +261,8 @@ func (m *Machine) boot(opts MachineOptions) error {
 		if at <= 0 {
 			at = 2 * sim.Second
 		}
-		m.Board.Engine.Schedule(at, func() {
-			if err := m.Linux.CellCreate(cfg); err != nil {
-				return // tool error already on the console
-			}
-			m.CellID = m.Linux.CellID
-			m.RTOS = m.newRTOS()
-			if err := m.Linux.CellLoad(m.CellID, inmateImage(), m.RTOS); err != nil {
-				return
-			}
-			if err := m.Linux.CellStart(m.CellID); err != nil {
-				return
-			}
-			if opts.StateWatchdog {
-				m.Linux.StartStateWatchdog(m.CellID)
-			}
-		})
+		m.createCfg, m.createWatchdog = cfg, opts.StateWatchdog
+		m.Board.Engine.Schedule(at, board.EvDelayedCreate, 0, 0)
 		return nil
 	}
 
@@ -283,6 +283,27 @@ func (m *Machine) boot(opts MachineOptions) error {
 		m.Linux.StartStateWatchdog(m.CellID)
 	}
 	return nil
+}
+
+// delayedCreate is the delayed cell bring-up boot scheduled: create,
+// load and start the FreeRTOS cell, then arm the state watchdog.
+func (m *Machine) delayedCreate() {
+	cfg := m.createCfg
+	m.createCfg = nil
+	if err := m.Linux.CellCreate(cfg); err != nil {
+		return // tool error already on the console
+	}
+	m.CellID = m.Linux.CellID
+	m.RTOS = m.newRTOS()
+	if err := m.Linux.CellLoad(m.CellID, inmateImage(), m.RTOS); err != nil {
+		return
+	}
+	if err := m.Linux.CellStart(m.CellID); err != nil {
+		return
+	}
+	if m.createWatchdog {
+		m.Linux.StartStateWatchdog(m.CellID)
+	}
 }
 
 // Tainted reports whether the machine may carry corrupted layer state: a
@@ -331,7 +352,7 @@ func (m *Machine) Restore(opts MachineOptions) error {
 		}
 		return nil
 	}
-	m.rec = recording{}
+	m.run = timelineRun{}
 	m.restoreTo(c, opts.Seed)
 	return nil
 }
@@ -352,9 +373,11 @@ func inmateImage() []byte {
 // halts the engine, and classifies as sim-fault: one bad run must never
 // kill a shard worker or poison a campaign aggregate.
 //
-// When the run was prepared at its golden timeline's frontier, the
-// fault-free stretch runs in checkpoint-spacing segments that extend the
-// timeline (see record); the result is the same as one Engine.Run.
+// A run prepared on a golden timeline runs in checkpoint-spacing
+// segments: while it stays fault-free at the timeline's frontier it
+// extends the timeline (see record), and once it has rejoined the golden
+// trajectory for good the rest is spliced from the timeline instead of
+// simulated (see converge). The result is the same as one Engine.Run.
 func (m *Machine) Run(d sim.Time) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -363,11 +386,16 @@ func (m *Machine) Run(d sim.Time) {
 		}
 	}()
 	horizon := m.Board.Now() + d
-	if r := m.rec; r.tl != nil {
-		m.rec = recording{}
+	r := m.run
+	m.run = timelineRun{}
+	if r.tl == nil {
+		_ = m.Board.Engine.Run(horizon)
+		return
+	}
+	if r.record {
 		m.record(r, horizon)
 	}
-	_ = m.Board.Engine.Run(horizon)
+	m.converge(r, horizon)
 }
 
 // SimFault returns the recovered panic message of a simulation fault

@@ -69,6 +69,15 @@ var (
 	metCheckpointCaptures = obs.Default.NewCounter(
 		"certify_core_checkpoint_captures_total",
 		"Golden-timeline checkpoints captured by runs that had not yet injected.")
+	metCutoffRuns = obs.Default.NewCounter(
+		"certify_core_cutoff_runs_total",
+		"Runs whose simulation stopped early because their state rejoined the golden trajectory after the last possible injection; the rest of the run was spliced from the golden timeline.")
+	metCutoffSkipped = obs.Default.NewCounter(
+		"certify_core_cutoff_skipped_virtual_seconds_total",
+		"Virtual seconds between a cut-off run's rejoin boundary and its horizon, taken from the golden timeline instead of simulated.")
+	metTimelineExtension = obs.Default.NewCounter(
+		"certify_core_timeline_extension_seconds_total",
+		"Virtual seconds of fault-free simulation spent extending golden timelines to a plan's horizon so later runs can be cut off.")
 	metPoolDrops = obs.Default.NewCounter(
 		"certify_pool_tainted_drops_total",
 		"Machines dropped at MachinePool.Put because the run ended in a sim-fault or machine wedge.")

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -36,15 +37,22 @@ const (
 // is the process-wide golden log of the profile, whose newest version
 // covers every checkpoint captured so far.
 type checkpoint struct {
-	profile  profileKey
-	golden   *goldenLineage
-	board    *board.Snapshot
-	hv       *jailhouse.Snapshot
-	linux    *rootlinux.Snapshot
-	kernels  []freertos.KernelSnapshot // Machine.rtosArena[:len(kernels)]
+	profile profileKey
+	golden  *goldenLineage
+	board   *board.Snapshot
+	hv      *jailhouse.Snapshot
+	linux   *rootlinux.Snapshot
+	// kernels[i] is Machine.rtosArena[i]'s content, nil for the kernel
+	// of a destroyed cell: nothing reaches it any more, and the arena
+	// deep-resets a kernel before handing it out again.
+	kernels  []*freertos.KernelSnapshot
 	rtos     *freertos.Kernel
 	rtosNext int
 	cellID   uint32
+	// createCfg and createWatchdog are the machine's pending delayed
+	// bring-up (see Machine.createCfg).
+	createCfg      *jailhouse.CellConfig
+	createWatchdog bool
 
 	// calls and total are the injector's matching-call counters at the
 	// checkpoint (zero at the post-boot image: no hook runs during boot).
@@ -134,6 +142,8 @@ type timeline struct {
 	// frontier, in call order: calls[n-1] is the time of call n.
 	calls []sim.Time
 	used  uint64 // LRU stamp
+	// extended is set once the timeline was extended for a cut-off.
+	extended bool
 }
 
 func (tl *timeline) frontier() *checkpoint { return tl.cps[len(tl.cps)-1] }
@@ -141,7 +151,7 @@ func (tl *timeline) frontier() *checkpoint { return tl.cps[len(tl.cps)-1] }
 // latest returns the latest checkpoint at or before horizon that lies
 // before the first matching call on which inj would fire.
 func (tl *timeline) latest(inj *Injector, horizon sim.Time) *checkpoint {
-	first := inj.firstTrigger(tl.calls)
+	first := inj.firstTrigger(tl.calls, 0)
 	best := tl.cps[0]
 	for _, c := range tl.cps[1:] {
 		if c.at() > horizon || (first > 0 && c.total >= first) {
@@ -188,13 +198,19 @@ func (m *Machine) capture(pk profileKey) *checkpoint {
 		board:    m.Board.CaptureSnapshot(),
 		hv:       m.HV.CaptureSnapshot(),
 		linux:    m.Linux.CaptureSnapshot(),
-		kernels:  make([]freertos.KernelSnapshot, m.rtosNext),
+		kernels:  make([]*freertos.KernelSnapshot, m.rtosNext),
 		rtos:     m.RTOS,
 		rtosNext: m.rtosNext,
 		cellID:   m.CellID,
+
+		createCfg:      m.createCfg,
+		createWatchdog: m.createWatchdog,
 	}
 	for i := range c.kernels {
-		c.kernels[i] = m.rtosArena[i].CaptureSnapshot()
+		if k := m.rtosArena[i]; m.live(k) {
+			ks := k.CaptureSnapshot()
+			c.kernels[i] = &ks
+		}
 	}
 	m.at = c
 	return c
@@ -215,12 +231,11 @@ func (m *Machine) restoreTo(c *checkpoint, seed uint64) {
 	dirtied, restored := m.Board.RestoreSnapshot(c.board, seed, logs.board, fromBoard)
 	m.HV.RestoreSnapshot(c.hv, logs.console, fromHV)
 	m.Linux.RestoreSnapshot(c.linux)
-	for i, ks := range c.kernels {
-		m.rtosArena[i].RestoreSnapshot(ks)
-	}
+	m.restoreKernels(c)
 	m.RTOS = c.rtos
 	m.rtosNext = c.rtosNext
 	m.CellID = c.cellID
+	m.createCfg, m.createWatchdog = c.createCfg, c.createWatchdog
 	m.simFault = ""
 	m.at = c
 	metSnapshotRestore.ObserveSince(start)
@@ -228,11 +243,13 @@ func (m *Machine) restoreTo(c *checkpoint, seed uint64) {
 	metPagesRestored.Add(uint64(restored))
 }
 
-// recording is a run's license to extend a timeline: set by prepare when
-// the run starts at the frontier, consumed by the next Machine.Run.
-type recording struct {
-	tl  *timeline
-	inj *Injector
+// timelineRun is what prepare hands the next Machine.Run: the run's
+// golden timeline and injector, and whether the run starts at the
+// timeline's frontier and so records further checkpoints.
+type timelineRun struct {
+	tl     *timeline
+	inj    *Injector
+	record bool
 }
 
 // prepare rewinds a warm machine for one run of plan and arms inj: the
@@ -241,7 +258,8 @@ type recording struct {
 // golden counts at that instant. fresh reports that m is already at the
 // post-boot state for opts (just built, post-boot image captured). A run
 // that starts at the timeline's frontier records further checkpoints as
-// it goes. Returns the run's start instant (the post-boot time).
+// it goes. A timeline extension left owed by an earlier run is paid
+// first. Returns the run's start instant (the post-boot time).
 func (m *Machine) prepare(opts MachineOptions, plan *TestPlan, inj *Injector, fresh bool) (sim.Time, error) {
 	pk := profileOf(opts)
 	boot := m.boots[pk]
@@ -252,6 +270,10 @@ func (m *Machine) prepare(opts MachineOptions, plan *TestPlan, inj *Injector, fr
 			return 0, err
 		}
 		boot, fresh = m.boots[pk], true
+	}
+	if m.owed != nil {
+		m.extend()
+		fresh = false
 	}
 	start := boot.at()
 	armOffset := armRun(inj, plan, start)
@@ -265,10 +287,8 @@ func (m *Machine) prepare(opts MachineOptions, plan *TestPlan, inj *Injector, fr
 		metCheckpointRestores.Inc()
 		metCheckpointSkipped.Add(uint64((c.at() - start) / sim.Second))
 	}
-	if c == tl.frontier() {
-		m.rec = recording{tl: tl, inj: inj}
-		inj.taping = true
-	}
+	m.run = timelineRun{tl: tl, inj: inj, record: c == tl.frontier()}
+	inj.taping = m.run.record
 	return start, nil
 }
 
@@ -279,7 +299,7 @@ func (m *Machine) prepare(opts MachineOptions, plan *TestPlan, inj *Injector, fr
 // the boundary runs in the first segment, the watchdog's same-instant
 // count restarts only where time advances anyway, and the boundary clamp
 // of the clock is unobservable because no event runs between segments.
-func (m *Machine) record(r recording, horizon sim.Time) {
+func (m *Machine) record(r timelineRun, horizon sim.Time) {
 	eng := m.Board.Engine
 	defer func() {
 		r.inj.taping = false
@@ -301,4 +321,190 @@ func (m *Machine) record(r recording, horizon sim.Time) {
 		r.tl.cps = append(r.tl.cps, c)
 		metCheckpointCaptures.Inc()
 	}
+}
+
+// Convergence cut-off (see DESIGN.md "Convergence cut-off"). Once a
+// faulty run is back in the golden state after its last possible
+// injection, simulating the rest of its horizon repeats the golden run
+// exactly, so the run stops there and takes the rest from its timeline.
+
+// converge runs the rest of a timeline run to horizon in
+// checkpointSpacing segments on the timeline's grid — the split record
+// uses — and stops at the first boundary where the run has rejoined its
+// golden trajectory for good, splicing the golden suffix in instead.
+func (m *Machine) converge(r timelineRun, horizon sim.Time) {
+	eng := m.Board.Engine
+	origin := r.tl.cps[0].at()
+	for {
+		b := origin + ((eng.Now()-origin)/checkpointSpacing+1)*checkpointSpacing
+		if b > horizon {
+			break
+		}
+		_ = eng.Run(b)
+		if halted, _ := eng.Halted(); halted {
+			return
+		}
+		if m.rejoin(r, b, horizon) {
+			return
+		}
+	}
+	_ = eng.Run(horizon)
+}
+
+// rejoin reports whether the run, stopped at boundary b, can end here:
+// whether everything that drives its future equals the golden
+// checkpoint at b and its injector cannot fire again before horizon. If
+// so, it splices the golden stretch from b to horizon into the machine.
+// The checks run cheapest first and the first failure exits. A run that
+// passes every check against a timeline that stops short of its horizon
+// leaves the timeline's extension owed (see extend), unless its injector
+// is expected to fire again past the frontier anyway.
+func (m *Machine) rejoin(r timelineRun, b, horizon sim.Time) bool {
+	tl, inj := r.tl, r.inj
+	origin := tl.cps[0].at()
+	if (horizon-origin)%checkpointSpacing != 0 {
+		return false // no checkpoint can sit at the horizon
+	}
+	// 1. The timeline covers b and the horizon — or, once, could be
+	// extended to cover it.
+	ib, ih := int((b-origin)/checkpointSpacing), int((horizon-origin)/checkpointSpacing)
+	covered := ih < len(tl.cps)
+	if ib >= len(tl.cps) || (!covered && (tl.extended || m.owed != nil)) {
+		return false
+	}
+	cb, calls := tl.cps[ib], tl.calls
+	if covered {
+		calls = calls[:tl.cps[ih].total]
+	}
+	// 2. The injector fires on no golden call after b, numbered on from
+	// the run's own count. Past an uncovered frontier the calls are not
+	// known yet, so the forecast decides whether checking further can
+	// lead anywhere.
+	if inj.firstTrigger(calls[cb.total:], inj.callTotal) != 0 ||
+		!covered && tl.expectsTrigger(inj, inj.callTotal+uint64(len(calls))-cb.total, horizon) {
+		return false
+	}
+	// 3. The machine is healthy.
+	if m.Tainted() {
+		return false
+	}
+	// 4–8. The state matches the golden checkpoint at b: CPUs, devices,
+	// guests, queued events, RAM.
+	brd := m.Board
+	if !brd.MatchesCPUs(cb.board) || !brd.MatchesDevices(cb.board) || !m.matchesGuests(cb) ||
+		!brd.MatchesQueue(cb.board) || !brd.MatchesRAM(cb.board) {
+		return false
+	}
+	if !covered {
+		m.owed = &extension{tl: tl, plan: inj.plan, horizon: horizon}
+		return false
+	}
+	ch := tl.cps[ih]
+	m.splice(cb, ch)
+	inj.advance(cb, ch)
+	m.HV.Hook = inj.Hook
+	metCutoffRuns.Inc()
+	metCutoffSkipped.Add(uint64((horizon - b) / sim.Second))
+	return true
+}
+
+// expectsTrigger reports whether inj, which will have counted known
+// matching calls by the timeline's frontier, can be expected to fire
+// again before horizon, extrapolating the golden call rate up to the
+// frontier. It only decides whether extending the timeline is worth its
+// cost — a run that keeps injecting never rejoins — never whether a run
+// may be cut off.
+func (tl *timeline) expectsTrigger(inj *Injector, known uint64, horizon sim.Time) bool {
+	if !inj.armed {
+		return false
+	}
+	span := tl.frontier().at() - tl.cps[0].at()
+	if span <= 0 {
+		return true
+	}
+	rate := uint64(inj.plan.EffectiveRate())
+	next := rate - (known+inj.phase)%rate // calls until the next firing one
+	expected := float64(len(tl.calls)) * float64(horizon-tl.frontier().at()) / float64(span)
+	return float64(next) <= expected
+}
+
+// matchesGuests reports whether the hypervisor, root Linux, every live
+// FreeRTOS kernel and the machine's own bookkeeping equal checkpoint c.
+func (m *Machine) matchesGuests(c *checkpoint) bool {
+	if m.RTOS != c.rtos || m.rtosNext != c.rtosNext || m.CellID != c.cellID ||
+		m.createCfg != c.createCfg || m.createWatchdog != c.createWatchdog || !m.HV.Matches(c.hv) {
+		return false
+	}
+	same := func(live, golden sim.Event) bool { return m.Board.SameEvent(live, c.board, golden) }
+	if !m.Linux.Matches(c.linux, same) {
+		return false
+	}
+	for i, ks := range c.kernels {
+		k := m.rtosArena[i]
+		if live := m.live(k); live != (ks != nil) || live && !k.Matches(*ks) {
+			return false
+		}
+	}
+	return true
+}
+
+// live reports whether FreeRTOS kernel k is reachable: the machine's
+// current kernel or a cell's guest.
+func (m *Machine) live(k *freertos.Kernel) bool { return k == m.RTOS || m.HV.Hosts(k) }
+
+// restoreKernels writes c's kernel contents back into the arena.
+func (m *Machine) restoreKernels(c *checkpoint) {
+	for i, ks := range c.kernels {
+		if ks != nil {
+			m.rtosArena[i].RestoreSnapshot(*ks)
+		}
+	}
+}
+
+// splice moves a machine that matches golden checkpoint from to the
+// later checkpoint to of the same timeline: every state layer becomes
+// to's, and every log keeps the run's own content and gains the golden
+// content between the two checkpoints. m.at stays: the logs are still
+// golden up to its lengths.
+func (m *Machine) splice(from, to *checkpoint) {
+	logs := to.golden.cur.Load()
+	m.Board.Splice(from.board, to.board, logs.board)
+	m.HV.Splice(from.hv, to.hv, logs.console)
+	m.Linux.RestoreSnapshot(to.linux)
+	m.restoreKernels(to)
+	m.RTOS = to.rtos
+	m.rtosNext = to.rtosNext
+	m.CellID = to.cellID
+	m.createCfg, m.createWatchdog = to.createCfg, to.createWatchdog
+}
+
+// extension is a timeline extension a run left owed: the timeline's
+// frontier lay before the horizon of a run that reached a boundary it
+// might have been cut off at.
+type extension struct {
+	tl      *timeline
+	plan    *TestPlan
+	horizon sim.Time
+}
+
+// extend pays the owed extension: from the timeline's frontier it runs
+// fault-free, with an injector that tapes the plan's matching calls and
+// never fires, capturing a checkpoint every spacing up to the horizon.
+// Each timeline is extended at most once.
+func (m *Machine) extend() {
+	x := m.owed
+	m.owed = nil
+	if !slices.Contains(m.timelines, x.tl) {
+		return // evicted meanwhile
+	}
+	x.tl.extended = true
+	f := x.tl.frontier()
+	m.restoreTo(f, 0)
+	inj := &Injector{plan: x.plan, now: m.Board.Now, calls: make(map[jailhouse.InjectionPoint]uint64)}
+	inj.preload(f.calls, f.total)
+	inj.taping = true
+	m.HV.Hook = inj.Hook
+	m.record(timelineRun{tl: x.tl, inj: inj}, x.horizon)
+	m.HV.Hook = nil
+	metTimelineExtension.Add(uint64((x.tl.frontier().at() - f.at()) / sim.Second))
 }

@@ -405,9 +405,7 @@ func TestPoolDropsWedgedMachine(t *testing.T) {
 
 	// Wedge the machine: a zero-delay self-rescheduling event executes
 	// forever at one virtual instant until the watchdog halts the run.
-	var spin func()
-	spin = func() { m.Board.Engine.After(0, spin) }
-	m.Board.Engine.After(0, spin)
+	armSpin(m)
 	m.Run(1 * sim.Second)
 	if !m.Tainted() {
 		t.Fatal("wedged machine does not report tainted")

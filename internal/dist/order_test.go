@@ -108,3 +108,55 @@ func TestCompletionOrderArtefactReadsLikeIndexOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestCutoffArtefactBytesMatchColdBuild: a full-length E3-fig3 shard run
+// over a pooled machine — checkpoint starts, convergence cut-offs and
+// the lazy timeline extension — must stream the same bytes as the
+// straight cold-build shard, at any worker count.
+func TestCutoffArtefactBytesMatchColdBuild(t *testing.T) {
+	runs := 24
+	if testing.Short() {
+		runs = 8
+	}
+	spec := &Spec{Plan: core.PlanE3Fig3(), Runs: runs, MasterSeed: 2022, Shards: 1, Mode: core.ModeFull}
+	write := func(workers int, cold bool) []byte {
+		sh, err := spec.Shard(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), "shard.jsonl")
+		w, err := CreateJSONL(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.WriteManifest(sh.Manifest()); err != nil {
+			t.Fatal(err)
+		}
+		c := sh.Campaign(workers, w.OnRun)
+		c.ColdBuild = cold
+		if !cold {
+			c.Pool = core.NewMachinePool()
+		}
+		res, err := c.Execute(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.WriteSummary(res); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	ref := write(1, true)
+	for _, workers := range []int{1, 2, 4} {
+		if b := write(workers, false); !bytes.Equal(b, ref) {
+			t.Fatalf("%d workers: pooled artefact differs from the cold-build artefact (%d vs %d bytes)", workers, len(b), len(ref))
+		}
+	}
+}

@@ -431,3 +431,19 @@ func (d *Distributor) ClearCPU(cpu int) {
 	p.active = irqSet{}
 	p.sgiSrc = [NumSGI]int8{}
 }
+
+// Matches reports whether the distributor's register file and every CPU
+// interface equal the snapshot's. The delivery hook is wiring, not
+// state, and is not compared.
+func (d *Distributor) Matches(s *Snapshot) bool {
+	if d.ctlr != s.ctlr || d.enabled != s.enabled || d.priority != s.priority ||
+		d.targets != s.targets || len(d.cpus) != len(s.cpus) {
+		return false
+	}
+	for i, p := range d.cpus {
+		if *p != s.cpus[i] {
+			return false
+		}
+	}
+	return true
+}

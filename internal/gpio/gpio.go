@@ -108,6 +108,36 @@ func (p *Port) RestoreSnapshot(s *Snapshot, l Log, from *Snapshot) {
 	}
 }
 
+// Matches reports whether every line level equals the snapshot's. The
+// toggle histories are logs, not state, and are not compared.
+func (p *Port) Matches(s *Snapshot) bool {
+	for pin, on := range p.state {
+		if s.state[pin] != on {
+			return false
+		}
+	}
+	for pin, on := range s.state {
+		if p.state[pin] != on {
+			return false
+		}
+	}
+	return true
+}
+
+// Splice moves a port whose levels match golden snapshot from to the
+// later golden snapshot to: the levels become to's, and each pin's
+// history gains the golden toggles between the two snapshots from l,
+// after this run's own.
+func (p *Port) Splice(from, to *Snapshot, l Log) {
+	clear(p.state)
+	for pin, on := range to.state {
+		p.state[pin] = on
+	}
+	for pin, n := range to.toggles {
+		p.toggles[pin] = append(p.toggles[pin], l[pin].Items()[from.toggles[pin]:n]...)
+	}
+}
+
 // Set drives pin to level on.
 func (p *Port) Set(pin int, on bool) {
 	if p.state[pin] == on {

@@ -225,6 +225,41 @@ func (k *Kernel) RestoreSnapshot(s KernelSnapshot) {
 	}
 }
 
+// Matches reports whether the kernel — scheduler latches, counters,
+// task and queue lists, every control block's content and every queue's
+// buffer and waiters — equals the snapshot's. Task step functions are
+// fixed when a task is created and are not compared.
+func (k *Kernel) Matches(s KernelSnapshot) bool {
+	sk := &s.kernel
+	if k.hv != sk.hv || k.cpu != sk.cpu || k.current != sk.current || k.idle != sk.idle ||
+		k.tick != sk.tick || k.started != sk.started || k.halted != sk.halted ||
+		k.haltReason != sk.haltReason || k.wildJump != sk.wildJump ||
+		k.wildJumpAddr != sk.wildJumpAddr || k.stackSmashed != sk.stackSmashed ||
+		k.ContextSwitches != sk.ContextSwitches || k.TicksSeen != sk.TicksSeen ||
+		!slices.Equal(k.tasks, sk.tasks) || !slices.Equal(k.queues, sk.queues) ||
+		!slices.Equal(k.tcbPool, sk.tcbPool) || !slices.Equal(k.queuePool, sk.queuePool) {
+		return false
+	}
+	for i, t := range k.tasks {
+		img := &s.tcbs[i]
+		if t.Name != img.Name || t.Priority != img.Priority || t.State != img.State ||
+			t.wakeTick != img.wakeTick || t.waitOn != img.waitOn || t.Work != img.Work ||
+			t.stackGuard != img.stackGuard || t.Asserted != img.Asserted ||
+			t.locals != img.locals || t.runs != img.runs {
+			return false
+		}
+	}
+	for i, q := range k.queues {
+		img := &s.queues[i]
+		if q.name != img.name || q.cap != img.cap || q.poisoned != img.poisoned ||
+			q.Sends != img.Sends || q.Receives != img.Receives || !slices.Equal(q.buf, img.buf) ||
+			!slices.Equal(q.sendWaiters, img.sendWaiters) || !slices.Equal(q.recvWaiters, img.recvWaiters) {
+			return false
+		}
+	}
+	return true
+}
+
 // Name implements jailhouse.Inmate.
 func (k *Kernel) Name() string { return "FreeRTOS" }
 

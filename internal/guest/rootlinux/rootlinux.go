@@ -50,7 +50,15 @@ type Linux struct {
 	paniced  bool
 	panicWhy string
 	oopses   int
-	cancelBg []func()
+	// cancelBg holds the periodic background events (housekeeping,
+	// state watchdog, recreate loop) that a panic or shutdown stops.
+	cancelBg []sim.Event
+
+	// recreateCfg is the cell configuration the E1 recreate loop
+	// creates each cycle (nil when no loop was started); makeInmate
+	// builds each cycle's guest.
+	recreateCfg *jailhouse.CellConfig
+	makeInmate  func() jailhouse.Inmate
 
 	// CellID of the managed non-root cell (set by CellCreate).
 	CellID uint32
@@ -71,7 +79,11 @@ var _ jailhouse.Inmate = (*Linux)(nil)
 
 // New returns the root Linux model bound to the hypervisor's board.
 func New(hv *jailhouse.Hypervisor) *Linux {
-	return &Linux{hv: hv, brd: hv.Board()}
+	l := &Linux{hv: hv, brd: hv.Board()}
+	l.brd.Handle(board.EvLinuxHousekeep, func(int32, uint64) { l.housekeep() })
+	l.brd.Handle(board.EvLinuxStateQuery, func(int32, uint64) { l.queryState() })
+	l.brd.Handle(board.EvLinuxRecreate, func(int32, uint64) { l.recreate() })
+	return l
 }
 
 // Name implements jailhouse.Inmate.
@@ -79,19 +91,16 @@ func (l *Linux) Name() string { return "Linux-5.10-jailhouse" }
 
 // DeepReset restores the root-cell guest to its pre-boot power-on state
 // in place: not booted, not paniced, no managed cell, no background
-// activity and zeroed watchdog statistics. The background cancel
-// closures are dropped without being called — the engine reset that
-// accompanies a machine-level deep reset already invalidated their
-// events. The hypervisor binding survives; the next Boot replays the
-// identical bring-up.
+// activity and zeroed watchdog statistics. The background event handles
+// are dropped without being canceled — the engine reset that accompanies
+// a machine-level deep reset already invalidated them. The hypervisor
+// binding survives; the next Boot replays the identical bring-up.
 func (l *Linux) DeepReset() {
 	l.booted = false
 	l.paniced, l.panicWhy = false, ""
 	l.oopses = 0
-	for i := range l.cancelBg {
-		l.cancelBg[i] = nil
-	}
 	l.cancelBg = l.cancelBg[:0]
+	l.recreateCfg = nil
 	l.CellID = 0
 	l.StateQueries = 0
 	l.LastState = 0
@@ -99,15 +108,16 @@ func (l *Linux) DeepReset() {
 }
 
 // Snapshot is a deep copy of the root-cell guest's state. The background
-// cancel closures are Event handles into the engine slab; the engine
-// snapshot restores slot generations exactly, so the captured closures
-// stay valid after a restore.
+// events are Event handles into the engine slab; the engine snapshot
+// restores slot generations exactly, so the captured handles stay valid
+// after a restore.
 type Snapshot struct {
 	booted       bool
 	paniced      bool
 	panicWhy     string
 	oopses       int
-	cancelBg     []func()
+	cancelBg     []sim.Event
+	recreateCfg  *jailhouse.CellConfig
 	cellID       uint32
 	stateQueries uint64
 	lastState    jailhouse.CellState
@@ -121,7 +131,8 @@ func (l *Linux) CaptureSnapshot() *Snapshot {
 		paniced:      l.paniced,
 		panicWhy:     l.panicWhy,
 		oopses:       l.oopses,
-		cancelBg:     append([]func(){}, l.cancelBg...),
+		cancelBg:     append([]sim.Event(nil), l.cancelBg...),
+		recreateCfg:  l.recreateCfg,
 		cellID:       l.CellID,
 		stateQueries: l.StateQueries,
 		lastState:    l.LastState,
@@ -134,15 +145,29 @@ func (l *Linux) RestoreSnapshot(s *Snapshot) {
 	l.booted = s.booted
 	l.paniced, l.panicWhy = s.paniced, s.panicWhy
 	l.oopses = s.oopses
-	old := len(l.cancelBg)
 	l.cancelBg = append(l.cancelBg[:0], s.cancelBg...)
-	for i := len(l.cancelBg); i < old; i++ {
-		l.cancelBg[:old][i] = nil // release run-era closures
-	}
+	l.recreateCfg = s.recreateCfg
 	l.CellID = s.cellID
 	l.StateQueries = s.stateQueries
 	l.LastState = s.lastState
 	l.LastStartAt = s.lastStartAt
+}
+
+// Matches reports whether the guest state equals the snapshot's;
+// same compares a live background-event handle with a captured one.
+func (l *Linux) Matches(s *Snapshot, same func(live, golden sim.Event) bool) bool {
+	if l.booted != s.booted || l.paniced != s.paniced || l.panicWhy != s.panicWhy ||
+		l.oopses != s.oopses || l.recreateCfg != s.recreateCfg || l.CellID != s.cellID ||
+		l.StateQueries != s.stateQueries || l.LastState != s.lastState ||
+		l.LastStartAt != s.lastStartAt || len(l.cancelBg) != len(s.cancelBg) {
+		return false
+	}
+	for i, ev := range l.cancelBg {
+		if !same(ev, s.cancelBg[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // Panicked reports whether the root kernel died, and why.
@@ -188,12 +213,15 @@ func (l *Linux) Boot(cpu int) {
 
 	// Background housekeeping: periodic distributor reads, the
 	// steady-state ArchHandleTrap stream on CPU 0 for E1-class plans.
-	l.cancelBg = append(l.cancelBg, l.brd.Engine.Every(housekeepEvery, func() {
-		if !l.paniced {
-			_, _ = l.hv.GuestRead32(0, board.GICDBase+gic.GICDISEnabler)
-		}
-	}))
+	l.cancelBg = append(l.cancelBg, l.brd.Engine.Every(housekeepEvery, board.EvLinuxHousekeep, 0, 0))
 	l.console("VFS: Mounted root (ext4 filesystem) readonly on device 179:2.")
+}
+
+// housekeep is one background distributor read.
+func (l *Linux) housekeep() {
+	if !l.paniced {
+		_, _ = l.hv.GuestRead32(0, board.GICDBase+gic.GICDISEnabler)
+	}
 }
 
 // OnIRQ implements jailhouse.Inmate: timer ticks and UART interrupts.
@@ -211,10 +239,15 @@ func (l *Linux) OnCPUParked(cpu int) {
 
 // OnShutdown implements jailhouse.Inmate.
 func (l *Linux) OnShutdown() {
-	for _, c := range l.cancelBg {
-		c()
+	l.stopBackground()
+}
+
+// stopBackground cancels the periodic background events.
+func (l *Linux) stopBackground() {
+	for _, ev := range l.cancelBg {
+		ev.Cancel()
 	}
-	l.cancelBg = nil
+	l.cancelBg = l.cancelBg[:0]
 }
 
 // OnCorruptedResume implements jailhouse.Inmate: the Linux register
@@ -263,10 +296,7 @@ func (l *Linux) oops(cpu int, reg string) {
 	l.paniced = true
 	l.panicWhy = "register corruption (" + reg + ")"
 	l.oopses++
-	for _, c := range l.cancelBg {
-		c()
-	}
-	l.cancelBg = nil
+	l.stopBackground()
 	l.brd.StopTimer(0)
 	l.brd.Trace().Addf(l.brd.Now(), sim.KindPanic, cpu, "root kernel panic: corrupted %s", sim.Str(reg))
 }

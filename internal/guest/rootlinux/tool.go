@@ -165,37 +165,45 @@ func (l *Linux) StartStateWatchdog(id uint32) {
 	if id != 0 {
 		l.CellID = id
 	}
-	l.cancelBg = append(l.cancelBg, l.brd.Engine.Every(stateQueryEvery, func() {
-		if l.paniced || l.CellID == 0 {
-			return
-		}
-		if st, err := l.CellState(l.CellID); err == nil {
-			l.brd.Trace().Addf(l.brd.Now(), sim.KindCellEvent, 0, "watchdog: cell %d state=%v", sim.Int(int64(l.CellID)), sim.Str(st.String()))
-		}
-	}))
+	l.cancelBg = append(l.cancelBg, l.brd.Engine.Every(stateQueryEvery, board.EvLinuxStateQuery, 0, 0))
+}
+
+// queryState is one watchdog probe.
+func (l *Linux) queryState() {
+	if l.paniced || l.CellID == 0 {
+		return
+	}
+	if st, err := l.CellState(l.CellID); err == nil {
+		l.brd.Trace().Addf(l.brd.Now(), sim.KindCellEvent, 0, "watchdog: cell %d state=%v", sim.Int(int64(l.CellID)), sim.Str(st.String()))
+	}
 }
 
 // StartRecreateLoop arms the E1 workload: repeatedly destroy and recreate
 // the cell so the management hypercall path stays hot for the injector.
-// period is the cycle time; the loop stops silently after a root panic.
+// period is the cycle time; each cycle creates cfg and loads the guest
+// makeInmate returns. The loop stops silently after a root panic.
 func (l *Linux) StartRecreateLoop(cfg *jailhouse.CellConfig, makeInmate func() jailhouse.Inmate, period sim.Time) {
-	l.cancelBg = append(l.cancelBg, l.brd.Engine.Every(period, func() {
-		if l.paniced {
-			return
+	l.recreateCfg, l.makeInmate = cfg, makeInmate
+	l.cancelBg = append(l.cancelBg, l.brd.Engine.Every(period, board.EvLinuxRecreate, 0, 0))
+}
+
+// recreate is one cycle of the recreate loop.
+func (l *Linux) recreate() {
+	if l.paniced {
+		return
+	}
+	if l.CellID != 0 {
+		if err := l.CellDestroy(l.CellID); err == nil {
+			l.CellID = 0
 		}
-		if l.CellID != 0 {
-			if err := l.CellDestroy(l.CellID); err == nil {
-				l.CellID = 0
-			}
-		}
-		if err := l.CellCreate(cfg); err != nil {
-			return // EINVAL path: cell not allocated, try next cycle
-		}
-		if err := l.CellLoad(l.CellID, nil, makeInmate()); err != nil {
-			return
-		}
-		if err := l.CellStart(l.CellID); err != nil {
-			return
-		}
-	}))
+	}
+	if err := l.CellCreate(l.recreateCfg); err != nil {
+		return // EINVAL path: cell not allocated, try next cycle
+	}
+	if err := l.CellLoad(l.CellID, nil, l.makeInmate()); err != nil {
+		return
+	}
+	if err := l.CellStart(l.CellID); err != nil {
+		return
+	}
 }

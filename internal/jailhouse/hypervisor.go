@@ -125,7 +125,23 @@ func New(b *board.Board) *Hypervisor {
 	for i := 0; i < board.NumCPUs; i++ {
 		h.percpu = append(h.percpu, newPerCPU(i))
 	}
+	b.Handle(board.EvCellCPUBoot, func(cpu int32, cell uint64) { h.bootGuest(int(cpu), uint32(cell), true) })
+	b.Handle(board.EvPSCIBoot, func(cpu int32, cell uint64) { h.bootGuest(int(cpu), uint32(cell), false) })
 	return h
+}
+
+// bootGuest runs a scheduled guest boot on cpu: the guest of cell id
+// starts there unless the hypervisor panicked, the CPU left the cell's
+// guest execution, or (unlessParked) the CPU was parked meanwhile. A
+// cell destroyed before the boot fires boots nothing.
+func (h *Hypervisor) bootGuest(cpu int, id uint32, unlessParked bool) {
+	p := h.PerCPU(cpu)
+	if h.panicked || !p.OnlineInCell || (unlessParked && p.Parked) {
+		return
+	}
+	if cell, ok := h.CellByID(id); ok && cell.Guest != nil {
+		cell.Guest.Boot(cpu)
+	}
 }
 
 // Board returns the underlying board.
@@ -247,6 +263,16 @@ func (h *Hypervisor) Cells() []*Cell {
 	out := make([]*Cell, len(h.cells))
 	copy(out, h.cells)
 	return out
+}
+
+// Hosts reports whether guest is loaded into one of the cells.
+func (h *Hypervisor) Hosts(guest Inmate) bool {
+	for _, c := range h.cells {
+		if c.Guest == guest {
+			return true
+		}
+	}
+	return false
 }
 
 // CellByID returns the cell with the given ID.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"github.com/dessertlab/certify/internal/armv7"
+	"github.com/dessertlab/certify/internal/board"
 	"github.com/dessertlab/certify/internal/gic"
 	"github.com/dessertlab/certify/internal/sim"
 )
@@ -88,12 +89,7 @@ func (h *Hypervisor) dispatchIRQ(cpu, effectiveIRQ, rawIRQ int) {
 		h.brd.CPUs[cpu].Online = true
 		h.trace(sim.KindCellEvent, cpu, "cpu online in cell %q", sim.Str(cell.Name()))
 		if cell.Guest != nil {
-			guest := cell.Guest
-			h.brd.Engine.After(100*sim.Microsecond, func() {
-				if !h.panicked && p.OnlineInCell && !p.Parked {
-					guest.Boot(cpu)
-				}
-			})
+			h.brd.Engine.After(100*sim.Microsecond, board.EvCellCPUBoot, int32(cpu), uint64(cell.ID))
 		}
 	case effectiveIRQ == sgiEventPark && gic.IsSGI(effectiveIRQ):
 		h.cpuPark(cpu, "park request SGI")

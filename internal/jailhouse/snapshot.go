@@ -1,6 +1,9 @@
 package jailhouse
 
 import (
+	"bytes"
+	"slices"
+
 	"github.com/dessertlab/certify/internal/armv7"
 	"github.com/dessertlab/certify/internal/memmap"
 	"github.com/dessertlab/certify/internal/sim"
@@ -12,10 +15,10 @@ import (
 // or at a later checkpoint — restored in place so neither the boot path
 // nor the golden prefix of a run is replayed. Cell and guest objects are
 // captured by pointer plus content — the snapshot belongs to one
-// machine, and the closures scheduled on its engine reference exactly
-// these objects, so restoring content into the same objects is what
-// keeps those closures valid. The console is append-only and is held as
-// a length; its content lives once in the golden console log.
+// machine, whose guests and cell configurations reference exactly these
+// objects, so restoring content into the same objects keeps them valid.
+// The console is append-only and is held as a length; its content lives
+// once in the golden console log.
 
 // cellSnapshot is the captured content of one Cell.
 type cellSnapshot struct {
@@ -110,13 +113,86 @@ func (h *Hypervisor) PublishConsole(l *sim.Prefix[string]) *sim.Prefix[string] {
 // RestoreSnapshot rewinds the hypervisor to a captured state in place.
 // Cells the run created after the capture are dropped from the cell
 // list; cells present at capture get their content written back into
-// the same objects, so guest models and scheduled closures holding those
-// pointers keep working. The console is rewritten from the golden log,
+// the same objects, so guest models holding those pointers keep working. The console is rewritten from the golden log,
 // copying only the lines past from (the snapshot this hypervisor last
 // captured or restored on the same golden lineage; nil when unknown).
 // The injection hook comes back as captured: a run installs its own
 // after the restore.
 func (h *Hypervisor) RestoreSnapshot(s *Snapshot, console *sim.Prefix[string], from *Snapshot) {
+	h.restoreState(s)
+	valid := 0
+	if from != nil {
+		valid = from.console
+	}
+	h.ConsoleLines = sim.Rewind(h.ConsoleLines, console, valid, s.console)
+}
+
+// Splice moves a hypervisor whose state matches golden snapshot from to
+// the later golden snapshot to: the state becomes to's, and the console
+// keeps this run's lines and gains the golden lines between the two
+// snapshots from the golden console log.
+func (h *Hypervisor) Splice(from, to *Snapshot, console *sim.Prefix[string]) {
+	h.restoreState(to)
+	h.ConsoleLines = append(h.ConsoleLines, console.Items()[from.console:to.console]...)
+}
+
+// Matches reports whether the hypervisor state equals the snapshot's:
+// everything RestoreSnapshot restores except the console, a log, and
+// the injection hook, which each run installs. Cells are compared by
+// identity (ID and creation configuration) and content, not by object: a cell the run created after the capture is a different
+// object from the golden run's, and a restore rebinds the golden one.
+func (h *Hypervisor) Matches(s *Snapshot) bool {
+	if h.sysCfg != s.sysCfg || h.enabled != s.enabled || h.panicked != s.panicked ||
+		h.panicMsg != s.panicMsg || h.nextCellID != s.nextCellID || h.fwTainted != s.fwTainted ||
+		h.hypTraps != s.hypTraps || len(h.cells) != len(s.cells) || len(h.ivshmem) != len(s.ivshmem) ||
+		!bytes.Equal(h.putcAccum, s.putcAccum) || !slices.Equal(h.irqCtx, s.irqCtx) ||
+		!slices.Equal(h.irqCtxBusy, s.irqCtxBusy) {
+		return false
+	}
+	for i, p := range h.percpu {
+		sp := s.percpu[i]
+		if !sameCell(p.cell, sp.cell) {
+			return false
+		}
+		sp.cell = p.cell
+		if *p != sp {
+			return false
+		}
+	}
+	for i := range s.cells {
+		cs, c := &s.cells[i], h.cells[i]
+		if !sameCell(c, cs.cell) || c.State != cs.state || c.Loadable != cs.loadable ||
+			c.CommPending != cs.commPending || c.Guest != cs.guest ||
+			!slices.Equal(c.Config.IRQLines, cs.irqLines) || !c.Stage2.Matches(cs.stage2) ||
+			!slices.Equal(c.CPUList(), cs.cpus) {
+			return false
+		}
+	}
+	for i := range s.ivshmem {
+		ls, l := &s.ivshmem[i], h.ivshmem[i]
+		if l != ls.link || l.ringsA != ls.ringsA || l.ringsB != ls.ringsB {
+			return false
+		}
+	}
+	return slices.Equal(h.OfflinedCPUs(), s.offlined)
+}
+
+// sameCell reports whether two cell objects are the same cell: the same
+// ID created from the same configuration, or both nil. Every create
+// decodes its configuration afresh from guest memory, so configurations
+// compare by the content fixed at creation (IRQ lines can grow later
+// and are compared as cell content).
+func sameCell(a, b *Cell) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	ca, cb := a.Config, b.Config
+	return a.ID == b.ID && (ca == cb || ca.Name == cb.Name && ca.CPUSet == cb.CPUSet &&
+		ca.ConsoleBase == cb.ConsoleBase && slices.Equal(ca.MemRegions, cb.MemRegions))
+}
+
+// restoreState rewinds everything but the console to s.
+func (h *Hypervisor) restoreState(s *Snapshot) {
 	h.sysCfg = s.sysCfg
 	h.enabled = s.enabled
 	h.panicked, h.panicMsg = s.panicked, s.panicMsg
@@ -148,11 +224,6 @@ func (h *Hypervisor) RestoreSnapshot(s *Snapshot, console *sim.Prefix[string], f
 		h.rootOfflined[cpu] = true
 	}
 	h.Hook = s.hook
-	valid := 0
-	if from != nil {
-		valid = from.console
-	}
-	h.ConsoleLines = sim.Rewind(h.ConsoleLines, console, valid, s.console)
 	h.putcAccum = append(h.putcAccum[:0], s.putcAccum...)
 	copy(h.irqCtx, s.irqCtx)
 	copy(h.irqCtxBusy, s.irqCtxBusy)

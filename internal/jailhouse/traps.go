@@ -280,12 +280,7 @@ func (h *Hypervisor) psciCPUOn(cell *Cell, target int) int32 {
 	p.OnlineInCell = true
 	delete(h.rootOfflined, target)
 	if cell.Guest != nil {
-		guest := cell.Guest
-		h.brd.Engine.After(50*sim.Microsecond, func() {
-			if !h.panicked && p.OnlineInCell {
-				guest.Boot(target)
-			}
-		})
+		h.brd.Engine.After(50*sim.Microsecond, board.EvPSCIBoot, int32(target), uint64(cell.ID))
 	}
 	h.trace(sim.KindCellEvent, target, "psci: CPU_ON into cell %q", sim.Str(cell.Name()))
 	return armv7.PSCIRetSuccess

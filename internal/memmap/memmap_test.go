@@ -386,3 +386,50 @@ func TestCarveEdgeCases(t *testing.T) {
 		t.Fatalf("regions left = %d", s.Len())
 	}
 }
+
+// TestRAMMatchesComparesPagesTheImagesDisagreeOn: a RAM restored to an
+// early image and left untouched must not match a later image of the
+// same lineage that differs in a page the RAM never wrote — the check
+// has to visit pages whose images differ, not only dirtied pages.
+func TestRAMMatchesComparesPagesTheImagesDisagreeOn(t *testing.T) {
+	m := NewRAM(0x4000_0000, 1<<20)
+	_ = m.WriteWord(0x4000_0000, 1)
+	early := m.CaptureSnapshot()
+	_ = m.WriteWord(0x4000_2000, 7) // a page only the later image has
+	_ = m.WriteWord(0x4000_0000, 2) // a page both images hold, changed
+	later := m.CaptureSnapshot()
+
+	m.RestoreSnapshot(early)
+	if !m.Matches(early) {
+		t.Fatal("restored RAM does not match its own image")
+	}
+	if m.Matches(later) {
+		t.Fatal("RAM at the early image matches the later image")
+	}
+	_ = m.WriteWord(0x4000_0000, 2)
+	if m.Matches(later) {
+		t.Fatal("RAM missing a page of the later image matches it")
+	}
+	_ = m.WriteWord(0x4000_2000, 7)
+	if !m.Matches(later) {
+		t.Fatal("RAM rewritten to the later content does not match it")
+	}
+
+	// Splice moves a RAM matching one image to a later one.
+	m.RestoreSnapshot(early)
+	m.Splice(early, later)
+	if !m.Matches(later) || m.Digest() != digestOf(later) {
+		t.Fatal("splice did not reach the later image")
+	}
+	m.RestoreSnapshot(early)
+	if !m.Matches(early) {
+		t.Fatal("restore after a splice missed a spliced page")
+	}
+}
+
+// digestOf digests a snapshot image through a scratch RAM.
+func digestOf(s *RAMSnapshot) uint64 {
+	r := NewRAM(0x4000_0000, 1<<20)
+	r.RestoreSnapshot(s)
+	return r.Digest()
+}

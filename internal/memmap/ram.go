@@ -1,6 +1,7 @@
 package memmap
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
@@ -266,6 +267,102 @@ func (m *RAM) RestoreSnapshot(s *RAMSnapshot) (dirtied, restored int) {
 	m.allDirty = false
 	m.lastSnap = s
 	return dirtied, restored
+}
+
+// Matches reports whether the RAM's content equals image s, reading
+// absent pages as zero. When the RAM tracks writes relative to its last
+// snapshot, only pages that can differ are compared: pages written
+// since that snapshot, and pages whose image in s differs by reference
+// from the snapshot's. Images of one RAM share every page not written
+// between their captures, so a shared page holds equal content.
+func (m *RAM) Matches(s *RAMSnapshot) bool {
+	base := m.lastSnap
+	if !m.tracking || m.allDirty || base == nil {
+		for page := range m.pages {
+			if !m.pageMatches(page, s) {
+				return false
+			}
+		}
+		base = &RAMSnapshot{}
+	} else {
+		for page := range m.dirty {
+			if !m.pageMatches(page, s) {
+				return false
+			}
+		}
+	}
+	for page, img := range s.pages {
+		if prev, ok := base.pages[page]; ok && samePage(prev, img) {
+			continue
+		}
+		if !m.pageMatches(page, s) {
+			return false
+		}
+	}
+	for page := range base.pages {
+		if _, ok := s.pages[page]; !ok && !m.pageMatches(page, s) {
+			return false
+		}
+	}
+	return true
+}
+
+// samePage reports whether two image pages share their storage.
+func samePage(a, b []byte) bool { return &a[0] == &b[0] }
+
+// pageMatches compares one live page with its image in s.
+func (m *RAM) pageMatches(page uint64, s *RAMSnapshot) bool {
+	live, img := m.pages[page], s.pages[page]
+	switch {
+	case live == nil && img == nil:
+		return true
+	case live == nil:
+		return isZero(img)
+	case img == nil:
+		return isZero(live)
+	}
+	return bytes.Equal(live, img)
+}
+
+func isZero(p []byte) bool {
+	for _, b := range p {
+		if b != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// Splice moves a RAM whose content matches image from to the later
+// image to, both captured on this RAM: only pages whose image differs by
+// reference are rewritten, and they join the dirty set, so the next
+// restore of the RAM's last snapshot copies them back.
+func (m *RAM) Splice(from, to *RAMSnapshot) {
+	set := func(page uint64, img []byte) {
+		if img == nil {
+			delete(m.pages, page)
+		} else {
+			p, live := m.pages[page]
+			if !live {
+				p = make([]byte, pageSize)
+				m.pages[page] = p
+			}
+			copy(p, img)
+		}
+		if m.tracking {
+			m.dirty[page] = struct{}{}
+		}
+	}
+	for page, img := range to.pages {
+		if prev, ok := from.pages[page]; !ok || !samePage(prev, img) {
+			set(page, img)
+		}
+	}
+	for page := range from.pages {
+		if _, ok := to.pages[page]; !ok {
+			set(page, nil)
+		}
+	}
 }
 
 // Digest folds the materialised content into a 64-bit FNV-1a hash,

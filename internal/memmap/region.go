@@ -9,6 +9,7 @@ package memmap
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -264,6 +265,10 @@ func (s *Stage2) CaptureSnapshot() []Region {
 func (s *Stage2) RestoreSnapshot(regions []Region) {
 	s.regions = append(s.regions[:0], regions...)
 }
+
+// Matches reports whether the region list equals regions (as returned
+// by CaptureSnapshot).
+func (s *Stage2) Matches(regions []Region) bool { return slices.Equal(s.regions, regions) }
 
 // Regions returns a copy of the mapped regions in ascending Virt order.
 func (s *Stage2) Regions() []Region {

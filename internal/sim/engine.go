@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // ErrHalted is returned by Run when the machine was halted by a component
@@ -10,21 +12,32 @@ import (
 // horizon was reached. Reaching the horizon normally is not an error.
 var ErrHalted = errors.New("sim: engine halted")
 
+// Handler delivers one event: target and arg are the data the event was
+// scheduled with. Handlers are installed once per engine (SetHandler) and
+// are configuration, not run state: a queued event is plain data — a
+// handler kind, a target index and an argument — so the queue can be
+// copied, compared and digested like any other machine state.
+type Handler func(target int32, arg uint64)
+
+// HandlerKind indexes an engine's handler table.
+type HandlerKind uint8
+
 // slot is one entry of the engine's pooled event slab. Slots are recycled
 // through a free list: popping an event returns its slot immediately, so a
 // campaign's steady-state event population allocates nothing per event.
 type slot struct {
 	when Time
 	seq  uint64 // tie-breaker: FIFO among same-instant events
-	fn   func()
+	arg  uint64
 	// period > 0 marks a periodic event (Every): the slot is not freed on
-	// pop — after its callback returns it is re-pushed at when+period with
-	// a fresh seq. Keeping periodicity in the slab (instead of closure
-	// state inside the tick function) is what makes the scheduler
-	// snapshot-restorable: a captured slot array carries everything a
-	// periodic timer needs to keep firing after a restore.
+	// pop — after its handler returns it is re-pushed at when+period with
+	// a fresh seq. Periodicity lives in the slab, so a captured slot
+	// array carries everything a periodic timer needs to keep firing
+	// after a restore.
 	period Time
+	target int32
 	gen    uint32 // bumped on every free; stale handles become no-ops
+	kind   HandlerKind
 	// canceled events stay in the heap but are skipped when popped;
 	// this keeps cancellation O(1).
 	canceled bool
@@ -42,7 +55,7 @@ type heapEnt struct {
 	idx  int32
 }
 
-// Event is a cheap, copyable handle to a scheduled callback. The zero
+// Event is a cheap, copyable handle to a scheduled event. The zero
 // value is valid and cancels nothing. Handles are generation-checked:
 // canceling an event that already fired (even if its slot has been reused
 // by a newer event) is a safe no-op.
@@ -81,6 +94,13 @@ type Engine struct {
 	trace    *Trace
 	halted   bool
 	haltMsg  string
+
+	// handlers is the dispatch table, indexed by slot kind. Like
+	// wedgeLimit it is configuration: Reset and snapshot restores keep it.
+	handlers []Handler
+	// Scratch for delivery-order views of queues (Queue, QueueMatches).
+	order        []heapEnt
+	live, golden []QueuedEvent
 
 	// executed counts events delivered (canceled pops excluded) since
 	// the last Reset. Pure telemetry for the flight recorder's
@@ -126,7 +146,6 @@ func (e *Engine) Reset(seed uint64) {
 	e.heap = e.heap[:0]
 	e.freeList = e.freeList[:0]
 	for i := range e.slots {
-		e.slots[i].fn = nil
 		e.slots[i].period = 0
 		e.slots[i].gen++
 		e.freeList = append(e.freeList, int32(i))
@@ -184,10 +203,19 @@ func (e *Engine) siftDown(i int) {
 	}
 }
 
-// Schedule enqueues fn to run at absolute virtual time when. Times in the
-// past are clamped to "now" (the event still runs, after already-queued
-// events for the current instant). The returned handle can cancel it.
-func (e *Engine) Schedule(when Time, fn func()) Event {
+// SetHandler installs h as the handler of events of kind k.
+func (e *Engine) SetHandler(k HandlerKind, h Handler) {
+	for int(k) >= len(e.handlers) {
+		e.handlers = append(e.handlers, nil)
+	}
+	e.handlers[k] = h
+}
+
+// Schedule enqueues an event of kind k for target with argument arg at
+// absolute virtual time when. Times in the past are clamped to "now"
+// (the event still runs, after already-queued events for the current
+// instant). The returned handle can cancel it.
+func (e *Engine) Schedule(when Time, k HandlerKind, target int32, arg uint64) Event {
 	if when < e.now {
 		when = e.now
 	}
@@ -200,33 +228,32 @@ func (e *Engine) Schedule(when Time, fn func()) Event {
 		idx = int32(len(e.slots) - 1)
 	}
 	s := &e.slots[idx]
-	s.when, s.seq, s.fn, s.period, s.canceled = when, e.seq, fn, 0, false
+	s.when, s.seq, s.period, s.canceled = when, e.seq, 0, false
+	s.kind, s.target, s.arg = k, target, arg
 	e.seq++
 	e.heap = append(e.heap, heapEnt{when: s.when, seq: s.seq, idx: idx})
 	e.siftUp(len(e.heap) - 1)
 	return Event{eng: e, idx: idx, gen: s.gen}
 }
 
-// After enqueues fn to run d after the current instant.
-func (e *Engine) After(d Time, fn func()) Event {
-	return e.Schedule(e.now+d, fn)
+// After enqueues an event d after the current instant.
+func (e *Engine) After(d Time, k HandlerKind, target int32, arg uint64) Event {
+	return e.Schedule(e.now+d, k, target, arg)
 }
 
-// Every schedules fn at now+d, then every d thereafter, until the returned
-// cancel function is called or the engine halts. The periodicity lives in
-// the event slot itself (slot.period), not in closure state: the slot is
-// kept across deliveries and re-pushed after each callback with a fresh
-// sequence number — exactly the seq the old re-scheduling closure would
-// have drawn, so same-instant tie-breaks are unchanged. Because the whole
-// timer is slab state, a scheduler snapshot captures it and a restore
-// revives it, which closure-local stop latches could never survive.
-func (e *Engine) Every(d Time, fn func()) (cancel func()) {
+// Every schedules an event at now+d, then every d thereafter, until the
+// returned handle is canceled or the engine halts. The periodicity lives
+// in the event slot itself (slot.period): the slot is kept across
+// deliveries and re-pushed after each handler call with a fresh sequence
+// number, so same-instant tie-breaks are those of a handler that
+// rescheduled itself on return.
+func (e *Engine) Every(d Time, k HandlerKind, target int32, arg uint64) Event {
 	if d <= 0 {
 		d = Nanosecond
 	}
-	ev := e.Schedule(e.now+d, fn)
+	ev := e.Schedule(e.now+d, k, target, arg)
 	e.slots[ev.idx].period = d
-	return ev.Cancel
+	return ev
 }
 
 // Halt stops the run: Run returns ErrHalted once the current event
@@ -255,26 +282,23 @@ func (e *Engine) removeRoot() {
 // free returns a slot to the free list, invalidating outstanding handles.
 func (e *Engine) free(idx int32) {
 	s := &e.slots[idx]
-	s.fn = nil
 	s.period = 0
 	s.gen++
 	e.freeList = append(e.freeList, idx)
 }
 
 // rearm re-keys a delivered periodic slot to now+period with a fresh
-// sequence number — drawn after the callback ran, matching the seq the
-// old closure-based Every consumed when it rescheduled itself. The slot
-// was left at the heap root during the callback (nothing the callback can
-// schedule sorts before an already-due event, so the root cannot move),
-// which makes the re-arm an in-place key update plus one sift-down
-// instead of a remove/re-push pair. A halt during the callback, or a
-// cancel through the timer's handle, frees the slot instead: the chain
-// ends exactly where the closure latch ended it.
+// sequence number, drawn after the handler ran. The slot was left at the
+// heap root during the handler (nothing a handler can schedule sorts
+// before an already-due event, so the root cannot move), which makes the
+// re-arm an in-place key update plus one sift-down instead of a
+// remove/re-push pair. A halt during the handler, or a cancel through the
+// timer's handle, frees the slot instead.
 func (e *Engine) rearm(idx int32) {
 	s := &e.slots[idx]
 	pos := 0
 	if len(e.heap) == 0 || e.heap[0].idx != idx {
-		// Defensive: the callback re-entered the scheduler in a way that
+		// Defensive: the handler re-entered the scheduler in a way that
 		// displaced the root. Locate the slot the slow way.
 		pos = -1
 		for i := range e.heap {
@@ -311,6 +335,25 @@ func (e *Engine) removeAt(pos int) {
 	}
 }
 
+// deliver dispatches the due event in slot idx, the heap root, through
+// the handler table. A periodic slot stays at the root while its handler
+// runs and rearm re-keys it in place; a one-shot slot is freed before
+// its handler runs, so a handler that schedules may reuse the very slot
+// being delivered.
+func (e *Engine) deliver(idx int32) {
+	s := &e.slots[idx]
+	h := e.handlers[s.kind]
+	if s.period > 0 {
+		h(s.target, s.arg)
+		e.rearm(idx)
+		return
+	}
+	target, arg := s.target, s.arg
+	e.removeRoot()
+	e.free(idx)
+	h(target, arg)
+}
+
 // Run executes events in order until the queue is empty, the horizon is
 // passed, or the engine is halted. The engine's clock ends at exactly
 // horizon when the horizon is reached normally.
@@ -338,19 +381,7 @@ func (e *Engine) Run(horizon Time) error {
 			continue
 		}
 		e.now = top.when
-		if s.period > 0 {
-			// Periodic: the slot stays at the root while its callback
-			// runs; rearm re-keys it in place.
-			s.fn()
-			e.rearm(top.idx)
-		} else {
-			// One-shot: freed before the callback runs, so a callback
-			// that schedules may reuse the very slot being delivered.
-			fn := s.fn
-			e.removeRoot()
-			e.free(top.idx)
-			fn()
-		}
+		e.deliver(top.idx)
 		e.executed++
 		if e.now != lastNow {
 			lastNow = e.now
@@ -383,15 +414,7 @@ func (e *Engine) Step() bool {
 			continue
 		}
 		e.now = top.when
-		if s.period > 0 {
-			s.fn()
-			e.rearm(top.idx)
-		} else {
-			fn := s.fn
-			e.removeRoot()
-			e.free(top.idx)
-			fn()
-		}
+		e.deliver(top.idx)
 		e.executed++
 		return true
 	}
@@ -399,14 +422,12 @@ func (e *Engine) Step() bool {
 }
 
 // EngineSnapshot is a copy of the scheduler at one instant: clock,
-// sequence counter, the whole event slab (callbacks included — closures
-// are captured by reference, which is safe because every closure the
-// machine schedules references machine objects whose content the
-// machine-level checkpoint restores), the free list, the heap order and
-// the trace position. The trace records themselves are not copied: they
-// live once in the golden TraceLog the restore is handed. A snapshot is
-// immutable after capture and may be restored into its engine any
-// number of times.
+// sequence counter, the whole event slab, the free list, the heap order
+// and the trace position. Queued events are plain data (kind, target,
+// argument), so the snapshot holds no reference into any machine. The
+// trace records themselves are not copied: they live once in the golden
+// TraceLog the restore is handed. A snapshot is immutable after capture
+// and may be restored any number of times.
 type EngineSnapshot struct {
 	now      Time
 	seq      uint64
@@ -420,10 +441,7 @@ type EngineSnapshot struct {
 func (s *EngineSnapshot) Now() Time { return s.now }
 
 // CaptureSnapshot copies the engine's scheduler state and marks the
-// trace position (folding the digest up to it). The snapshot belongs to
-// this engine: slot callbacks are closures over the machine that
-// scheduled them, so restoring it into a different engine would
-// resurrect events that mutate the wrong machine.
+// trace position (folding the digest up to it).
 func (e *Engine) CaptureSnapshot() *EngineSnapshot {
 	return &EngineSnapshot{
 		now:      e.now,
@@ -437,26 +455,17 @@ func (e *Engine) CaptureSnapshot() *EngineSnapshot {
 
 // RestoreSnapshot rewinds the engine to a captured state and reseeds the
 // RNG, reusing the live slab/heap/trace buffers. Slot generations are
-// restored exactly, so Event handles held inside snapshotted closures
-// (periodic-timer cancels, watchdog handles) remain valid after the
-// restore; handles minted after the capture are invalidated. halted and
+// restored exactly, so Event handles captured alongside the snapshot
+// (periodic-timer cancels) remain valid after the restore; handles
+// minted after the capture are invalidated. halted and
 // the executed counter reset as Reset would — they are run products.
 // The trace is rewound from the golden log l (Trace.Rewind); from is the
 // snapshot the engine last captured or restored on the same golden
 // lineage, nil when unknown.
 func (e *Engine) RestoreSnapshot(s *EngineSnapshot, seed uint64, l *TraceLog, from *EngineSnapshot) {
-	e.now, e.seq = s.now, s.seq
+	e.restoreQueue(s)
 	e.halted, e.haltMsg = false, ""
 	e.executed = 0
-	// Slots the run added beyond the snapshot's slab retain closures (and
-	// whatever those closures capture); zero them before truncating so the
-	// copy-back cannot pin dead run state.
-	for i := len(s.slots); i < len(e.slots); i++ {
-		e.slots[i] = slot{}
-	}
-	e.slots = append(e.slots[:0], s.slots...)
-	e.freeList = append(e.freeList[:0], s.freeList...)
-	e.heap = append(e.heap[:0], s.heap...)
 	e.rng.Reseed(seed)
 	var valid TraceMark
 	if from != nil {
@@ -472,3 +481,98 @@ func (e *Engine) Executed() uint64 { return e.executed }
 // Pending returns the number of events currently queued, including
 // canceled-but-unpopped ones. Diagnostic only.
 func (e *Engine) Pending() int { return len(e.heap) }
+
+// restoreQueue copies a snapshot's clock and scheduler state into the
+// live buffers; the copies never alias the snapshot's arrays.
+func (e *Engine) restoreQueue(s *EngineSnapshot) {
+	e.now, e.seq = s.now, s.seq
+	e.slots = append(e.slots[:0], s.slots...)
+	e.freeList = append(e.freeList[:0], s.freeList...)
+	e.heap = append(e.heap[:0], s.heap...)
+}
+
+// QueuedEvent is one pending event as data.
+type QueuedEvent struct {
+	When     Time
+	Period   Time // > 0 for a periodic event
+	Kind     HandlerKind
+	Target   int32
+	Arg      uint64
+	Canceled bool
+}
+
+// Queue appends the pending events to buf in delivery order — ascending
+// (when, seq), canceled-but-unpopped events included — and returns it.
+// Sequence numbers are left out: only the order they impose is state.
+func (e *Engine) Queue(buf []QueuedEvent) []QueuedEvent {
+	return e.queueOf(buf, e.slots, e.heap)
+}
+
+// queueOf appends the events of the queue (slots, heap) to buf in
+// delivery order.
+func (e *Engine) queueOf(buf []QueuedEvent, slots []slot, heap []heapEnt) []QueuedEvent {
+	order := append(e.order[:0], heap...)
+	slices.SortFunc(order, func(a, b heapEnt) int {
+		if a.when != b.when {
+			return cmp.Compare(a.when, b.when)
+		}
+		return cmp.Compare(a.seq, b.seq)
+	})
+	e.order = order
+	for _, h := range order {
+		s := &slots[h.idx]
+		buf = append(buf, QueuedEvent{
+			When: s.when, Period: s.period, Kind: s.kind,
+			Target: s.target, Arg: s.arg, Canceled: s.canceled,
+		})
+	}
+	return buf
+}
+
+// QueueMatches reports whether the engine's clock and pending events
+// equal the snapshot's: the same events (QueuedEvent) in the same
+// delivery order. Absolute sequence numbers and slab positions may
+// differ — they decide nothing but that order.
+func (e *Engine) QueueMatches(s *EngineSnapshot) bool {
+	if e.now != s.now || len(e.heap) != len(s.heap) {
+		return false
+	}
+	e.live = e.Queue(e.live[:0])
+	e.golden = e.queueOf(e.golden[:0], s.slots, s.heap)
+	return slices.Equal(e.live, e.golden)
+}
+
+// SameEvent reports whether the live handle ev and the handle golden,
+// held by state captured with snapshot s, refer to the same event of two
+// matching queues (QueueMatches): the event at the same delivery
+// position, or no pending event at all. Handles are compared by what
+// they cancel, not by slab position.
+func (e *Engine) SameEvent(ev Event, s *EngineSnapshot, golden Event) bool {
+	return rank(e, e.slots, e.heap, ev) == rank(e, s.slots, s.heap, golden)
+}
+
+// rank returns the delivery position of the pending event ev refers to
+// in a queue of e, or -1 when ev refers to none (zero or stale handle).
+func rank(e *Engine, slots []slot, heap []heapEnt, ev Event) int {
+	if ev.eng != e || ev.idx < 0 || int(ev.idx) >= len(slots) || slots[ev.idx].gen != ev.gen {
+		return -1
+	}
+	s := &slots[ev.idx]
+	n := 0
+	for _, h := range heap {
+		if h.when < s.when || (h.when == s.when && h.seq < s.seq) {
+			n++
+		}
+	}
+	return n
+}
+
+// Splice moves the engine from a state matching golden snapshot from to
+// the later golden snapshot to without running the events in between:
+// the scheduler becomes to's, and the trace keeps this run's records and
+// gains the golden records between the two snapshots from l. The RNG is
+// left as it is — a golden stretch draws nothing from it.
+func (e *Engine) Splice(from, to *EngineSnapshot, l *TraceLog) {
+	e.restoreQueue(to)
+	e.trace.Splice(l, from.trace, to.trace)
+}

@@ -8,8 +8,9 @@ import "testing"
 
 func TestPoolCancelThenReuseKeepsHandlesStale(t *testing.T) {
 	e := NewEngine(1)
+	cb := callbacks(e)
 	aRan, bRan := false, false
-	a := e.Schedule(10, func() { aRan = true })
+	a := cb.Schedule(10, func() { aRan = true })
 	a.Cancel()
 	if err := e.Run(20); err != nil {
 		t.Fatalf("Run: %v", err)
@@ -18,7 +19,7 @@ func TestPoolCancelThenReuseKeepsHandlesStale(t *testing.T) {
 		t.Fatal("canceled event ran")
 	}
 	// The canceled event's slot is free now; the next schedule reuses it.
-	b := e.Schedule(30, func() { bRan = true })
+	b := cb.Schedule(30, func() { bRan = true })
 	// A stale cancel through the old handle must NOT kill the new event,
 	// even though both handles may point at the same slab slot.
 	a.Cancel()
@@ -34,11 +35,12 @@ func TestPoolCancelThenReuseKeepsHandlesStale(t *testing.T) {
 
 func TestPoolSameInstantFIFOAcrossSlabReuse(t *testing.T) {
 	e := NewEngine(1)
+	cb := callbacks(e)
 	var got []int
 	// First wave populates and then frees a pile of slots.
 	for i := 0; i < 8; i++ {
 		i := i
-		e.Schedule(5, func() { got = append(got, i) })
+		cb.Schedule(5, func() { got = append(got, i) })
 	}
 	if err := e.Run(6); err != nil {
 		t.Fatalf("Run: %v", err)
@@ -49,7 +51,7 @@ func TestPoolSameInstantFIFOAcrossSlabReuse(t *testing.T) {
 	got = got[:0]
 	for i := 0; i < 8; i++ {
 		i := i
-		e.Schedule(10, func() { got = append(got, i) })
+		cb.Schedule(10, func() { got = append(got, i) })
 	}
 	if err := e.Run(20); err != nil {
 		t.Fatalf("Run: %v", err)
@@ -63,9 +65,10 @@ func TestPoolSameInstantFIFOAcrossSlabReuse(t *testing.T) {
 
 func TestPoolEveryCancellationAfterHalt(t *testing.T) {
 	e := NewEngine(1)
+	cb := callbacks(e)
 	n := 0
-	cancel := e.Every(10, func() { n++ })
-	e.Schedule(25, func() { e.Halt("panic_stop") })
+	cancel := cb.Every(10, func() { n++ })
+	cb.Schedule(25, func() { e.Halt("panic_stop") })
 	_ = e.Run(1000)
 	if n != 2 {
 		t.Fatalf("ticks before halt = %d, want 2", n)
@@ -73,8 +76,8 @@ func TestPoolEveryCancellationAfterHalt(t *testing.T) {
 	// Canceling the periodic chain after the engine halted must be a
 	// safe no-op (the pending tick's slot may already be stale or even
 	// reused on a later reset).
-	cancel()
-	cancel()
+	cancel.Cancel()
+	cancel.Cancel()
 	if halted, _ := e.Halted(); !halted {
 		t.Fatal("engine should stay halted")
 	}
@@ -82,13 +85,14 @@ func TestPoolEveryCancellationAfterHalt(t *testing.T) {
 
 func TestPoolScheduleFromCallbackReusesDeliveredSlot(t *testing.T) {
 	e := NewEngine(1)
+	cb := callbacks(e)
 	order := []int{}
 	// The delivered event's slot is freed before its callback runs, so a
 	// schedule from inside the callback may land in the same slot. The
 	// rescheduled event must still fire normally.
-	e.Schedule(10, func() {
+	cb.Schedule(10, func() {
 		order = append(order, 1)
-		e.Schedule(20, func() { order = append(order, 2) })
+		cb.Schedule(20, func() { order = append(order, 2) })
 	})
 	if err := e.Run(30); err != nil {
 		t.Fatalf("Run: %v", err)
@@ -100,8 +104,9 @@ func TestPoolScheduleFromCallbackReusesDeliveredSlot(t *testing.T) {
 
 func TestEngineResetRecyclesStateAndInvalidatesHandles(t *testing.T) {
 	e := NewEngine(7)
+	cb := callbacks(e)
 	ran := false
-	stale := e.Schedule(10, func() { ran = true })
+	stale := cb.Schedule(10, func() { ran = true })
 	e.Trace().Add(5, KindNote, 0, "pre-reset record")
 	firstDraw := e.RNG().Uint64()
 
@@ -118,7 +123,7 @@ func TestEngineResetRecyclesStateAndInvalidatesHandles(t *testing.T) {
 	}
 	// A handle from before the reset must not cancel post-reset events.
 	ran2 := false
-	e.Schedule(10, func() { ran2 = true })
+	cb.Schedule(10, func() { ran2 = true })
 	stale.Cancel()
 	if err := e.Run(20); err != nil {
 		t.Fatalf("Run: %v", err)
@@ -133,16 +138,16 @@ func TestEngineResetRecyclesStateAndInvalidatesHandles(t *testing.T) {
 
 func TestScheduleIsAllocationFreeInSteadyState(t *testing.T) {
 	e := NewEngine(3)
-	fn := func() {}
+	e.SetHandler(1, func(int32, uint64) {})
 	// Warm the slab.
 	for i := 0; i < 64; i++ {
-		e.Schedule(Time(i), fn)
+		e.Schedule(Time(i), 1, 0, 0)
 	}
 	if err := e.Run(1000); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	avg := testing.AllocsPerRun(200, func() {
-		e.Schedule(e.Now()+1, fn)
+		e.Schedule(e.Now()+1, 1, 0, 0)
 		e.Step()
 	})
 	if avg != 0 {

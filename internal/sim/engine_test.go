@@ -8,10 +8,11 @@ import (
 
 func TestEngineRunsEventsInTimeOrder(t *testing.T) {
 	e := NewEngine(1)
+	cb := callbacks(e)
 	var got []int
-	e.Schedule(30, func() { got = append(got, 3) })
-	e.Schedule(10, func() { got = append(got, 1) })
-	e.Schedule(20, func() { got = append(got, 2) })
+	cb.Schedule(30, func() { got = append(got, 3) })
+	cb.Schedule(10, func() { got = append(got, 1) })
+	cb.Schedule(20, func() { got = append(got, 2) })
 	if err := e.Run(100); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -28,10 +29,11 @@ func TestEngineRunsEventsInTimeOrder(t *testing.T) {
 
 func TestEngineSameInstantIsFIFO(t *testing.T) {
 	e := NewEngine(1)
+	cb := callbacks(e)
 	var got []int
 	for i := 0; i < 10; i++ {
 		i := i
-		e.Schedule(5, func() { got = append(got, i) })
+		cb.Schedule(5, func() { got = append(got, i) })
 	}
 	if err := e.Run(10); err != nil {
 		t.Fatalf("Run: %v", err)
@@ -45,8 +47,9 @@ func TestEngineSameInstantIsFIFO(t *testing.T) {
 
 func TestEngineHorizonStopsFutureEvents(t *testing.T) {
 	e := NewEngine(1)
+	cb := callbacks(e)
 	ran := false
-	e.Schedule(200, func() { ran = true })
+	cb.Schedule(200, func() { ran = true })
 	if err := e.Run(100); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -60,8 +63,9 @@ func TestEngineHorizonStopsFutureEvents(t *testing.T) {
 
 func TestEngineCancel(t *testing.T) {
 	e := NewEngine(1)
+	cb := callbacks(e)
 	ran := false
-	ev := e.Schedule(10, func() { ran = true })
+	ev := cb.Schedule(10, func() { ran = true })
 	ev.Cancel()
 	if err := e.Run(100); err != nil {
 		t.Fatalf("Run: %v", err)
@@ -77,9 +81,10 @@ func TestEngineCancel(t *testing.T) {
 
 func TestEngineHalt(t *testing.T) {
 	e := NewEngine(1)
-	e.Schedule(10, func() { e.Halt("hypervisor panic_stop") })
+	cb := callbacks(e)
+	cb.Schedule(10, func() { e.Halt("hypervisor panic_stop") })
 	laterRan := false
-	e.Schedule(20, func() { laterRan = true })
+	cb.Schedule(20, func() { laterRan = true })
 	err := e.Run(100)
 	if !errors.Is(err, ErrHalted) {
 		t.Fatalf("Run err = %v, want ErrHalted", err)
@@ -95,14 +100,15 @@ func TestEngineHalt(t *testing.T) {
 
 func TestEngineEvery(t *testing.T) {
 	e := NewEngine(1)
+	cb := callbacks(e)
 	n := 0
-	cancel := e.Every(10, func() {
+	cancel := cb.Every(10, func() {
 		n++
 		if n == 5 {
 			// cancel from inside the callback must stop future ticks
 		}
 	})
-	e.Schedule(55, func() { cancel() })
+	cb.Schedule(55, func() { cancel.Cancel() })
 	if err := e.Run(200); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -113,9 +119,10 @@ func TestEngineEvery(t *testing.T) {
 
 func TestEngineEveryStopsOnHalt(t *testing.T) {
 	e := NewEngine(1)
+	cb := callbacks(e)
 	n := 0
-	e.Every(10, func() { n++ })
-	e.Schedule(35, func() { e.Halt("dead") })
+	cb.Every(10, func() { n++ })
+	cb.Schedule(35, func() { e.Halt("dead") })
 	_ = e.Run(1000)
 	if n != 3 {
 		t.Fatalf("tick count = %d, want 3", n)
@@ -124,9 +131,10 @@ func TestEngineEveryStopsOnHalt(t *testing.T) {
 
 func TestEngineScheduleInPastClampsToNow(t *testing.T) {
 	e := NewEngine(1)
+	cb := callbacks(e)
 	var at Time
-	e.Schedule(50, func() {
-		e.Schedule(10, func() { at = e.Now() }) // "past" event
+	cb.Schedule(50, func() {
+		cb.Schedule(10, func() { at = e.Now() }) // "past" event
 	})
 	if err := e.Run(100); err != nil {
 		t.Fatalf("Run: %v", err)
@@ -138,9 +146,10 @@ func TestEngineScheduleInPastClampsToNow(t *testing.T) {
 
 func TestEngineStep(t *testing.T) {
 	e := NewEngine(1)
+	cb := callbacks(e)
 	count := 0
-	e.Schedule(10, func() { count++ })
-	e.Schedule(20, func() { count++ })
+	cb.Schedule(10, func() { count++ })
+	cb.Schedule(20, func() { count++ })
 	if !e.Step() || count != 1 {
 		t.Fatalf("first Step: count = %d", count)
 	}
@@ -326,16 +335,17 @@ func indexOf(s, sub string) int {
 func TestPropertyDeterministicReplay(t *testing.T) {
 	run := func(seed uint64) uint64 {
 		e := NewEngine(seed)
+		cb := callbacks(e)
 		var step func()
 		n := 0
 		step = func() {
 			n++
 			e.Trace().Addf(e.Now(), KindNote, n%4, "step %d r=%d", Int(int64(n)), Int(int64(e.RNG().Intn(100))))
 			if n < 500 {
-				e.After(Time(1+e.RNG().Intn(50)), step)
+				cb.After(Time(1+e.RNG().Intn(50)), step)
 			}
 		}
-		e.After(1, step)
+		cb.After(1, step)
 		if err := e.Run(1 << 40); err != nil {
 			t.Fatalf("Run: %v", err)
 		}

@@ -22,6 +22,14 @@ func (p *Prefix[T]) Len() int {
 	return len(p.items)
 }
 
+// Items returns the version's items, which must not be modified.
+func (p *Prefix[T]) Items() []T {
+	if p == nil {
+		return nil
+	}
+	return p.items
+}
+
 // Extend returns the version covering log[:n]. log[:p.Len()] must equal
 // p's items — the log is a later state of the same golden run. A version
 // that already covers n is returned unchanged.

@@ -11,12 +11,13 @@ import (
 // tracing what they do. If wedgeAt > 0, an event at that instant starts
 // a zero-delay self-rescheduling storm that trips the wedge watchdog.
 func segmentLoad(e *Engine, seed uint64, wedgeAt Time) {
+	cb := callbacks(e)
 	rng := NewRNG(seed)
 	var pending []Event
 	for i := 0; i < 4; i++ {
 		id := i
 		period := Time(1+rng.Intn(300)) * Millisecond
-		e.Every(period, func() {
+		cb.Every(period, func() {
 			e.Trace().Addf(e.Now(), KindIRQ, id, "tick %d", Int(int64(id)))
 		})
 	}
@@ -25,9 +26,9 @@ func segmentLoad(e *Engine, seed uint64, wedgeAt Time) {
 		e.Trace().Addf(e.Now(), KindTask, -1, "chain depth %d", Int(int64(depth)))
 		switch rng.Intn(5) {
 		case 0:
-			e.After(0, func() { chain(depth + 1) }) // same instant
+			cb.After(0, func() { chain(depth + 1) }) // same instant
 		case 1:
-			e.Schedule(e.Now()-Millisecond, func() { chain(depth + 1) }) // clamped
+			cb.Schedule(e.Now()-Millisecond, func() { chain(depth + 1) }) // clamped
 		case 2:
 			if n := len(pending); n > 0 {
 				pending[n-1].Cancel()
@@ -35,17 +36,17 @@ func segmentLoad(e *Engine, seed uint64, wedgeAt Time) {
 			}
 			fallthrough
 		default:
-			ev := e.After(Time(rng.Intn(700))*Millisecond, func() { chain(depth + 1) })
+			ev := cb.After(Time(rng.Intn(700))*Millisecond, func() { chain(depth + 1) })
 			pending = append(pending, ev)
 		}
 	}
 	for i := 0; i < 3; i++ {
-		e.After(Time(rng.Intn(900))*Millisecond, func() { chain(0) })
+		cb.After(Time(rng.Intn(900))*Millisecond, func() { chain(0) })
 	}
 	if wedgeAt > 0 {
 		var spin func()
-		spin = func() { e.After(0, spin) }
-		e.Schedule(wedgeAt, spin)
+		spin = func() { cb.After(0, spin) }
+		cb.Schedule(wedgeAt, spin)
 	}
 }
 

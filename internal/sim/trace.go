@@ -522,3 +522,20 @@ func (t *Trace) Summary() string {
 	}
 	return strings.Join(parts, " ")
 }
+
+// Splice appends the golden records between marks from and to of log l
+// — the stretch a run skipped after rejoining the golden trajectory at
+// from — and folds them into the running digest when hashing is
+// incremental. The records are published, hence rendered, so their
+// argument positions only need shifting to this trace's arena.
+func (t *Trace) Splice(l *TraceLog, from, to TraceMark) {
+	shift := len(t.args) - from.args
+	t.args = append(t.args, l.args.items[from.args:to.args]...)
+	for _, r := range l.recs.items[from.recs:to.recs] {
+		r.argPos = uint32(int(r.argPos) + shift)
+		t.recs = append(t.recs, r)
+	}
+	if t.incremental {
+		t.foldTo(len(t.recs))
+	}
+}

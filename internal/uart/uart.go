@@ -155,6 +155,25 @@ func (u *UART) RestoreSnapshot(s *Snapshot, l Log, from *Snapshot) {
 	u.OnLine = s.onLine
 }
 
+// Matches reports whether the UART's register state and the line in
+// progress equal the snapshot's. The captured lines and bytes are logs,
+// not state, and are not compared.
+func (u *UART) Matches(s *Snapshot) bool {
+	return u.ier == s.ier && u.lcr == s.lcr && u.noBytes == s.noBytes && u.cur.String() == s.cur
+}
+
+// Splice moves a UART whose state matches golden snapshot from to the
+// later golden snapshot to: the registers and the line in progress
+// become to's, and the captures gain the golden lines and bytes between
+// the two snapshots from l, after this run's own.
+func (u *UART) Splice(from, to *Snapshot, l Log) {
+	u.ier, u.lcr = to.ier, to.lcr
+	u.txLog = append(u.txLog, l.bytes.Items()[from.bytes:to.bytes]...)
+	u.lines = append(u.lines, l.lines.Items()[from.lines:to.lines]...)
+	u.cur.Reset()
+	u.cur.WriteString(to.cur)
+}
+
 // PutByte transmits one byte.
 func (u *UART) PutByte(b byte) {
 	if !u.noBytes {

@@ -26,6 +26,11 @@
 #                                    # gain), E1-hvc (recreate cycles) and
 #                                    # A3-irqchip (injects at ~2 s: must not
 #                                    # regress). Use BENCHTIME>=5x.
+#   scripts/bench.sh layers          # the per-layer hot paths: one HVC round
+#                                    # trip, one trapped MMIO read, one armed
+#                                    # injector hook, one GIC ack/EOI cycle,
+#                                    # one FreeRTOS tick and one cold golden
+#                                    # virtual minute (event dispatch)
 #   scripts/bench.sh inspect         # indexed dossier random access vs full
 #                                    # sequential scan on a 10k-run artefact,
 #                                    # plain and gzip
@@ -100,6 +105,8 @@ elif [ "$PATTERN" = "snapshot" ]; then
     PATTERN='SnapshotRestore|WarmMachineCampaign|CampaignThroughput'
 elif [ "$PATTERN" = "checkpoint" ]; then
     PATTERN='Figure3MediumIntensityCampaign|E1HighIntensityRootHVC|A3IRQChipInjection'
+elif [ "$PATTERN" = "layers" ]; then
+    PATTERN='HypercallPath|TrapMMIOEmulation|InjectorHook|GICAckEOI|SchedulerTick|VirtualMinute'
 elif [ "$PATTERN" = "inspect" ]; then
     PATTERN='DossierRandomAccess'
 elif [ "$PATTERN" = "serve" ]; then
