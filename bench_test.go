@@ -304,14 +304,12 @@ func BenchmarkObsOverhead(b *testing.B) {
 	}
 }
 
-// BenchmarkWarmMachineCampaign measures what the warm machine pool buys
-// over the campaign's reuse ladder: "cold" rebuilds the whole stack per
-// run (no scratch, no pool — the pre-reuse configuration), "scratch" is
-// the default per-worker warm machine, "pool" shares one warm pool
-// across workers and across iterations, so from iteration 2 on every
-// machine Get is a deep reset. The differential determinism suite pins
-// all three rows to identical results; runs_per_sec is the only number
-// allowed to move.
+// BenchmarkWarmMachineCampaign measures what the warm machine pool buys:
+// "cold" rebuilds the whole stack per run (ColdBuild, the pre-reuse
+// reference path), "pool" shares one warm pool across workers and
+// across iterations, so from iteration 2 on no run builds a machine.
+// The differential determinism suite pins both rows to identical
+// results; runs_per_sec is the only number allowed to move.
 func BenchmarkWarmMachineCampaign(b *testing.B) {
 	plan := *core.PlanE3Fig3()
 	plan.Duration = 5 * sim.Second
@@ -341,12 +339,6 @@ func BenchmarkWarmMachineCampaign(b *testing.B) {
 				Mode: core.ModeDistribution, ColdBuild: true}
 		})
 	})
-	b.Run("scratch", func(b *testing.B) {
-		bench(b, func() *core.Campaign {
-			return &core.Campaign{Plan: &plan, Runs: runs, MasterSeed: 2022,
-				Mode: core.ModeDistribution}
-		})
-	})
 	pool := core.NewMachinePool()
 	b.Run("pool", func(b *testing.B) {
 		bench(b, func() *core.Campaign {
@@ -358,17 +350,16 @@ func BenchmarkWarmMachineCampaign(b *testing.B) {
 
 // BenchmarkSnapshotRestore isolates the per-run machine recycling cost
 // the pool pays: restoring the post-boot image over a machine that just
-// ran ("after-run", the steady state of a warm campaign), the floor cost
-// of restoring an undirtied machine ("clean"), and the boot-replaying
-// deep reset the snapshot path replaced ("deep-reset") for the ratio.
-// The dirty-run virtual second is excluded from the timer.
+// ran ("after-run", the steady state of a warm campaign) and the floor
+// cost of restoring an undirtied machine ("clean"). The dirty-run
+// virtual second is excluded from the timer.
 func BenchmarkSnapshotRestore(b *testing.B) {
 	opts := core.DefaultMachineOptions(1)
 	m, err := core.BuildMachine(opts)
 	if err != nil {
 		b.Fatal(err)
 	}
-	m.CaptureSnapshot(opts)
+	m.CaptureSnapshot()
 
 	b.Run("clean", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -383,16 +374,6 @@ func BenchmarkSnapshotRestore(b *testing.B) {
 			m.Run(1 * sim.Second)
 			b.StartTimer()
 			if err := m.Restore(opts); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("deep-reset", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			m.Run(1 * sim.Second)
-			b.StartTimer()
-			if err := m.DeepReset(opts); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -171,10 +171,10 @@ func NewCPU(index int) *CPU {
 	return c
 }
 
-// Reset restores the core to its power-on state in place — the warm
-// machine-reuse path. Every architectural register, banked copy and the
-// HYP virtualization state return to the values NewCPU establishes; the
-// bank map itself is kept allocated.
+// Reset restores the core to its power-on state in place: every
+// architectural register, banked copy and the HYP virtualization state
+// return to the values NewCPU establishes; the bank map itself is kept
+// allocated. NewCPU builds through it.
 func (c *CPU) Reset() {
 	c.regs = [NumRegs]uint32{}
 	c.cpsr = uint32(ModeSVC) | CPSRIRQ | CPSRFIQ | CPSRAbort

@@ -102,28 +102,14 @@ type Board struct {
 	mmio   []mmioRange
 }
 
-// Scratch holds the reusable heavy buffers of a board — the engine (event
-// slab, heap, trace) and the UART capture buffers. A campaign worker keeps
-// one Scratch and threads it through consecutive board builds so each run
-// recycles the previous run's allocations. Never share between goroutines.
-type Scratch struct {
-	Engine *sim.Engine
-	UART0  *uart.UART
-	UART7  *uart.UART
-}
-
 // Options tunes board assembly.
 type Options struct {
-	// Scratch, when non-nil, recycles buffers from a previous board. Empty
-	// fields are populated on first use so the next build reuses them.
-	Scratch *Scratch
 	// NoByteCapture disables the UARTs' raw transmitted-byte logs (line
 	// capture is unaffected). Distribution-mode campaigns set this.
 	NoByteCapture bool
 	// TraceRecordHint/TraceArgHint pre-size the engine trace's arenas
 	// (sim.Trace.Grow) — the plan-profile capacity estimate. Zero means
-	// no pre-sizing; a reused engine that already grew past the hint is
-	// unaffected.
+	// no pre-sizing.
 	TraceRecordHint int
 	TraceArgHint    int
 }
@@ -133,31 +119,11 @@ func New(seed uint64) *Board {
 	return NewWithOptions(seed, Options{})
 }
 
-// NewWithOptions builds a powered-on board, optionally recycling the
-// reusable buffers held in opts.Scratch.
+// NewWithOptions builds a powered-on board.
 func NewWithOptions(seed uint64, opts Options) *Board {
-	s := opts.Scratch
-	if s == nil {
-		s = &Scratch{} // throwaway: same create path, nothing recycled
-	}
-	if s.Engine == nil {
-		s.Engine = sim.NewEngine(seed)
-	} else {
-		s.Engine.Reset(seed)
-	}
-	eng := s.Engine
+	eng := sim.NewEngine(seed)
 	eng.Trace().Grow(opts.TraceRecordHint, opts.TraceArgHint)
-	if s.UART0 == nil {
-		s.UART0 = uart.New("uart0", eng.Now)
-	} else {
-		s.UART0.Reset("uart0", eng.Now)
-	}
-	if s.UART7 == nil {
-		s.UART7 = uart.New("uart7", eng.Now)
-	} else {
-		s.UART7.Reset("uart7", eng.Now)
-	}
-	u0, u7 := s.UART0, s.UART7
+	u0, u7 := uart.New("uart0", eng.Now), uart.New("uart7", eng.Now)
 	u0.SetCaptureBytes(!opts.NoByteCapture)
 	u7.SetCaptureBytes(!opts.NoByteCapture)
 	b := &Board{
@@ -171,9 +137,6 @@ func NewWithOptions(seed uint64, opts Options) *Board {
 	}
 	for i := 0; i < NumCPUs; i++ {
 		b.CPUs = append(b.CPUs, armv7.NewCPU(i))
-	}
-	for k := sim.HandlerKind(0); k < NumEventKinds; k++ {
-		eng.SetHandler(k, nil) // a recycled engine drops the last machine's handlers
 	}
 	b.Handle(EvTimer, func(cpu int32, _ uint64) { _ = b.GIC.RaisePPI(int(cpu), gic.IRQVirtualTimer) })
 	b.addMMIO("uart0", UART0Base, uart.RegionSize,
@@ -197,35 +160,6 @@ func NewWithOptions(seed uint64, opts Options) *Board {
 			return nil
 		})
 	return b
-}
-
-// DeepReset restores the whole board to its power-on state in place: the
-// engine rewinds to time zero with the new seed, the UARTs, GIC, GPIO
-// bank and RAM return to their reset state, every CPU goes back to its
-// out-of-reset register file, and all timer programming is dropped. The
-// MMIO routing is structural (it closes over the device objects, which
-// survive) and needs no rebuild. Nothing is reallocated — this is the
-// warm machine-reuse path, and its observable result must be
-// indistinguishable from NewWithOptions (the differential determinism
-// suite in internal/core holds it to that).
-func (b *Board) DeepReset(seed uint64, opts Options) {
-	b.Engine.Reset(seed)
-	b.Engine.Trace().Grow(opts.TraceRecordHint, opts.TraceArgHint)
-	b.UART0.Reset("uart0", b.Engine.Now)
-	b.UART7.Reset("uart7", b.Engine.Now)
-	b.UART0.SetCaptureBytes(!opts.NoByteCapture)
-	b.UART7.SetCaptureBytes(!opts.NoByteCapture)
-	b.RAM.Reset()
-	b.GIC.Reset()
-	b.GPIO.Reset(b.Engine.Now)
-	for _, c := range b.CPUs {
-		c.Reset()
-	}
-	for i := range b.timers {
-		// The engine reset already dropped the events; the handles are
-		// stale and must not survive into the next run.
-		b.timers[i] = Timer{}
-	}
 }
 
 // Snapshot is the whole board at one instant: scheduler (events, clock,
@@ -301,26 +235,19 @@ func (b *Board) Publish(l *Log) *Log {
 // RestoreSnapshot rewinds the board to a captured state with a fresh RNG
 // seed, reusing every live buffer. The logs are rewritten from the
 // golden log l, which must cover the snapshot; from is the snapshot the
-// board last captured or restored on the same golden lineage (nil when
-// unknown), whose log prefix is already in place and is not copied
-// again. Returns how many RAM pages the preceding run dirtied and how
-// many the restore copied back — the flight recorder's dirty-page
-// metrics. The observable result must be indistinguishable from the
+// board last captured or restored on the same golden lineage, whose log
+// prefix is already in place and is not copied again. Returns how many
+// RAM pages the preceding run dirtied and how many the restore copied
+// back — the flight recorder's dirty-page metrics. The observable result must be indistinguishable from the
 // straight run that reached the snapshot (the differential and
 // checkpoint exactness suites in internal/core hold it to that).
 func (b *Board) RestoreSnapshot(s *Snapshot, seed uint64, l *Log, from *Snapshot) (dirtied, restored int) {
-	var fromEngine *sim.EngineSnapshot
-	var fromUART0, fromUART7 *uart.Snapshot
-	var fromGPIO *gpio.Snapshot
-	if from != nil {
-		fromEngine, fromUART0, fromUART7, fromGPIO = from.engine, from.uart0, from.uart7, from.gpio
-	}
-	b.Engine.RestoreSnapshot(s.engine, seed, l.trace, fromEngine)
+	b.Engine.RestoreSnapshot(s.engine, seed, l.trace, from.engine)
 	dirtied, restored = b.RAM.RestoreSnapshot(s.ram)
 	b.GIC.RestoreSnapshot(s.gic)
-	b.UART0.RestoreSnapshot(s.uart0, l.uart0, fromUART0)
-	b.UART7.RestoreSnapshot(s.uart7, l.uart7, fromUART7)
-	b.GPIO.RestoreSnapshot(s.gpio, l.gpio, fromGPIO)
+	b.UART0.RestoreSnapshot(s.uart0, l.uart0, from.uart0)
+	b.UART7.RestoreSnapshot(s.uart7, l.uart7, from.uart7)
+	b.GPIO.RestoreSnapshot(s.gpio, l.gpio, from.gpio)
 	for i, c := range b.CPUs {
 		c.RestoreSnapshot(s.cpus[i])
 	}

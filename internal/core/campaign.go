@@ -160,13 +160,13 @@ func (c *CampaignResult) MergeFrom(o *CampaignResult) {
 // Campaign runs a plan N times with independent derived seeds, fanning
 // out across workers. Every run is an isolated deterministic machine, so
 // parallelism cannot perturb results; the aggregate is seed-reproducible.
-// Each worker keeps one warm machine (via its RunScratch): after the
-// first cold build, consecutive runs rewind it to the latest golden
-// checkpoint their injector cannot have fired before (see DESIGN.md
-// "Golden timeline") instead of rebuilding the stack. Setting Pool
-// shares warm machines across workers and across campaigns instead. The
-// differential determinism and checkpoint exactness suites pin warm ==
-// cold, so neither reuse mode can perturb results.
+// Workers draw warm machines from a MachinePool — Pool when set, else
+// one pool private to the campaign: after the first cold builds,
+// consecutive runs rewind a machine to the latest golden checkpoint
+// their injector cannot have fired before (see DESIGN.md "Golden
+// timeline") instead of rebuilding the stack. The differential
+// determinism and checkpoint exactness suites pin warm == cold, so
+// reuse cannot perturb results.
 type Campaign struct {
 	// Plan to execute.
 	Plan *TestPlan
@@ -195,16 +195,16 @@ type Campaign struct {
 	// is byte-identical for any worker count. It must not retain r past
 	// the call in ModeDistribution.
 	OnRun func(index int, r *RunResult)
-	// Pool, when non-nil, supplies warm machines to all workers from one
-	// shared pool instead of one private warm machine per worker. Pass
-	// the same pool to successive campaigns (or shards executing in the
-	// same process) to keep machines warm across them.
+	// Pool, when non-nil, supplies the workers' warm machines instead of
+	// a pool private to this campaign. Pass the same pool to successive
+	// campaigns (or shards executing in the same process) to keep
+	// machines warm across them.
 	Pool *MachinePool
-	// ColdBuild disables machine reuse entirely: every run constructs a
-	// fresh stack. This is the pre-reuse baseline — kept for the warm
-	// bench's comparison row and for bisecting a suspected reuse bug
-	// (results must never differ from the warm paths; the differential
-	// determinism suite enforces exactly that).
+	// ColdBuild disables machine reuse entirely, Pool included: every
+	// run constructs a fresh stack. This is the reference path — kept
+	// for the warm bench's comparison row and for bisecting a suspected
+	// reuse bug (results must never differ from the pooled path; the
+	// differential determinism suite enforces exactly that).
 	ColdBuild bool
 	// Stop, when non-nil, makes the campaign adaptive. Classified runs
 	// are always committed in strict global-index order (a reorder
@@ -301,22 +301,17 @@ func (c *Campaign) execute(ctx context.Context, n, workers int, seeds []uint64, 
 		finished = make(chan completion, workers)
 		stopFeed = make(chan struct{})
 	)
+	ro := RunOptions{Mode: c.Mode, Pool: c.Pool, CaptureTraceHash: c.OnRun != nil}
+	switch {
+	case c.ColdBuild:
+		ro.Pool = nil // fresh build per run
+	case ro.Pool == nil:
+		ro.Pool = NewMachinePool()
+	}
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			ro := RunOptions{
-				Mode:             c.Mode,
-				CaptureTraceHash: c.OnRun != nil,
-			}
-			switch {
-			case c.ColdBuild:
-				// fresh build per run
-			case c.Pool != nil:
-				ro.Pool = c.Pool
-			default:
-				ro.Scratch = NewRunScratch()
-			}
 			for idx := range work {
 				r, err := RunExperimentOpts(planFor(idx), seeds[idx], ro)
 				finished <- completion{idx, r, err}

@@ -42,10 +42,14 @@ func pooledRun(t *testing.T, pool *MachinePool, plan *TestPlan, seed uint64) (*R
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pool.Size() != 1 {
-		t.Fatalf("pool holds %d machines, want the one warm machine", pool.Size())
+	n := pool.Size()
+	if n == 0 {
+		t.Fatal("run left no warm machine in the pool")
 	}
-	m := pool.idle[0]
+	m := pool.idle[n-1] // the run's machine, parked last
+	if m.profile != profileOf(runMachineOptions(plan, seed, ModeFull)) {
+		t.Fatalf("last parked machine serves another profile than %s", plan.Name)
+	}
 	return res, m.StateDigest(), m
 }
 
@@ -58,15 +62,14 @@ func quietVariant(plan *TestPlan) *TestPlan {
 	return &q
 }
 
-// timelineFor returns m's timeline for a run of plan at seed.
-func timelineFor(t *testing.T, m *Machine, plan *TestPlan, seed uint64) *timeline {
+// timelineFor returns m's timeline for a run of plan.
+func timelineFor(t *testing.T, m *Machine, plan *TestPlan) *timeline {
 	t.Helper()
-	pk := profileOf(runMachineOptions(plan, seed, ModeFull))
 	armOffset := sim.Time(0)
 	if plan.Workload == WorkloadSteady {
 		armOffset = 2 * sim.Second
 	}
-	key := timelineKeyOf(pk, plan, armOffset)
+	key := timelineKeyOf(plan, armOffset)
 	for _, tl := range m.timelines {
 		if tl.key == key {
 			return tl
@@ -122,7 +125,7 @@ func checkEveryCheckpoint(t *testing.T, plan *TestPlan, seeds []uint64) {
 	pool := NewMachinePool()
 	quiet := quietVariant(plan)
 	_, _, m := pooledRun(t, pool, quiet, 1)
-	tl := timelineFor(t, m, plan, 1)
+	tl := timelineFor(t, m, plan)
 	if got, want := tl.frontier().at(), plan.EffectiveDuration(); got != want {
 		t.Fatalf("quiet run recorded the timeline to %v, want the horizon %v", got, want)
 	}
@@ -252,7 +255,7 @@ func TestChosenCheckpointPrecedesFirstInjection(t *testing.T) {
 		plan.Duration = horizon
 		pool := NewMachinePool()
 		_, _, m := pooledRun(t, pool, quietVariant(&plan), 1)
-		tl := timelineFor(t, m, &plan, 1)
+		tl := timelineFor(t, m, &plan)
 		for i := 0; i < samples; i++ {
 			p := plan
 			p.Rate = 1 + rng.Intn(120)
@@ -325,9 +328,10 @@ func TestTraceBudgetCoversBuiltinPlans(t *testing.T) {
 	}
 }
 
-// TestCheckpointsSurviveProfileSwitches interleaves plans of different
-// boot profiles on one pooled machine, so every run rewinds from another
-// profile's state and timeline: each must still equal its straight run.
+// TestCheckpointsSurviveProfileSwitches interleaves full-length plans
+// of different boot profiles on one pool, so each profile's machine
+// resumes its own timelines between the other profiles' runs: each run
+// must still equal its straight run.
 func TestCheckpointsSurviveProfileSwitches(t *testing.T) {
 	pool := NewMachinePool()
 	plans := []*TestPlan{PlanE3Fig3(), PlanE1HVC(), PlanE2Core1()}

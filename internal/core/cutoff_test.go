@@ -111,7 +111,7 @@ func TestCutoffNeedsEveryCheck(t *testing.T) {
 	quiet := quietVariant(&plan)
 	pool := NewMachinePool()
 	_, _, m := pooledRun(t, pool, quiet, 1)
-	tl := timelineFor(t, m, &plan, 1)
+	tl := timelineFor(t, m, &plan)
 	origin := tl.cps[0].at()
 	horizon := origin + plan.EffectiveDuration()
 	b := origin + 6*checkpointSpacing

@@ -100,16 +100,16 @@ func TestSerialAndParallelCampaignsAgree(t *testing.T) {
 }
 
 // TestScratchReuseDoesNotPerturbRuns runs the same seed list twice —
-// once with a shared worker scratch (machine reuse), once cold — and
-// demands identical verdicts and artefact counts.
+// once through one pool (machine reuse), once cold — and demands
+// identical verdicts and artefact counts.
 func TestScratchReuseDoesNotPerturbRuns(t *testing.T) {
 	plan := *PlanE3Fig3()
 	plan.Duration = 8 * sim.Second
 	seeds := []uint64{3, 42, 1011, 0xfeed}
 
-	scratch := NewRunScratch()
+	pool := NewMachinePool()
 	for _, seed := range seeds {
-		warm, err := RunExperimentOpts(&plan, seed, RunOptions{Scratch: scratch})
+		warm, err := RunExperimentOpts(&plan, seed, RunOptions{Pool: pool})
 		if err != nil {
 			t.Fatalf("warm run seed %d: %v", seed, err)
 		}
@@ -118,15 +118,18 @@ func TestScratchReuseDoesNotPerturbRuns(t *testing.T) {
 			t.Fatalf("cold run seed %d: %v", seed, err)
 		}
 		if warm.Outcome() != cold.Outcome() {
-			t.Fatalf("seed %d: scratch reuse changed outcome %v → %v", seed, cold.Outcome(), warm.Outcome())
+			t.Fatalf("seed %d: pooled reuse changed outcome %v → %v", seed, cold.Outcome(), warm.Outcome())
 		}
 		if len(warm.Injections) != len(cold.Injections) || warm.CellLines != cold.CellLines ||
 			warm.DetectionLatency != cold.DetectionLatency || warm.Horizon != cold.Horizon {
-			t.Fatalf("seed %d: scratch reuse changed artefacts: warm=%+v cold=%+v", seed, warm, cold)
+			t.Fatalf("seed %d: pooled reuse changed artefacts: warm=%+v cold=%+v", seed, warm, cold)
 		}
 		if warm.RootTranscript != cold.RootTranscript || warm.CellTranscript != cold.CellTranscript {
-			t.Fatalf("seed %d: scratch reuse changed transcripts", seed)
+			t.Fatalf("seed %d: pooled reuse changed transcripts", seed)
 		}
+	}
+	if builds, reuses := pool.Stats(); builds != 1 || reuses != uint64(len(seeds)-1) {
+		t.Fatalf("pool builds=%d reuses=%d, want 1 and %d", builds, reuses, len(seeds)-1)
 	}
 }
 

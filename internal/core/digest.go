@@ -51,11 +51,11 @@ func (f *fold) str(s string) {
 // own locals).
 //
 // The leak-detection property test relies on this being discriminating:
-// a freshly built machine and a deep-reset machine booted with the same
-// options must digest identically, for any amount of damage the
-// previous run inflicted. When extending a layer with new mutable state,
-// either cover it here or reset it provably — the fuzz test is the
-// enforcement.
+// a freshly built machine and a machine restored to its post-boot image
+// with the same options must digest identically, for any amount of
+// damage the previous run inflicted. When extending a layer with new
+// mutable state, capture it in the layer's snapshot and cover it here —
+// the fuzz test is the enforcement.
 func (m *Machine) StateDigest() uint64 {
 	f := newFold()
 

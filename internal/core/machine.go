@@ -8,6 +8,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
@@ -30,11 +31,11 @@ type Machine struct {
 	// CellID of the FreeRTOS cell.
 	CellID uint32
 
-	// rtosArena recycles FreeRTOS kernels across deep resets (and across
-	// the E1 recreate loop's cycles within one run): each boot draws
-	// kernels from the arena in order, deep-resetting recycled ones, so a
-	// warm machine re-creates its cell workload without reallocating task
-	// control blocks. rtosNext is the next arena slot to hand out.
+	// rtosArena recycles FreeRTOS kernels across cell loads: loads draw
+	// kernels from the arena in order, deep-resetting recycled ones, so
+	// a machine rewound to a checkpoint (or an E1 recreate cycle)
+	// re-creates its cell workload without reallocating task control
+	// blocks. rtosNext is the next arena slot to hand out.
 	rtosArena []*freertos.Kernel
 	rtosNext  int
 
@@ -49,19 +50,20 @@ type Machine struct {
 	// of killing the campaign worker.
 	simFault string
 
-	// boots holds one post-boot image per MachineOptions profile
-	// (options minus seed and scratch): checkpoint 0 of every golden
-	// timeline of that profile. Restore rewinds the machine from it
-	// instead of replaying the boot path. Checkpoints reference this
-	// machine's own objects (cells, kernels, control blocks) and must
-	// never be shared across machines; only their logs are shared.
-	boots map[profileKey]*checkpoint
+	// profile is the boot profile the machine was built for, and postBoot
+	// its post-boot image (nil until CaptureSnapshot): checkpoint 0 of
+	// every golden timeline of the profile. Restore rewinds the machine
+	// from it instead of replaying the boot path. Checkpoints reference
+	// this machine's own objects (cells, kernels, control blocks) and
+	// must never be shared across machines; only their logs are shared.
+	profile  profileKey
+	postBoot *checkpoint
 	// timelines holds the golden timelines of the run shapes this
 	// machine served recently (at most maxTimelines, LRU by lruClock).
 	timelines []*timeline
 	lruClock  uint64
 	// at is the checkpoint last captured or restored: the machine's logs
-	// are golden up to its lengths (nil after a deep reset).
+	// are golden up to its lengths.
 	at *checkpoint
 	// run, when set, makes the next Run a timeline run (see prepare).
 	run timelineRun
@@ -72,8 +74,10 @@ type Machine struct {
 
 // profileKey identifies a boot profile: every MachineOptions field that
 // shapes the post-boot state. Seed is excluded — boot draws nothing from
-// the RNG, so one image serves every seed (restore reseeds) — and so is
-// Scratch, which only selects buffer recycling.
+// the RNG, so one image serves every seed (restore reseeds) — and so
+// are the trace arena hints, which only size buffers. A campaign's
+// profile is fixed by its plan's workload and its capture mode, so
+// campaigns have at most 3 × 2 profiles, whatever their durations.
 type profileKey struct {
 	skipCellStart   bool
 	recreateLoop    bool
@@ -82,8 +86,6 @@ type profileKey struct {
 	delayedCreateAt sim.Time
 	stateWatchdog   bool
 	leanCapture     bool
-	traceRecords    int
-	traceArgs       int
 }
 
 func profileOf(opts MachineOptions) profileKey {
@@ -95,8 +97,6 @@ func profileOf(opts MachineOptions) profileKey {
 		delayedCreateAt: opts.DelayedCreateAt,
 		stateWatchdog:   opts.StateWatchdog,
 		leanCapture:     opts.LeanCapture,
-		traceRecords:    opts.TraceRecords,
-		traceArgs:       opts.TraceArgs,
 	}
 }
 
@@ -118,36 +118,16 @@ type MachineOptions struct {
 	DelayedCreateAt sim.Time
 	// StateWatchdog arms the periodic "jailhouse cell state" probe.
 	StateWatchdog bool
-	// Scratch, when non-nil, recycles the engine (event slab, heap,
-	// trace) and UART buffers of a previous build — the campaign
-	// workers' machine-reuse path. Never share between goroutines.
-	// Ignored by Machine.DeepReset, which reuses the machine's own
-	// buffers wholesale.
-	Scratch *RunScratch
 	// LeanCapture disables the UARTs' raw byte logs; line capture (the
 	// classifier's channel) is unaffected. Set by Distribution mode.
 	LeanCapture bool
 	// TraceRecords/TraceArgs pre-size the engine's trace arenas — the
 	// plan-profile hint from TraceBudget. Zero leaves the arenas to
 	// grow by appending; campaign runs set both via RunExperimentOpts.
+	// A restored machine grows its arenas to the hint of each run.
 	TraceRecords int
 	TraceArgs    int
 }
-
-// RunScratch carries the reusable state one campaign worker threads
-// through consecutive runs: the board's heavy buffers for the first
-// (cold) build, and after that the warm machine itself, which later runs
-// rewind to a golden checkpoint instead of rebuilding. Never share
-// between goroutines.
-type RunScratch struct {
-	board   board.Scratch
-	machine *Machine
-}
-
-// NewRunScratch returns an empty scratch; the first run through it
-// builds cold and parks its machine here, every following run rewinds
-// that machine.
-func NewRunScratch() *RunScratch { return &RunScratch{} }
 
 // DefaultMachineOptions returns the configuration of the paper's main
 // workload: cell started, state watchdog on.
@@ -159,18 +139,14 @@ func DefaultMachineOptions(seed uint64) MachineOptions {
 // hypervisor enable, FreeRTOS cell create/load/start. The returned
 // machine is ready for its engine to run the experiment horizon.
 func BuildMachine(opts MachineOptions) (*Machine, error) {
-	bopts := board.Options{
+	brd := board.NewWithOptions(opts.Seed, board.Options{
 		NoByteCapture:   opts.LeanCapture,
 		TraceRecordHint: opts.TraceRecords,
 		TraceArgHint:    opts.TraceArgs,
-	}
-	if opts.Scratch != nil {
-		bopts.Scratch = &opts.Scratch.board
-	}
-	brd := board.NewWithOptions(opts.Seed, bopts)
+	})
 	hv := jailhouse.New(brd)
 	linux := rootlinux.New(hv)
-	m := &Machine{Board: brd, HV: hv, Linux: linux}
+	m := &Machine{Board: brd, HV: hv, Linux: linux, profile: profileOf(opts)}
 	brd.Handle(board.EvDelayedCreate, func(int32, uint64) { m.delayedCreate() })
 	brd.Handle(board.EvRaiseSPI, func(irq int32, _ uint64) { _ = brd.GIC.RaiseSPI(int(irq)) })
 	brd.Handle(board.EvSendSGI, func(src int32, arg uint64) { _ = brd.GIC.SendSGI(int(src), uint8(arg>>8), int(arg&0xFF)) })
@@ -180,39 +156,12 @@ func BuildMachine(opts MachineOptions) (*Machine, error) {
 	return m, nil
 }
 
-// DeepReset restores every layer of the machine — engine, board
-// peripherals, hypervisor, both guests — to its power-on-equivalent
-// state in place and replays the boot flow for the new options. The
-// result must be observably indistinguishable from BuildMachine with the
-// same options: same trace, same transcripts, same classification for
-// any subsequent run. The differential determinism suite
-// (warmpool_test.go) and the state-digest property test hold it to that
-// promise; MachinePool and RunScratch reuse ride on it.
-//
-// opts.Scratch is ignored: a warm machine recycles its own buffers.
-func (m *Machine) DeepReset(opts MachineOptions) error {
-	m.Board.DeepReset(opts.Seed, board.Options{
-		NoByteCapture:   opts.LeanCapture,
-		TraceRecordHint: opts.TraceRecords,
-		TraceArgHint:    opts.TraceArgs,
-	})
-	m.HV.DeepReset()
-	m.Linux.DeepReset()
-	m.RTOS = nil
-	m.CellID = 0
-	m.rtosNext = 0
-	m.createCfg = nil
-	m.simFault = ""
-	m.at = nil
-	m.run = timelineRun{}
-	m.owed = nil
-	return m.boot(opts)
-}
-
 // newRTOS hands out the next FreeRTOS kernel for a cell load: a recycled
-// arena kernel (deep-reset, workload re-installed) when one is free, a
-// freshly built one otherwise. The choice is invisible to the
-// simulation — a deep-reset kernel is state-identical to a new one.
+// arena kernel (deep-reset, workload re-installed) when one is free — a
+// kernel of an earlier E1 recreate cycle, or one past a restored
+// checkpoint's arena position — a freshly built one otherwise. The
+// choice is invisible to the simulation — a deep-reset kernel is
+// state-identical to a new one.
 func (m *Machine) newRTOS() *freertos.Kernel {
 	if m.rtosNext < len(m.rtosArena) {
 		k := m.rtosArena[m.rtosNext]
@@ -227,11 +176,10 @@ func (m *Machine) newRTOS() *freertos.Kernel {
 	return k
 }
 
-// boot runs the bring-up flow on a pristine (fresh or deep-reset) stack:
-// hypervisor enable, root Linux boot, then the cell lifecycle the
-// options select. It is the single boot path for cold and warm builds,
-// which is what makes warm==cold a structural property rather than a
-// maintained coincidence.
+// boot runs the bring-up flow on a freshly built stack: hypervisor
+// enable, root Linux boot, then the cell lifecycle the options select.
+// Warm machines never replay it: they restore the post-boot image it
+// produced.
 func (m *Machine) boot(opts MachineOptions) error {
 	if err := m.Linux.HypervisorEnable(jailhouse.DefaultSystemConfig()); err != nil {
 		return fmt.Errorf("enable: %w", err)
@@ -309,7 +257,7 @@ func (m *Machine) delayedCreate() {
 // Tainted reports whether the machine may carry corrupted layer state: a
 // recovered Go panic (sim-fault) left the simulation mid-mutation, and a
 // machine wedge left an event storm mid-flight. Such machines must not
-// be parked in a pool or warm-reused; callers rebuild cold instead.
+// be parked in a pool or restored; callers build cold instead.
 func (m *Machine) Tainted() bool {
 	if m.simFault != "" {
 		return true
@@ -319,42 +267,47 @@ func (m *Machine) Tainted() bool {
 }
 
 // CaptureSnapshot stores the machine's current state as the post-boot
-// image for the given options' profile — checkpoint 0 of the profile's
-// golden timelines — and publishes its logs to the profile's golden
-// store. Must be called on a freshly booted machine, before its first
-// Run: the image has to lie on the profile's fault-free trajectory.
-func (m *Machine) CaptureSnapshot(opts MachineOptions) {
-	if m.boots == nil {
-		m.boots = make(map[profileKey]*checkpoint)
-	}
-	pk := profileOf(opts)
-	m.boots[pk] = m.capture(pk)
+// image of its profile — checkpoint 0 of the profile's golden timelines
+// — and publishes its logs to the profile's golden store. Must be
+// called on a freshly built machine, before its first Run: the image
+// has to lie on the profile's fault-free trajectory.
+func (m *Machine) CaptureSnapshot() {
+	m.postBoot = m.capture()
 }
 
-// Restore brings the machine back to the post-boot state for opts: from
-// the profile's post-boot checkpoint when one exists (copying back only
-// dirtied RAM pages, log tails and the captured control blocks — no boot
-// replay), falling back to a full DeepReset otherwise. The first reset
-// of a new profile captures its image, so every later Restore of that
-// profile is cheap. A tainted machine (sim-fault, machine wedge) always
-// deep-resets and never captures — its state is not trusted as a
-// snapshot source. The observable result must be indistinguishable from
-// BuildMachine with the same options; warmpool_test.go's differential
-// suites hold it to that.
+// Restore brings the machine back to the post-boot state for opts from
+// its post-boot image, copying back only dirtied RAM pages, log tails
+// and the captured control blocks — no boot replay. It fails for a
+// machine without an image, for options of another boot profile and
+// for a tainted machine (sim-fault, machine wedge), whose state is not
+// trusted as a restore base: such machines are built anew instead. The
+// observable result must be indistinguishable from BuildMachine with
+// the same options; warmpool_test.go's differential suites hold it to
+// that.
 func (m *Machine) Restore(opts MachineOptions) error {
-	c := m.boots[profileOf(opts)]
-	if c == nil || m.Tainted() {
-		if err := m.DeepReset(opts); err != nil {
-			return err
-		}
-		if c == nil {
-			m.CaptureSnapshot(opts)
-		}
-		return nil
+	boot, err := m.bootImage(opts)
+	if err != nil {
+		return err
 	}
 	m.run = timelineRun{}
-	m.restoreTo(c, opts.Seed)
+	m.restoreTo(boot, opts.Seed)
 	return nil
+}
+
+// bootImage returns the post-boot image a run with opts starts from,
+// after growing the trace arenas to the run's hint, or why the machine
+// cannot serve the run.
+func (m *Machine) bootImage(opts MachineOptions) (*checkpoint, error) {
+	switch {
+	case m.postBoot == nil:
+		return nil, errors.New("core: machine has no post-boot image")
+	case m.profile != profileOf(opts):
+		return nil, errors.New("core: machine was booted for another profile")
+	case m.Tainted():
+		return nil, errors.New("core: machine is tainted")
+	}
+	m.Board.Trace().Grow(opts.TraceRecords, opts.TraceArgs)
+	return m.postBoot, nil
 }
 
 // inmateImage produces the opaque "freertos.bin" bytes the tool writes

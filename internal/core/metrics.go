@@ -34,21 +34,14 @@ var (
 		obs.LatencyBuckets)
 	metRestore = obs.Default.NewHistogram(
 		"certify_pool_machine_restore_seconds",
-		"Warm-machine rewind latency on the pool and scratch paths: a checkpoint restore, or a deep reset for a profile the machine never booted.",
+		"Latency of rewinding a pooled machine for its next run: the post-boot image or golden-timeline checkpoint restore, including any timeline extension the run pays first.",
 		obs.LatencyBuckets)
 	metPoolColdBuilds = obs.Default.NewCounter(
 		"certify_pool_cold_builds_total",
-		"Pool Gets that built a machine cold (pool empty).")
+		"Pool acquisitions that built a machine cold (no idle machine of the requested boot profile).")
 	metPoolReuses = obs.Default.NewCounter(
 		"certify_pool_reuses_total",
 		"Pool acquisitions answered by a warm machine (rewound by checkpoint restore, not rebuilt).")
-
-	metScratchReuses = obs.Default.NewCounter(
-		"certify_core_scratch_reuses_total",
-		"Runs that rewound a warm per-worker scratch machine instead of rebuilding it.")
-	metScratchColdBuilds = obs.Default.NewCounter(
-		"certify_core_scratch_cold_builds_total",
-		"Runs that built a machine cold (first scratch use or no reuse).")
 
 	metSnapshotRestore = obs.Default.NewHistogram(
 		"certify_core_snapshot_restore_seconds",

@@ -1,18 +1,23 @@
 package core
 
 import (
+	"slices"
 	"sync"
 	"time"
 )
 
-// MachinePool recycles fully built machines across experiment runs: Get
-// hands out a warm machine rewound to its post-boot state via
-// Machine.Restore — a checkpoint restore that copies back only dirtied
-// RAM pages, log tails and captured control blocks, never replaying the
-// boot path — building cold only when the pool is empty. The experiment
-// runner goes further and rewinds a pooled machine straight to the
-// latest golden checkpoint its run may start from (see DESIGN.md
-// "Golden timeline"); pooled machines keep their timelines across Gets.
+// MachinePool recycles fully built machines across experiment runs. It
+// is the only source of warm machines: campaigns without a pool of
+// their own get a private one. Every machine serves the one boot
+// profile it was built for. Get hands out an idle machine of the
+// requested profile rewound to its post-boot state via Machine.Restore
+// — a checkpoint restore that copies back only dirtied RAM pages, log
+// tails and captured control blocks, never replaying the boot path —
+// and builds cold, capturing the post-boot image, only when no machine
+// of the profile is idle. The experiment runner goes further and
+// rewinds a pooled machine straight to the latest golden checkpoint its
+// run may start from (see DESIGN.md "Golden timeline"); pooled machines
+// keep their timelines across Gets.
 //
 // The pool is safe for concurrent use; the machines it hands out are
 // not — exactly one goroutine owns a machine between Get and Put. A
@@ -37,11 +42,10 @@ type MachinePool struct {
 // components.
 func NewMachinePool() *MachinePool { return &MachinePool{} }
 
-// Get returns a machine booted for opts: a pooled machine rewound via
-// Machine.Restore when one is idle, a cold build otherwise. A cold
-// build captures its post-boot snapshot before first use, so the
-// machine's later Gets restore instead of resetting. opts.Scratch is
-// ignored for pooled machines (they recycle their own buffers).
+// Get returns a machine booted for opts: a pooled machine of opts'
+// profile rewound via Machine.Restore when one is idle, a cold build
+// otherwise. A cold build captures its post-boot snapshot before first
+// use, so the machine's later Gets restore instead of rebuilding.
 func (p *MachinePool) Get(opts MachineOptions) (*Machine, error) {
 	m, fresh, err := p.take(opts)
 	if err != nil || fresh {
@@ -58,18 +62,24 @@ func (p *MachinePool) Get(opts MachineOptions) (*Machine, error) {
 	return m, nil
 }
 
-// take hands out an idle machine as its last run left it (fresh false;
-// the caller rewinds it — Get to the post-boot image, the experiment
-// runner to a golden checkpoint), or a cold build for opts with its
-// post-boot image captured (fresh true).
+// take hands out the most recently parked idle machine of opts'
+// profile as its last run left it (fresh false; the caller rewinds it —
+// Get to the post-boot image, the experiment runner to a golden
+// checkpoint), or a cold build for opts with its post-boot image
+// captured (fresh true).
 func (p *MachinePool) take(opts MachineOptions) (m *Machine, fresh bool, err error) {
 	start := time.Now()
 	defer metPoolGet.ObserveSince(start)
+	pk := profileOf(opts)
 	p.mu.Lock()
-	if n := len(p.idle); n > 0 {
-		m = p.idle[n-1]
-		p.idle[n-1] = nil
-		p.idle = p.idle[:n-1]
+	for i := len(p.idle) - 1; i >= 0; i-- {
+		if p.idle[i].profile == pk {
+			m = p.idle[i]
+			p.idle = slices.Delete(p.idle, i, i+1)
+			break
+		}
+	}
+	if m != nil {
 		p.reuses++
 	} else {
 		p.builds++
@@ -80,12 +90,11 @@ func (p *MachinePool) take(opts MachineOptions) (m *Machine, fresh bool, err err
 		metPoolReuses.Inc()
 		return m, false, nil
 	}
-	opts.Scratch = nil // pool machines own their buffers
 	metPoolColdBuilds.Inc()
 	if m, err = BuildMachine(opts); err != nil {
 		return nil, false, err
 	}
-	m.CaptureSnapshot(opts)
+	m.CaptureSnapshot()
 	return m, true, nil
 }
 

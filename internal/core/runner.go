@@ -56,14 +56,11 @@ type RunOptions struct {
 	// call-count maps; ModeDistribution skips them, keeping only what the
 	// classifier and the streaming aggregator need.
 	Mode CampaignMode
-	// Scratch, when non-nil, keeps one warm machine per worker: the
-	// first run through a scratch builds cold, every following run
-	// rewinds that machine to a golden checkpoint instead of rebuilding
-	// the stack. Never share between goroutines.
-	Scratch *RunScratch
-	// Pool, when non-nil, draws the machine from a shared warm pool
-	// (Get before the run, Put after) and takes precedence over Scratch.
-	// Use it to share warm machines across workers, campaigns or shards.
+	// Pool, when non-nil, draws the machine from a warm pool (taken
+	// before the run, put back after) and rewinds it to a golden
+	// checkpoint instead of rebuilding the stack. Nil builds the machine
+	// cold. Share one pool across workers, campaigns or shards to keep
+	// machines warm across them.
 	Pool *MachinePool
 	// CaptureTraceHash computes RunResult.TraceHash after classification.
 	// Campaigns enable it when a streaming artefact hook is installed.
@@ -85,12 +82,12 @@ func RunExperimentOpts(plan *TestPlan, seed uint64, ro RunOptions) (*RunResult, 
 	}
 	started := time.Now()
 	opts := runMachineOptions(plan, seed, ro.Mode)
-	m, fresh, release, err := acquireMachine(ro, opts)
+	m, fresh, release, err := acquireMachine(ro.Pool, opts)
 	if err != nil {
 		return nil, err
 	}
 	defer release()
-	res, err := runOn(m, fresh, ro.Pool != nil || ro.Scratch != nil, opts, plan, ro)
+	res, err := runOn(m, fresh, ro.Pool != nil, opts, plan, ro)
 	if err != nil {
 		return nil, err
 	}
@@ -108,7 +105,7 @@ func runMachineOptions(plan *TestPlan, seed uint64, mode CampaignMode) MachineOp
 	opts := MachineOptions{Seed: seed, StateWatchdog: true}
 	// Pre-size the trace arenas from the plan profile: one allocation
 	// per arena up front instead of a doubling cascade during the run.
-	// Reused machines (scratch, pool) keep their grown arenas either way.
+	// Pooled machines grow theirs to the hint when they are rewound.
 	opts.TraceRecords, opts.TraceArgs = TraceBudget(plan)
 	if mode == ModeDistribution {
 		opts.LeanCapture = true
@@ -202,47 +199,25 @@ func armRun(inj *Injector, plan *TestPlan, start sim.Time) sim.Time {
 // noRelease is the release stub for machines nobody reclaims.
 func noRelease() {}
 
-// acquireMachine resolves the run's machine source: a shared pool, a
-// per-worker scratch (warm after its first run), or a cold build. fresh
-// reports a machine just built and booted for opts; a warm machine
-// comes back as its previous run left it, for Machine.prepare to
-// rewind. The release callback returns pooled machines; everything the
-// caller still needs from the machine (transcripts, counters) must be
-// copied out before release runs — RunExperimentOpts copies during
-// result assembly, so its deferred release is safe.
-func acquireMachine(ro RunOptions, opts MachineOptions) (m *Machine, fresh bool, release func(), err error) {
-	switch {
-	case ro.Pool != nil:
-		m, fresh, err := ro.Pool.take(opts)
-		if err != nil {
-			return nil, false, nil, fmt.Errorf("pool machine: %w", err)
-		}
-		return m, fresh, func() { ro.Pool.Put(m) }, nil
-	case ro.Scratch != nil && ro.Scratch.machine != nil && !ro.Scratch.machine.Tainted():
-		metScratchReuses.Inc()
-		return ro.Scratch.machine, false, noRelease, nil
-	case ro.Scratch != nil:
-		// First use — or the previous run left the scratch machine tainted
-		// (sim-fault, machine wedge); drop it and rebuild cold, exactly as
-		// the pool does.
-		ro.Scratch.machine = nil
-		opts.Scratch = ro.Scratch
-		m, err := BuildMachine(opts)
-		if err != nil {
+// acquireMachine resolves the run's machine source: the pool, or a cold
+// build when pool is nil. fresh reports a machine just built and booted
+// for opts; a pooled machine comes back as its previous run left it,
+// for Machine.prepare to rewind. The release callback returns pooled
+// machines; everything the caller still needs from the machine
+// (transcripts, counters) must be copied out before release runs —
+// RunExperimentOpts copies during result assembly, so its deferred
+// release is safe.
+func acquireMachine(pool *MachinePool, opts MachineOptions) (m *Machine, fresh bool, release func(), err error) {
+	if pool == nil {
+		if m, err = BuildMachine(opts); err != nil {
 			return nil, false, nil, fmt.Errorf("build machine: %w", err)
 		}
-		m.CaptureSnapshot(opts)
-		ro.Scratch.machine = m // warm from now on
-		metScratchColdBuilds.Inc()
-		return m, true, noRelease, nil
-	default:
-		m, err := BuildMachine(opts)
-		if err != nil {
-			return nil, false, nil, fmt.Errorf("build machine: %w", err)
-		}
-		metScratchColdBuilds.Inc()
 		return m, true, noRelease, nil
 	}
+	if m, fresh, err = pool.take(opts); err != nil {
+		return nil, false, nil, fmt.Errorf("pool machine: %w", err)
+	}
+	return m, fresh, func() { pool.Put(m) }, nil
 }
 
 // detectionLatency measures first-injection → first detection evidence:
@@ -291,7 +266,7 @@ func GoldenRun(seed uint64, d sim.Time) (*GoldenProfile, error) {
 
 // goldenProfileOn runs the fault-free profile on an already-built
 // machine — shared by GoldenRun and the warm-pool golden test, which
-// feeds it a deep-reset machine to prove warm golden runs hash
+// feeds it a restored machine to prove warm golden runs hash
 // identically.
 func goldenProfileOn(m *Machine, seed uint64, d sim.Time) (*GoldenProfile, error) {
 	counts := make(map[jailhouse.InjectionPoint]uint64)

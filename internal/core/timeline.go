@@ -37,11 +37,10 @@ const (
 // is the process-wide golden log of the profile, whose newest version
 // covers every checkpoint captured so far.
 type checkpoint struct {
-	profile profileKey
-	golden  *goldenLineage
-	board   *board.Snapshot
-	hv      *jailhouse.Snapshot
-	linux   *rootlinux.Snapshot
+	golden *goldenLineage
+	board  *board.Snapshot
+	hv     *jailhouse.Snapshot
+	linux  *rootlinux.Snapshot
 	// kernels[i] is Machine.rtosArena[i]'s content, nil for the kernel
 	// of a destroyed cell: nothing reaches it any more, and the arena
 	// deep-resets a kernel before handing it out again.
@@ -108,19 +107,19 @@ func publishGolden(pk profileKey, m *Machine) *goldenLineage {
 	return g
 }
 
-// timelineKey identifies a golden timeline: everything that shapes the
-// fault-free trajectory (the boot profile) and its matching-call count
-// (the plan's call filter), plus the arm offset.
+// timelineKey identifies one of a machine's golden timelines: what
+// shapes its matching-call count (the plan's call filter) and the arm
+// offset. The fault-free trajectory itself is fixed by the machine's
+// boot profile.
 type timelineKey struct {
-	profile   profileKey
 	points    uint64 // bit p set: the plan targets injection point p
 	cpu       int
 	cell      string
 	armOffset sim.Time
 }
 
-func timelineKeyOf(pk profileKey, plan *TestPlan, armOffset sim.Time) timelineKey {
-	k := timelineKey{profile: pk, cpu: plan.TargetCPU, cell: plan.TargetCell, armOffset: armOffset}
+func timelineKeyOf(plan *TestPlan, armOffset sim.Time) timelineKey {
+	k := timelineKey{cpu: plan.TargetCPU, cell: plan.TargetCell, armOffset: armOffset}
 	for _, p := range plan.Points {
 		// The hypervisor only calls the hook with its own points, all
 		// inside the mask; a point outside it never matches a call.
@@ -189,12 +188,11 @@ func (m *Machine) timeline(key timelineKey, boot *checkpoint) *timeline {
 }
 
 // capture checkpoints the machine's current state, which must lie on
-// the fault-free trajectory of profile pk, publishing the logs it
+// the fault-free trajectory of its profile, publishing the logs it
 // covers to the profile's golden store.
-func (m *Machine) capture(pk profileKey) *checkpoint {
+func (m *Machine) capture() *checkpoint {
 	c := &checkpoint{
-		profile:  pk,
-		golden:   publishGolden(pk, m),
+		golden:   publishGolden(m.profile, m),
 		board:    m.Board.CaptureSnapshot(),
 		hv:       m.HV.CaptureSnapshot(),
 		linux:    m.Linux.CaptureSnapshot(),
@@ -217,19 +215,14 @@ func (m *Machine) capture(pk profileKey) *checkpoint {
 }
 
 // restoreTo rewinds the machine to checkpoint c and reseeds its RNG.
-// Logs already golden up to the machine's last capture or restore on
-// the same profile are not copied again. The injection hook comes back
-// as captured (nil); the run installs its own afterwards.
+// Logs already golden up to the machine's last capture or restore are
+// not copied again. The injection hook comes back as captured (nil);
+// the run installs its own afterwards.
 func (m *Machine) restoreTo(c *checkpoint, seed uint64) {
 	start := time.Now()
-	var fromBoard *board.Snapshot
-	var fromHV *jailhouse.Snapshot
-	if m.at != nil && m.at.profile == c.profile {
-		fromBoard, fromHV = m.at.board, m.at.hv
-	}
 	logs := c.golden.cur.Load()
-	dirtied, restored := m.Board.RestoreSnapshot(c.board, seed, logs.board, fromBoard)
-	m.HV.RestoreSnapshot(c.hv, logs.console, fromHV)
+	dirtied, restored := m.Board.RestoreSnapshot(c.board, seed, logs.board, m.at.board)
+	m.HV.RestoreSnapshot(c.hv, logs.console, m.at.hv)
 	m.Linux.RestoreSnapshot(c.linux)
 	m.restoreKernels(c)
 	m.RTOS = c.rtos
@@ -252,24 +245,19 @@ type timelineRun struct {
 	record bool
 }
 
-// prepare rewinds a warm machine for one run of plan and arms inj: the
-// run starts from the latest checkpoint on its timeline that inj cannot
-// have fired before, with the injector's counters preloaded to the
-// golden counts at that instant. fresh reports that m is already at the
-// post-boot state for opts (just built, post-boot image captured). A run
-// that starts at the timeline's frontier records further checkpoints as
-// it goes. A timeline extension left owed by an earlier run is paid
-// first. Returns the run's start instant (the post-boot time).
+// prepare rewinds a pooled machine for one run of plan and arms inj:
+// the run starts from the latest checkpoint on its timeline that inj
+// cannot have fired before, with the injector's counters preloaded to
+// the golden counts at that instant. fresh reports that m is already at
+// the post-boot state for opts (just built, post-boot image captured).
+// A run that starts at the timeline's frontier records further
+// checkpoints as it goes. A timeline extension left owed by an earlier
+// run is paid first. Returns the run's start instant (the post-boot
+// time).
 func (m *Machine) prepare(opts MachineOptions, plan *TestPlan, inj *Injector, fresh bool) (sim.Time, error) {
-	pk := profileOf(opts)
-	boot := m.boots[pk]
-	if !fresh && (boot == nil || m.Tainted()) {
-		// A profile this machine never booted, or a run that left it
-		// untrusted: rebuild the post-boot state the slow way.
-		if err := m.Restore(opts); err != nil {
-			return 0, err
-		}
-		boot, fresh = m.boots[pk], true
+	boot, err := m.bootImage(opts)
+	if err != nil {
+		return 0, err
 	}
 	if m.owed != nil {
 		m.extend()
@@ -277,7 +265,7 @@ func (m *Machine) prepare(opts MachineOptions, plan *TestPlan, inj *Injector, fr
 	}
 	start := boot.at()
 	armOffset := armRun(inj, plan, start)
-	tl := m.timeline(timelineKeyOf(pk, plan, armOffset), boot)
+	tl := m.timeline(timelineKeyOf(plan, armOffset), boot)
 	c := tl.latest(inj, start+plan.EffectiveDuration())
 	if !fresh || c != boot {
 		m.restoreTo(c, opts.Seed)
@@ -314,7 +302,7 @@ func (m *Machine) record(r timelineRun, horizon sim.Time) {
 		if halted, _ := eng.Halted(); halted || len(r.inj.records) > 0 {
 			return
 		}
-		c := m.capture(r.tl.key.profile)
+		c := m.capture()
 		c.calls, c.total = r.inj.Calls(), r.inj.TotalCalls()
 		r.tl.calls = append(r.tl.calls, r.inj.tape...)
 		r.inj.tape = r.inj.tape[:0]

@@ -48,9 +48,8 @@ func campaignSeeds(master uint64, n int) []uint64 {
 	return seeds
 }
 
-// coldReference runs every seed on a freshly built machine — no scratch,
-// no pool — the ground truth the warm paths must reproduce byte for
-// byte.
+// coldReference runs every seed on a freshly built machine — no pool —
+// the ground truth the warm paths must reproduce byte for byte.
 func coldReference(t *testing.T, plan *TestPlan, seeds []uint64, mode CampaignMode) []runFingerprint {
 	t.Helper()
 	out := make([]runFingerprint, len(seeds))
@@ -84,7 +83,7 @@ func shortPlans() []*TestPlan {
 // TestWarmPoolDifferentialDeterminism is the admissibility proof for
 // machine reuse: for every plan family (E1/E2/E3), several master
 // seeds and both retention modes, a campaign over a shared warm pool —
-// and one over the default per-worker warm scratch — must be
+// and one over its default campaign-private pool — must be
 // byte-identical to cold fresh-build runs: same outcome, same injection
 // count, same detection latency, same per-run trace hash, and in Full
 // mode the very same transcripts.
@@ -110,8 +109,9 @@ func TestWarmPoolDifferentialDeterminism(t *testing.T) {
 						pool  *MachinePool
 					}{
 						{"shared-pool", NewMachinePool()},
-						{"worker-scratch", nil},
+						{"campaign-pool", nil},
 					} {
+						reusesBefore := metPoolReuses.Value()
 						var mu sync.Mutex
 						warm := make([]runFingerprint, runs)
 						c := &Campaign{
@@ -132,10 +132,8 @@ func TestWarmPoolDifferentialDeterminism(t *testing.T) {
 									cfg.label, i, seeds[i], warm[i], cold[i])
 							}
 						}
-						if cfg.pool != nil {
-							if _, reuses := cfg.pool.Stats(); reuses == 0 && runs > 1 {
-								t.Fatal("shared pool never reused a machine — the warm path was not exercised")
-							}
+						if metPoolReuses.Value() == reusesBefore && runs > 1 {
+							t.Fatalf("%s never reused a machine — the warm path was not exercised", cfg.label)
 						}
 					}
 				})
@@ -240,7 +238,7 @@ func TestWarmPoolGoldenSerial(t *testing.T) {
 	}
 }
 
-// TestWarmPoolGoldenMinuteTraceHash proves a deep-reset machine replays
+// TestWarmPoolGoldenMinuteTraceHash proves a restored machine replays
 // the fault-free golden minute bit for bit: a machine dirtied by a
 // high-intensity injection run, drawn warm from the pool, must produce
 // the pinned golden trace hash and liveness counters.
@@ -249,9 +247,12 @@ func TestWarmPoolGoldenMinuteTraceHash(t *testing.T) {
 		t.Skip("full-duration golden run")
 	}
 	pool := NewMachinePool()
-	dirty := *PlanE1HVC()
+	// A steady full-mode plan boots the golden run's profile, so the
+	// golden minute runs on the machine this run dirtied.
+	dirty := *PlanE3Fig3()
+	dirty.Intensity = IntensityHigh
 	dirty.Duration = 12 * sim.Second
-	dirty.Name = "E1-dirty"
+	dirty.Name = "E3-dirty"
 	if _, err := RunExperimentOpts(&dirty, 99, RunOptions{Pool: pool}); err != nil {
 		t.Fatal(err)
 	}
@@ -274,114 +275,56 @@ func TestWarmPoolGoldenMinuteTraceHash(t *testing.T) {
 		}
 		pool.Put(m)
 	}
-	if _, reuses := pool.Stats(); reuses == 0 {
-		t.Fatal("golden minute never ran on a reused machine")
+	if builds, reuses := pool.Stats(); builds != 1 || reuses != 2 {
+		t.Fatalf("pool builds=%d reuses=%d — the golden minutes did not run on the dirtied machine", builds, reuses)
 	}
 }
 
-// TestStateLeakFuzzDeepResetMatchesFresh is the leak detector: run a
-// randomly chosen plan at a random seed (dirtying every layer —
-// injections park CPUs, panic the hypervisor, halt kernels, fill
-// UARTs), deep-reset the machine to fresh options, and demand the full
-// observable state digest — pending/active IRQ bitmaps, UART buffers,
-// engine queue, cell states, trace, RAM content, guest state — equals a
-// freshly built machine's, bit for bit.
-func TestStateLeakFuzzDeepResetMatchesFresh(t *testing.T) {
-	plans := shortPlans()
-	rng := rand.New(rand.NewSource(0xC0FFEE))
-	for iter := 0; iter < 12; iter++ {
-		plan := plans[rng.Intn(len(plans))]
-		dirtySeed := rng.Uint64()
-		scratch := NewRunScratch()
-		if _, err := RunExperimentOpts(plan, dirtySeed, RunOptions{Scratch: scratch}); err != nil {
-			t.Fatalf("iter %d: dirty run (%s, seed %#x): %v", iter, plan.Name, dirtySeed, err)
-		}
-		if scratch.machine == nil {
-			t.Fatal("scratch did not retain the warm machine")
-		}
-
-		// Reset the dirty machine to a fresh configuration and hold its
-		// digest against a cold build with the same options.
-		freshSeed := rng.Uint64()
-		opts := DefaultMachineOptions(freshSeed)
-		if rng.Intn(2) == 1 {
-			opts.LeanCapture = true
-		}
-		if rng.Intn(3) == 0 {
-			opts.DelayedCreate = true
-		}
-		if err := scratch.machine.DeepReset(opts); err != nil {
-			t.Fatalf("iter %d: deep reset: %v", iter, err)
-		}
-		fresh, err := BuildMachine(opts)
-		if err != nil {
-			t.Fatalf("iter %d: fresh build: %v", iter, err)
-		}
-		warmDigest, freshDigest := scratch.machine.StateDigest(), fresh.StateDigest()
-		if warmDigest != freshDigest {
-			t.Fatalf("iter %d: state leak after %s (dirty seed %#x): deep-reset digest %#x != fresh digest %#x (opts %+v)",
-				iter, plan.Name, dirtySeed, warmDigest, freshDigest, opts)
-		}
-
-		// The digest must also agree after both machines run the same
-		// horizon — a leak in unobserved state (e.g. RNG position) shows
-		// up as divergence once events fire.
-		scratch.machine.Run(3 * sim.Second)
-		fresh.Run(3 * sim.Second)
-		if w, f := scratch.machine.StateDigest(), fresh.StateDigest(); w != f {
-			t.Fatalf("iter %d: divergence after running the reset machine: %#x != %#x", iter, w, f)
-		}
-	}
-}
-
-// TestStateLeakFuzzSnapshotRestoreMatchesFresh is the snapshot twin of
-// the deep-reset leak fuzz: dirty a machine with a random plan and seed,
-// restore it from its post-boot image (twice — the second restore is
-// guaranteed to take the snapshot path, since the first may have had to
-// capture a new profile), and demand the full state digest equals a
-// freshly built machine's, before and after both run the same horizon.
+// TestStateLeakFuzzSnapshotRestoreMatchesFresh is the leak detector:
+// dirty a pool machine with a run of a random plan × fault model × mode
+// at a random seed (injections park CPUs, panic the hypervisor, halt
+// kernels, fill UARTs), restore it to the post-boot state of its own
+// profile under a new seed, and demand the full observable state digest
+// — pending/active IRQ bitmaps, UART buffers, engine queue, cell
+// states, trace, RAM content, guest state — equals a freshly built
+// machine's, bit for bit, before and after both run the same horizon.
 func TestStateLeakFuzzSnapshotRestoreMatchesFresh(t *testing.T) {
 	plans := shortPlans()
+	models := FaultModelNames()
+	modes := []CampaignMode{ModeFull, ModeDistribution}
 	rng := rand.New(rand.NewSource(0xBADC0DE))
 	iters := 12
 	if testing.Short() {
 		iters = 4
 	}
 	for iter := 0; iter < iters; iter++ {
-		plan := plans[rng.Intn(len(plans))]
+		plan := *plans[rng.Intn(len(plans))]
+		plan.FaultName = models[rng.Intn(len(models))]
+		mode := modes[rng.Intn(len(modes))]
 		dirtySeed := rng.Uint64()
-		scratch := NewRunScratch()
-		if _, err := RunExperimentOpts(plan, dirtySeed, RunOptions{Scratch: scratch}); err != nil {
-			t.Fatalf("iter %d: dirty run (%s, seed %#x): %v", iter, plan.Name, dirtySeed, err)
+		pool := NewMachinePool()
+		if _, err := RunExperimentOpts(&plan, dirtySeed, RunOptions{Mode: mode, Pool: pool}); err != nil {
+			t.Fatalf("iter %d: dirty run (%s/%s, seed %#x): %v", iter, plan.Name, plan.FaultName, dirtySeed, err)
 		}
-		m := scratch.machine
-		if m == nil {
-			t.Fatal("scratch did not retain the warm machine")
+		if pool.Size() != 1 {
+			t.Fatalf("iter %d: dirty run (%s/%s, seed %#x) left no machine in the pool", iter, plan.Name, plan.FaultName, dirtySeed)
 		}
+		m := pool.idle[0]
 
-		freshSeed := rng.Uint64()
-		opts := DefaultMachineOptions(freshSeed)
-		if rng.Intn(2) == 1 {
-			opts.LeanCapture = true
-		}
+		opts := runMachineOptions(&plan, rng.Uint64(), mode)
 		if err := m.Restore(opts); err != nil {
-			t.Fatalf("iter %d: first restore: %v", iter, err)
+			t.Fatalf("iter %d: restore: %v", iter, err)
 		}
-		// Dirty the restored machine again, then restore once more: this
-		// one replays the captured post-boot image, the path under test.
-		m.Run(2 * sim.Second)
-		if err := m.Restore(opts); err != nil {
-			t.Fatalf("iter %d: snapshot restore: %v", iter, err)
-		}
-
 		fresh, err := BuildMachine(opts)
 		if err != nil {
 			t.Fatalf("iter %d: fresh build: %v", iter, err)
 		}
 		if w, f := m.StateDigest(), fresh.StateDigest(); w != f {
-			t.Fatalf("iter %d: state leak after %s (dirty seed %#x): restored digest %#x != fresh digest %#x (opts %+v)",
-				iter, plan.Name, dirtySeed, w, f, opts)
+			t.Fatalf("iter %d: state leak after %s/%s (dirty seed %#x): restored digest %#x != fresh digest %#x (opts %+v)",
+				iter, plan.Name, plan.FaultName, dirtySeed, w, f, opts)
 		}
+		// A leak in unobserved state (e.g. RNG position) shows up as
+		// divergence once events fire.
 		m.Run(3 * sim.Second)
 		fresh.Run(3 * sim.Second)
 		if w, f := m.StateDigest(), fresh.StateDigest(); w != f {
@@ -500,24 +443,78 @@ func TestMachinePoolConcurrentWorkers(t *testing.T) {
 	}
 }
 
-// TestRunScratchKeepsWarmMachine pins the scratch lifecycle: the first
-// run builds and parks a machine, later runs deep-reset that same
-// machine in place.
-func TestRunScratchKeepsWarmMachine(t *testing.T) {
-	plan := *PlanE3Fig3()
-	plan.Duration = 6 * sim.Second
-	scratch := NewRunScratch()
-	if _, err := RunExperimentOpts(&plan, 1, RunOptions{Scratch: scratch}); err != nil {
+// TestPoolServesEachProfileItsOwnMachine pins the pool's profile
+// affinity: E3, E1 and E2 runs interleaved on one pool leave exactly one
+// machine per boot profile, and every run equals its straight run from
+// a fresh build. Plans that differ only in duration share a profile, so
+// they share one machine, one timeline and one golden lineage. Restore
+// refuses a foreign profile and a tainted machine.
+func TestPoolServesEachProfileItsOwnMachine(t *testing.T) {
+	plans := shortPlans() // E1, E2, E3
+	pool := NewMachinePool()
+	for _, seed := range []uint64{3, 42} {
+		for _, plan := range []*TestPlan{plans[2], plans[0], plans[1]} {
+			got, err := RunExperimentOpts(plan, seed, RunOptions{Mode: ModeFull, Pool: pool, CaptureTraceHash: true})
+			if err != nil {
+				t.Fatalf("%s seed %d pooled: %v", plan.Name, seed, err)
+			}
+			want, err := RunExperimentOpts(plan, seed, RunOptions{Mode: ModeFull, CaptureTraceHash: true})
+			if err != nil {
+				t.Fatalf("%s seed %d straight: %v", plan.Name, seed, err)
+			}
+			if fingerprint(got) != fingerprint(want) {
+				t.Fatalf("%s seed %d: pooled run diverged from its straight run:\npooled:   %+v\nstraight: %+v",
+					plan.Name, seed, fingerprint(got), fingerprint(want))
+			}
+		}
+	}
+	if builds, reuses := pool.Stats(); builds != 3 || reuses != 3 {
+		t.Fatalf("pool builds=%d reuses=%d, want one build and one reuse per profile", builds, reuses)
+	}
+	profiles := make(map[profileKey]bool)
+	for _, m := range pool.idle {
+		profiles[m.profile] = true
+	}
+	if pool.Size() != 3 || len(profiles) != 3 {
+		t.Fatalf("pool holds %d machines of %d profiles, want 3 of 3", pool.Size(), len(profiles))
+	}
+
+	short := plans[2]
+	long := *short
+	long.Duration = 2 * short.Duration
+	long.Name = "E3-warmdiff-long"
+	if _, err := RunExperimentOpts(&long, 5, RunOptions{Mode: ModeFull, Pool: pool}); err != nil {
 		t.Fatal(err)
 	}
-	first := scratch.machine
-	if first == nil {
-		t.Fatal("first run did not park its machine in the scratch")
+	if builds, _ := pool.Stats(); builds != 3 || pool.Size() != 3 {
+		t.Fatalf("a longer E3 plan built a machine of its own (builds=%d, idle=%d)", builds, pool.Size())
 	}
-	if _, err := RunExperimentOpts(&plan, 2, RunOptions{Scratch: scratch}); err != nil {
+	e3 := pool.idle[2]
+	if e3.profile != profileOf(runMachineOptions(&long, 5, ModeFull)) {
+		t.Fatal("the longer E3 plan did not run on the E3 machine")
+	}
+	if len(e3.timelines) != 1 {
+		t.Fatalf("E3 machine keeps %d timelines for two durations, want 1", len(e3.timelines))
+	}
+	for i, c := range e3.timelines[0].cps {
+		if c.golden != e3.postBoot.golden {
+			t.Fatalf("checkpoint %d of the E3 timeline lies on another golden lineage", i)
+		}
+	}
+
+	m, err := pool.Get(runMachineOptions(short, 9, ModeFull))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if scratch.machine != first {
-		t.Fatal("second run rebuilt instead of deep-resetting the warm machine")
+	if err := m.Restore(runMachineOptions(plans[0], 9, ModeFull)); err == nil {
+		t.Fatal("Restore accepted the E1 profile on an E3 machine")
+	}
+	armSpin(m)
+	m.Run(sim.Second)
+	if !m.Tainted() {
+		t.Fatal("wedged machine does not report tainted")
+	}
+	if err := m.Restore(runMachineOptions(short, 9, ModeFull)); err == nil {
+		t.Fatal("Restore accepted a tainted machine")
 	}
 }

@@ -214,7 +214,7 @@ func TestShardedCampaignGoldenSeed2022(t *testing.T) {
 // TestShardedWarmPoolGoldenSeed2022 pins the golden split when all
 // three shards execute in one process over a shared warm-machine pool
 // (the fan-out in-process configuration): machines booted by shard 0
-// are deep-reset and reused by shards 1 and 2, and the merged campaign
+// are restored and reused by shards 1 and 2, and the merged campaign
 // still lands exactly on 23/1/16 with 56 injections — plus per-run
 // trace hashes identical to the serial reference.
 func TestShardedWarmPoolGoldenSeed2022(t *testing.T) {

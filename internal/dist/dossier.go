@@ -550,6 +550,9 @@ func (d *Dossier) degrade() error {
 			Index int    `json:"index"`
 		}
 		if err := json.Unmarshal(tok, &probe); err != nil {
+			if corruptLine(sc) {
+				return fmt.Errorf("dist: %s line %d: %w", d.path, line, errCorruptLine)
+			}
 			break // footer block or torn trailing line: line data ends here
 		}
 		switch probe.Type {

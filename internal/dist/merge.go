@@ -2,6 +2,7 @@ package dist
 
 import (
 	"bufio"
+	"bytes"
 	"compress/flate"
 	"compress/gzip"
 	"encoding/json"
@@ -68,6 +69,22 @@ func tornGzip(err error) bool {
 	var corrupt flate.CorruptInputError
 	return errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, io.EOF) ||
 		errors.Is(err, gzip.ErrChecksum) || errors.As(err, &corrupt)
+}
+
+// errCorruptLine reports a line that is neither JSON nor the index
+// footer and is not the artefact's last: no killed writer leaves one
+// behind (a crash cuts the stream, it does not garble its middle), so
+// the bytes were damaged after they were written.
+var errCorruptLine = errors.New("corrupt line inside the artefact")
+
+// corruptLine reports whether the non-JSON token sc just scanned is
+// damage rather than the end of the line data: it is not the index
+// footer, and another token follows it. It consumes that token.
+func corruptLine(sc *bufio.Scanner) bool {
+	if bytes.HasPrefix(sc.Bytes(), []byte(footerMagic)) {
+		return false
+	}
+	return sc.Scan()
 }
 
 // ShardFile is one parsed shard artefact: its manifest, completion
@@ -200,6 +217,9 @@ func ReadShardAt(ra io.ReaderAt, size int64, path string) (*ShardFile, error) {
 			// sequential readers stop exactly here) or a torn trailing
 			// line from a killed process. In both cases everything before
 			// this point counts and nothing after it is line data.
+			if corruptLine(sc) {
+				return nil, fmt.Errorf("dist: %s line %d: %w", path, line, errCorruptLine)
+			}
 			break
 		}
 		switch probe.Type {

@@ -80,9 +80,7 @@ func FuzzAdaptiveStopShardInvariance(f *testing.F) {
 
 		// Crash recovery: a worker killed after streaming at least one
 		// record is restarted by the supervisor, and the merged decision
-		// is still the reference's. The campaign is sized so the doomed
-		// shard's window outlasts a flush interval (see
-		// TestFanoutKilledWorkerResumes).
+		// is still the reference's.
 		const killRuns = 120
 		killRef := adaptiveReference(t, plan, killRuns, seed, stop)
 		spec := &dist.Spec{Plan: plan, Runs: killRuns, MasterSeed: seed, Shards: 3,

@@ -23,12 +23,10 @@ func shortE3() *core.TestPlan {
 }
 
 // killableE3 is the shortened E3 plan for the crash-and-resume tests.
-// The doomed shard's window must comfortably outlast one JSONL flush
-// interval, or the shard completes inside a single batch and the
-// killer's tail never sees a record to kill on. Runs restored from
-// golden checkpoints only simulate from their first injection on, and
-// an 8 s E3 run rarely injects at all, so the window is made of 30 s
-// runs — long enough that most of them inject and simulate real work.
+// Runs restored from golden checkpoints only simulate from their first
+// injection on, and an 8 s E3 run rarely injects at all, so the
+// campaign is made of 30 s runs — long enough that most of them inject,
+// so the crashed and the resumed attempts simulate real work.
 func killableE3() *core.TestPlan {
 	plan := shortE3()
 	plan.Duration = 30 * sim.Second
@@ -121,12 +119,15 @@ func TestFanoutMatchesSerial(t *testing.T) {
 	}
 }
 
-// killFirstLauncher kills the target shard's first worker once it has
-// streamed at least one run record — a deterministic mid-shard crash.
-// The doomed attempt runs with a single campaign worker so the kill
-// always lands before the window can complete. All attempts — doomed,
-// restarted and healthy alike — draw machines from one shared warm
-// pool, so the crash-recovery path is exercised on reused machines.
+// killFirstLauncher kills the target shard's first attempt mid-shard
+// by construction: the attempt executes the shard's campaign with one
+// worker and cancels it from the commit of its first run record, so it
+// always streams at least one record (at most the run already in flight
+// follows) and never reaches its summary — the artefact a worker killed
+// mid-shard leaves behind. Every other attempt runs in process as
+// usual. All attempts — doomed, restarted and healthy alike — draw
+// machines from one shared warm pool, so the crash-recovery path is
+// exercised on reused machines.
 type killFirstLauncher struct {
 	target int
 	pool   *core.MachinePool
@@ -137,43 +138,54 @@ type killFirstLauncher struct {
 func (l *killFirstLauncher) Start(ctx context.Context, req StartRequest) (Worker, error) {
 	l.mu.Lock()
 	doomed := req.Index == l.target && !l.killed
-	if doomed {
-		l.killed = true
-		req.Workers = 1
-	}
+	l.killed = l.killed || doomed
 	if l.pool == nil {
 		l.pool = core.NewMachinePool()
 	}
 	pool := l.pool
 	l.mu.Unlock()
-	w, err := InProcess{Pool: pool}.Start(ctx, req)
-	if err != nil || !doomed {
-		return w, err
+	if !doomed {
+		return InProcess{Pool: pool}.Start(ctx, req)
 	}
+	sh, err := req.Spec.Shard(req.Index)
+	if err != nil {
+		return nil, err
+	}
+	if req.Spec.Stop != nil && sh.Start == 0 {
+		return nil, fmt.Errorf("killFirstLauncher: shard %d runs the stop policy; doom another shard", req.Index)
+	}
+	jw, err := dist.CreateJSONL(req.OutPath)
+	if err != nil {
+		return nil, err
+	}
+	if err := jw.WriteManifest(sh.Manifest()); err != nil {
+		jw.Close()
+		return nil, err
+	}
+	wctx, cancel := context.WithCancel(ctx)
+	c := sh.Campaign(1, func(index int, r *core.RunResult) {
+		jw.OnRun(index, r)
+		cancel() // the kill
+	})
+	c.Pool = pool
+	w := &inprocWorker{cancel: cancel, done: make(chan struct{})}
 	go func() {
-		tail := dist.NewTail(req.OutPath)
-		for {
-			p, _ := tail.Poll()
-			if p.Runs >= 1 {
-				w.Kill()
-				return
-			}
-			if p.Complete {
-				return
-			}
-			time.Sleep(time.Millisecond)
+		defer close(w.done)
+		res, err := c.Execute(wctx)
+		if cerr := jw.Close(); err == nil {
+			err = cerr
 		}
+		if err == nil {
+			err = fmt.Errorf("shard %d killed after %d of %d runs", req.Index, res.Total(), sh.Runs())
+		}
+		w.err = err
 	}()
 	return w, nil
 }
 
 // TestFanoutKilledWorkerResumes: a worker dies mid-shard; the
 // supervisor restarts it and the merged result is still bit-identical
-// to the serial campaign, with a truthful crash in the manifest. The
-// campaign is sized so the doomed shard's window comfortably outlasts
-// one JSONL flush interval (see killableE3) — warm machines made 8-run
-// shards finish inside a single batch, which would let the shard
-// complete before the killer's tail ever saw a record.
+// to the serial campaign, with a truthful crash in the manifest.
 func TestFanoutKilledWorkerResumes(t *testing.T) {
 	const runs, seed = 120, uint64(2022)
 	plan := killableE3()

@@ -108,11 +108,7 @@ func runCrossPath(t *testing.T, plan *core.TestPlan, runs int) {
 }
 
 // TestFanoutMasterIndexCrossPath is the fast cross-path check on the
-// shortened E3 plan. Sized like TestFanoutKilledWorkerResumes: the
-// doomed shard's window must comfortably outlast one JSONL flush
-// interval, or warm machines finish the whole shard inside a single
-// batch and the killer's tail never sees a record to kill on (see
-// killableE3).
+// crash-and-resume E3 plan (see killableE3).
 func TestFanoutMasterIndexCrossPath(t *testing.T) {
 	runCrossPath(t, killableE3(), 120)
 }

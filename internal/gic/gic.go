@@ -100,7 +100,7 @@ func New(numCPUs int) *Distributor {
 // Reset restores the distributor and every CPU interface to the
 // power-on state New establishes, in place: all interrupts disabled at
 // reset-default priority, no targets, nothing pending or active, and no
-// delivery hook. The warm machine-reuse path calls this between runs.
+// delivery hook. New builds through it.
 func (d *Distributor) Reset() {
 	d.ctlr = false
 	d.enabled = [MaxIRQ]bool{}

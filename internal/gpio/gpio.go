@@ -30,17 +30,6 @@ func New(now func() sim.Time) *Port {
 	}
 }
 
-// Reset drives every line low and forgets the toggle history while
-// keeping the capture buffers allocated, and rebinds the clock — the
-// warm machine-reuse path between campaign runs.
-func (p *Port) Reset(now func() sim.Time) {
-	p.now = now
-	clear(p.state)
-	for pin := range p.toggles {
-		p.toggles[pin] = p.toggles[pin][:0]
-	}
-}
-
 // Snapshot is the port's line levels and toggle-history lengths at one
 // instant. The histories are append-only and live once in the golden
 // Log the restore is handed.
@@ -86,8 +75,8 @@ func (p *Port) Publish(l Log) Log {
 // RestoreSnapshot rewinds the port to a captured state, rewriting each
 // pin's history from the golden log l and reusing the live capture
 // buffers. from is the snapshot the port last captured or restored on
-// the same golden lineage (nil when unknown): history up to its lengths
-// is already golden and is not copied again.
+// the same golden lineage: history up to its lengths is already golden
+// and is not copied again.
 func (p *Port) RestoreSnapshot(s *Snapshot, l Log, from *Snapshot) {
 	clear(p.state)
 	for pin, on := range s.state {
@@ -100,11 +89,7 @@ func (p *Port) RestoreSnapshot(s *Snapshot, l Log, from *Snapshot) {
 		}
 	}
 	for pin, n := range s.toggles {
-		valid := 0
-		if from != nil {
-			valid = from.toggles[pin]
-		}
-		p.toggles[pin] = sim.Rewind(p.toggles[pin], l[pin], valid, n)
+		p.toggles[pin] = sim.Rewind(p.toggles[pin], l[pin], from.toggles[pin], n)
 	}
 }
 

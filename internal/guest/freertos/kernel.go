@@ -115,7 +115,7 @@ type Kernel struct {
 
 	// tcbPool and queuePool recycle control blocks across DeepReset
 	// cycles: CreateTask and NewQueue draw from them instead of
-	// allocating, so a warm machine's kernel rebuilds its workload
+	// allocating, so a recycled arena kernel rebuilds its workload
 	// allocation-free.
 	tcbPool   []*TCB
 	queuePool []*Queue
@@ -140,6 +140,12 @@ var _ jailhouse.Inmate = (*Kernel)(nil)
 // the next CreateTask/NewQueue calls drain, so re-installing a workload
 // on a deep-reset kernel performs no steady-state allocation. The
 // hypervisor binding survives; cpu rebinds the cell CPU.
+//
+// It serves the machine's kernel arena (core's Machine.newRTOS), which
+// hands a deep-reset kernel to a cell load whenever the arena already
+// holds one at its position — loads past a restored checkpoint's arena
+// position, such as E1 recreate cycles. Machines themselves are
+// recycled by snapshot restore.
 func (k *Kernel) DeepReset(cpu int) {
 	for _, t := range k.tasks {
 		*t = TCB{} // release the step closure and any wait edges

@@ -35,8 +35,8 @@ func NewPaperWorkload(hv *jailhouse.Hypervisor, cpu int) *Kernel {
 
 // InstallPaperWorkload populates the kernel with the paper's task set.
 // It assumes a pristine kernel — freshly built, or just deep-reset; the
-// warm machine path calls it after DeepReset to rebuild the workload
-// from recycled control blocks. Step closures capture only immutable
+// machine's kernel arena calls it after DeepReset to rebuild the
+// workload from recycled control blocks. Step closures capture only immutable
 // parameters (queue, task id); per-task working state lives in the TCB.
 func (k *Kernel) InstallPaperWorkload() {
 	q := k.NewQueue("seq", 8)

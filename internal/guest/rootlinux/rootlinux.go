@@ -89,24 +89,6 @@ func New(hv *jailhouse.Hypervisor) *Linux {
 // Name implements jailhouse.Inmate.
 func (l *Linux) Name() string { return "Linux-5.10-jailhouse" }
 
-// DeepReset restores the root-cell guest to its pre-boot power-on state
-// in place: not booted, not paniced, no managed cell, no background
-// activity and zeroed watchdog statistics. The background event handles
-// are dropped without being canceled — the engine reset that accompanies
-// a machine-level deep reset already invalidated them. The hypervisor
-// binding survives; the next Boot replays the identical bring-up.
-func (l *Linux) DeepReset() {
-	l.booted = false
-	l.paniced, l.panicWhy = false, ""
-	l.oopses = 0
-	l.cancelBg = l.cancelBg[:0]
-	l.recreateCfg = nil
-	l.CellID = 0
-	l.StateQueries = 0
-	l.LastState = 0
-	l.LastStartAt = 0
-}
-
 // Snapshot is a deep copy of the root-cell guest's state. The background
 // events are Event handles into the engine slab; the engine snapshot
 // restores slot generations exactly, so the captured handles stay valid

@@ -147,50 +147,6 @@ func (h *Hypervisor) bootGuest(cpu int, id uint32, unlessParked bool) {
 // Board returns the underlying board.
 func (h *Hypervisor) Board() *board.Board { return h.brd }
 
-// DeepReset restores the hypervisor to its never-enabled power-on state
-// in place: no cells, no ivshmem links, pristine per-CPU blocks with
-// zeroed exit statistics, an empty console, no injection hook and no
-// pending panic. The board reference survives; the board itself is reset
-// separately (board.Board.DeepReset). All slices and maps keep their
-// allocations — this is the warm machine-reuse path.
-func (h *Hypervisor) DeepReset() {
-	h.sysCfg = nil
-	h.enabled = false
-	h.panicked, h.panicMsg = false, ""
-	for i := range h.cells {
-		h.cells[i] = nil
-	}
-	h.cells = h.cells[:0]
-	h.nextCellID = 0
-	for _, p := range h.percpu {
-		p.cell = nil
-		p.Parked = false
-		p.ParkReason = ""
-		p.OnlineInCell = false
-		p.Stats = [numExitReasons]uint64{}
-		p.repair()
-	}
-	clear(h.rootOfflined)
-	h.Hook = nil
-	for i := range h.ConsoleLines {
-		h.ConsoleLines[i] = "" // release retained strings
-	}
-	h.ConsoleLines = h.ConsoleLines[:0]
-	h.putcAccum = h.putcAccum[:0]
-	for i := range h.irqCtx {
-		h.irqCtx[i] = armv7.TrapContext{}
-	}
-	for i := range h.irqCtxBusy {
-		h.irqCtxBusy[i] = false
-	}
-	for i := range h.ivshmem {
-		h.ivshmem[i] = nil
-	}
-	h.ivshmem = h.ivshmem[:0]
-	h.fwTainted = false
-	h.hypTraps = 0
-}
-
 // TaintFirmware marks the hypervisor's firmware region as corrupted (the
 // RAM fault model's control-block stratum). The damage is latent: it
 // manifests as an internal HYP-mode trap on the next handler entry.

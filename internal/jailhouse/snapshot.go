@@ -115,16 +115,12 @@ func (h *Hypervisor) PublishConsole(l *sim.Prefix[string]) *sim.Prefix[string] {
 // list; cells present at capture get their content written back into
 // the same objects, so guest models holding those pointers keep working. The console is rewritten from the golden log,
 // copying only the lines past from (the snapshot this hypervisor last
-// captured or restored on the same golden lineage; nil when unknown).
+// captured or restored on the same golden lineage).
 // The injection hook comes back as captured: a run installs its own
 // after the restore.
 func (h *Hypervisor) RestoreSnapshot(s *Snapshot, console *sim.Prefix[string], from *Snapshot) {
 	h.restoreState(s)
-	valid := 0
-	if from != nil {
-		valid = from.console
-	}
-	h.ConsoleLines = sim.Rewind(h.ConsoleLines, console, valid, s.console)
+	h.ConsoleLines = sim.Rewind(h.ConsoleLines, console, from.console, s.console)
 }
 
 // Splice moves a hypervisor whose state matches golden snapshot from to

@@ -25,7 +25,6 @@ type RAM struct {
 	// back only the dirtied pages instead of rebuilding the whole image.
 	tracking bool
 	dirty    map[uint64]struct{}
-	allDirty bool         // set when a bulk op (Reset) defeats tracking
 	lastSnap *RAMSnapshot // snapshot the dirty set is relative to
 }
 
@@ -153,20 +152,6 @@ func (m *RAM) Zero(addr uint64, n int) error {
 // useful for verifying that simulations stay sparse.
 func (m *RAM) PagesAllocated() int { return len(m.pages) }
 
-// Reset drops every materialised page, returning the RAM to its
-// power-on (all-zero) content. The page map itself stays allocated — the
-// warm machine-reuse path re-materialises the handful of pages a run
-// writes. A bulk clear defeats page-granular tracking, so the dirty set
-// degrades to "everything" and the next RestoreSnapshot takes the full
-// copy path.
-func (m *RAM) Reset() {
-	clear(m.pages)
-	if m.tracking {
-		m.allDirty = true
-		clear(m.dirty)
-	}
-}
-
 // RAMSnapshot is an immutable image of the materialised page set at
 // capture time. Pages a capture finds unchanged since the previous
 // snapshot of the same RAM are shared with it by reference, so a
@@ -189,9 +174,6 @@ func (s *RAMSnapshot) Pages() int { return len(s.pages) }
 func (m *RAM) CaptureSnapshot() *RAMSnapshot {
 	s := &RAMSnapshot{pages: make(map[uint64][]byte, len(m.pages))}
 	prev := m.lastSnap
-	if !m.tracking || m.allDirty {
-		prev = nil
-	}
 	for page, p := range m.pages {
 		if prev != nil {
 			if img, ok := prev.pages[page]; ok {
@@ -211,7 +193,6 @@ func (m *RAM) CaptureSnapshot() *RAMSnapshot {
 	} else {
 		clear(m.dirty)
 	}
-	m.allDirty = false
 	m.lastSnap = s
 	return s
 }
@@ -221,11 +202,11 @@ func (m *RAM) CaptureSnapshot() *RAMSnapshot {
 // and how many pages the restore had to copy. When the dirty set is
 // relative to this very snapshot the restore is a delta — each dirtied
 // page is recopied from the image (or dropped, if the image never had
-// it); otherwise (a different image, or after a bulk Reset set allDirty)
-// every page is rewritten from the image, reusing live page buffers.
+// it); otherwise (a different image) every page is rewritten from the
+// image, reusing live page buffers.
 // Live pages are always the RAM's own buffers, never a snapshot's.
 func (m *RAM) RestoreSnapshot(s *RAMSnapshot) (dirtied, restored int) {
-	if m.tracking && m.lastSnap == s && !m.allDirty {
+	if m.lastSnap == s {
 		dirtied = len(m.dirty)
 		for page := range m.dirty {
 			img, ok := s.pages[page]
@@ -264,7 +245,6 @@ func (m *RAM) RestoreSnapshot(s *RAMSnapshot) (dirtied, restored int) {
 		clear(m.dirty)
 	}
 	m.tracking = true
-	m.allDirty = false
 	m.lastSnap = s
 	return dirtied, restored
 }
@@ -277,7 +257,7 @@ func (m *RAM) RestoreSnapshot(s *RAMSnapshot) (dirtied, restored int) {
 // between their captures, so a shared page holds equal content.
 func (m *RAM) Matches(s *RAMSnapshot) bool {
 	base := m.lastSnap
-	if !m.tracking || m.allDirty || base == nil {
+	if base == nil {
 		for page := range m.pages {
 			if !m.pageMatches(page, s) {
 				return false

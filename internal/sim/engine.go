@@ -96,21 +96,21 @@ type Engine struct {
 	haltMsg  string
 
 	// handlers is the dispatch table, indexed by slot kind. Like
-	// wedgeLimit it is configuration: Reset and snapshot restores keep it.
+	// wedgeLimit it is configuration: snapshot restores keep it.
 	handlers []Handler
 	// Scratch for delivery-order views of queues (Queue, QueueMatches).
 	order        []heapEnt
 	live, golden []QueuedEvent
 
 	// executed counts events delivered (canceled pops excluded) since
-	// the last Reset. Pure telemetry for the flight recorder's
+	// the engine was built or last restored. Pure telemetry for the flight recorder's
 	// sim-event throughput metric: it never feeds the trace, the RNG or
 	// any digest, so it cannot perturb determinism.
 	executed uint64
 
 	// wedgeLimit bounds how many events may execute at a single virtual
 	// instant before Run declares the machine wedged. 0 disables the
-	// watchdog. The limit is configuration, not run state: Reset keeps it.
+	// watchdog. The limit is configuration, not run state: restores keep it.
 	wedgeLimit int
 }
 
@@ -134,25 +134,6 @@ func NewEngine(seed uint64) *Engine {
 // Run may execute at one virtual instant before halting with a machine
 // wedge. 0 disables the watchdog entirely.
 func (e *Engine) SetWedgeLimit(n int) { e.wedgeLimit = n }
-
-// Reset rewinds the engine to time zero with a fresh seed while keeping
-// the event slab, heap and trace buffers allocated — the machine-reuse
-// path campaign workers use between consecutive runs. Event handles from
-// before the reset are invalidated (their Cancel becomes a no-op).
-func (e *Engine) Reset(seed uint64) {
-	e.now, e.seq = 0, 0
-	e.halted, e.haltMsg = false, ""
-	e.executed = 0
-	e.heap = e.heap[:0]
-	e.freeList = e.freeList[:0]
-	for i := range e.slots {
-		e.slots[i].period = 0
-		e.slots[i].gen++
-		e.freeList = append(e.freeList, int32(i))
-	}
-	e.rng.Reseed(seed)
-	e.trace.Reset()
-}
 
 // Now returns current virtual time.
 func (e *Engine) Now() Time { return e.now }
@@ -457,24 +438,21 @@ func (e *Engine) CaptureSnapshot() *EngineSnapshot {
 // RNG, reusing the live slab/heap/trace buffers. Slot generations are
 // restored exactly, so Event handles captured alongside the snapshot
 // (periodic-timer cancels) remain valid after the restore; handles
-// minted after the capture are invalidated. halted and
-// the executed counter reset as Reset would — they are run products.
+// minted after the capture are invalidated. halted and the executed
+// counter are cleared — they are run products.
 // The trace is rewound from the golden log l (Trace.Rewind); from is the
 // snapshot the engine last captured or restored on the same golden
-// lineage, nil when unknown.
+// lineage.
 func (e *Engine) RestoreSnapshot(s *EngineSnapshot, seed uint64, l *TraceLog, from *EngineSnapshot) {
 	e.restoreQueue(s)
 	e.halted, e.haltMsg = false, ""
 	e.executed = 0
 	e.rng.Reseed(seed)
-	var valid TraceMark
-	if from != nil {
-		valid = from.trace
-	}
-	e.trace.Rewind(l, s.trace, valid)
+	e.trace.Rewind(l, s.trace, from.trace)
 }
 
-// Executed returns the number of events delivered since the last Reset.
+// Executed returns the number of events delivered since the engine was
+// built or last restored.
 // Diagnostic only — the flight recorder's sim-event throughput source.
 func (e *Engine) Executed() uint64 { return e.executed }
 

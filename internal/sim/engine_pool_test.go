@@ -102,40 +102,6 @@ func TestPoolScheduleFromCallbackReusesDeliveredSlot(t *testing.T) {
 	}
 }
 
-func TestEngineResetRecyclesStateAndInvalidatesHandles(t *testing.T) {
-	e := NewEngine(7)
-	cb := callbacks(e)
-	ran := false
-	stale := cb.Schedule(10, func() { ran = true })
-	e.Trace().Add(5, KindNote, 0, "pre-reset record")
-	firstDraw := e.RNG().Uint64()
-
-	e.Reset(7)
-	if e.Now() != 0 || e.Pending() != 0 {
-		t.Fatalf("after Reset: now=%v pending=%d", e.Now(), e.Pending())
-	}
-	if e.Trace().Len() != 0 {
-		t.Fatalf("after Reset: trace has %d records", e.Trace().Len())
-	}
-	// Same seed ⇒ same RNG stream from the top.
-	if got := e.RNG().Uint64(); got != firstDraw {
-		t.Fatalf("RNG after Reset = %#x, want %#x", got, firstDraw)
-	}
-	// A handle from before the reset must not cancel post-reset events.
-	ran2 := false
-	cb.Schedule(10, func() { ran2 = true })
-	stale.Cancel()
-	if err := e.Run(20); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if ran {
-		t.Fatal("pre-reset event survived the reset")
-	}
-	if !ran2 {
-		t.Fatal("stale pre-reset handle canceled a post-reset event")
-	}
-}
-
 func TestScheduleIsAllocationFreeInSteadyState(t *testing.T) {
 	e := NewEngine(3)
 	e.SetHandler(1, func(int32, uint64) {})

@@ -73,22 +73,6 @@ func (u *UART) SetCaptureBytes(on bool) {
 	}
 }
 
-// Reset empties the capture state while keeping the line and byte buffers
-// allocated, and rebinds the clock — the machine-reuse path between
-// consecutive campaign runs on one worker.
-func (u *UART) Reset(name string, now func() sim.Time) {
-	u.name = name
-	u.now = now
-	u.ier, u.lcr = 0, 0
-	u.txLog = u.txLog[:0]
-	for i := range u.lines {
-		u.lines[i] = Line{} // release retained strings
-	}
-	u.lines = u.lines[:0]
-	u.cur.Reset()
-	u.OnLine = nil
-}
-
 // Snapshot is a UART's register and capture state at one instant. The
 // captured lines and bytes are append-only logs and are not copied: the
 // snapshot keeps their lengths, and the content lives once in the golden
@@ -138,18 +122,14 @@ func (u *UART) Publish(l Log) Log {
 // RestoreSnapshot rewinds the UART to a captured state, reusing the live
 // line/byte buffers: the captures are rewritten from the golden log l,
 // copying only what lies past from (the snapshot this UART last captured
-// or restored on the same golden lineage; nil when unknown). Lines the
+// or restored on the same golden lineage). Lines the
 // run appended beyond the snapshot are zeroed so their strings are
 // released.
 func (u *UART) RestoreSnapshot(s *Snapshot, l Log, from *Snapshot) {
-	var valid Snapshot
-	if from != nil {
-		valid = *from
-	}
 	u.ier, u.lcr = s.ier, s.lcr
 	u.noBytes = s.noBytes
-	u.txLog = sim.Rewind(u.txLog, l.bytes, valid.bytes, s.bytes)
-	u.lines = sim.Rewind(u.lines, l.lines, valid.lines, s.lines)
+	u.txLog = sim.Rewind(u.txLog, l.bytes, from.bytes, s.bytes)
+	u.lines = sim.Rewind(u.lines, l.lines, from.lines, s.lines)
 	u.cur.Reset()
 	u.cur.WriteString(s.cur)
 	u.OnLine = s.onLine

@@ -11,14 +11,14 @@
 #                                    # by side (BenchmarkFanoutCampaign's
 #                                    # runs_per_sec next to the hand-sharded
 #                                    # BenchmarkShardedCampaign baseline)
-#   scripts/bench.sh warm            # machine-reuse ladder: cold rebuild vs
-#                                    # per-worker warm scratch vs shared pool
+#   scripts/bench.sh warm            # machine reuse: cold rebuild per run vs
+#                                    # shared warm pool
 #                                    # (BenchmarkWarmMachineCampaign) next to
 #                                    # the BenchmarkCampaignThroughput anchor
-#   scripts/bench.sh snapshot        # machine recycling: post-boot image
-#                                    # restore vs deep reset per warm run
+#   scripts/bench.sh snapshot        # machine recycling: one post-boot image
+#                                    # restore, clean and after a run
 #                                    # (BenchmarkSnapshotRestore) next to the
-#                                    # warm ladder and throughput anchors
+#                                    # warm and throughput anchors
 #   scripts/bench.sh checkpoint      # golden-timeline checkpoints: campaigns
 #                                    # that start runs from the latest golden
 #                                    # checkpoint before their first injection
