@@ -53,6 +53,25 @@ func pooledRun(t *testing.T, pool *MachinePool, plan *TestPlan, seed uint64) (*R
 	return res, m.StateDigest(), m
 }
 
+// holdOnePerPlan takes one machine per plan from pool at once and
+// parks them all again. A pool keeps at most as many machines as were
+// out at once, so afterwards it holds one machine per plan's profile
+// and interleaving those plans reuses them instead of replacing them.
+func holdOnePerPlan(t *testing.T, pool *MachinePool, plans ...*TestPlan) {
+	t.Helper()
+	var held []*Machine
+	for _, plan := range plans {
+		m, err := pool.Get(runMachineOptions(plan, 1, ModeFull))
+		if err != nil {
+			t.Fatal(err)
+		}
+		held = append(held, m)
+	}
+	for _, m := range held {
+		pool.Put(m)
+	}
+}
+
 // quietVariant is plan with an occurrence rate no horizon reaches: the
 // same golden timeline (profile, call filter, arm offset), but the run
 // never injects, so one run records checkpoints up to the horizon.
@@ -329,12 +348,13 @@ func TestTraceBudgetCoversBuiltinPlans(t *testing.T) {
 }
 
 // TestCheckpointsSurviveProfileSwitches interleaves full-length plans
-// of different boot profiles on one pool, so each profile's machine
-// resumes its own timelines between the other profiles' runs: each run
-// must still equal its straight run.
+// of different boot profiles on one pool that holds a machine per
+// profile, so each profile's machine resumes its own timelines between
+// the other profiles' runs: each run must still equal its straight run.
 func TestCheckpointsSurviveProfileSwitches(t *testing.T) {
 	pool := NewMachinePool()
 	plans := []*TestPlan{PlanE3Fig3(), PlanE1HVC(), PlanE2Core1()}
+	holdOnePerPlan(t, pool, plans...)
 	restores := metCheckpointRestores.Value()
 	rounds := 4
 	if testing.Short() {

@@ -42,6 +42,9 @@ var (
 	metPoolReuses = obs.Default.NewCounter(
 		"certify_pool_reuses_total",
 		"Pool acquisitions answered by a warm machine (rewound by checkpoint restore, not rebuilt).")
+	metPoolEvictions = obs.Default.NewCounter(
+		"certify_pool_evictions_total",
+		"Idle machines of another boot profile dropped to make room for a cold build, so a pool never outgrows its peak concurrency.")
 
 	metSnapshotRestore = obs.Default.NewHistogram(
 		"certify_core_snapshot_restore_seconds",

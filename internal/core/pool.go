@@ -14,10 +14,14 @@ import (
 // — a checkpoint restore that copies back only dirtied RAM pages, log
 // tails and captured control blocks, never replaying the boot path —
 // and builds cold, capturing the post-boot image, only when no machine
-// of the profile is idle. The experiment runner goes further and
-// rewinds a pooled machine straight to the latest golden checkpoint its
-// run may start from (see DESIGN.md "Golden timeline"); pooled machines
-// keep their timelines across Gets.
+// of the profile is idle. A cold build first drops the least recently
+// parked idle machine of another profile, if there is one, so the pool
+// never holds more machines than it ever had Gets outstanding at once:
+// a long-lived pool fed several profiles in turn (serve) replaces
+// machines instead of keeping one set per profile. The experiment
+// runner goes further and rewinds a pooled machine straight to the
+// latest golden checkpoint its run may start from (see DESIGN.md
+// "Golden timeline"); pooled machines keep their timelines across Gets.
 //
 // The pool is safe for concurrent use; the machines it hands out are
 // not — exactly one goroutine owns a machine between Get and Put. A
@@ -66,7 +70,8 @@ func (p *MachinePool) Get(opts MachineOptions) (*Machine, error) {
 // profile as its last run left it (fresh false; the caller rewinds it —
 // Get to the post-boot image, the experiment runner to a golden
 // checkpoint), or a cold build for opts with its post-boot image
-// captured (fresh true).
+// captured (fresh true). A cold build replaces the least recently
+// parked idle machine (idle is in parking order), which take drops.
 func (p *MachinePool) take(opts MachineOptions) (m *Machine, fresh bool, err error) {
 	start := time.Now()
 	defer metPoolGet.ObserveSince(start)
@@ -79,10 +84,14 @@ func (p *MachinePool) take(opts MachineOptions) (m *Machine, fresh bool, err err
 			break
 		}
 	}
+	evict := m == nil && len(p.idle) > 0
 	if m != nil {
 		p.reuses++
 	} else {
 		p.builds++
+	}
+	if evict {
+		p.idle = slices.Delete(p.idle, 0, 1)
 	}
 	p.mu.Unlock()
 
@@ -91,6 +100,9 @@ func (p *MachinePool) take(opts MachineOptions) (m *Machine, fresh bool, err err
 		return m, false, nil
 	}
 	metPoolColdBuilds.Inc()
+	if evict {
+		metPoolEvictions.Inc()
+	}
 	if m, err = BuildMachine(opts); err != nil {
 		return nil, false, err
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -444,14 +445,17 @@ func TestMachinePoolConcurrentWorkers(t *testing.T) {
 }
 
 // TestPoolServesEachProfileItsOwnMachine pins the pool's profile
-// affinity: E3, E1 and E2 runs interleaved on one pool leave exactly one
-// machine per boot profile, and every run equals its straight run from
-// a fresh build. Plans that differ only in duration share a profile, so
-// they share one machine, one timeline and one golden lineage. Restore
+// affinity: once three machines were out at once, E3, E1 and E2 runs
+// interleaved on one pool leave exactly one machine per boot profile,
+// and every run equals its straight run from a fresh build. Plans that
+// differ only in duration share a profile, so they share one machine,
+// one timeline and one golden lineage. A fourth profile replaces the
+// least recently parked machine instead of growing the pool. Restore
 // refuses a foreign profile and a tainted machine.
 func TestPoolServesEachProfileItsOwnMachine(t *testing.T) {
 	plans := shortPlans() // E1, E2, E3
 	pool := NewMachinePool()
+	holdOnePerPlan(t, pool, plans...)
 	for _, seed := range []uint64{3, 42} {
 		for _, plan := range []*TestPlan{plans[2], plans[0], plans[1]} {
 			got, err := RunExperimentOpts(plan, seed, RunOptions{Mode: ModeFull, Pool: pool, CaptureTraceHash: true})
@@ -468,8 +472,8 @@ func TestPoolServesEachProfileItsOwnMachine(t *testing.T) {
 			}
 		}
 	}
-	if builds, reuses := pool.Stats(); builds != 3 || reuses != 3 {
-		t.Fatalf("pool builds=%d reuses=%d, want one build and one reuse per profile", builds, reuses)
+	if builds, reuses := pool.Stats(); builds != 3 || reuses != 6 {
+		t.Fatalf("pool builds=%d reuses=%d, want one build and two reuses per profile", builds, reuses)
 	}
 	profiles := make(map[profileKey]bool)
 	for _, m := range pool.idle {
@@ -502,9 +506,24 @@ func TestPoolServesEachProfileItsOwnMachine(t *testing.T) {
 		}
 	}
 
+	// idle is in parking order: E1, E2, then the E3 machine the long
+	// plan ran on. A distribution-mode E3 run has a profile of its own;
+	// its cold build replaces the E1 machine.
+	e1 := pool.idle[0]
+	if _, err := RunExperimentOpts(short, 5, RunOptions{Mode: ModeDistribution, Pool: pool}); err != nil {
+		t.Fatal(err)
+	}
+	if builds, _ := pool.Stats(); builds != 4 || pool.Size() != 3 || slices.Contains(pool.idle, e1) {
+		t.Fatalf("a fourth profile grew the pool (builds=%d, idle=%d, E1 machine kept %v)",
+			builds, pool.Size(), slices.Contains(pool.idle, e1))
+	}
+
 	m, err := pool.Get(runMachineOptions(short, 9, ModeFull))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if m != e3 {
+		t.Fatal("the E3 machine was evicted although it was parked after the E1 machine")
 	}
 	if err := m.Restore(runMachineOptions(plans[0], 9, ModeFull)); err == nil {
 		t.Fatal("Restore accepted the E1 profile on an E3 machine")

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
 )
 
@@ -38,7 +39,13 @@ type Dossier struct {
 	footerRestarts []restart
 	// indexed is true while record reads go through footer offsets.
 	indexed bool
+	// checked is set once Complete has compared the footer with the
+	// line data (checkFooter).
+	checked bool
 	summary bool
+	// err is why the last sequential decode refused the artefact; a
+	// dossier holding one serves no record.
+	err error
 	// raw caches record lines (without trailing newline) by run index
 	// once a *gzip* dossier has degraded to the sequential path — gzip
 	// cannot be re-read at an offset without the restart table. Plain
@@ -136,8 +143,14 @@ func (d *Dossier) Indexed() bool { return d.indexed }
 // predicate ReadShard applies. Shards run under a stop policy may
 // finish short of their window (the policy certified a shorter
 // prefix): any non-empty record prefix with a summary is a finished
-// shard, and the merge's policy replay validates where it ended.
+// shard, and the merge's policy replay validates where it ended. On an
+// indexed dossier the first call reads the line data once to check it
+// against the footer, so a dossier reports complete only over lines
+// ReadShard accepts.
 func (d *Dossier) Complete() bool {
+	if d.indexed && !d.checked {
+		d.checkFooter()
+	}
 	if !d.summary {
 		return false
 	}
@@ -198,6 +211,9 @@ func (d *Dossier) Entry(k int) (IndexEntry, bool) {
 // bytes do not decode to run k degrades to the sequential path and
 // retries there instead of misattributing a record.
 func (d *Dossier) RawRun(k int) ([]byte, error) {
+	if d.err != nil {
+		return nil, d.err
+	}
 	e, ok := d.Entry(k)
 	if !ok && !d.indexed {
 		// A degraded dossier may be reading a shard that is still being
@@ -230,6 +246,9 @@ func (d *Dossier) RawRun(k int) ([]byte, error) {
 	if err == nil && verifyRunLine(line, k) {
 		metDossierIndexedReads.Inc()
 		return line, nil
+	}
+	if err == nil {
+		err = fmt.Errorf("the indexed span does not hold run %d's record", k)
 	}
 	// The footer lied (bad offset, mid-write corruption): abandon it.
 	metDossierFallbackScans.Inc()
@@ -514,26 +533,37 @@ func (d *Dossier) refreshScan() error {
 
 // degrade abandons the indexed path and rebuilds the entry table from
 // one tolerant sequential decode — the behaviour for pre-index
-// artefacts, torn footers, and any indexed read that failed
+// artefacts, torn footers, and any indexed read or check that failed
 // verification. Plain files keep only the spans (records are re-read
 // positioned on demand); gzip files additionally cache the raw lines,
 // since a gzip stream cannot be re-entered without restart points.
 // Torn tails (crashed writers) are tolerated exactly as ReadShard
-// tolerates them; only a file whose records are structurally invalid
-// errors.
+// tolerates them; a file ReadShard refuses errors here too, and the
+// dossier then serves no record.
 func (d *Dossier) degrade() error {
 	d.indexed = false
-	d.entries = nil
 	d.footerRestarts = nil
-	d.summary = false
-	d.raw = nil
-	if d.gz {
-		d.raw = make(map[int][]byte)
+	d.entries, d.summary, d.raw, d.err = nil, false, nil, nil
+	entries, summary, raw, err := d.scanLines(d.gz)
+	if err != nil {
+		d.err = err
+		return err
 	}
+	d.entries, d.summary, d.raw = entries, summary, raw
+	return nil
+}
 
+// scanLines decodes the line stream sequentially with ReadShard's
+// checks and returns the run entries sorted by index, whether a summary
+// line was read, and, when keepRaw is set, every record line by run
+// index.
+func (d *Dossier) scanLines(keepRaw bool) (entries []IndexEntry, summary bool, raw map[int][]byte, err error) {
+	if keepRaw {
+		raw = make(map[int][]byte)
+	}
 	r, compressed, err := openLineReader(io.NewSectionReader(d, 0, d.size), d.gz, d.path)
 	if err != nil {
-		return err
+		return nil, false, nil, err
 	}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 64<<10), maxLineBytes)
@@ -545,40 +575,43 @@ func (d *Dossier) degrade() error {
 		tok := sc.Bytes()
 		start := off
 		off += int64(len(tok)) + 1
+		if line == 1 {
+			continue // the manifest; already decoded by readManifest
+		}
 		var probe struct {
-			Type  string `json:"type"`
-			Index int    `json:"index"`
+			Type string `json:"type"`
 		}
 		if err := json.Unmarshal(tok, &probe); err != nil {
 			if corruptLine(sc) {
-				return fmt.Errorf("dist: %s line %d: %w", d.path, line, errCorruptLine)
+				return nil, false, nil, fmt.Errorf("dist: %s line %d: %w", d.path, line, errCorruptLine)
 			}
 			break // footer block or torn trailing line: line data ends here
 		}
 		switch probe.Type {
-		case recordManifest:
-			// the header; already decoded by readManifest
 		case recordRun:
-			if probe.Index < d.man.Start || probe.Index >= d.man.End {
-				return fmt.Errorf("dist: %s line %d: run index %d outside shard window [%d,%d)",
-					d.path, line, probe.Index, d.man.Start, d.man.End)
-			}
-			if seen[probe.Index] {
-				return fmt.Errorf("dist: %s line %d: duplicate run index %d", d.path, line, probe.Index)
-			}
-			seen[probe.Index] = true
 			var rec RunRecord
 			if err := json.Unmarshal(tok, &rec); err != nil {
-				return fmt.Errorf("dist: %s line %d: %w", d.path, line, err)
+				return nil, false, nil, fmt.Errorf("dist: %s line %d: %w", d.path, line, err)
+			}
+			if rec.Index < d.man.Start || rec.Index >= d.man.End {
+				return nil, false, nil, fmt.Errorf("dist: %s line %d: run index %d outside shard window [%d,%d)",
+					d.path, line, rec.Index, d.man.Start, d.man.End)
+			}
+			if seen[rec.Index] {
+				return nil, false, nil, fmt.Errorf("dist: %s line %d: duplicate run index %d", d.path, line, rec.Index)
+			}
+			seen[rec.Index] = true
+			if _, err := parseOutcome(rec.Outcome); err != nil {
+				return nil, false, nil, fmt.Errorf("dist: %s line %d: %w", d.path, line, err)
 			}
 			hash, err := parseHex(rec.TraceHash)
 			if err != nil {
-				return fmt.Errorf("dist: %s line %d: bad trace hash %q", d.path, line, rec.TraceHash)
+				return nil, false, nil, fmt.Errorf("dist: %s line %d: bad trace hash %q", d.path, line, rec.TraceHash)
 			}
-			if d.gz {
-				d.raw[probe.Index] = append([]byte(nil), tok...)
+			if keepRaw {
+				raw[rec.Index] = append([]byte(nil), tok...)
 			}
-			d.entries = append(d.entries, IndexEntry{
+			entries = append(entries, IndexEntry{
 				Index:       rec.Index,
 				Offset:      start,
 				Length:      len(tok) + 1,
@@ -588,16 +621,35 @@ func (d *Dossier) degrade() error {
 				DetectionNS: rec.DetectionNS,
 			})
 		case recordSummary:
-			d.summary = true
+			var s Summary
+			if err := json.Unmarshal(tok, &s); err != nil {
+				return nil, false, nil, fmt.Errorf("dist: %s line %d: %w", d.path, line, err)
+			}
+			summary = true
 		default:
-			return fmt.Errorf("dist: %s line %d: unknown record type %q", d.path, line, probe.Type)
+			return nil, false, nil, fmt.Errorf("dist: %s line %d: unknown record type %q", d.path, line, probe.Type)
 		}
 	}
 	if err := sc.Err(); err != nil && !(compressed && tornGzip(err)) {
-		return fmt.Errorf("dist: %s: %w", d.path, err)
+		return nil, false, nil, fmt.Errorf("dist: %s: %w", d.path, err)
 	}
-	sort.Slice(d.entries, func(i, j int) bool { return d.entries[i].Index < d.entries[j].Index })
-	return nil
+	sort.Slice(entries, func(i, j int) bool { return entries[i].Index < entries[j].Index })
+	return entries, summary, raw, nil
+}
+
+// checkFooter compares the adopted footer with the line data it
+// indexes: the footer's CRC covers only the footer, so damaged record
+// lines behind an intact footer show only here. On a mismatch the
+// dossier degrades to what the lines hold (or to nothing, when
+// ReadShard would refuse them). It runs once, for Complete.
+func (d *Dossier) checkFooter() {
+	d.checked = true
+	entries, summary, _, err := d.scanLines(false)
+	if err == nil && summary == d.summary && slices.Equal(entries, d.entries) {
+		return
+	}
+	metDossierFallbackScans.Inc()
+	d.degrade()
 }
 
 // openLineReader wraps r for line scanning, decompressing when the

@@ -154,7 +154,7 @@ const (
 // inline, allocated with the trace: when every slot is taken, the
 // least-used table is recycled in place, so the memo's size is fixed
 // and hashing never allocates. Tables depend only on bytes, so the memo
-// outlives Reset and snapshot restore.
+// outlives snapshot restore.
 type suffixMemo struct {
 	keys [suffixSlots]suffixKey
 	tabs [suffixSlots]suffixTable

@@ -147,7 +147,7 @@ type Trace struct {
 	incremental bool
 	hbuf        []byte     // reusable per-record hash line buffer
 	argv        []any      // reusable boxed-operand scratch for fmt.Appendf
-	memo        suffixMemo // suffix tables; kept across Reset and restore
+	memo        suffixMemo // suffix tables; kept across rewinds
 }
 
 // NewTrace returns an empty trace.
@@ -171,21 +171,6 @@ func (t *Trace) Grow(recs, args int) {
 		copy(grown, t.args)
 		t.args = grown
 	}
-}
-
-// Reset empties the trace while keeping its buffers for reuse.
-func (t *Trace) Reset() {
-	for i := range t.recs {
-		t.recs[i] = record{} // release retained strings
-	}
-	for i := range t.args {
-		t.args[i] = Arg{}
-	}
-	t.recs = t.recs[:0]
-	t.args = t.args[:0]
-	t.hstate = fnvOffset64
-	t.hashed = 0
-	t.incremental = false
 }
 
 // TraceMark is a trace position captured into a checkpoint: record and
@@ -246,8 +231,8 @@ func (t *Trace) Publish(l *TraceLog) *TraceLog {
 // from is the mark of the machine's last capture or restore on the same
 // golden lineage (the zero mark when unknown): the trace's content up to
 // from is already golden, so only the difference is copied — restoring
-// an earlier mark is a truncation. Incremental hashing is switched off,
-// exactly as Reset does; the run harness re-enables it per run.
+// an earlier mark is a truncation. Incremental hashing is switched off;
+// the run harness re-enables it per run.
 func (t *Trace) Rewind(l *TraceLog, to, from TraceMark) {
 	var golden TraceLog
 	if l != nil {
@@ -410,7 +395,7 @@ const (
 // streaming-artefact campaigns used to pay per run disappears. Records
 // folded on append are formatted straight into the hash buffer; their
 // deferred format/args stay in place, so later Dump/Scan reads still
-// work. Reset disables incremental mode again.
+// work. Rewind disables incremental mode again.
 func (t *Trace) SetIncrementalHash(on bool) {
 	t.incremental = on
 	if on {

@@ -86,23 +86,33 @@ func TestHashStreamsAcrossCalls(t *testing.T) {
 	}
 }
 
-// TestResetClearsIncrementalState: a recycled trace must restart its
-// digest and drop incremental mode (the runner re-enables it per run).
-func TestResetClearsIncrementalState(t *testing.T) {
+// emptyMark is the position of a trace that holds no records.
+var emptyMark = NewTrace().Mark()
+
+// empty rewinds tr to no records, keeping its buffers and suffix memo.
+func empty(tr *Trace) { tr.Rewind(nil, emptyMark, emptyMark) }
+
+// TestRewindClearsIncrementalState: a trace rewound for its next run
+// must restart its digest from the mark and drop incremental mode (the
+// runner re-enables it per run).
+func TestRewindClearsIncrementalState(t *testing.T) {
 	tr := NewTrace()
 	tr.SetIncrementalHash(true)
 	populate(tr)
 	_ = tr.Hash()
-	tr.Reset()
+	empty(tr)
+	if tr.incremental {
+		t.Fatal("rewound trace still hashes on append")
+	}
 	fresh := NewTrace()
 	if tr.Hash() != fresh.Hash() {
-		t.Fatalf("reset trace hash %#x, fresh empty trace %#x", tr.Hash(), fresh.Hash())
+		t.Fatalf("rewound trace hash %#x, fresh empty trace %#x", tr.Hash(), fresh.Hash())
 	}
 	populate(tr)
 	ref := NewTrace()
 	populate(ref)
 	if tr.Hash() != ref.Hash() {
-		t.Fatalf("post-reset hash %#x, fresh-trace hash %#x", tr.Hash(), ref.Hash())
+		t.Fatalf("post-rewind hash %#x, fresh-trace hash %#x", tr.Hash(), ref.Hash())
 	}
 }
 
@@ -153,9 +163,9 @@ func traceOps(tr *Trace, rng *RNG, n int, uniq *int) {
 }
 
 // TestTraceHashMatchesReference checks the folded digest against the
-// reference byte loop across mixed traces, Reset, checkpoint rewinds,
-// and incremental versus end-of-run hashing, on one trace whose memo is
-// carried through all of it.
+// reference byte loop across mixed traces, rewinds to no records,
+// checkpoint rewinds, and incremental versus end-of-run hashing, on one
+// trace whose memo is carried through all of it.
 func TestTraceHashMatchesReference(t *testing.T) {
 	rng := NewRNG(42)
 	uniq := 0
@@ -167,7 +177,7 @@ func TestTraceHashMatchesReference(t *testing.T) {
 	}
 	tr := NewTrace()
 	for round := 0; round < 20; round++ {
-		tr.Reset()
+		empty(tr)
 		tr.SetIncrementalHash(round%2 == 0)
 		traceOps(tr, rng, 400, &uniq)
 		check(fmt.Sprintf("round %d", round), tr)
@@ -180,7 +190,7 @@ func TestTraceHashMatchesReference(t *testing.T) {
 	// it — by truncation, or by copying the published log back when the
 	// trace's own prefix is not known to be golden — alternate
 	// incremental and end-of-run hashing, and check every run.
-	tr.Reset()
+	empty(tr)
 	traceOps(tr, rng, 50, &uniq)
 	_ = tr.Hash()
 	traceOps(tr, rng, 10, &uniq)
@@ -200,7 +210,7 @@ func TestTraceHashMatchesReference(t *testing.T) {
 	// The same records hash identically on a cold trace and on the warm
 	// trace whose memo has seen everything above.
 	cold := NewTrace()
-	tr.Reset()
+	empty(tr)
 	coldN, warmN := uniq, uniq
 	traceOps(cold, NewRNG(7), 500, &coldN)
 	traceOps(tr, NewRNG(7), 500, &warmN)
