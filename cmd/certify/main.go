@@ -10,11 +10,12 @@
 //	                 [-csv] [-ci] [-out dir|runs.jsonl|runs.jsonl.gz]
 //	                 [-shards K -shard-index I -out shard-I.jsonl]
 //	                 [-ci-width PP [-max-runs N] [-stratify]]
-//	                 [-metrics-out metrics.json]
+//	                 [-metrics-out metrics.json] [-cpuprofile f] [-memprofile f]
 //	certify fanout   [-plan E3-fig3 | -planfile f] [-fault MODEL] [-runs 100] [-seed N]
 //	                 [-shards K] [-parallel P] [-retries R] [-dir DIR]
 //	                 [-ci-width PP [-max-runs N] [-stratify]]
 //	                 [-gzip] [-stall 2m] [-csv] [-ci] [-metrics-out metrics.json]
+//	                 [-cpuprofile f] [-memprofile f]
 //	certify merge    [-csv] [-ci] [-index master-index.json] shard-*.jsonl[.gz]
 //	certify inspect  [-run K] [-outcome NAME] [-grep REGEX] [-compare TARGET] [-raw]
 //	                 runs.jsonl[.gz] | master-index.json | shard-*.jsonl[.gz]
@@ -395,7 +396,7 @@ func validateCampaignFlags(f *campaignFlags, out string, shardIndexSet bool) err
 	return nil
 }
 
-func cmdCampaign(args []string) error {
+func cmdCampaign(args []string) (err error) {
 	fs := flag.NewFlagSet("campaign", flag.ContinueOnError)
 	planName := fs.String("plan", "E3-fig3", "test plan name")
 	planFile := fs.String("planfile", "", "load the plan from a plan file instead")
@@ -412,6 +413,7 @@ func cmdCampaign(args []string) error {
 	ciWidth := fs.Float64("ci-width", 0, "adaptive stop: halt once every outcome's 95% CI is narrower than this many percentage points (0 = fixed-N)")
 	maxRuns := fs.Int("max-runs", 0, "adaptive max-N guard: cap the campaign at this many runs (requires -ci-width; replaces -runs)")
 	stratify := fs.Bool("stratify", false, "rotate runs over register-class strata (args / callee-saved / control); full-GPR plans only")
+	prof := addProfileFlags(fs)
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
@@ -442,6 +444,11 @@ func cmdCampaign(args []string) error {
 	if err := validateCampaignFlags(cf, *out, shardIndexSet); err != nil {
 		return asUsage(err)
 	}
+	stop, err := prof.start("")
+	if err != nil {
+		return err
+	}
+	defer func() { err = errors.Join(err, stop()) }()
 
 	fmt.Println("plan:", plan)
 	if cf.outJSONL != "" {
@@ -582,6 +589,7 @@ type fanoutFlags struct {
 	metricsOut string
 	stop       *core.StopSpec
 	stratify   bool
+	prof       profileFlags
 }
 
 // validateFanoutFlags rejects unrunnable configurations with errors
@@ -635,6 +643,7 @@ func cmdFanout(args []string) error {
 	ciWidth := fs.Float64("ci-width", 0, "adaptive stop: halt once every outcome's 95% CI is narrower than this many percentage points (0 = fixed-N)")
 	maxRuns := fs.Int("max-runs", 0, "adaptive max-N guard: cap the campaign at this many runs (requires -ci-width; replaces -runs)")
 	stratify := fs.Bool("stratify", false, "rotate runs over register-class strata (args / callee-saved / control); full-GPR plans only")
+	prof := addProfileFlags(fs)
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
@@ -650,6 +659,7 @@ func cmdFanout(args []string) error {
 		parallel: *parallel, retries: *retries, dir: *dir,
 		gzip: *gz, stall: *stall, inproc: *inproc, quiet: *quiet,
 		csv: *csv, ci: *ci, metricsOut: *metricsOut, stratify: *stratify,
+		prof: prof,
 	}
 	if ff.stop, ff.runs, err = adaptiveStop(*ciWidth, *maxRuns, ff.runs); err != nil {
 		return asUsage(err)
@@ -667,7 +677,7 @@ func cmdFanout(args []string) error {
 }
 
 // runFanout executes a validated fan-out and reports the merged result.
-func runFanout(ff *fanoutFlags) error {
+func runFanout(ff *fanoutFlags) (err error) {
 	spec := &dist.Spec{
 		Plan: ff.plan, Runs: ff.runs, MasterSeed: ff.seed,
 		Shards: ff.shards, Mode: ff.mode,
@@ -676,7 +686,7 @@ func runFanout(ff *fanoutFlags) error {
 	var launcher fanout.Launcher = fanout.InProcess{}
 	if !ff.inproc {
 		launcher = &fanout.Exec{
-			Args:   []string{"fanout-worker"},
+			Args:   append([]string{"fanout-worker"}, ff.prof.workerArgs()...),
 			Stderr: os.Stderr,
 			// Lets a test binary acting as the supervisor route its
 			// re-exec'd children into worker mode; the real certify
@@ -692,6 +702,11 @@ func runFanout(ff *fanoutFlags) error {
 	if !ff.quiet {
 		cfg.OnProgress = newProgressPrinter()
 	}
+	stop, err := ff.prof.start("")
+	if err != nil {
+		return err
+	}
+	defer func() { err = errors.Join(err, stop()) }()
 
 	fmt.Println("plan:", ff.plan)
 	fmt.Printf("fanout: %d runs over %d shards (parallel %s, retries %d) → %s\n",
@@ -780,18 +795,24 @@ func newProgressPrinter() func(fanout.Snapshot) {
 // re-execs: load the published spec, execute one shard, exit. Its exit
 // status is advisory — the supervisor judges the attempt by the
 // artefact the worker leaves behind.
-func cmdFanoutWorker(args []string) error {
+func cmdFanoutWorker(args []string) (err error) {
 	fs := flag.NewFlagSet("fanout-worker", flag.ContinueOnError)
 	specPath := fs.String("spec", "", "spec.json published by the supervisor")
 	index := fs.Int("index", -1, "shard index to execute")
 	out := fs.String("out", "", "shard artefact path")
 	workers := fs.Int("workers", 0, "campaign parallelism inside this worker (0 = GOMAXPROCS)")
+	prof := addProfileFlags(fs)
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 	if *specPath == "" || *out == "" || *index < 0 {
 		return usagef("fanout-worker is launched by 'certify fanout' and needs -spec, -index and -out")
 	}
+	stop, err := prof.start(fmt.Sprintf(".shard-%02d", *index))
+	if err != nil {
+		return err
+	}
+	defer func() { err = errors.Join(err, stop()) }()
 	spec, err := dist.ReadSpecFile(*specPath)
 	if err != nil {
 		return err

@@ -187,6 +187,9 @@ func (s *Snapshot) RAMPages() int { return s.ram.Pages() }
 // Now returns the virtual time of the snapshot.
 func (s *Snapshot) Now() sim.Time { return s.engine.Now() }
 
+// TraceLen returns how many trace records precede the snapshot.
+func (s *Snapshot) TraceLen() int { return s.engine.TraceLen() }
+
 // Log is the published fault-free prefix of the board's append-only
 // logs — trace, both UART captures, the GPIO toggle history — shared
 // read-only by every machine on one golden trajectory. A published Log

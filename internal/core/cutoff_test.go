@@ -101,10 +101,86 @@ func TestCutoffFullLengthE3(t *testing.T) {
 	}
 }
 
-// TestCutoffNeedsEveryCheck pins the eligibility checks one at a time:
-// a run that rejoined (its state equals the golden checkpoint at a
-// boundary) must not be cut off when its queue, its RAM or its future
-// triggers say otherwise.
+// TestFastForwardRunsMatchStraightRuns: a run that rejoins its golden
+// trajectory between injections jumps to the last checkpoint before its
+// next one and simulates that injection for real. Full-horizon E3-fig3
+// runs from a cold pool (the timeline grows by recording and extension)
+// and every builtin plan × fault model at cutoffDuration, with a rate
+// that spaces firings ~4 s apart on a timeline that reaches the horizon,
+// must each equal the straight run. Fast-forwards must happen. On a
+// timeline that reaches the horizon every jump short of it lands before
+// a known firing call, and every jump follows an injection, so each
+// fast-forwarded run there injects at least twice.
+func TestFastForwardRunsMatchStraightRuns(t *testing.T) {
+	seeds, e3Seeds := 20, 24
+	if testing.Short() {
+		seeds, e3Seeds = 4, 8
+	}
+	var jumped, injectedAfter int
+	// run compares the pooled run of plan at seed with its straight run
+	// and reports whether the pooled one fast-forwarded.
+	run := func(t *testing.T, pool *MachinePool, plan *TestPlan, seed uint64) (*RunResult, bool) {
+		t.Helper()
+		before := metFastForwards.Value()
+		got, gotDigest, _ := pooledRun(t, pool, plan, seed)
+		want, wantDigest := straightRun(t, plan, seed)
+		ff := metFastForwards.Value() > before
+		if !reflect.DeepEqual(got, want) || gotDigest != wantDigest {
+			t.Fatalf("seed %#x (fast-forwarded: %v): pooled %s (digest %#x), straight %s (digest %#x)",
+				seed, ff, summarize(got), gotDigest, summarize(want), wantDigest)
+		}
+		if ff {
+			jumped++
+		}
+		return got, ff
+	}
+	t.Run("E3-fig3", func(t *testing.T) {
+		pool := NewMachinePool()
+		for i := 0; i < e3Seeds; i++ {
+			run(t, pool, PlanE3Fig3(), uint64(2022+i))
+		}
+	})
+	for _, name := range BuiltinPlanNames() {
+		for _, model := range FaultModelNames() {
+			base, err := PlanByName(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			plan := *base
+			plan.FaultName = model
+			plan.Duration = cutoffDuration
+			t.Run(name+"/"+model, func(t *testing.T) {
+				pool := NewMachinePool()
+				_, _, m := pooledRun(t, pool, quietVariant(&plan), 1)
+				// A third of the golden calls up to the horizon: about
+				// three firings, ~4 s apart.
+				plan.Rate = max(1, len(timelineFor(t, m, &plan).calls)/3)
+				for i := 0; i < seeds; i++ {
+					state := uint64(i) + 0xFA57
+					seed := sim.SplitMix64(&state)
+					got, ff := run(t, pool, &plan, seed)
+					if !ff {
+						continue
+					}
+					if len(got.Injections) < 2 {
+						t.Fatalf("seed %#x fast-forwarded but injected %d time(s)", seed, len(got.Injections))
+					}
+					injectedAfter++
+				}
+			})
+		}
+	}
+	t.Logf("%d runs fast-forwarded, %d of them on a horizon-length timeline", jumped, injectedAfter)
+	if injectedAfter == 0 {
+		t.Fatal("no fast-forwarded run injected after its jump")
+	}
+}
+
+// TestCutoffNeedsEveryCheck pins the rejoin checks one at a time: a run
+// that rejoined (its state equals the golden checkpoint at a boundary)
+// must jump neither to the horizon nor to a later checkpoint when its
+// queue, its RAM or its health say otherwise, and the injector's next
+// firing call decides where it lands.
 func TestCutoffNeedsEveryCheck(t *testing.T) {
 	plan := *PlanE3Fig3()
 	plan.Duration = cutoffDuration
@@ -114,47 +190,77 @@ func TestCutoffNeedsEveryCheck(t *testing.T) {
 	tl := timelineFor(t, m, &plan)
 	origin := tl.cps[0].at()
 	horizon := origin + plan.EffectiveDuration()
+	ih := int(plan.EffectiveDuration() / checkpointSpacing)
 	b := origin + 6*checkpointSpacing
 	cb := tl.cps[6]
-	if cb.total == tl.cps[len(tl.cps)-1].total {
-		t.Fatal("no golden call between the boundary and the horizon")
+	if tl.cps[7].total == cb.total {
+		t.Fatal("no golden call in the segment after the boundary")
+	}
+	// later is the last golden call up to the horizon; landing is the
+	// last checkpoint before it.
+	later := tl.cps[ih].total
+	landing := 6
+	for tl.cps[landing+1].total < later {
+		landing++
+	}
+	if landing == 6 {
+		t.Fatal("no checkpoint between the boundary and the last golden call")
 	}
 
-	// prepareAt rewinds m to the golden checkpoint at b with a quiet
-	// injector: every check passes there unless the test breaks one.
-	prepareAt := func() timelineRun {
+	// expect rewinds m to the golden checkpoint at b with an injector
+	// that fires on golden call fire (never when 0), lets breakIt break
+	// one thing and calls rejoin. It checks the answer, and that the
+	// machine stands at checkpoint at with the injector's counters at
+	// its golden counts, and which jump counter moved.
+	expect := func(name string, fire uint64, breakIt func(), want bool, at *checkpoint) {
 		t.Helper()
 		inj := runInjector(t, quiet, 5, m.Board.Now)
+		if fire > 0 {
+			// The real rate, phased to fire on golden call fire.
+			rate := uint64(plan.EffectiveRate())
+			inj.plan = &plan
+			inj.phase = (rate - fire%rate) % rate
+		}
+		armRun(inj, &plan, origin)
 		inj.BindMachine(m)
 		m.restoreTo(cb, 5)
 		inj.preload(cb.calls, cb.total)
 		m.HV.Hook = inj.Hook
-		return timelineRun{tl: tl, inj: inj}
-	}
-	check := func(name string, breakIt func(r timelineRun), want bool) {
-		t.Helper()
-		r := prepareAt()
-		breakIt(r)
-		if got := m.rejoin(r, b, horizon); got != want {
+		breakIt()
+		cut, ff := metCutoffRuns.Value(), metFastForwards.Value()
+		if got := m.rejoin(timelineRun{tl: tl, inj: inj}, b, horizon); got != want {
 			t.Fatalf("%s: rejoin = %v, want %v", name, got, want)
 		}
+		if now := m.Board.Now(); now != at.at() {
+			t.Fatalf("%s: machine at %v, want %v", name, now, at.at())
+		}
+		if inj.TotalCalls() != at.total || !reflect.DeepEqual(inj.Calls(), at.calls) {
+			t.Fatalf("%s: injector counted %d calls %v, golden counts at %v are %d %v",
+				name, inj.TotalCalls(), inj.Calls(), at.at(), at.total, at.calls)
+		}
+		jump := at != cb
+		if (metCutoffRuns.Value() > cut) != (jump && at == tl.cps[ih]) ||
+			(metFastForwards.Value() > ff) != (jump && at != tl.cps[ih]) {
+			t.Fatalf("%s: cut-offs %d→%d, fast-forwards %d→%d", name, cut, metCutoffRuns.Value(), ff, metFastForwards.Value())
+		}
 	}
-	check("golden state", func(timelineRun) {}, true)
-	// The extra event sorts after every event a handle refers to, so
-	// only the queue comparison can see it.
-	check("extra queued event", func(timelineRun) {
-		m.Board.Engine.After(sim.Minute, board.EvRaiseSPI, 40, 0)
-	}, false)
-	check("RAM word", func(timelineRun) {
-		_ = m.Board.RAM.WriteWord(board.DRAMBase+0x100, 0xBAD)
-	}, false)
-	check("later trigger", func(r timelineRun) {
-		// The real rate, phased to fire on the first golden call after b.
-		rate := uint64(plan.EffectiveRate())
-		r.inj.plan = &plan
-		r.inj.phase = (rate - (cb.total+1)%rate) % rate
-	}, false)
-	check("tainted", func(timelineRun) { m.simFault = "test" }, false)
+	nothing := func() {}
+	expect("golden state", 0, nothing, true, tl.cps[ih])
+	expect("next trigger", cb.total+1, nothing, false, cb)
+	expect("later trigger", later, nothing, false, tl.cps[landing])
+	for _, c := range []struct {
+		name    string
+		breakIt func()
+	}{
+		// The extra event sorts after every event a handle refers to, so
+		// only the queue comparison can see it.
+		{"extra queued event", func() { m.Board.Engine.After(sim.Minute, board.EvRaiseSPI, 40, 0) }},
+		{"RAM word", func() { _ = m.Board.RAM.WriteWord(board.DRAMBase+0x100, 0xBAD) }},
+		{"tainted", func() { m.simFault = "test" }},
+	} {
+		expect(c.name+" (no trigger left)", 0, c.breakIt, false, cb)
+		expect(c.name+" (later trigger)", later, c.breakIt, false, cb)
+	}
 }
 
 // TestStateDigestFoldsQueuedEvents: two machines that differ only in one

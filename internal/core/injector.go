@@ -174,7 +174,7 @@ func (in *Injector) firstTrigger(calls []sim.Time, base uint64) uint64 {
 }
 
 // advance adds the golden matching calls between two checkpoints to the
-// counters, as if the injector had watched the stretch a cut-off skips.
+// counters, as if the injector had watched the stretch a jump skips.
 func (in *Injector) advance(from, to *checkpoint) {
 	for p, n := range to.calls {
 		if d := n - from.calls[p]; d != 0 {

@@ -67,7 +67,7 @@ type Machine struct {
 	at *checkpoint
 	// run, when set, makes the next Run a timeline run (see prepare).
 	run timelineRun
-	// owed is a timeline extension a cut-off check found missing; the
+	// owed is a timeline extension a rejoin check found missing; the
 	// next prepare pays it.
 	owed *extension
 }
@@ -329,8 +329,9 @@ func inmateImage() []byte {
 // A run prepared on a golden timeline runs in checkpoint-spacing
 // segments: while it stays fault-free at the timeline's frontier it
 // extends the timeline (see record), and once it has rejoined the golden
-// trajectory for good the rest is spliced from the timeline instead of
-// simulated (see converge). The result is the same as one Engine.Run.
+// trajectory the stretch up to its next injection, or to the horizon, is
+// spliced from the timeline instead of simulated (see converge). The
+// result is the same as one Engine.Run.
 func (m *Machine) Run(d sim.Time) {
 	defer func() {
 		if r := recover(); r != nil {

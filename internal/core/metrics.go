@@ -71,6 +71,12 @@ var (
 	metCutoffSkipped = obs.Default.NewCounter(
 		"certify_core_cutoff_skipped_virtual_seconds_total",
 		"Virtual seconds between a cut-off run's rejoin boundary and its horizon, taken from the golden timeline instead of simulated.")
+	metFastForwards = obs.Default.NewCounter(
+		"certify_core_fastforward_total",
+		"Jumps of runs that rejoined the golden trajectory to the last golden checkpoint before their next injection, short of the horizon; the stretch was spliced from the golden timeline.")
+	metFastForwardSkipped = obs.Default.NewCounter(
+		"certify_core_fastforward_skipped_virtual_seconds_total",
+		"Virtual seconds between a fast-forwarded run's rejoin boundary and its landing checkpoint, taken from the golden timeline instead of simulated.")
 	metTimelineExtension = obs.Default.NewCounter(
 		"certify_core_timeline_extension_seconds_total",
 		"Virtual seconds of fault-free simulation spent extending golden timelines to a plan's horizon so later runs can be cut off.")

@@ -223,13 +223,19 @@ func acquireMachine(pool *MachinePool, opts MachineOptions) (m *Machine, fresh b
 // detectionLatency measures first-injection → first detection evidence:
 // a park, a panic, an internal HYP trap or the bounded-progress watchdog.
 // first is the virtual time of the first injection (-1 when none
-// happened). The trace is scanned in place without rendering messages.
+// happened). The trace is scanned in place without rendering messages,
+// from the run's start checkpoint on: every earlier record lies at or
+// before it, and it precedes the first firing call.
 func detectionLatency(m *Machine, first sim.Time) sim.Time {
 	if first < 0 {
 		return -1
 	}
+	from := 0
+	if m.at != nil {
+		from = m.at.board.TraceLen()
+	}
 	latency := sim.Time(-1)
-	m.Board.Trace().ScanMeta(func(at sim.Time, kind sim.Kind, _ int) bool {
+	m.Board.Trace().ScanMetaFrom(from, func(at sim.Time, kind sim.Kind, _ int) bool {
 		switch kind {
 		case sim.KindPark, sim.KindPanic, sim.KindHypTrap, sim.KindWedge:
 			if at >= first {

@@ -141,7 +141,7 @@ type timeline struct {
 	// frontier, in call order: calls[n-1] is the time of call n.
 	calls []sim.Time
 	used  uint64 // LRU stamp
-	// extended is set once the timeline was extended for a cut-off.
+	// extended is set once the timeline was extended to a run's horizon.
 	extended bool
 }
 
@@ -311,15 +311,18 @@ func (m *Machine) record(r timelineRun, horizon sim.Time) {
 	}
 }
 
-// Convergence cut-off (see DESIGN.md "Convergence cut-off"). Once a
-// faulty run is back in the golden state after its last possible
-// injection, simulating the rest of its horizon repeats the golden run
-// exactly, so the run stops there and takes the rest from its timeline.
+// Golden fast-forward (see DESIGN.md "Golden fast-forward"). Once a
+// faulty run is back in the golden state, simulating on repeats the
+// golden run exactly until its injector next fires, so the run jumps to
+// the last golden checkpoint before that call — the horizon when no
+// firing is left (the convergence cut-off) — and takes the stretch it
+// skips from its timeline.
 
 // converge runs the rest of a timeline run to horizon in
 // checkpointSpacing segments on the timeline's grid — the split record
-// uses — and stops at the first boundary where the run has rejoined its
-// golden trajectory for good, splicing the golden suffix in instead.
+// uses — and at each boundary where the run has rejoined its golden
+// trajectory jumps it ahead (see rejoin), stopping once it lands on the
+// horizon.
 func (m *Machine) converge(r timelineRun, horizon sim.Time) {
 	eng := m.Board.Engine
 	origin := r.tl.cps[0].at()
@@ -339,37 +342,44 @@ func (m *Machine) converge(r timelineRun, horizon sim.Time) {
 	_ = eng.Run(horizon)
 }
 
-// rejoin reports whether the run, stopped at boundary b, can end here:
-// whether everything that drives its future equals the golden
-// checkpoint at b and its injector cannot fire again before horizon. If
-// so, it splices the golden stretch from b to horizon into the machine.
-// The checks run cheapest first and the first failure exits. A run that
-// passes every check against a timeline that stops short of its horizon
-// leaves the timeline's extension owed (see extend), unless its injector
-// is expected to fire again past the frontier anyway.
+// rejoin checks, at boundary b, whether everything that drives the
+// run's future equals the golden checkpoint at b, and if so splices the
+// golden stretch up to the run's target into the machine: the latest
+// checkpoint, at most the horizon, whose golden call count lies below
+// the injector's next firing call. The run goes on from the target with
+// the RNG it has — a golden stretch draws nothing from it — and simulates
+// that injection for real. rejoin reports whether the run landed on the
+// horizon. The checks run cheapest first and the first failure exits; a
+// target at b skips them unless an extension may be owed. A run that
+// passes every check against a timeline that stops short of its
+// horizon, with no firing call known up to the frontier, leaves the
+// timeline's extension owed (see extend), unless its injector is
+// expected to fire again past the frontier anyway.
 func (m *Machine) rejoin(r timelineRun, b, horizon sim.Time) bool {
 	tl, inj := r.tl, r.inj
 	origin := tl.cps[0].at()
 	if (horizon-origin)%checkpointSpacing != 0 {
 		return false // no checkpoint can sit at the horizon
 	}
-	// 1. The timeline covers b and the horizon — or, once, could be
-	// extended to cover it.
+	// 1. The timeline covers b.
 	ib, ih := int((b-origin)/checkpointSpacing), int((horizon-origin)/checkpointSpacing)
-	covered := ih < len(tl.cps)
-	if ib >= len(tl.cps) || (!covered && (tl.extended || m.owed != nil)) {
+	if ib >= len(tl.cps) {
 		return false
 	}
-	cb, calls := tl.cps[ib], tl.calls
-	if covered {
-		calls = calls[:tl.cps[ih].total]
+	last := min(ih, len(tl.cps)-1)
+	cb := tl.cps[ib]
+	// 2. The target: the injector's first firing golden call after b,
+	// numbered on from the run's own count, bounds it.
+	fire := inj.firstTrigger(tl.calls[cb.total:tl.cps[last].total], inj.callTotal)
+	it := ib
+	for it < last && (fire == 0 || tl.cps[it+1].total < cb.total+fire) {
+		it++
 	}
-	// 2. The injector fires on no golden call after b, numbered on from
-	// the run's own count. Past an uncovered frontier the calls are not
-	// known yet, so the forecast decides whether checking further can
-	// lead anywhere.
-	if inj.firstTrigger(calls[cb.total:], inj.callTotal) != 0 ||
-		!covered && tl.expectsTrigger(inj, inj.callTotal+uint64(len(calls))-cb.total, horizon) {
+	// Past an uncovered frontier the calls are not known yet, so the
+	// forecast decides whether extending the timeline can lead anywhere.
+	owe := fire == 0 && last < ih && !tl.extended && m.owed == nil &&
+		!tl.expectsTrigger(inj, inj.callTotal+uint64(len(tl.calls))-cb.total, horizon)
+	if it == ib && !owe {
 		return false
 	}
 	// 3. The machine is healthy.
@@ -383,25 +393,33 @@ func (m *Machine) rejoin(r timelineRun, b, horizon sim.Time) bool {
 		!brd.MatchesQueue(cb.board) || !brd.MatchesRAM(cb.board) {
 		return false
 	}
-	if !covered {
+	if owe {
 		m.owed = &extension{tl: tl, plan: inj.plan, horizon: horizon}
+	}
+	if it == ib {
 		return false
 	}
-	ch := tl.cps[ih]
-	m.splice(cb, ch)
-	inj.advance(cb, ch)
+	ct := tl.cps[it]
+	m.splice(cb, ct)
+	inj.advance(cb, ct)
 	m.HV.Hook = inj.Hook
-	metCutoffRuns.Inc()
-	metCutoffSkipped.Add(uint64((horizon - b) / sim.Second))
-	return true
+	skipped := uint64((ct.at() - b) / sim.Second)
+	if it == ih {
+		metCutoffRuns.Inc()
+		metCutoffSkipped.Add(skipped)
+		return true
+	}
+	metFastForwards.Inc()
+	metFastForwardSkipped.Add(skipped)
+	return false
 }
 
 // expectsTrigger reports whether inj, which will have counted known
 // matching calls by the timeline's frontier, can be expected to fire
 // again before horizon, extrapolating the golden call rate up to the
 // frontier. It only decides whether extending the timeline is worth its
-// cost — a run that keeps injecting never rejoins — never whether a run
-// may be cut off.
+// cost — a run that keeps injecting never rejoins — never where a run
+// may jump.
 func (tl *timeline) expectsTrigger(inj *Injector, known uint64, horizon sim.Time) bool {
 	if !inj.armed {
 		return false
@@ -467,8 +485,8 @@ func (m *Machine) splice(from, to *checkpoint) {
 }
 
 // extension is a timeline extension a run left owed: the timeline's
-// frontier lay before the horizon of a run that reached a boundary it
-// might have been cut off at.
+// frontier lay before the horizon of a run that rejoined with no firing
+// call known up to it.
 type extension struct {
 	tl      *timeline
 	plan    *TestPlan

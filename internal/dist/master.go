@@ -2,6 +2,7 @@ package dist
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -358,12 +359,12 @@ func WriteMasterIndexFile(path string, artefacts []string) (*MasterIndex, error)
 			mi.Shards[i].Path = rel
 		}
 	}
-	data, err := json.MarshalIndent(mi, "", "  ")
+	data, err := encodeMasterIndex(mi)
 	if err != nil {
 		return nil, err
 	}
 	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, append(data, '\n'), 0o644); err != nil {
+	if err := os.WriteFile(tmp, data, 0o644); err != nil {
 		return nil, err
 	}
 	if err := os.Rename(tmp, path); err != nil {
@@ -372,21 +373,46 @@ func WriteMasterIndexFile(path string, artefacts []string) (*MasterIndex, error)
 	return mi, nil
 }
 
+// ErrMalformedMasterIndex marks a master index document that does not
+// decode into a campaign description: bad JSON, a newer schema, or no
+// runs or shards.
+var ErrMalformedMasterIndex = errors.New("malformed master index")
+
+// encodeMasterIndex renders the master index document as written to
+// disk.
+func encodeMasterIndex(mi *MasterIndex) ([]byte, error) {
+	data, err := json.MarshalIndent(mi, "", "  ")
+	if err != nil {
+		return nil, err
+	}
+	return append(data, '\n'), nil
+}
+
 // ReadMasterIndex loads a master index document.
 func ReadMasterIndex(path string) (*MasterIndex, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	var mi MasterIndex
-	if err := json.Unmarshal(data, &mi); err != nil {
+	mi, err := decodeMasterIndex(data)
+	if err != nil {
 		return nil, fmt.Errorf("dist: %s: %w", path, err)
 	}
+	return mi, nil
+}
+
+// decodeMasterIndex parses a master index document. Every refusal wraps
+// ErrMalformedMasterIndex.
+func decodeMasterIndex(data []byte) (*MasterIndex, error) {
+	var mi MasterIndex
+	if err := json.Unmarshal(data, &mi); err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrMalformedMasterIndex, err)
+	}
 	if mi.Schema > SchemaVersion {
-		return nil, fmt.Errorf("dist: %s uses schema %d, this build reads up to %d", path, mi.Schema, SchemaVersion)
+		return nil, fmt.Errorf("%w: schema %d, this build reads up to %d", ErrMalformedMasterIndex, mi.Schema, SchemaVersion)
 	}
 	if mi.Runs <= 0 || len(mi.Shards) == 0 {
-		return nil, fmt.Errorf("dist: %s describes no campaign", path)
+		return nil, fmt.Errorf("%w: describes no campaign", ErrMalformedMasterIndex)
 	}
 	return &mi, nil
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"github.com/dessertlab/certify/internal/core"
+	"github.com/dessertlab/certify/internal/obs"
 )
 
 // TestArtefactBytesIndependentOfWorkerCount pins the single campaign
@@ -110,10 +111,17 @@ func TestCompletionOrderArtefactReadsLikeIndexOrder(t *testing.T) {
 }
 
 // TestCutoffArtefactBytesMatchColdBuild: a full-length E3-fig3 shard run
-// over a pooled machine — checkpoint starts, convergence cut-offs and
-// the lazy timeline extension — must stream the same bytes as the
-// straight cold-build shard, at any worker count.
+// over a pooled machine — checkpoint starts, golden fast-forwards to the
+// next injection and to the horizon, and the lazy timeline extension —
+// must stream the same bytes as the straight cold-build shard, at any
+// worker count.
 func TestCutoffArtefactBytesMatchColdBuild(t *testing.T) {
+	m, ok := obs.Default.Lookup("certify_core_fastforward_total")
+	if !ok {
+		t.Fatal("fast-forward counter not registered")
+	}
+	fastForwards := m.(*obs.Counter)
+	before := fastForwards.Value()
 	runs := 24
 	if testing.Short() {
 		runs = 8
@@ -158,5 +166,8 @@ func TestCutoffArtefactBytesMatchColdBuild(t *testing.T) {
 		if b := write(workers, false); !bytes.Equal(b, ref) {
 			t.Fatalf("%d workers: pooled artefact differs from the cold-build artefact (%d vs %d bytes)", workers, len(b), len(ref))
 		}
+	}
+	if fastForwards.Value() == before {
+		t.Fatal("no run fast-forwarded to its next injection")
 	}
 }

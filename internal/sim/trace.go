@@ -320,8 +320,11 @@ func (t *Trace) Scan(fn func(Record) bool) {
 // ScanMeta visits every record's metadata in order without rendering any
 // message — the zero-cost path for readers that only need kinds and
 // timestamps (e.g. detection-latency measurement). Return false to stop.
-func (t *Trace) ScanMeta(fn func(at Time, kind Kind, cpu int) bool) {
-	for i := range t.recs {
+func (t *Trace) ScanMeta(fn func(at Time, kind Kind, cpu int) bool) { t.ScanMetaFrom(0, fn) }
+
+// ScanMetaFrom is ScanMeta starting at record from.
+func (t *Trace) ScanMetaFrom(from int, fn func(at Time, kind Kind, cpu int) bool) {
+	for i := from; i < len(t.recs); i++ {
 		r := &t.recs[i]
 		if !fn(r.at, r.kind, int(r.cpu)) {
 			return
