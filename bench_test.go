@@ -550,7 +550,9 @@ func scanRunLookup(b *testing.B, path string, k int) *dist.RunRecord {
 // dossier: OpenDossier.Run(k) against the sequential-scan lookup, on a
 // 10k-run artefact, plain and gzip. The acceptance bar is ≥50× —
 // indexed lookups are O(1) file reads while the scan decodes half the
-// archive per query on average.
+// archive per query on average. The read-shard and merge rows time the
+// whole-artefact read side over the same file: dist.ReadShard, and
+// dist.Merge of it as a one-shard campaign.
 func BenchmarkDossierRandomAccess(b *testing.B) {
 	const runs = 10_000
 	for _, name := range []string{"runs.jsonl", "runs.jsonl.gz"} {
@@ -586,6 +588,22 @@ func BenchmarkDossierRandomAccess(b *testing.B) {
 				k := (i * 7919) % runs
 				if rec := scanRunLookup(b, path, k); rec.Index != k {
 					b.Fatalf("scan(%d) returned run %d", k, rec.Index)
+				}
+			}
+		})
+		b.Run(label+"/read-shard", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				sf, err := dist.ReadShard(path)
+				if err != nil || !sf.Complete || sf.Records != runs {
+					b.Fatalf("ReadShard: %v", err)
+				}
+			}
+		})
+		b.Run(label+"/merge", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				merged, _, err := dist.Merge([]string{path})
+				if err != nil || merged.Total() != runs {
+					b.Fatalf("Merge: %v", err)
 				}
 			}
 		})

@@ -118,6 +118,43 @@ func TestMergeMismatchExitCode(t *testing.T) {
 	}
 }
 
+// TestInspectMismatchExitCode: inspect over shard artefacts that are
+// not one campaign — a shard of another seed, or one shard given twice
+// — exits 3 like merge, because both apply the same campaign-set check.
+func TestInspectMismatchExitCode(t *testing.T) {
+	if testing.Short() {
+		t.Skip("campaign")
+	}
+	planfile := shortPlanFile(t)
+	dir := t.TempDir()
+	shard := func(seed string, index int) string {
+		path := filepath.Join(dir, fmt.Sprintf("seed%s-shard%d.jsonl", seed, index))
+		if err := cmdCampaign([]string{
+			"-planfile", planfile, "-runs", "2", "-seed", seed, "-mode", "distribution",
+			"-shards", "2", "-shard-index", fmt.Sprint(index), "-out", path, "-csv",
+		}); err != nil {
+			t.Fatalf("campaign seed %s shard %d: %v", seed, index, err)
+		}
+		return path
+	}
+	own0, own1, foreign1 := shard("1", 0), shard("1", 1), shard("2", 1)
+	if err := cmdInspect([]string{own0, own1}); err != nil {
+		t.Fatalf("inspect of one campaign: %v", err)
+	}
+	for _, tc := range []struct {
+		name  string
+		paths []string
+	}{
+		{"foreign shard", []string{own0, foreign1}},
+		{"duplicated shard", []string{own0, own0}},
+	} {
+		err := cmdInspect(tc.paths)
+		if got := exitCode(err); got != exitMismatch {
+			t.Errorf("inspect over a %s: exit %d (%v), want %d", tc.name, got, err, exitMismatch)
+		}
+	}
+}
+
 // TestSubmitAgainstServer drives certify submit end to end against an
 // in-process server: a successful remote campaign exits 0, a usage-class
 // rejection exits 2 — the same codes local execution produces.

@@ -5,9 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-
-	"github.com/dessertlab/certify/internal/core"
-	"github.com/dessertlab/certify/internal/sim"
 )
 
 // writeJSONLine appends v as one newline-terminated JSON line, the
@@ -36,7 +33,10 @@ func WriteCanonical(w io.Writer, d *Dossier) error {
 	if err := writeJSONLine(bw, d.Manifest()); err != nil {
 		return err
 	}
-	res := &core.CampaignResult{Plan: d.Manifest().Plan}
+	res, err := foldEntries(d.Manifest(), d.Entries())
+	if err != nil {
+		return err
+	}
 	for _, e := range d.Entries() {
 		line, err := d.RawRun(e.Index)
 		if err != nil {
@@ -48,11 +48,6 @@ func WriteCanonical(w io.Writer, d *Dossier) error {
 		if err := bw.WriteByte('\n'); err != nil {
 			return err
 		}
-		o, err := parseOutcome(e.Outcome)
-		if err != nil {
-			return fmt.Errorf("dist: %s run %d: %w", d.Path(), e.Index, err)
-		}
-		res.AddSample(o, e.Injections, sim.Time(e.DetectionNS))
 	}
 	s := summaryFor(res)
 	stampStop(&s, d.Manifest(), len(d.Entries()))

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -393,6 +394,25 @@ func TestMergeRejectsBadShardSets(t *testing.T) {
 	}
 	if _, _, err := Merge([]string{paths[0], alien}); err == nil || !strings.Contains(err.Error(), "different campaign") {
 		t.Errorf("cross-campaign merge not reported: %v", err)
+	}
+
+	// A shard whose manifest claims another shard's index but keeps its
+	// window overlaps that window: refused by the tiling check, by Merge
+	// and by the campaign dossier alike.
+	first, err := os.ReadFile(paths[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	imposter := filepath.Join(dir, "imposter.jsonl")
+	edited := bytes.Replace(first, []byte(`"shard":0,`), []byte(`"shard":1,`), 1)
+	if err := os.WriteFile(imposter, edited, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := Merge([]string{paths[0], imposter}); err == nil || !strings.Contains(err.Error(), "do not tile") {
+		t.Errorf("overlapping windows not reported by Merge: %v", err)
+	}
+	if _, err := OpenCampaignDossier([]string{paths[0], imposter}); err == nil || !strings.Contains(err.Error(), "do not tile") {
+		t.Errorf("overlapping windows not reported by OpenCampaignDossier: %v", err)
 	}
 
 	// An incomplete shard must be named. (Strip the index footer first

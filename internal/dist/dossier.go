@@ -10,6 +10,8 @@ import (
 	"os"
 	"slices"
 	"sort"
+
+	"github.com/dessertlab/certify/internal/core"
 )
 
 // Dossier is the random-access view of one shard artefact: run K's
@@ -42,7 +44,11 @@ type Dossier struct {
 	// checked is set once Complete has compared the footer with the
 	// line data (checkFooter).
 	checked bool
-	summary bool
+	// footerSummary is the footer's summary flag (indexed path only).
+	footerSummary bool
+	// summary is the summary line a sequential decode read: the
+	// fallback's scan, or checkFooter's on the indexed path.
+	summary *Summary
 	// err is why the last sequential decode refused the artefact; a
 	// dossier holding one serves no record.
 	err error
@@ -89,13 +95,11 @@ func OpenDossier(path string) (*Dossier, error) {
 // artefact in errors.
 func OpenDossierAt(r io.ReaderAt, size int64, path string) (*Dossier, error) {
 	d := &Dossier{path: path, r: r, size: size}
-	var magic [2]byte
-	if n, _ := d.ReadAt(magic[:], 0); n == 2 && magic[0] == 0x1f && magic[1] == 0x8b {
-		d.gz = true
-	}
-	if err := d.readManifest(); err != nil {
+	l, m, err := openArtefact(d, size, path, 4<<10)
+	if err != nil {
 		return nil, err
 	}
+	d.gz, d.man = l.compressed, m
 	if ix, err := d.loadFooter(); err == nil {
 		if verr := d.adoptIndex(ix); verr == nil {
 			metDossierIndexedOpens.Inc()
@@ -138,26 +142,18 @@ func (d *Dossier) Manifest() Manifest { return d.man }
 // the cached sequential decode (false).
 func (d *Dossier) Indexed() bool { return d.indexed }
 
-// Complete reports whether the artefact holds its summary marker and
-// one record for every run of its window — the same completion
-// predicate ReadShard applies. Shards run under a stop policy may
-// finish short of their window (the policy certified a shorter
-// prefix): any non-empty record prefix with a summary is a finished
-// shard, and the merge's policy replay validates where it ended. On an
-// indexed dossier the first call reads the line data once to check it
-// against the footer, so a dossier reports complete only over lines
-// ReadShard accepts.
+// Complete reports whether the artefact is a finished shard by the
+// completion predicate ReadShard applies (shardComplete): a summary
+// line that confirms the records, which fill the window (or, under a
+// stop policy, a non-empty prefix of it). On an indexed dossier the
+// first call reads the line data once to check it against the footer,
+// so a dossier reports complete only over lines ReadShard accepts.
 func (d *Dossier) Complete() bool {
 	if d.indexed && !d.checked {
 		d.checkFooter()
 	}
-	if !d.summary {
-		return false
-	}
-	if d.man.Stop != nil {
-		return len(d.entries) > 0 && len(d.entries) <= d.man.End-d.man.Start
-	}
-	return len(d.entries) == d.man.End-d.man.Start
+	res, err := foldEntries(d.man, d.entries)
+	return err == nil && shardComplete(d.man, d.summary, res)
 }
 
 // NumRuns returns how many run records the dossier holds.
@@ -255,11 +251,7 @@ func (d *Dossier) RawRun(k int) ([]byte, error) {
 	if derr := d.degrade(); derr != nil {
 		return nil, fmt.Errorf("dist: %s: indexed read of run %d failed (%v) and sequential fallback too: %w", d.path, k, err, derr)
 	}
-	line, ok = d.raw[k]
-	if !ok {
-		return nil, fmt.Errorf("dist: %s holds no record for run %d", d.path, k)
-	}
-	return line, nil
+	return d.RawRun(k)
 }
 
 // verifyRunLine checks that a line read through the index really is
@@ -322,22 +314,16 @@ func (d *Dossier) ByOutcome(outcome string) ([]*RunRecord, error) {
 }
 
 // readSpan reads the line at entry e through the index: one positioned
-// read for plain artefacts; for gzip, a seek to the nearest restart
-// offset at or before the line and a bounded decode from there. Cost
-// is independent of the artefact's total size.
+// read for plain artefacts (adoptIndex checked the span lies inside the
+// line data); for gzip, a seek to the nearest restart offset at or
+// before the line and a bounded decode from there. Cost is independent
+// of the artefact's total size.
 func (d *Dossier) readSpan(e IndexEntry) ([]byte, error) {
+	if !d.gz {
+		return d.readPlainSpanLenient(e)
+	}
 	if e.Length <= 0 || e.Length > maxLineBytes {
 		return nil, fmt.Errorf("dist: index entry spans %d bytes", e.Length)
-	}
-	if !d.gz {
-		if e.Offset+int64(e.Length) > d.size {
-			return nil, fmt.Errorf("dist: index entry [%d,+%d) beyond file size %d", e.Offset, e.Length, d.size)
-		}
-		buf := make([]byte, e.Length)
-		if _, err := io.ReadFull(io.NewSectionReader(d, e.Offset, int64(e.Length)), buf); err != nil {
-			return nil, err
-		}
-		return bytes.TrimSuffix(buf, []byte("\n")), nil
 	}
 	ix, err := d.restartFor(e.Offset)
 	if err != nil {
@@ -359,11 +345,11 @@ func (d *Dossier) readSpan(e IndexEntry) ([]byte, error) {
 	return bytes.TrimSuffix(buf, []byte("\n")), nil
 }
 
-// readPlainSpanLenient reads a plain-file span recorded by the
-// fallback scan, tolerating a final record line that was never
-// newline-terminated (a torn tail whose JSON still parsed): the span
-// may overshoot the file end by the phantom newline, so a short read
-// at EOF is fine.
+// readPlainSpanLenient reads a plain-file span, tolerating a final
+// record line that was never newline-terminated (a torn tail whose
+// JSON still parsed, recorded by the fallback scan): the span may
+// overshoot the file end by the phantom newline, so a short read at EOF
+// is fine.
 func (d *Dossier) readPlainSpanLenient(e IndexEntry) ([]byte, error) {
 	if e.Length <= 0 || e.Length > maxLineBytes {
 		return nil, fmt.Errorf("dist: index entry spans %d bytes", e.Length)
@@ -385,32 +371,6 @@ func (d *Dossier) restartFor(off int64) (restart, error) {
 		return restart{}, fmt.Errorf("dist: no restart point covers offset %d", off)
 	}
 	return rs[i-1], nil
-}
-
-// readManifest decodes the artefact's first line, with the same
-// validation ReadShard applies.
-func (d *Dossier) readManifest() error {
-	r, _, err := openLineReader(io.NewSectionReader(d, 0, d.size), d.gz, d.path)
-	if err != nil {
-		return err
-	}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 4<<10), maxLineBytes)
-	if !sc.Scan() {
-		if err := sc.Err(); err != nil {
-			return fmt.Errorf("dist: %s: %w", d.path, err)
-		}
-		return fmt.Errorf("dist: %s is empty (no manifest line)", d.path)
-	}
-	var m Manifest
-	if err := json.Unmarshal(sc.Bytes(), &m); err != nil || m.Type != recordManifest {
-		return fmt.Errorf("dist: %s does not start with a manifest line", d.path)
-	}
-	if err := validateManifest(d.path, m); err != nil {
-		return err
-	}
-	d.man = m
-	return nil
 }
 
 // loadFooter locates, reads and parses the index footer. Every failure
@@ -459,7 +419,13 @@ func (d *Dossier) loadGzipFooter() (*shardIndex, error) {
 	if footLen > maxFooterMemberBytes || footOff+footLen+gzipTrailerSize != d.size {
 		return nil, fmt.Errorf("dist: %s trailer places the footer member at [%d,+%d), file is %d bytes", d.path, footOff, footLen, d.size)
 	}
-	zr, err := gzip.NewReader(io.NewSectionReader(d, footOff, footLen))
+	// One read for the whole member keeps the open's cost independent
+	// of the run count.
+	member := make([]byte, footLen)
+	if _, err := io.ReadFull(io.NewSectionReader(d, footOff, footLen), member); err != nil {
+		return nil, err
+	}
+	zr, err := gzip.NewReader(bytes.NewReader(member))
 	if err != nil {
 		return nil, err
 	}
@@ -505,7 +471,7 @@ func (d *Dossier) adoptIndex(ix *shardIndex) error {
 	}
 	d.entries = ix.entries
 	d.footerRestarts = ix.restarts
-	d.summary = ix.summary
+	d.footerSummary = ix.summary
 	d.indexed = true
 	return nil
 }
@@ -543,139 +509,64 @@ func (d *Dossier) refreshScan() error {
 func (d *Dossier) degrade() error {
 	d.indexed = false
 	d.footerRestarts = nil
-	d.entries, d.summary, d.raw, d.err = nil, false, nil, nil
-	entries, summary, raw, err := d.scanLines(d.gz)
+	d.entries, d.summary, d.raw, d.err = nil, nil, nil, nil
+	s, err := d.scanLines(d.gz)
 	if err != nil {
 		d.err = err
 		return err
 	}
-	d.entries, d.summary, d.raw = entries, summary, raw
+	d.entries, d.summary, d.raw = s.entries, s.summary, s.raw
 	return nil
 }
 
-// scanLines decodes the line stream sequentially with ReadShard's
-// checks and returns the run entries sorted by index, whether a summary
-// line was read, and, when keepRaw is set, every record line by run
-// index.
-func (d *Dossier) scanLines(keepRaw bool) (entries []IndexEntry, summary bool, raw map[int][]byte, err error) {
+// lineScan is what one sequential decode of the line data yields.
+type lineScan struct {
+	entries []IndexEntry // sorted by run index
+	summary *Summary
+	raw     map[int][]byte // record lines by run index, when kept
+	stop    int            // why the line data ended
+}
+
+// scanLines decodes the line data through the record scanner — the
+// checks ReadShard applies — keeping every record line when keepRaw is
+// set.
+func (d *Dossier) scanLines(keepRaw bool) (lineScan, error) {
+	var s lineScan
 	if keepRaw {
-		raw = make(map[int][]byte)
+		s.raw = make(map[int][]byte)
 	}
-	r, compressed, err := openLineReader(io.NewSectionReader(d, 0, d.size), d.gz, d.path)
+	l, _, err := openArtefact(d, d.size, d.path, 64<<10)
 	if err != nil {
-		return nil, false, nil, err
+		return lineScan{}, err
 	}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64<<10), maxLineBytes)
-	seen := make(map[int]bool)
-	var off int64
-	line := 0
-	for sc.Scan() {
-		line++
-		tok := sc.Bytes()
-		start := off
-		off += int64(len(tok)) + 1
-		if line == 1 {
-			continue // the manifest; already decoded by readManifest
+	s.summary, err = scanRecords(l, d.man, func(e IndexEntry, _ core.Outcome, line []byte) {
+		s.entries = append(s.entries, e)
+		if keepRaw {
+			s.raw[e.Index] = bytes.Clone(line)
 		}
-		var probe struct {
-			Type string `json:"type"`
-		}
-		if err := json.Unmarshal(tok, &probe); err != nil {
-			if corruptLine(sc) {
-				return nil, false, nil, fmt.Errorf("dist: %s line %d: %w", d.path, line, errCorruptLine)
-			}
-			break // footer block or torn trailing line: line data ends here
-		}
-		switch probe.Type {
-		case recordRun:
-			var rec RunRecord
-			if err := json.Unmarshal(tok, &rec); err != nil {
-				return nil, false, nil, fmt.Errorf("dist: %s line %d: %w", d.path, line, err)
-			}
-			if rec.Index < d.man.Start || rec.Index >= d.man.End {
-				return nil, false, nil, fmt.Errorf("dist: %s line %d: run index %d outside shard window [%d,%d)",
-					d.path, line, rec.Index, d.man.Start, d.man.End)
-			}
-			if seen[rec.Index] {
-				return nil, false, nil, fmt.Errorf("dist: %s line %d: duplicate run index %d", d.path, line, rec.Index)
-			}
-			seen[rec.Index] = true
-			if _, err := parseOutcome(rec.Outcome); err != nil {
-				return nil, false, nil, fmt.Errorf("dist: %s line %d: %w", d.path, line, err)
-			}
-			hash, err := parseHex(rec.TraceHash)
-			if err != nil {
-				return nil, false, nil, fmt.Errorf("dist: %s line %d: bad trace hash %q", d.path, line, rec.TraceHash)
-			}
-			if keepRaw {
-				raw[rec.Index] = append([]byte(nil), tok...)
-			}
-			entries = append(entries, IndexEntry{
-				Index:       rec.Index,
-				Offset:      start,
-				Length:      len(tok) + 1,
-				Outcome:     rec.Outcome,
-				Injections:  rec.Injections,
-				TraceHash:   hash,
-				DetectionNS: rec.DetectionNS,
-			})
-		case recordSummary:
-			var s Summary
-			if err := json.Unmarshal(tok, &s); err != nil {
-				return nil, false, nil, fmt.Errorf("dist: %s line %d: %w", d.path, line, err)
-			}
-			summary = true
-		default:
-			return nil, false, nil, fmt.Errorf("dist: %s line %d: unknown record type %q", d.path, line, probe.Type)
-		}
+	})
+	if err != nil {
+		return lineScan{}, err
 	}
-	if err := sc.Err(); err != nil && !(compressed && tornGzip(err)) {
-		return nil, false, nil, fmt.Errorf("dist: %s: %w", d.path, err)
-	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].Index < entries[j].Index })
-	return entries, summary, raw, nil
+	s.stop = l.stop
+	sort.Slice(s.entries, func(i, j int) bool { return s.entries[i].Index < s.entries[j].Index })
+	return s, nil
 }
 
 // checkFooter compares the adopted footer with the line data it
 // indexes: the footer's CRC covers only the footer, so damaged record
-// lines behind an intact footer show only here. On a mismatch the
-// dossier degrades to what the lines hold (or to nothing, when
-// ReadShard would refuse them). It runs once, for Complete.
+// lines behind an intact footer show only here. The line data must end
+// at the footer and hold exactly the rows and summary flag the footer
+// records. On a mismatch the dossier degrades to what the lines hold
+// (or to nothing, when ReadShard would refuse them). It runs once, for
+// Complete.
 func (d *Dossier) checkFooter() {
 	d.checked = true
-	entries, summary, _, err := d.scanLines(false)
-	if err == nil && summary == d.summary && slices.Equal(entries, d.entries) {
+	s, err := d.scanLines(false)
+	if err == nil && s.stop == stopFooter && (s.summary != nil) == d.footerSummary && slices.Equal(s.entries, d.entries) {
+		d.summary = s.summary
 		return
 	}
 	metDossierFallbackScans.Inc()
 	d.degrade()
-}
-
-// openLineReader wraps r for line scanning, decompressing when the
-// content is gzip — the ReaderAt-based twin of openShardReader.
-func openLineReader(r io.Reader, isGzip bool, path string) (io.Reader, bool, error) {
-	if !isGzip {
-		return r, false, nil
-	}
-	zr, err := gzip.NewReader(bufio.NewReaderSize(r, 64<<10))
-	if err != nil {
-		return nil, false, fmt.Errorf("dist: %s: bad gzip header (%v): %w", path, err, ErrTorn)
-	}
-	return zr, true, nil
-}
-
-// validateManifest applies the manifest sanity checks both read paths
-// share — ReadShard's sequential decode and the dossier opener.
-func validateManifest(path string, m Manifest) error {
-	if m.Schema > SchemaVersion {
-		return fmt.Errorf("dist: %s uses schema %d, this build reads up to %d", path, m.Schema, SchemaVersion)
-	}
-	if m.Runs <= 0 || m.Shards <= 0 || m.Shard < 0 || m.Shard >= m.Shards {
-		return fmt.Errorf("dist: %s manifest declares shard %d of %d over %d runs — inconsistent", path, m.Shard, m.Shards, m.Runs)
-	}
-	if m.Start < 0 || m.End < m.Start || m.End > m.Runs {
-		return fmt.Errorf("dist: %s manifest window [%d,%d) is invalid for %d runs", path, m.Start, m.End, m.Runs)
-	}
-	return nil
 }

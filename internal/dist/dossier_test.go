@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"github.com/dessertlab/certify/internal/core"
@@ -376,6 +377,48 @@ func TestDossierFallbackPreIndex(t *testing.T) {
 	}
 }
 
+// TestDossierRawRunAfterLyingFooter: a CRC-valid plain footer whose
+// spans point at the wrong lines makes the first indexed read degrade
+// the dossier, and that same read is then served by the sequential
+// fallback — the right record, not a "holds no record" refusal.
+func TestDossierRawRunAfterLyingFooter(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "shard-0.jsonl")
+	writeSyntheticShard(t, path, synthSpec(8, 1), 0)
+	want := sequentialRunLines(t, path)
+	d, err := OpenDossier(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix := &shardIndex{entries: slices.Clone(d.Entries()), summary: true}
+	d.Close()
+	a, b := &ix.entries[0], &ix.entries[1]
+	a.Offset, a.Length, b.Offset, b.Length = b.Offset, b.Length, a.Offset, a.Length
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := data[:bytes.Index(data, []byte(footerMagic))]
+	block := encodeFooter(ix)
+	lying := append(append(bytes.Clone(lines), block...), encodePlainTrailer(int64(len(lines)), int64(len(block)))...)
+	if err := os.WriteFile(path, lying, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if d, err = OpenDossier(path); err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	if !d.Indexed() {
+		t.Fatal("the lying footer did not open indexed")
+	}
+	k := ix.entries[0].Index
+	if got := mustRaw(t, d, k); !bytes.Equal(got, want[k]) {
+		t.Fatalf("RawRun(%d) = %s, want %s", k, got, want[k])
+	}
+	if d.Indexed() {
+		t.Fatal("dossier kept the lying footer")
+	}
+}
+
 // TestDossierRandomAccessReadCount pins the O(1) access property
 // structurally: on a 10k-run dossier, one indexed Run(k) costs a
 // bounded number of file reads — not a scan of 10k records. The
@@ -417,6 +460,37 @@ func TestDossierRandomAccessReadCount(t *testing.T) {
 				if cost := d.Reads() - before; cost > tc.maxReads {
 					t.Fatalf("Run(%d) cost %d file reads, want ≤ %d (full scan would be thousands)", k, cost, tc.maxReads)
 				}
+			}
+		})
+	}
+}
+
+// TestDossierOpenReadCount pins the O(1) open: opening an indexed
+// artefact reads the manifest line, the trailer and the footer — a
+// fixed number of file reads whatever the run count, so a run fetch
+// (serve's /jobs/{id}/runs/{k}) never pays for a scan past the
+// manifest.
+func TestDossierOpenReadCount(t *testing.T) {
+	const maxReads = 4
+	for _, name := range []string{"shard-0.jsonl", "shard-0.jsonl.gz"} {
+		t.Run(name, func(t *testing.T) {
+			var reads []int64
+			for _, runs := range []int{100, 10_000} {
+				path := filepath.Join(t.TempDir(), name)
+				writeSyntheticShard(t, path, synthSpec(runs, 1), 0)
+				d, err := OpenDossier(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !d.Indexed() {
+					t.Fatalf("%d-run artefact did not open indexed", runs)
+				}
+				reads = append(reads, d.Reads())
+				d.Close()
+			}
+			if reads[0] != reads[1] || reads[1] > maxReads {
+				t.Fatalf("open cost %d file reads at 100 runs and %d at 10k, want the same count ≤ %d",
+					reads[0], reads[1], maxReads)
 			}
 		})
 	}

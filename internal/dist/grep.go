@@ -72,8 +72,28 @@ func (d *Dossier) Grep(re *regexp.Regexp) ([]GrepMatch, error) {
 			}
 		}
 	case d.indexed:
-		if err := d.grepGzipMembers(visit); err != nil {
-			return nil, err
+		// Indexed gzip: the footer's restart table marks each member's
+		// compressed start, and Multistream(false) stops the reader at
+		// the member boundary, so the line layer holds one member
+		// window in memory at a time.
+		for _, rs := range d.footerRestarts {
+			zr, err := gzip.NewReader(bufio.NewReaderSize(io.NewSectionReader(d, rs.comp, d.size-rs.comp), 64<<10))
+			if err != nil {
+				return nil, fmt.Errorf("dist: %s: restart member at %d: %w", d.path, rs.comp, err)
+			}
+			zr.Multistream(false)
+			l := newLineReader(zr, true, d.path, 64<<10)
+			var verr error
+			for verr == nil && l.scan() {
+				verr = visit(l.bytes())
+			}
+			zr.Close()
+			if verr != nil {
+				return nil, verr
+			}
+			if l.err != nil {
+				return nil, fmt.Errorf("dist: %s: restart member at %d: %w", d.path, rs.comp, l.err)
+			}
 		}
 	default:
 		// Degraded gzip: the sequential decode already cached the lines.
@@ -85,34 +105,6 @@ func (d *Dossier) Grep(re *regexp.Regexp) ([]GrepMatch, error) {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Index < out[j].Index })
 	return out, nil
-}
-
-// grepGzipMembers streams the artefact one gzip restart member at a
-// time — the footer's restart table marks each member's compressed
-// start, and Multistream(false) stops the reader at the member
-// boundary, so the scan holds one member window in memory at a time.
-func (d *Dossier) grepGzipMembers(visit func([]byte) error) error {
-	for _, rs := range d.footerRestarts {
-		zr, err := gzip.NewReader(bufio.NewReaderSize(io.NewSectionReader(d, rs.comp, d.size-rs.comp), 64<<10))
-		if err != nil {
-			return fmt.Errorf("dist: %s: restart member at %d: %w", d.path, rs.comp, err)
-		}
-		zr.Multistream(false)
-		sc := bufio.NewScanner(zr)
-		sc.Buffer(make([]byte, 64<<10), maxLineBytes)
-		for sc.Scan() {
-			if err := visit(sc.Bytes()); err != nil {
-				zr.Close()
-				return err
-			}
-		}
-		serr := sc.Err()
-		zr.Close()
-		if serr != nil {
-			return fmt.Errorf("dist: %s: restart member at %d: %w", d.path, rs.comp, serr)
-		}
-	}
-	return nil
 }
 
 // matchFromRecord extracts the decoded lines of rec that re matches.

@@ -74,20 +74,11 @@ func (m Manifest) faultModelID() string {
 	return m.FaultModel
 }
 
-// matches reports whether two manifests describe the same shard of the
-// same campaign. The plan hash — not the name — is the identity check.
-func (m Manifest) matches(o Manifest) bool {
-	return m.Schema == o.Schema && m.PlanHash == o.PlanHash &&
-		m.MasterSeed == o.MasterSeed && m.Runs == o.Runs &&
-		m.Shards == o.Shards && m.Shard == o.Shard &&
-		m.Start == o.Start && m.End == o.End && m.Mode == o.Mode &&
-		m.faultModelID() == o.faultModelID() &&
-		m.Stop.Identity() == o.Stop.Identity() && m.Stratify == o.Stratify
-}
-
-// diff names the fields where m and o disagree, for error messages that
-// point at the actual mismatch instead of a generic refusal.
-func (m Manifest) diff(o Manifest) string {
+// identityDiff names the identity fields where m and o disagree. The
+// plan hash — not the name — identifies the plan. The shard index and
+// window count only with shard set: shards of one campaign differ in
+// them.
+func (m Manifest) identityDiff(o Manifest, shard bool) []string {
 	var parts []string
 	add := func(field string, a, b any) {
 		if a != b {
@@ -99,49 +90,39 @@ func (m Manifest) diff(o Manifest) string {
 	add("master seed", m.MasterSeed, o.MasterSeed)
 	add("runs", m.Runs, o.Runs)
 	add("shards", m.Shards, o.Shards)
-	add("shard index", m.Shard, o.Shard)
-	add("window start", m.Start, o.Start)
-	add("window end", m.End, o.End)
+	if shard {
+		add("shard index", m.Shard, o.Shard)
+		add("window start", m.Start, o.Start)
+		add("window end", m.End, o.End)
+	}
 	add("mode", m.Mode, o.Mode)
 	add("fault model", m.faultModelID(), o.faultModelID())
 	add("stop policy", m.Stop.Identity(), o.Stop.Identity())
 	add("stratify", m.Stratify, o.Stratify)
-	if len(parts) == 0 {
-		return "identical manifests"
+	return parts
+}
+
+// matches reports whether two manifests describe the same shard of the
+// same campaign.
+func (m Manifest) matches(o Manifest) bool { return len(m.identityDiff(o, true)) == 0 }
+
+// diff names the fields where two manifests of one shard disagree, for
+// error messages that point at the actual mismatch.
+func (m Manifest) diff(o Manifest) string {
+	if parts := m.identityDiff(o, true); len(parts) > 0 {
+		return strings.Join(parts, ", ")
 	}
-	return strings.Join(parts, ", ")
+	return "identical manifests"
 }
 
 // sameCampaign reports whether two manifests (of different shards) come
 // from the same campaign spec.
-func (m Manifest) sameCampaign(o Manifest) bool {
-	return m.Schema == o.Schema && m.PlanHash == o.PlanHash &&
-		m.MasterSeed == o.MasterSeed && m.Runs == o.Runs &&
-		m.Shards == o.Shards && m.Mode == o.Mode &&
-		m.faultModelID() == o.faultModelID() &&
-		m.Stop.Identity() == o.Stop.Identity() && m.Stratify == o.Stratify
-}
+func (m Manifest) sameCampaign(o Manifest) bool { return len(m.identityDiff(o, false)) == 0 }
 
-// campaignDiff names the campaign-identity fields where m and o disagree
-// (shard-window fields excluded — those legitimately differ between
-// shards of one campaign). Empty when sameCampaign would be true.
+// campaignDiff names the campaign-identity fields where m and o
+// disagree. Empty when sameCampaign would be true.
 func (m Manifest) campaignDiff(o Manifest) string {
-	var parts []string
-	add := func(field string, a, b any) {
-		if a != b {
-			parts = append(parts, fmt.Sprintf("%s %v vs %v", field, a, b))
-		}
-	}
-	add("schema", m.Schema, o.Schema)
-	add("plan hash", m.PlanHash, o.PlanHash)
-	add("master seed", m.MasterSeed, o.MasterSeed)
-	add("runs", m.Runs, o.Runs)
-	add("shards", m.Shards, o.Shards)
-	add("mode", m.Mode, o.Mode)
-	add("fault model", m.faultModelID(), o.faultModelID())
-	add("stop policy", m.Stop.Identity(), o.Stop.Identity())
-	add("stratify", m.Stratify, o.Stratify)
-	return strings.Join(parts, ", ")
+	return strings.Join(m.identityDiff(o, false), ", ")
 }
 
 // RunRecord is one line per classified run — the per-run evidence the

@@ -70,7 +70,8 @@ type CampaignDossier struct {
 }
 
 // OpenCampaignDossier opens every shard artefact and verifies the set
-// forms one complete campaign.
+// forms one complete campaign — the check Merge applies
+// (checkCampaignSet).
 func OpenCampaignDossier(paths []string) (*CampaignDossier, error) {
 	if len(paths) == 0 {
 		return nil, fmt.Errorf("dist: no shard artefacts to open")
@@ -89,68 +90,28 @@ func OpenCampaignDossier(paths []string) (*CampaignDossier, error) {
 		}
 		cd.shards = append(cd.shards, d)
 	}
-	ref := cd.shards[0].man
-	seen := make(map[int]bool, len(cd.shards))
-	for _, d := range cd.shards {
-		if !d.man.sameCampaign(ref) {
-			return nil, fmt.Errorf("dist: %s belongs to a different campaign than %s", d.path, cd.shards[0].path)
-		}
-		if seen[d.man.Shard] {
-			return nil, fmt.Errorf("dist: shard %d appears twice", d.man.Shard)
-		}
-		seen[d.man.Shard] = true
-		if !d.Complete() {
-			return nil, fmt.Errorf("dist: %s is incomplete (%d of %d records) — rerun shard %d before inspecting the campaign",
-				d.path, d.NumRuns(), d.man.End-d.man.Start, d.man.Shard)
-		}
+	runs, _, err := checkCampaignSet(cd.shards)
+	if err != nil {
+		return nil, err
 	}
-	if len(cd.shards) != ref.Shards {
-		return nil, fmt.Errorf("dist: campaign declares %d shards, got %d artefacts", ref.Shards, len(cd.shards))
-	}
-	sort.Slice(cd.shards, func(i, j int) bool { return cd.shards[i].man.Start < cd.shards[j].man.Start })
-	next := 0
-	for _, d := range cd.shards {
-		if d.man.Start != next {
-			return nil, fmt.Errorf("dist: shard windows do not tile the campaign: expected start %d, %s covers [%d,%d)",
-				next, d.path, d.man.Start, d.man.End)
-		}
-		next = d.man.End
-	}
-	if next != ref.Runs {
-		return nil, fmt.Errorf("dist: shard windows end at %d, campaign has %d runs", next, ref.Runs)
-	}
-	cd.runs = ref.Runs
-	if ref.Stop != nil {
-		if err := cd.certify(ref); err != nil {
-			return nil, err
-		}
-	}
+	cd.runs = runs
 	ok = true
 	return cd, nil
 }
 
-// certify replays the stop policy over the index's outcomes, exactly as
-// Merge replays it over the records, and narrows the dossier to the
-// certified prefix.
-func (cd *CampaignDossier) certify(ref Manifest) error {
-	decided, fired, err := replayStop(ref, func(i int) (core.Outcome, error) {
-		d, _ := cd.route(i)
-		e, ok := d.Entry(i)
-		if !ok {
-			return 0, errStopGap(d.path, i, ref)
-		}
-		return parseOutcome(e.Outcome)
-	})
-	if err != nil {
-		return err
+func (d *Dossier) artefact() (string, Manifest, int) { return d.path, d.man, len(d.entries) }
+
+func (d *Dossier) finished() (bool, bool) { return d.Complete(), d.summary != nil }
+
+// outcome reads run i's outcome from the index. Once Complete holds,
+// every row has passed the record scanner's outcome check.
+func (d *Dossier) outcome(i int) (core.Outcome, bool) {
+	e, ok := d.Entry(i)
+	if !ok {
+		return 0, false
 	}
-	for _, d := range cd.shards {
-		if err := checkShardStop(d.path, d.man, d.NumRuns(), decided, fired); err != nil {
-			return err
-		}
-	}
-	cd.runs = decided
-	return nil
+	o, err := parseOutcome(e.Outcome)
+	return o, err == nil
 }
 
 // certified returns the shard's index rows inside the campaign's

@@ -325,6 +325,15 @@ func TestCachePoisoning(t *testing.T) {
 			return b[:i]
 		}},
 		{"truncated mid-record", func(b []byte) []byte { return b[:len(b)/2] }},
+		{"summary run count edited in place", func(b []byte) []byte {
+			// Same length, every record intact, footer still valid: only
+			// the summary-versus-records cross-check can refuse it.
+			edited := bytes.Replace(b, []byte(`{"type":"summary","runs":6,`), []byte(`{"type":"summary","runs":7,`), 1)
+			if bytes.Equal(edited, b) {
+				t.Fatal("no six-run summary line to edit")
+			}
+			return edited
+		}},
 		{"valid artefact of another campaign", func([]byte) []byte { return foreign }},
 	}
 	for _, p := range poisons {

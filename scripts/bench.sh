@@ -33,8 +33,10 @@
 #                                    # virtual minute (event dispatch)
 #   scripts/bench.sh inspect         # indexed dossier random access vs full
 #                                    # sequential scan on a 10k-run artefact,
-#                                    # plain and gzip
-#                                    # (BenchmarkDossierRandomAccess)
+#                                    # plain and gzip, plus ReadShard and a
+#                                    # one-shard Merge of the same file
+#                                    # (BenchmarkDossierRandomAccess rows
+#                                    # indexed, scan, read-shard, merge)
 #   scripts/bench.sh serve           # campaign-server result cache: HTTP
 #                                    # submit answered from the verified
 #                                    # artefact store vs fresh execution
