@@ -101,14 +101,20 @@ func RegName(i int) string {
 	}
 }
 
-// bankKey identifies which banked copy of SP/LR/SPSR a mode uses.
-// USR and SYS share one bank; every exception mode has its own.
-func bankKey(m Mode) Mode {
-	if m == ModeSYS {
-		return ModeUSR
+// bankIndex maps every mode encoding to the bank of SP/LR/SPSR it
+// uses, -1 for encodings with no bank (a corrupted CPSR mode field).
+// USR and SYS share one bank; every exception mode has its own. The
+// bank order is VisitState's.
+var bankIndex = func() (idx [32]int8) {
+	for i := range idx {
+		idx[i] = -1
 	}
-	return m
-}
+	for i, m := range []Mode{ModeUSR, ModeFIQ, ModeIRQ, ModeSVC, ModeMON, ModeABT, ModeHYP, ModeUND} {
+		idx[m] = int8(i)
+	}
+	idx[ModeSYS] = idx[ModeUSR]
+	return idx
+}()
 
 // bank holds the per-mode banked registers.
 type bank struct {
@@ -122,9 +128,17 @@ type CPU struct {
 	// from it.
 	Index int
 
+	// State is everything else: a restore assigns it, and two cores
+	// are in the same architectural state iff their States are ==.
+	State
+}
+
+// State is a core's whole architectural state — everything VisitState
+// enumerates — as one comparable value.
+type State struct {
 	regs  [NumRegs]uint32
 	cpsr  uint32
-	banks map[Mode]*bank
+	banks [8]bank // indexed by bankIndex
 
 	// fiqBank holds r8-r12 for FIQ mode (FIQ banks more registers).
 	fiqBank   [5]uint32
@@ -160,93 +174,30 @@ type CPU struct {
 // NewCPU returns a powered-on core in SVC mode with IRQ/FIQ masked, the
 // state an ARMv7 core has right out of reset (before a boot ROM runs).
 func NewCPU(index int) *CPU {
-	c := &CPU{
-		Index: index,
-		banks: make(map[Mode]*bank),
-	}
-	for _, m := range []Mode{ModeUSR, ModeFIQ, ModeIRQ, ModeSVC, ModeMON, ModeABT, ModeHYP, ModeUND} {
-		c.banks[m] = &bank{}
-	}
+	c := &CPU{Index: index}
 	c.Reset()
 	return c
 }
 
-// Reset restores the core to its power-on state in place: every
-// architectural register, banked copy and the HYP virtualization state
-// return to the values NewCPU establishes; the bank map itself is kept
-// allocated. NewCPU builds through it.
+// Reset restores the core to its power-on state in place. NewCPU
+// builds through it.
 func (c *CPU) Reset() {
-	c.regs = [NumRegs]uint32{}
-	c.cpsr = uint32(ModeSVC) | CPSRIRQ | CPSRFIQ | CPSRAbort
-	for _, b := range c.banks {
-		*b = bank{}
+	c.State = State{
+		cpsr: uint32(ModeSVC) | CPSRIRQ | CPSRFIQ | CPSRAbort,
+		// Cortex-A7 MIDR: implementer 0x41 'A', architecture 0xF,
+		// part number 0xC07.
+		MIDR:   0x410FC075,
+		MPIDR:  0x80000000 | uint32(c.Index), // U=0 multiprocessor, Aff0=index
+		Online: c.Index == 0,                 // secondary cores wait for CPU_ON
 	}
-	c.fiqBank = [5]uint32{}
-	c.fiqShadow = [5]uint32{}
-	c.inFIQRegs = false
-	c.ELRHyp, c.SPSRHyp, c.HSR, c.HVBAR, c.HCR = 0, 0, 0, 0, 0
-	c.VTTBR = 0
-	c.HDFAR, c.HIFAR, c.HPFAR = 0, 0, 0
-	// Cortex-A7 MIDR: implementer 0x41 'A', architecture 0xF,
-	// part number 0xC07.
-	c.MIDR = 0x410FC075
-	c.MPIDR = 0x80000000 | uint32(c.Index) // U=0 multiprocessor, Aff0=index
-	c.SCTLR, c.VBAR = 0, 0
-	c.Online = c.Index == 0 // secondary cores wait for CPU_ON
-	c.Parked = false
 }
 
-// Snapshot is a deep copy of one core's full architectural state —
-// everything VisitState enumerates.
-type Snapshot struct {
-	regs      [NumRegs]uint32
-	cpsr      uint32
-	banks     map[Mode]bank
-	fiqBank   [5]uint32
-	fiqShadow [5]uint32
-	inFIQRegs bool
-
-	elrHyp, spsrHyp, hsr, hvbar, hcr uint32
-	vttbr                            uint64
-	hdfar, hifar, hpfar              uint32
-
-	midr, mpidr, sctlr, vbar uint32
-	online, parked           bool
-}
-
-// CaptureSnapshot deep-copies the core's architectural state.
-func (c *CPU) CaptureSnapshot() *Snapshot {
-	s := &Snapshot{
-		regs: c.regs, cpsr: c.cpsr,
-		banks:     make(map[Mode]bank, len(c.banks)),
-		fiqBank:   c.fiqBank,
-		fiqShadow: c.fiqShadow,
-		inFIQRegs: c.inFIQRegs,
-		elrHyp:    c.ELRHyp, spsrHyp: c.SPSRHyp, hsr: c.HSR,
-		hvbar: c.HVBAR, hcr: c.HCR, vttbr: c.VTTBR,
-		hdfar: c.HDFAR, hifar: c.HIFAR, hpfar: c.HPFAR,
-		midr: c.MIDR, mpidr: c.MPIDR, sctlr: c.SCTLR, vbar: c.VBAR,
-		online: c.Online, parked: c.Parked,
+// bank returns the SP/LR/SPSR bank mode m uses, nil when m has none.
+func (c *CPU) bank(m Mode) *bank {
+	if m >= Mode(len(bankIndex)) || bankIndex[m] < 0 {
+		return nil
 	}
-	for m, b := range c.banks {
-		s.banks[m] = *b
-	}
-	return s
-}
-
-// RestoreSnapshot rewinds the core to a captured state in place (the
-// bank map's entries are written through, not replaced).
-func (c *CPU) RestoreSnapshot(s *Snapshot) {
-	c.regs, c.cpsr = s.regs, s.cpsr
-	for m, b := range c.banks {
-		*b = s.banks[m]
-	}
-	c.fiqBank, c.fiqShadow, c.inFIQRegs = s.fiqBank, s.fiqShadow, s.inFIQRegs
-	c.ELRHyp, c.SPSRHyp, c.HSR = s.elrHyp, s.spsrHyp, s.hsr
-	c.HVBAR, c.HCR, c.VTTBR = s.hvbar, s.hcr, s.vttbr
-	c.HDFAR, c.HIFAR, c.HPFAR = s.hdfar, s.hifar, s.hpfar
-	c.MIDR, c.MPIDR, c.SCTLR, c.VBAR = s.midr, s.mpidr, s.sctlr, s.vbar
-	c.Online, c.Parked = s.online, s.parked
+	return &c.banks[bankIndex[m]]
 }
 
 // VisitState feeds every architectural state word of the core to f in a
@@ -260,8 +211,7 @@ func (c *CPU) VisitState(f func(uint32)) {
 		f(r)
 	}
 	f(c.cpsr)
-	for _, m := range []Mode{ModeUSR, ModeFIQ, ModeIRQ, ModeSVC, ModeMON, ModeABT, ModeHYP, ModeUND} {
-		b := c.banks[m]
+	for _, b := range c.banks {
 		f(b.sp)
 		f(b.lr)
 		f(b.spsr)
@@ -329,12 +279,10 @@ func (c *CPU) SetMode(m Mode) {
 // rebank saves the current SP/LR into the old mode's bank and loads the
 // new mode's bank, handling FIQ's extended r8-r12 banking.
 func (c *CPU) rebank(old, new Mode) {
-	ob := c.banks[bankKey(old)]
-	if ob != nil {
+	if ob := c.bank(old); ob != nil {
 		ob.sp, ob.lr = c.regs[RegSP], c.regs[RegLR]
 	}
-	nb := c.banks[bankKey(new)]
-	if nb != nil {
+	if nb := c.bank(new); nb != nil {
 		c.regs[RegSP], c.regs[RegLR] = nb.sp, nb.lr
 	}
 	switch {
@@ -375,7 +323,7 @@ func (c *CPU) SetRegs(r [NumRegs]uint32) { c.regs = r }
 // SPSR returns the saved program status register of the current mode.
 // USR/SYS have no SPSR; reading it returns 0 (UNPREDICTABLE on hardware).
 func (c *CPU) SPSR() uint32 {
-	b := c.banks[bankKey(c.Mode())]
+	b := c.bank(c.Mode())
 	if b == nil || c.Mode() == ModeUSR || c.Mode() == ModeSYS {
 		return 0
 	}
@@ -387,17 +335,17 @@ func (c *CPU) SetSPSR(v uint32) {
 	if c.Mode() == ModeUSR || c.Mode() == ModeSYS {
 		return
 	}
-	if b := c.banks[bankKey(c.Mode())]; b != nil {
+	if b := c.bank(c.Mode()); b != nil {
 		b.spsr = v
 	}
 }
 
 // BankedSP returns mode m's banked stack pointer without switching modes.
 func (c *CPU) BankedSP(m Mode) uint32 {
-	if m == c.Mode() || bankKey(m) == bankKey(c.Mode()) {
+	if m == c.Mode() || c.bank(m) != nil && c.bank(m) == c.bank(c.Mode()) {
 		return c.regs[RegSP]
 	}
-	if b := c.banks[bankKey(m)]; b != nil {
+	if b := c.bank(m); b != nil {
 		return b.sp
 	}
 	return 0
@@ -405,11 +353,11 @@ func (c *CPU) BankedSP(m Mode) uint32 {
 
 // SetBankedSP writes mode m's banked stack pointer without switching modes.
 func (c *CPU) SetBankedSP(m Mode, v uint32) {
-	if m == c.Mode() || bankKey(m) == bankKey(c.Mode()) {
+	if m == c.Mode() || c.bank(m) != nil && c.bank(m) == c.bank(c.Mode()) {
 		c.regs[RegSP] = v
 		return
 	}
-	if b := c.banks[bankKey(m)]; b != nil {
+	if b := c.bank(m); b != nil {
 		b.sp = v
 	}
 }
@@ -446,25 +394,4 @@ func (c *CPU) String() string {
 		state = "parked"
 	}
 	return fmt.Sprintf("cpu%d(%s,%s,pc=%#x)", c.Index, c.Mode(), state, c.regs[RegPC])
-}
-
-// Matches reports whether the core's architectural state equals the
-// snapshot's — the convergence check of a faulty run against a golden
-// checkpoint.
-func (c *CPU) Matches(s *Snapshot) bool {
-	if c.regs != s.regs || c.cpsr != s.cpsr || len(c.banks) != len(s.banks) ||
-		c.fiqBank != s.fiqBank || c.fiqShadow != s.fiqShadow || c.inFIQRegs != s.inFIQRegs ||
-		c.ELRHyp != s.elrHyp || c.SPSRHyp != s.spsrHyp || c.HSR != s.hsr ||
-		c.HVBAR != s.hvbar || c.HCR != s.hcr || c.VTTBR != s.vttbr ||
-		c.HDFAR != s.hdfar || c.HIFAR != s.hifar || c.HPFAR != s.hpfar ||
-		c.MIDR != s.midr || c.MPIDR != s.mpidr || c.SCTLR != s.sctlr || c.VBAR != s.vbar ||
-		c.Online != s.online || c.Parked != s.parked {
-		return false
-	}
-	for m, b := range c.banks {
-		if sb, ok := s.banks[m]; !ok || *b != sb {
-			return false
-		}
-	}
-	return true
 }

@@ -173,11 +173,11 @@ func NewWithOptions(seed uint64, opts Options) *Board {
 type Snapshot struct {
 	engine *sim.EngineSnapshot
 	ram    *memmap.RAMSnapshot
-	gic    *gic.Snapshot
+	gic    gic.Snapshot
 	uart0  *uart.Snapshot
 	uart7  *uart.Snapshot
 	gpio   *gpio.Snapshot
-	cpus   []*armv7.Snapshot
+	cpus   [NumCPUs]armv7.State
 	timers []Timer
 }
 
@@ -214,8 +214,8 @@ func (b *Board) CaptureSnapshot() *Snapshot {
 		gpio:   b.GPIO.CaptureSnapshot(),
 		timers: append([]Timer(nil), b.timers...),
 	}
-	for _, c := range b.CPUs {
-		s.cpus = append(s.cpus, c.CaptureSnapshot())
+	for i, c := range b.CPUs {
+		s.cpus[i] = c.State
 	}
 	return s
 }
@@ -251,10 +251,7 @@ func (b *Board) RestoreSnapshot(s *Snapshot, seed uint64, l *Log, from *Snapshot
 	b.UART0.RestoreSnapshot(s.uart0, l.uart0, from.uart0)
 	b.UART7.RestoreSnapshot(s.uart7, l.uart7, from.uart7)
 	b.GPIO.RestoreSnapshot(s.gpio, l.gpio, from.gpio)
-	for i, c := range b.CPUs {
-		c.RestoreSnapshot(s.cpus[i])
-	}
-	b.timers = append(b.timers[:0], s.timers...)
+	b.restoreCPUs(s)
 	return dirtied, restored
 }
 
@@ -267,7 +264,7 @@ func (b *Board) RestoreSnapshot(s *Snapshot, seed uint64, l *Log, from *Snapshot
 // the snapshot's.
 func (b *Board) MatchesCPUs(s *Snapshot) bool {
 	for i, c := range b.CPUs {
-		if !c.Matches(s.cpus[i]) {
+		if c.State != s.cpus[i] {
 			return false
 		}
 	}
@@ -313,10 +310,16 @@ func (b *Board) Splice(from, to *Snapshot, l *Log) {
 	b.UART0.Splice(from.uart0, to.uart0, l.uart0)
 	b.UART7.Splice(from.uart7, to.uart7, l.uart7)
 	b.GPIO.Splice(from.gpio, to.gpio, l.gpio)
+	b.restoreCPUs(to)
+}
+
+// restoreCPUs sets every core's architectural state and the timer
+// programming to s's.
+func (b *Board) restoreCPUs(s *Snapshot) {
 	for i, c := range b.CPUs {
-		c.RestoreSnapshot(to.cpus[i])
+		c.State = s.cpus[i]
 	}
-	b.timers = append(b.timers[:0], to.timers...)
+	b.timers = append(b.timers[:0], s.timers...)
 }
 
 func (b *Board) addMMIO(name string, base, size uint64,

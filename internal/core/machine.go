@@ -26,24 +26,18 @@ type Machine struct {
 	Board *board.Board
 	HV    *jailhouse.Hypervisor
 	Linux *rootlinux.Linux
-	RTOS  *freertos.Kernel
 
-	// CellID of the FreeRTOS cell.
-	CellID uint32
+	// machineState is the machine's own bookkeeping: a checkpoint
+	// copies it, a restore assigns it, and a rejoin check compares it
+	// with ==.
+	machineState
 
 	// rtosArena recycles FreeRTOS kernels across cell loads: loads draw
 	// kernels from the arena in order, deep-resetting recycled ones, so
 	// a machine rewound to a checkpoint (or an E1 recreate cycle)
 	// re-creates its cell workload without reallocating task control
-	// blocks. rtosNext is the next arena slot to hand out.
+	// blocks.
 	rtosArena []*freertos.Kernel
-	rtosNext  int
-
-	// createCfg is the configuration of a pending delayed cell bring-up
-	// (E2; nil when none is scheduled), createWatchdog whether the
-	// bring-up arms the state watchdog.
-	createCfg      *jailhouse.CellConfig
-	createWatchdog bool
 
 	// simFault records a Go panic recovered during Run — a defect in the
 	// simulation itself, surfaced as a truthful sim-fault outcome instead
@@ -70,6 +64,24 @@ type Machine struct {
 	// owed is a timeline extension a rejoin check found missing; the
 	// next prepare pays it.
 	owed *extension
+}
+
+// machineState is a Machine's bookkeeping, one comparable value.
+type machineState struct {
+	// RTOS is the FreeRTOS kernel of the current cell.
+	RTOS *freertos.Kernel
+
+	// CellID of the FreeRTOS cell.
+	CellID uint32
+
+	// rtosNext is the next arena slot to hand out.
+	rtosNext int
+
+	// createCfg is the configuration of a pending delayed cell bring-up
+	// (E2; nil when none is scheduled), createWatchdog whether the
+	// bring-up arms the state watchdog.
+	createCfg      *jailhouse.CellConfig
+	createWatchdog bool
 }
 
 // profileKey identifies a boot profile: every MachineOptions field that

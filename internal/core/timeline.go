@@ -44,14 +44,9 @@ type checkpoint struct {
 	// kernels[i] is Machine.rtosArena[i]'s content, nil for the kernel
 	// of a destroyed cell: nothing reaches it any more, and the arena
 	// deep-resets a kernel before handing it out again.
-	kernels  []*freertos.KernelSnapshot
-	rtos     *freertos.Kernel
-	rtosNext int
-	cellID   uint32
-	// createCfg and createWatchdog are the machine's pending delayed
-	// bring-up (see Machine.createCfg).
-	createCfg      *jailhouse.CellConfig
-	createWatchdog bool
+	kernels []*freertos.KernelSnapshot
+	// machine is the machine's own bookkeeping.
+	machine machineState
 
 	// calls and total are the injector's matching-call counters at the
 	// checkpoint (zero at the post-boot image: no hook runs during boot).
@@ -192,17 +187,12 @@ func (m *Machine) timeline(key timelineKey, boot *checkpoint) *timeline {
 // covers to the profile's golden store.
 func (m *Machine) capture() *checkpoint {
 	c := &checkpoint{
-		golden:   publishGolden(m.profile, m),
-		board:    m.Board.CaptureSnapshot(),
-		hv:       m.HV.CaptureSnapshot(),
-		linux:    m.Linux.CaptureSnapshot(),
-		kernels:  make([]*freertos.KernelSnapshot, m.rtosNext),
-		rtos:     m.RTOS,
-		rtosNext: m.rtosNext,
-		cellID:   m.CellID,
-
-		createCfg:      m.createCfg,
-		createWatchdog: m.createWatchdog,
+		golden:  publishGolden(m.profile, m),
+		board:   m.Board.CaptureSnapshot(),
+		hv:      m.HV.CaptureSnapshot(),
+		linux:   m.Linux.CaptureSnapshot(),
+		kernels: make([]*freertos.KernelSnapshot, m.rtosNext),
+		machine: m.machineState,
 	}
 	for i := range c.kernels {
 		if k := m.rtosArena[i]; m.live(k) {
@@ -223,12 +213,7 @@ func (m *Machine) restoreTo(c *checkpoint, seed uint64) {
 	logs := c.golden.cur.Load()
 	dirtied, restored := m.Board.RestoreSnapshot(c.board, seed, logs.board, m.at.board)
 	m.HV.RestoreSnapshot(c.hv, logs.console, m.at.hv)
-	m.Linux.RestoreSnapshot(c.linux)
-	m.restoreKernels(c)
-	m.RTOS = c.rtos
-	m.rtosNext = c.rtosNext
-	m.CellID = c.cellID
-	m.createCfg, m.createWatchdog = c.createCfg, c.createWatchdog
+	m.restoreGuests(c)
 	m.simFault = ""
 	m.at = c
 	metSnapshotRestore.ObserveSince(start)
@@ -437,8 +422,7 @@ func (tl *timeline) expectsTrigger(inj *Injector, known uint64, horizon sim.Time
 // matchesGuests reports whether the hypervisor, root Linux, every live
 // FreeRTOS kernel and the machine's own bookkeeping equal checkpoint c.
 func (m *Machine) matchesGuests(c *checkpoint) bool {
-	if m.RTOS != c.rtos || m.rtosNext != c.rtosNext || m.CellID != c.cellID ||
-		m.createCfg != c.createCfg || m.createWatchdog != c.createWatchdog || !m.HV.Matches(c.hv) {
+	if m.machineState != c.machine || !m.HV.Matches(c.hv) {
 		return false
 	}
 	same := func(live, golden sim.Event) bool { return m.Board.SameEvent(live, c.board, golden) }
@@ -458,13 +442,16 @@ func (m *Machine) matchesGuests(c *checkpoint) bool {
 // current kernel or a cell's guest.
 func (m *Machine) live(k *freertos.Kernel) bool { return k == m.RTOS || m.HV.Hosts(k) }
 
-// restoreKernels writes c's kernel contents back into the arena.
-func (m *Machine) restoreKernels(c *checkpoint) {
+// restoreGuests writes c's root Linux state, kernel contents and
+// bookkeeping back into the machine.
+func (m *Machine) restoreGuests(c *checkpoint) {
+	m.Linux.RestoreSnapshot(c.linux)
 	for i, ks := range c.kernels {
 		if ks != nil {
 			m.rtosArena[i].RestoreSnapshot(*ks)
 		}
 	}
+	m.machineState = c.machine
 }
 
 // splice moves a machine that matches golden checkpoint from to the
@@ -476,12 +463,7 @@ func (m *Machine) splice(from, to *checkpoint) {
 	logs := to.golden.cur.Load()
 	m.Board.Splice(from.board, to.board, logs.board)
 	m.HV.Splice(from.hv, to.hv, logs.console)
-	m.Linux.RestoreSnapshot(to.linux)
-	m.restoreKernels(to)
-	m.RTOS = to.rtos
-	m.rtosNext = to.rtosNext
-	m.CellID = to.cellID
-	m.createCfg, m.createWatchdog = to.createCfg, to.createWatchdog
+	m.restoreGuests(to)
 }
 
 // extension is a timeline extension a run left owed: the timeline's

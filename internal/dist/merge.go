@@ -88,10 +88,10 @@ func ReadShardAt(ra io.ReaderAt, size int64, path string) (*ShardFile, error) {
 		Path:        path,
 		Manifest:    m,
 		Result:      &core.CampaignResult{Plan: m.Plan},
-		TraceHashes: make(map[int]uint64, m.End-m.Start),
+		TraceHashes: make(map[int]uint64, runCapacity(m, size)),
 	}
 	if m.Stop != nil {
-		sf.Samples = make(map[int]Sample, m.End-m.Start)
+		sf.Samples = make(map[int]Sample, runCapacity(m, size))
 	}
 	summary, err := scanRecords(l, m, func(e IndexEntry, o core.Outcome, _ []byte) {
 		sf.Result.AddSample(o, e.Injections, sim.Time(e.DetectionNS))

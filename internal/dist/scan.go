@@ -85,6 +85,7 @@ const (
 // uncompressed stream.
 type lineReader struct {
 	path       string
+	size       int64 // the artefact's size in bytes, compressed or not (0: unknown)
 	sc         *bufio.Scanner
 	compressed bool
 	num        int   // the current line's number
@@ -163,6 +164,7 @@ func openArtefact(ra io.ReaderAt, size int64, path string, bufSize int) (*lineRe
 		return nil, Manifest{}, err
 	}
 	l := newLineReader(r, compressed, path, bufSize)
+	l.size = size
 	if !l.scan() {
 		switch {
 		case l.stop == stopTorn:
@@ -216,59 +218,73 @@ func validateManifest(path string, m Manifest) error {
 // without error (l.stop says which).
 func scanRecords(l *lineReader, m Manifest, run func(e IndexEntry, o core.Outcome, line []byte)) (*Summary, error) {
 	var summary *Summary
-	seen := make(map[int]bool, m.End-m.Start)
+	seen := make(map[int]bool, runCapacity(m, l.size))
 	for l.scan() {
 		line := l.bytes()
-		var probe struct {
-			Type string `json:"type"`
+		// Nearly every line is a run record, so it is decoded as one
+		// first. Only a line that is not a well-formed run record takes
+		// the type probe, which gives every other line its verdict.
+		var rec RunRecord
+		if runErr := json.Unmarshal(line, &rec); runErr != nil || rec.Type != recordRun {
+			var probe struct {
+				Type string `json:"type"`
+			}
+			if err := json.Unmarshal(line, &probe); err != nil {
+				if err := l.notJSON(); err != nil {
+					return nil, err
+				}
+				break
+			}
+			switch probe.Type {
+			case recordRun:
+				return nil, l.errorf("%w", runErr)
+			case recordSummary:
+				var s Summary
+				if err := json.Unmarshal(line, &s); err != nil {
+					return nil, l.errorf("%w", err)
+				}
+				summary = &s
+				continue
+			default:
+				return nil, l.errorf("unknown record type %q", probe.Type)
+			}
 		}
-		if err := json.Unmarshal(line, &probe); err != nil {
-			if err := l.notJSON(); err != nil {
-				return nil, err
-			}
-			break
+		if rec.Index < m.Start || rec.Index >= m.End {
+			return nil, l.errorf("run index %d outside shard window [%d,%d)", rec.Index, m.Start, m.End)
 		}
-		switch probe.Type {
-		case recordRun:
-			var rec RunRecord
-			if err := json.Unmarshal(line, &rec); err != nil {
-				return nil, l.errorf("%w", err)
-			}
-			if rec.Index < m.Start || rec.Index >= m.End {
-				return nil, l.errorf("run index %d outside shard window [%d,%d)", rec.Index, m.Start, m.End)
-			}
-			if seen[rec.Index] {
-				return nil, l.errorf("duplicate run index %d", rec.Index)
-			}
-			seen[rec.Index] = true
-			o, err := parseOutcome(rec.Outcome)
-			if err != nil {
-				return nil, l.errorf("%w", err)
-			}
-			hash, err := parseHex(rec.TraceHash)
-			if err != nil {
-				return nil, l.errorf("bad trace hash %q", rec.TraceHash)
-			}
-			run(IndexEntry{
-				Index:       rec.Index,
-				Offset:      l.off,
-				Length:      len(line) + 1,
-				Outcome:     rec.Outcome,
-				Injections:  rec.Injections,
-				TraceHash:   hash,
-				DetectionNS: rec.DetectionNS,
-			}, o, line)
-		case recordSummary:
-			var s Summary
-			if err := json.Unmarshal(line, &s); err != nil {
-				return nil, l.errorf("%w", err)
-			}
-			summary = &s
-		default:
-			return nil, l.errorf("unknown record type %q", probe.Type)
+		if seen[rec.Index] {
+			return nil, l.errorf("duplicate run index %d", rec.Index)
 		}
+		seen[rec.Index] = true
+		o, err := parseOutcome(rec.Outcome)
+		if err != nil {
+			return nil, l.errorf("%w", err)
+		}
+		hash, err := parseHex(rec.TraceHash)
+		if err != nil {
+			return nil, l.errorf("bad trace hash %q", rec.TraceHash)
+		}
+		run(IndexEntry{
+			Index:       rec.Index,
+			Offset:      l.off,
+			Length:      len(line) + 1,
+			Outcome:     rec.Outcome,
+			Injections:  rec.Injections,
+			TraceHash:   hash,
+			DetectionNS: rec.DetectionNS,
+		}, o, line)
 	}
 	return summary, l.failure()
+}
+
+// runCapacity is how many run records to presize per-run tables for:
+// the manifest's window, but no more than size bytes of artefact can
+// hold — a run line that passes the record checks takes at least 48
+// bytes (the shortest takes 52) — so a small file declaring a huge
+// window costs no more than its bytes. A gzip stream can hold more than
+// its size suggests; tables presized from it grow as records arrive.
+func runCapacity(m Manifest, size int64) int {
+	return int(min(int64(m.End-m.Start), size/48))
 }
 
 // parseOutcome maps a taxonomy name back to the classifier's outcome.

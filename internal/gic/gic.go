@@ -69,16 +69,17 @@ type perCPU struct {
 	enabled bool         // GICC_CTLR enable bit
 }
 
+// maxCPUs is the number of CPU interfaces a GICv2 distributor can
+// serve (GICD_ITARGETSR holds an 8-bit CPU mask).
+const maxCPUs = 8
+
 // Distributor is the shared GICD state plus the per-CPU interfaces.
 type Distributor struct {
 	numCPUs int
-	ctlr    bool // GICD_CTLR group-0 enable
 
-	enabled  [MaxIRQ]bool  // GICD_ISENABLER
-	priority [MaxIRQ]uint8 // GICD_IPRIORITYR
-	targets  [MaxIRQ]uint8 // GICD_ITARGETSR: CPU bitmask (SPIs only)
-
-	cpus []*perCPU
+	// state is the register file: a restore assigns it, and a rejoin
+	// check compares it with ==.
+	state
 
 	// DeliverHook, when set, is called whenever a new interrupt becomes
 	// deliverable to a CPU. The board wires this to the hypervisor's IRQ
@@ -86,77 +87,64 @@ type Distributor struct {
 	DeliverHook func(cpu, irq int)
 }
 
-// New returns a distributor for numCPUs cores, everything disabled, as
-// after reset.
-func New(numCPUs int) *Distributor {
-	d := &Distributor{numCPUs: numCPUs}
-	for i := 0; i < numCPUs; i++ {
-		d.cpus = append(d.cpus, &perCPU{})
+// state is the distributor's register file and every CPU interface, one
+// comparable value. Interfaces past the distributor's CPU count stay at
+// their reset value.
+type state struct {
+	ctlr bool // GICD_CTLR group-0 enable
+
+	enabled  [MaxIRQ]bool  // GICD_ISENABLER
+	priority [MaxIRQ]uint8 // GICD_IPRIORITYR
+	targets  [MaxIRQ]uint8 // GICD_ITARGETSR: CPU bitmask (SPIs only)
+
+	cpus [maxCPUs]perCPU
+}
+
+// powerOn is the register file after reset: all interrupts disabled at
+// reset-default priority, no targets, nothing pending or active, every
+// priority let through once an interface is enabled.
+var powerOn = func() (s state) {
+	for i := range s.priority {
+		s.priority[i] = 0xA0 // reset default mid priority
 	}
+	for i := range s.cpus {
+		s.cpus[i].priMask = 0xFF
+	}
+	return s
+}()
+
+// New returns a distributor for numCPUs cores (at most maxCPUs),
+// everything disabled, as after reset.
+func New(numCPUs int) *Distributor {
+	d := &Distributor{numCPUs: min(numCPUs, maxCPUs)}
 	d.Reset()
 	return d
 }
 
 // Reset restores the distributor and every CPU interface to the
-// power-on state New establishes, in place: all interrupts disabled at
-// reset-default priority, no targets, nothing pending or active, and no
-// delivery hook. New builds through it.
+// power-on state New establishes, in place, with no delivery hook.
 func (d *Distributor) Reset() {
-	d.ctlr = false
-	d.enabled = [MaxIRQ]bool{}
-	for i := range d.priority {
-		d.priority[i] = 0xA0 // reset default mid priority
-	}
-	d.targets = [MaxIRQ]uint8{}
-	for _, p := range d.cpus {
-		*p = perCPU{
-			priMask: 0xFF, // all priorities allowed through once enabled
-		}
-	}
+	d.state = powerOn
 	d.DeliverHook = nil
 }
 
-// Snapshot is a deep copy of the distributor's register file and every
-// CPU interface at one instant. The delivery hook is captured as a func
-// value — the board wires it to the hypervisor the snapshot belongs to.
+// Snapshot is the distributor's register file at one instant plus the
+// delivery hook, a func value the board wires to the hypervisor the
+// snapshot belongs to.
 type Snapshot struct {
-	ctlr     bool
-	enabled  [MaxIRQ]bool
-	priority [MaxIRQ]uint8
-	targets  [MaxIRQ]uint8
-	cpus     []perCPU
-	hook     func(cpu, irq int)
+	state
+	hook func(cpu, irq int)
 }
 
-// CaptureSnapshot deep-copies the distributor state.
-func (d *Distributor) CaptureSnapshot() *Snapshot {
-	s := &Snapshot{
-		ctlr:     d.ctlr,
-		enabled:  d.enabled,
-		priority: d.priority,
-		targets:  d.targets,
-		cpus:     make([]perCPU, len(d.cpus)),
-		hook:     d.DeliverHook,
-	}
-	for i, p := range d.cpus {
-		s.cpus[i] = *p
-	}
-	return s
-}
+// CaptureSnapshot copies the distributor state.
+func (d *Distributor) CaptureSnapshot() Snapshot { return Snapshot{d.state, d.DeliverHook} }
 
-// RestoreSnapshot rewinds the distributor to a captured state. The
-// per-CPU interface objects are written in place (they are plain value
-// state — fixed bitmaps and registers).
-func (d *Distributor) RestoreSnapshot(s *Snapshot) {
-	d.ctlr = s.ctlr
-	d.enabled = s.enabled
-	d.priority = s.priority
-	d.targets = s.targets
-	for i, p := range d.cpus {
-		*p = s.cpus[i]
-	}
-	d.DeliverHook = s.hook
-}
+// RestoreSnapshot rewinds the distributor to a captured state.
+func (d *Distributor) RestoreSnapshot(s Snapshot) { d.state, d.DeliverHook = s.state, s.hook }
+
+// Matches reports whether the register file equals the snapshot's. The
+// delivery hook is wiring, not state, and is not compared.
+func (d *Distributor) Matches(s Snapshot) bool { return d.state == s.state }
 
 // NumCPUs returns the number of CPU interfaces.
 func (d *Distributor) NumCPUs() int { return d.numCPUs }
@@ -206,10 +194,10 @@ func (d *Distributor) SetPriorityMask(cpu int, mask uint8) {
 }
 
 func (d *Distributor) cpu(i int) *perCPU {
-	if i < 0 || i >= len(d.cpus) {
+	if i < 0 || i >= d.numCPUs {
 		return nil
 	}
-	return d.cpus[i]
+	return &d.cpus[i]
 }
 
 // EnableIRQ sets the distributor enable bit for an interrupt.
@@ -309,7 +297,7 @@ func (d *Distributor) SendSGI(srcCPU int, targetMask uint8, id int) error {
 		if targetMask&(1<<uint(cpu)) == 0 {
 			continue
 		}
-		p := d.cpus[cpu]
+		p := &d.cpus[cpu]
 		p.pending.set(id)
 		p.sgiSrc[id] = int8(srcCPU)
 		d.maybeDeliver(cpu, id)
@@ -430,20 +418,4 @@ func (d *Distributor) ClearCPU(cpu int) {
 	p.pending = irqSet{}
 	p.active = irqSet{}
 	p.sgiSrc = [NumSGI]int8{}
-}
-
-// Matches reports whether the distributor's register file and every CPU
-// interface equal the snapshot's. The delivery hook is wiring, not
-// state, and is not compared.
-func (d *Distributor) Matches(s *Snapshot) bool {
-	if d.ctlr != s.ctlr || d.enabled != s.enabled || d.priority != s.priority ||
-		d.targets != s.targets || len(d.cpus) != len(s.cpus) {
-		return false
-	}
-	for i, p := range d.cpus {
-		if *p != s.cpus[i] {
-			return false
-		}
-	}
-	return true
 }

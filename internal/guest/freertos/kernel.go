@@ -52,11 +52,20 @@ type StepFunc func(k *Kernel, t *TCB) bool
 
 // TCB is a task control block.
 type TCB struct {
+	// tcbState is the block's content: a rejoin check compares it
+	// with ==.
+	tcbState
+
+	step StepFunc
+}
+
+// tcbState is a task control block's content apart from its step
+// function, one comparable value.
+type tcbState struct {
 	Name     string
 	Priority int
 	State    TaskState
 
-	step     StepFunc
 	wakeTick uint64
 	waitOn   *Queue
 
@@ -89,9 +98,28 @@ func (t *TCB) Locals() [2]uint32 { return t.locals }
 type Kernel struct {
 	hv  *jailhouse.Hypervisor
 	brd *board.Board
-	cpu int
 
-	tasks   []*TCB
+	// kernelState is the scheduler's scalar state: a restore assigns
+	// it, and a rejoin check compares it with ==.
+	kernelState
+
+	tasks []*TCB
+
+	// queues registered for corruption bookkeeping.
+	queues []*Queue
+
+	// tcbPool and queuePool recycle control blocks across DeepReset
+	// cycles: CreateTask and NewQueue draw from them instead of
+	// allocating, so a recycled arena kernel rebuilds its workload
+	// allocation-free.
+	tcbPool   []*TCB
+	queuePool []*Queue
+}
+
+// kernelState is a kernel's state apart from its task and queue lists,
+// one comparable value.
+type kernelState struct {
+	cpu     int
 	current *TCB
 	idle    *TCB
 
@@ -110,16 +138,6 @@ type Kernel struct {
 	// check fires at the next context switch.
 	stackSmashed bool
 
-	// queues registered for corruption bookkeeping.
-	queues []*Queue
-
-	// tcbPool and queuePool recycle control blocks across DeepReset
-	// cycles: CreateTask and NewQueue draw from them instead of
-	// allocating, so a recycled arena kernel rebuilds its workload
-	// allocation-free.
-	tcbPool   []*TCB
-	queuePool []*Queue
-
 	// stats
 	ContextSwitches uint64
 	TicksSeen       uint64
@@ -128,7 +146,7 @@ type Kernel struct {
 // NewKernel returns a kernel for the given cell CPU. Call through
 // jailhouse.LoadInmate; the hypervisor invokes Boot when the cell starts.
 func NewKernel(hv *jailhouse.Hypervisor, cpu int) *Kernel {
-	return &Kernel{hv: hv, brd: hv.Board(), cpu: cpu}
+	return &Kernel{hv: hv, brd: hv.Board(), kernelState: kernelState{cpu: cpu}}
 }
 
 var _ jailhouse.Inmate = (*Kernel)(nil)
@@ -157,51 +175,43 @@ func (k *Kernel) DeepReset(cpu int) {
 		k.queuePool = append(k.queuePool, q)
 	}
 	k.queues = k.queues[:0]
-	k.cpu = cpu
-	k.current, k.idle = nil, nil
-	k.tick = 0
-	k.started = false
-	k.halted, k.haltReason = false, ""
-	k.wildJump, k.wildJumpAddr = false, 0
-	k.stackSmashed = false
-	k.ContextSwitches, k.TicksSeen = 0, 0
+	k.kernelState = kernelState{cpu: cpu}
 }
 
-// KernelSnapshot is a by-value copy of a kernel at any instant: the
-// kernel struct itself (scheduler latches, counters, task list order,
-// recycling pools — every slice a private copy), every control block's
-// content, and the queues with private copies of their buffers and
-// waiter lists. Control blocks are captured by pointer plus content —
-// step closures and queue waiter lists hold those pointers, so restoring
-// content into the same objects keeps them valid. Task step closures
-// carry no mutable state (it lives in TCB.locals), which is what makes a
-// mid-run capture admissible.
+// KernelSnapshot is a copy of a kernel at any instant: its scalar
+// state, private copies of its task, queue and recycling lists, every
+// control block's content, and the queues' content with private copies
+// of their buffers and waiter lists. Control blocks are captured by
+// pointer plus content — step closures and queue waiter lists hold
+// those pointers, so restoring content into the same objects keeps them
+// valid. A block's step closure is restored with its content — a
+// deep-reset kernel hands its blocks to other tasks — but carries no
+// mutable state (it lives in TCB.locals), which is what makes a mid-run
+// capture admissible.
 type KernelSnapshot struct {
-	kernel Kernel
-	tcbs   []TCB   // content of kernel.tasks[i]
-	queues []Queue // content of kernel.queues[i]
+	kernelState
+	tasks, tcbPool    []*TCB
+	queues, queuePool []*Queue
+	tcbs              []TCB   // content of tasks[i]
+	queueImgs         []Queue // content of queues[i]
 }
 
 // CaptureSnapshot copies the kernel state.
 func (k *Kernel) CaptureSnapshot() KernelSnapshot {
 	s := KernelSnapshot{
-		kernel: *k,
-		tcbs:   make([]TCB, len(k.tasks)),
-		queues: make([]Queue, len(k.queues)),
+		kernelState: k.kernelState,
+		tasks:       slices.Clone(k.tasks),
+		tcbPool:     slices.Clone(k.tcbPool),
+		queues:      slices.Clone(k.queues),
+		queuePool:   slices.Clone(k.queuePool),
+		tcbs:        make([]TCB, len(k.tasks)),
+		queueImgs:   make([]Queue, len(k.queues)),
 	}
-	s.kernel.tasks = slices.Clone(k.tasks)
-	s.kernel.queues = slices.Clone(k.queues)
-	s.kernel.tcbPool = slices.Clone(k.tcbPool)
-	s.kernel.queuePool = slices.Clone(k.queuePool)
 	for i, t := range k.tasks {
 		s.tcbs[i] = *t
 	}
 	for i, q := range k.queues {
-		img := *q
-		img.buf = slices.Clone(q.buf)
-		img.sendWaiters = slices.Clone(q.sendWaiters)
-		img.recvWaiters = slices.Clone(q.recvWaiters)
-		s.queues[i] = img
+		s.queueImgs[i] = Queue{q.queueState, slices.Clone(q.buf), slices.Clone(q.sendWaiters), slices.Clone(q.recvWaiters)}
 	}
 	return s
 }
@@ -211,54 +221,42 @@ func (k *Kernel) CaptureSnapshot() KernelSnapshot {
 // with the snapshot's, so the run that follows cannot write into the
 // image through an append.
 func (k *Kernel) RestoreSnapshot(s KernelSnapshot) {
-	tasks, queues, tcbPool, queuePool := k.tasks, k.queues, k.tcbPool, k.queuePool
-	clear(tasks)
-	clear(queues)
-	*k = s.kernel
-	k.tasks = append(tasks[:0], s.kernel.tasks...)
-	k.queues = append(queues[:0], s.kernel.queues...)
-	k.tcbPool = append(tcbPool[:0], s.kernel.tcbPool...)
-	k.queuePool = append(queuePool[:0], s.kernel.queuePool...)
+	clear(k.tasks)
+	clear(k.queues)
+	k.kernelState = s.kernelState
+	k.tasks = append(k.tasks[:0], s.tasks...)
+	k.queues = append(k.queues[:0], s.queues...)
+	k.tcbPool = append(k.tcbPool[:0], s.tcbPool...)
+	k.queuePool = append(k.queuePool[:0], s.queuePool...)
 	for i, t := range k.tasks {
 		*t = s.tcbs[i]
 	}
 	for i, q := range k.queues {
-		buf, sw, rw := q.buf, q.sendWaiters, q.recvWaiters
-		*q = s.queues[i]
-		q.buf = append(buf[:0], s.queues[i].buf...)
-		q.sendWaiters = append(sw[:0], s.queues[i].sendWaiters...)
-		q.recvWaiters = append(rw[:0], s.queues[i].recvWaiters...)
+		img := &s.queueImgs[i]
+		q.queueState = img.queueState
+		q.buf = append(q.buf[:0], img.buf...)
+		q.sendWaiters = append(q.sendWaiters[:0], img.sendWaiters...)
+		q.recvWaiters = append(q.recvWaiters[:0], img.recvWaiters...)
 	}
 }
 
-// Matches reports whether the kernel — scheduler latches, counters,
-// task and queue lists, every control block's content and every queue's
-// buffer and waiters — equals the snapshot's. Task step functions are
-// fixed when a task is created and are not compared.
+// Matches reports whether the kernel — scheduler state, task and queue
+// lists, every control block's content and every queue's buffer and
+// waiters — equals the snapshot's. Step functions are not compared: a
+// task's step is fixed when it is created.
 func (k *Kernel) Matches(s KernelSnapshot) bool {
-	sk := &s.kernel
-	if k.hv != sk.hv || k.cpu != sk.cpu || k.current != sk.current || k.idle != sk.idle ||
-		k.tick != sk.tick || k.started != sk.started || k.halted != sk.halted ||
-		k.haltReason != sk.haltReason || k.wildJump != sk.wildJump ||
-		k.wildJumpAddr != sk.wildJumpAddr || k.stackSmashed != sk.stackSmashed ||
-		k.ContextSwitches != sk.ContextSwitches || k.TicksSeen != sk.TicksSeen ||
-		!slices.Equal(k.tasks, sk.tasks) || !slices.Equal(k.queues, sk.queues) ||
-		!slices.Equal(k.tcbPool, sk.tcbPool) || !slices.Equal(k.queuePool, sk.queuePool) {
+	if k.kernelState != s.kernelState || !slices.Equal(k.tasks, s.tasks) || !slices.Equal(k.queues, s.queues) ||
+		!slices.Equal(k.tcbPool, s.tcbPool) || !slices.Equal(k.queuePool, s.queuePool) {
 		return false
 	}
 	for i, t := range k.tasks {
-		img := &s.tcbs[i]
-		if t.Name != img.Name || t.Priority != img.Priority || t.State != img.State ||
-			t.wakeTick != img.wakeTick || t.waitOn != img.waitOn || t.Work != img.Work ||
-			t.stackGuard != img.stackGuard || t.Asserted != img.Asserted ||
-			t.locals != img.locals || t.runs != img.runs {
+		if t.tcbState != s.tcbs[i].tcbState {
 			return false
 		}
 	}
 	for i, q := range k.queues {
-		img := &s.queues[i]
-		if q.name != img.name || q.cap != img.cap || q.poisoned != img.poisoned ||
-			q.Sends != img.Sends || q.Receives != img.Receives || !slices.Equal(q.buf, img.buf) ||
+		img := &s.queueImgs[i]
+		if q.queueState != img.queueState || !slices.Equal(q.buf, img.buf) ||
 			!slices.Equal(q.sendWaiters, img.sendWaiters) || !slices.Equal(q.recvWaiters, img.recvWaiters) {
 			return false
 		}
@@ -327,13 +325,12 @@ func (k *Kernel) CreateTask(name string, priority int, step StepFunc) *TCB {
 	} else {
 		t = &TCB{}
 	}
-	*t = TCB{
+	*t = TCB{tcbState: tcbState{
 		Name:       name,
 		Priority:   priority,
 		State:      StateReady,
-		step:       step,
 		stackGuard: stackCanary,
-	}
+	}, step: step}
 	k.tasks = append(k.tasks, t)
 	return t
 }

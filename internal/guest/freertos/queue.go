@@ -4,12 +4,21 @@ package freertos
 // send and receive. Tasks that would overflow or underflow the queue move
 // to the Blocked state and are woken when space or data appears.
 type Queue struct {
-	name string
-	buf  []uint32
-	cap  int
+	// queueState is the queue's scalar content: a restore assigns it,
+	// and a rejoin check compares it with ==.
+	queueState
+
+	buf []uint32
 
 	sendWaiters []*TCB
 	recvWaiters []*TCB
+}
+
+// queueState is a queue's content apart from its buffer and waiter
+// lists, one comparable value.
+type queueState struct {
+	name string
+	cap  int
 
 	// poisoned is set when the queue-head corruption (register image r7)
 	// strikes; the next operation asserts.
@@ -41,17 +50,10 @@ func (k *Kernel) NewQueue(name string, capacity int) *Queue {
 // recycle empties the queue for reuse while keeping its buffers
 // allocated — the DeepReset path.
 func (q *Queue) recycle() {
-	for i := range q.sendWaiters {
-		q.sendWaiters[i] = nil
-	}
-	for i := range q.recvWaiters {
-		q.recvWaiters[i] = nil
-	}
-	*q = Queue{
-		buf:         q.buf[:0],
-		sendWaiters: q.sendWaiters[:0],
-		recvWaiters: q.recvWaiters[:0],
-	}
+	clear(q.sendWaiters)
+	clear(q.recvWaiters)
+	q.queueState = queueState{}
+	q.buf, q.sendWaiters, q.recvWaiters = q.buf[:0], q.sendWaiters[:0], q.recvWaiters[:0]
 }
 
 // Len returns the number of queued items.

@@ -46,19 +46,29 @@ type Linux struct {
 	hv  *jailhouse.Hypervisor
 	brd *board.Board
 
-	booted   bool
-	paniced  bool
-	panicWhy string
-	oopses   int
+	// state is the guest's scalar state: a restore assigns it, and a
+	// rejoin check compares it with ==.
+	state
+
 	// cancelBg holds the periodic background events (housekeeping,
 	// state watchdog, recreate loop) that a panic or shutdown stops.
 	cancelBg []sim.Event
 
+	// makeInmate builds each recreate cycle's guest.
+	makeInmate func() jailhouse.Inmate
+}
+
+// state is the root-cell guest's state apart from its background
+// events, one comparable value.
+type state struct {
+	booted   bool
+	paniced  bool
+	panicWhy string
+	oopses   int
+
 	// recreateCfg is the cell configuration the E1 recreate loop
-	// creates each cycle (nil when no loop was started); makeInmate
-	// builds each cycle's guest.
+	// creates each cycle (nil when no loop was started).
 	recreateCfg *jailhouse.CellConfig
-	makeInmate  func() jailhouse.Inmate
 
 	// CellID of the managed non-root cell (set by CellCreate).
 	CellID uint32
@@ -89,59 +99,30 @@ func New(hv *jailhouse.Hypervisor) *Linux {
 // Name implements jailhouse.Inmate.
 func (l *Linux) Name() string { return "Linux-5.10-jailhouse" }
 
-// Snapshot is a deep copy of the root-cell guest's state. The background
+// Snapshot is a copy of the root-cell guest's state. The background
 // events are Event handles into the engine slab; the engine snapshot
 // restores slot generations exactly, so the captured handles stay valid
 // after a restore.
 type Snapshot struct {
-	booted       bool
-	paniced      bool
-	panicWhy     string
-	oopses       int
-	cancelBg     []sim.Event
-	recreateCfg  *jailhouse.CellConfig
-	cellID       uint32
-	stateQueries uint64
-	lastState    jailhouse.CellState
-	lastStartAt  sim.Time
+	state
+	cancelBg []sim.Event
 }
 
-// CaptureSnapshot deep-copies the guest state.
+// CaptureSnapshot copies the guest state.
 func (l *Linux) CaptureSnapshot() *Snapshot {
-	return &Snapshot{
-		booted:       l.booted,
-		paniced:      l.paniced,
-		panicWhy:     l.panicWhy,
-		oopses:       l.oopses,
-		cancelBg:     append([]sim.Event(nil), l.cancelBg...),
-		recreateCfg:  l.recreateCfg,
-		cellID:       l.CellID,
-		stateQueries: l.StateQueries,
-		lastState:    l.LastState,
-		lastStartAt:  l.LastStartAt,
-	}
+	return &Snapshot{l.state, append([]sim.Event(nil), l.cancelBg...)}
 }
 
 // RestoreSnapshot rewinds the guest to a captured state in place.
 func (l *Linux) RestoreSnapshot(s *Snapshot) {
-	l.booted = s.booted
-	l.paniced, l.panicWhy = s.paniced, s.panicWhy
-	l.oopses = s.oopses
+	l.state = s.state
 	l.cancelBg = append(l.cancelBg[:0], s.cancelBg...)
-	l.recreateCfg = s.recreateCfg
-	l.CellID = s.cellID
-	l.StateQueries = s.stateQueries
-	l.LastState = s.lastState
-	l.LastStartAt = s.lastStartAt
 }
 
 // Matches reports whether the guest state equals the snapshot's;
 // same compares a live background-event handle with a captured one.
 func (l *Linux) Matches(s *Snapshot, same func(live, golden sim.Event) bool) bool {
-	if l.booted != s.booted || l.paniced != s.paniced || l.panicWhy != s.panicWhy ||
-		l.oopses != s.oopses || l.recreateCfg != s.recreateCfg || l.CellID != s.cellID ||
-		l.StateQueries != s.stateQueries || l.LastState != s.lastState ||
-		l.LastStartAt != s.lastStartAt || len(l.cancelBg) != len(s.cancelBg) {
+	if l.state != s.state || len(l.cancelBg) != len(s.cancelBg) {
 		return false
 	}
 	for i, ev := range l.cancelBg {

@@ -35,14 +35,32 @@ type Inmate interface {
 type Cell struct {
 	ID     uint32
 	Config *CellConfig
-	State  CellState
+
+	// cellState is the cell's scalar content: a restore assigns it, and
+	// a rejoin check compares it with ==.
+	cellState
 
 	// Stage2 is the cell's guest-physical address space.
 	Stage2 *memmap.Stage2
 
+	// virqMsg caches the rendered per-IRQ injection trace line ("vIRQ n →
+	// cell name"), indexed by IRQ. The line is emitted once per delivered
+	// virtual interrupt — the single hottest trace record in a campaign —
+	// and its text depends only on the IRQ number and the cell's fixed
+	// configured name, so rendering it once and appending the cached
+	// string keeps the per-tick path free of format-arg bookkeeping. Pure
+	// cache: not part of any snapshot or digest.
+	virqMsg []string
+}
+
+// cellState is a cell's content apart from its address space and IRQ
+// lines, one comparable value.
+type cellState struct {
+	State CellState
+
 	// CPUs currently assigned (may differ transiently from the config
 	// during create/destroy).
-	cpus map[int]bool
+	cpus cpuSet
 
 	// Loadable reports whether the cell's loadable regions are mapped
 	// into the root cell for image loading (SET_LOADABLE issued).
@@ -53,15 +71,6 @@ type Cell struct {
 
 	// CommPending holds the last comm-region message sent to the cell.
 	CommPending uint32
-
-	// virqMsg caches the rendered per-IRQ injection trace line ("vIRQ n →
-	// cell name"), indexed by IRQ. The line is emitted once per delivered
-	// virtual interrupt — the single hottest trace record in a campaign —
-	// and its text depends only on the IRQ number and the cell's fixed
-	// configured name, so rendering it once and appending the cached
-	// string keeps the per-tick path free of format-arg bookkeeping. Pure
-	// cache: not part of any snapshot or digest.
-	virqMsg []string
 }
 
 // Comm-region messages (subset of JAILHOUSE_MSG_*).
@@ -77,41 +86,22 @@ func newCell(id uint32, cfg *CellConfig) (*Cell, error) {
 			return nil, err
 		}
 	}
-	c := &Cell{
-		ID:     id,
-		Config: cfg,
-		State:  CellShutDown,
-		Stage2: s2,
-		cpus:   make(map[int]bool),
-	}
-	for _, cpu := range cfg.CPUs() {
-		c.cpus[cpu] = true
-	}
-	return c, nil
+	return &Cell{
+		ID:        id,
+		Config:    cfg,
+		cellState: cellState{State: CellShutDown, cpus: cpuSet(cfg.CPUSet)},
+		Stage2:    s2,
+	}, nil
 }
 
 // Name returns the cell's configured name.
 func (c *Cell) Name() string { return c.Config.Name }
 
 // HasCPU reports whether cpu is currently assigned to the cell.
-func (c *Cell) HasCPU(cpu int) bool { return c.cpus[cpu] }
+func (c *Cell) HasCPU(cpu int) bool { return c.cpus.has(cpu) }
 
 // CPUList returns the assigned CPUs in ascending order.
-func (c *Cell) CPUList() []int {
-	var out []int
-	for i := 0; i < 64; i++ {
-		if c.cpus[i] {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// removeCPU detaches a CPU from the cell.
-func (c *Cell) removeCPU(cpu int) { delete(c.cpus, cpu) }
-
-// addCPU attaches a CPU to the cell.
-func (c *Cell) addCPU(cpu int) { c.cpus[cpu] = true }
+func (c *Cell) CPUList() []int { return c.cpus.list() }
 
 // OwnsMMIO reports whether gpa falls inside any of the cell's regions
 // carrying the IO flag (direct-assigned device windows).

@@ -40,10 +40,21 @@ type CellConfig struct {
 }
 
 // CPUs expands the CPU bitmap into a slice of CPU indices.
-func (c *CellConfig) CPUs() []int {
+func (c *CellConfig) CPUs() []int { return cpuSet(c.CPUSet).list() }
+
+// cpuSet is a bitmap of CPU numbers 0-63; numbers outside that range
+// are never members.
+type cpuSet uint64
+
+func (s cpuSet) has(cpu int) bool { return s&(1<<uint(cpu)) != 0 }
+func (s *cpuSet) add(cpu int)     { *s |= 1 << uint(cpu) }
+func (s *cpuSet) remove(cpu int)  { *s &^= 1 << uint(cpu) }
+
+// list returns the members in ascending order.
+func (s cpuSet) list() []int {
 	var out []int
 	for i := 0; i < 64; i++ {
-		if c.CPUSet&(1<<uint(i)) != 0 {
+		if s.has(i) {
 			out = append(out, i)
 		}
 	}
@@ -51,9 +62,7 @@ func (c *CellConfig) CPUs() []int {
 }
 
 // HasCPU reports whether the bitmap includes cpu.
-func (c *CellConfig) HasCPU(cpu int) bool {
-	return cpu >= 0 && cpu < 64 && c.CPUSet&(1<<uint(cpu)) != 0
-}
+func (c *CellConfig) HasCPU(cpu int) bool { return cpuSet(c.CPUSet).has(cpu) }
 
 // OwnsIRQ reports whether the config assigns SPI irq to the cell.
 func (c *CellConfig) OwnsIRQ(irq int) bool {

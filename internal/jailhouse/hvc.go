@@ -152,7 +152,7 @@ func (h *Hypervisor) cellCreate(configGPA uint32) Errno {
 		if p.cell != root {
 			return EBUSY
 		}
-		if !h.rootOfflined[cpu] {
+		if !h.rootOfflined.has(cpu) {
 			h.consolef("cell create: CPU %d not offlined by root", cpu)
 			return EBUSY
 		}
@@ -182,8 +182,8 @@ func (h *Hypervisor) cellCreate(configGPA uint32) Errno {
 
 	// Donate the CPUs.
 	for _, cpu := range cfg.CPUs() {
-		root.removeCPU(cpu)
-		cell.addCPU(cpu)
+		root.cpus.remove(cpu)
+		cell.cpus.add(cpu)
 		p := h.PerCPU(cpu)
 		p.cell = cell
 		p.Parked = false
@@ -310,15 +310,15 @@ func (h *Hypervisor) cellDestroy(id uint32) Errno {
 	root := h.RootCell()
 	for _, cpu := range cell.CPUList() {
 		p := h.PerCPU(cpu)
-		cell.removeCPU(cpu)
-		root.addCPU(cpu)
+		cell.cpus.remove(cpu)
+		root.cpus.add(cpu)
 		p.cell = root
 		p.Parked = false
 		p.OnlineInCell = false
 		p.repair()
 		h.brd.CPUs[cpu].Parked = false
 		h.brd.CPUs[cpu].Online = false
-		h.rootOfflined[cpu] = true // back in root's hotplug pool
+		h.rootOfflined.add(cpu) // back in root's hotplug pool
 		h.brd.GIC.ClearCPU(cpu)
 		h.brd.StopTimer(cpu)
 	}

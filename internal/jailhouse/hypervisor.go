@@ -74,20 +74,14 @@ var ErrNotEnabled = errors.New("jailhouse: hypervisor not enabled")
 
 // Hypervisor is the partitioning hypervisor instance on one board.
 type Hypervisor struct {
-	brd    *board.Board
-	sysCfg *SystemConfig
+	brd *board.Board
 
-	enabled  bool
-	panicked bool
-	panicMsg string
+	// hvState is the hypervisor's scalar state: a restore assigns it,
+	// and a rejoin check compares it with ==.
+	hvState
 
-	cells      []*Cell // cells[0] is the root cell once enabled
-	nextCellID uint32
-	percpu     []*PerCPU
-
-	// rootOfflined tracks CPUs the root cell has released via PSCI
-	// CPU_OFF; only these may be donated to a new cell.
-	rootOfflined map[int]bool
+	cells  []*Cell // cells[0] is the root cell once enabled
+	percpu []*PerCPU
 
 	// Hook is the fault-injection seam (nil when not testing).
 	Hook EntryHook
@@ -98,13 +92,29 @@ type Hypervisor struct {
 	// putcAccum buffers DEBUG_CONSOLE_PUTC bytes until newline.
 	putcAccum []byte
 
-	// irqCtx is the per-CPU scratch trap frame for the IRQ entry path;
-	// irqCtxBusy guards against re-entrant deliveries on the same CPU.
-	irqCtx     []armv7.TrapContext
-	irqCtxBusy []bool
-
 	// ivshmem holds the registered inter-cell shared-memory links.
 	ivshmem []*IvshmemLink
+}
+
+// hvState is the hypervisor's state apart from its cell list, per-CPU
+// blocks, console and ivshmem links, one comparable value.
+type hvState struct {
+	sysCfg *SystemConfig
+
+	enabled  bool
+	panicked bool
+	panicMsg string
+
+	nextCellID uint32
+
+	// rootOfflined tracks CPUs the root cell has released via PSCI
+	// CPU_OFF; only these may be donated to a new cell.
+	rootOfflined cpuSet
+
+	// irqCtx is the per-CPU scratch trap frame for the IRQ entry path;
+	// irqCtxBusy guards against re-entrant deliveries on the same CPU.
+	irqCtx     [board.NumCPUs]armv7.TrapContext
+	irqCtxBusy [board.NumCPUs]bool
 
 	// fwTainted records that the hypervisor's private firmware region was
 	// corrupted (a RAM fault into the control-block stratum). The next
@@ -116,12 +126,7 @@ type Hypervisor struct {
 
 // New returns a hypervisor bound to a board, not yet enabled.
 func New(b *board.Board) *Hypervisor {
-	h := &Hypervisor{
-		brd:          b,
-		rootOfflined: make(map[int]bool),
-		irqCtx:       make([]armv7.TrapContext, board.NumCPUs),
-		irqCtxBusy:   make([]bool, board.NumCPUs),
-	}
+	h := &Hypervisor{brd: b}
 	for i := 0; i < board.NumCPUs; i++ {
 		h.percpu = append(h.percpu, newPerCPU(i))
 	}
@@ -182,15 +187,7 @@ func (h *Hypervisor) NextCellID() uint32 { return h.nextCellID }
 // OfflinedCPUs lists the CPUs the root cell has released via PSCI
 // CPU_OFF, in ascending order — the hotplug pool a cell create draws
 // from, and more state the equivalence digest must see.
-func (h *Hypervisor) OfflinedCPUs() []int {
-	var out []int
-	for cpu := 0; cpu < len(h.percpu); cpu++ {
-		if h.rootOfflined[cpu] {
-			out = append(out, cpu)
-		}
-	}
-	return out
-}
+func (h *Hypervisor) OfflinedCPUs() []int { return h.rootOfflined.list() }
 
 // Enabled reports whether the hypervisor is active.
 func (h *Hypervisor) Enabled() bool { return h.enabled }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"slices"
 
-	"github.com/dessertlab/certify/internal/armv7"
 	"github.com/dessertlab/certify/internal/memmap"
 	"github.com/dessertlab/certify/internal/sim"
 )
@@ -22,14 +21,10 @@ import (
 
 // cellSnapshot is the captured content of one Cell.
 type cellSnapshot struct {
-	cell        *Cell // the live object the content belongs to
-	state       CellState
-	loadable    bool
-	commPending uint32
-	guest       Inmate
-	cpus        []int           // assigned CPUs, ascending
-	stage2      []memmap.Region // deep copy of the address space
-	irqLines    []int           // Config.IRQLines (ivshmem can append)
+	cell *Cell // the live object the content belongs to
+	cellState
+	stage2   []memmap.Region // deep copy of the address space
+	irqLines []int           // Config.IRQLines (ivshmem can append)
 }
 
 // linkSnapshot is the captured content of one ivshmem link. The peers'
@@ -41,26 +36,17 @@ type linkSnapshot struct {
 }
 
 // Snapshot is a copy of the hypervisor's mutable state at one instant:
-// configuration binding, cell list with per-cell content, per-CPU
-// blocks, console length, IRQ scratch frames, ivshmem links and the
-// firmware-taint latch.
+// its scalar state, the cell list with per-cell content, per-CPU
+// blocks, console length, the injection hook, the putc buffer and the
+// ivshmem links.
 type Snapshot struct {
-	sysCfg     *SystemConfig
-	enabled    bool
-	panicked   bool
-	panicMsg   string
-	cells      []cellSnapshot
-	nextCellID uint32
-	percpu     []PerCPU
-	offlined   []int
-	hook       EntryHook
-	console    int
-	putcAccum  []byte
-	irqCtx     []armv7.TrapContext
-	irqCtxBusy []bool
-	ivshmem    []linkSnapshot
-	fwTainted  bool
-	hypTraps   uint64
+	hvState
+	cells     []cellSnapshot
+	percpu    []PerCPU
+	hook      EntryHook
+	console   int
+	putcAccum []byte
+	ivshmem   []linkSnapshot
 }
 
 // CaptureSnapshot copies the hypervisor state. The board is captured
@@ -68,35 +54,17 @@ type Snapshot struct {
 // two.
 func (h *Hypervisor) CaptureSnapshot() *Snapshot {
 	s := &Snapshot{
-		sysCfg:     h.sysCfg,
-		enabled:    h.enabled,
-		panicked:   h.panicked,
-		panicMsg:   h.panicMsg,
-		nextCellID: h.nextCellID,
-		hook:       h.Hook,
-		console:    len(h.ConsoleLines),
-		putcAccum:  append([]byte(nil), h.putcAccum...),
-		irqCtx:     append([]armv7.TrapContext(nil), h.irqCtx...),
-		irqCtxBusy: append([]bool(nil), h.irqCtxBusy...),
-		fwTainted:  h.fwTainted,
-		hypTraps:   h.hypTraps,
+		hvState:   h.hvState,
+		hook:      h.Hook,
+		console:   len(h.ConsoleLines),
+		putcAccum: append([]byte(nil), h.putcAccum...),
 	}
 	for _, c := range h.cells {
-		s.cells = append(s.cells, cellSnapshot{
-			cell:        c,
-			state:       c.State,
-			loadable:    c.Loadable,
-			commPending: c.CommPending,
-			guest:       c.Guest,
-			cpus:        c.CPUList(),
-			stage2:      c.Stage2.CaptureSnapshot(),
-			irqLines:    append([]int(nil), c.Config.IRQLines...),
-		})
+		s.cells = append(s.cells, cellSnapshot{c, c.cellState, c.Stage2.CaptureSnapshot(), slices.Clone(c.Config.IRQLines)})
 	}
 	for _, p := range h.percpu {
 		s.percpu = append(s.percpu, *p)
 	}
-	s.offlined = h.OfflinedCPUs()
 	for _, l := range h.ivshmem {
 		s.ivshmem = append(s.ivshmem, linkSnapshot{link: l, ringsA: l.ringsA, ringsB: l.ringsB})
 	}
@@ -138,11 +106,8 @@ func (h *Hypervisor) Splice(from, to *Snapshot, console *sim.Prefix[string]) {
 // identity (ID and creation configuration) and content, not by object: a cell the run created after the capture is a different
 // object from the golden run's, and a restore rebinds the golden one.
 func (h *Hypervisor) Matches(s *Snapshot) bool {
-	if h.sysCfg != s.sysCfg || h.enabled != s.enabled || h.panicked != s.panicked ||
-		h.panicMsg != s.panicMsg || h.nextCellID != s.nextCellID || h.fwTainted != s.fwTainted ||
-		h.hypTraps != s.hypTraps || len(h.cells) != len(s.cells) || len(h.ivshmem) != len(s.ivshmem) ||
-		!bytes.Equal(h.putcAccum, s.putcAccum) || !slices.Equal(h.irqCtx, s.irqCtx) ||
-		!slices.Equal(h.irqCtxBusy, s.irqCtxBusy) {
+	if h.hvState != s.hvState || len(h.cells) != len(s.cells) || len(h.ivshmem) != len(s.ivshmem) ||
+		!bytes.Equal(h.putcAccum, s.putcAccum) {
 		return false
 	}
 	for i, p := range h.percpu {
@@ -157,10 +122,8 @@ func (h *Hypervisor) Matches(s *Snapshot) bool {
 	}
 	for i := range s.cells {
 		cs, c := &s.cells[i], h.cells[i]
-		if !sameCell(c, cs.cell) || c.State != cs.state || c.Loadable != cs.loadable ||
-			c.CommPending != cs.commPending || c.Guest != cs.guest ||
-			!slices.Equal(c.Config.IRQLines, cs.irqLines) || !c.Stage2.Matches(cs.stage2) ||
-			!slices.Equal(c.CPUList(), cs.cpus) {
+		if !sameCell(c, cs.cell) || c.cellState != cs.cellState ||
+			!slices.Equal(c.Config.IRQLines, cs.irqLines) || !c.Stage2.Matches(cs.stage2) {
 			return false
 		}
 	}
@@ -170,7 +133,7 @@ func (h *Hypervisor) Matches(s *Snapshot) bool {
 			return false
 		}
 	}
-	return slices.Equal(h.OfflinedCPUs(), s.offlined)
+	return true
 }
 
 // sameCell reports whether two cell objects are the same cell: the same
@@ -189,9 +152,7 @@ func sameCell(a, b *Cell) bool {
 
 // restoreState rewinds everything but the console to s.
 func (h *Hypervisor) restoreState(s *Snapshot) {
-	h.sysCfg = s.sysCfg
-	h.enabled = s.enabled
-	h.panicked, h.panicMsg = s.panicked, s.panicMsg
+	h.hvState = s.hvState
 	for i := range h.cells {
 		h.cells[i] = nil
 	}
@@ -199,30 +160,16 @@ func (h *Hypervisor) restoreState(s *Snapshot) {
 	for i := range s.cells {
 		cs := &s.cells[i]
 		c := cs.cell
-		c.State = cs.state
-		c.Loadable = cs.loadable
-		c.CommPending = cs.commPending
-		c.Guest = cs.guest
-		clear(c.cpus)
-		for _, cpu := range cs.cpus {
-			c.cpus[cpu] = true
-		}
+		c.cellState = cs.cellState
 		c.Stage2.RestoreSnapshot(cs.stage2)
 		c.Config.IRQLines = append(c.Config.IRQLines[:0], cs.irqLines...)
 		h.cells = append(h.cells, c)
 	}
-	h.nextCellID = s.nextCellID
 	for i, p := range h.percpu {
 		*p = s.percpu[i]
 	}
-	clear(h.rootOfflined)
-	for _, cpu := range s.offlined {
-		h.rootOfflined[cpu] = true
-	}
 	h.Hook = s.hook
 	h.putcAccum = append(h.putcAccum[:0], s.putcAccum...)
-	copy(h.irqCtx, s.irqCtx)
-	copy(h.irqCtxBusy, s.irqCtxBusy)
 	for i := range h.ivshmem {
 		h.ivshmem[i] = nil
 	}
@@ -232,6 +179,4 @@ func (h *Hypervisor) restoreState(s *Snapshot) {
 		ls.link.ringsA, ls.link.ringsB = ls.ringsA, ls.ringsB
 		h.ivshmem = append(h.ivshmem, ls.link)
 	}
-	h.fwTainted = s.fwTainted
-	h.hypTraps = s.hypTraps
 }

@@ -240,7 +240,7 @@ func (h *Hypervisor) handlePSCI(cpu int, ctx *armv7.TrapContext) {
 			p.OnlineInCell = false
 			h.brd.CPUs[cpu].Online = false
 			if cell != nil && cell.ID == 0 {
-				h.rootOfflined[cpu] = true
+				h.rootOfflined.add(cpu)
 			}
 			h.trace(sim.KindCellEvent, cpu, "psci: CPU_OFF in cell %q", sim.Str(h.cellNameOf(cpu)))
 			ret = armv7.PSCIRetSuccess
@@ -278,7 +278,7 @@ func (h *Hypervisor) psciCPUOn(cell *Cell, target int) int32 {
 	h.brd.CPUs[target].Parked = false
 	h.brd.CPUs[target].Online = true
 	p.OnlineInCell = true
-	delete(h.rootOfflined, target)
+	h.rootOfflined.remove(target)
 	if cell.Guest != nil {
 		h.brd.Engine.After(50*sim.Microsecond, board.EvPSCIBoot, int32(target), uint64(cell.ID))
 	}

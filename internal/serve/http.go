@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -79,11 +80,18 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 // one request from making the daemon buffer an arbitrary body.
 const maxSubmitBytes = 1 << 20
 
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+// decodeSubmit decodes a submit body strictly: a field the request type
+// does not know is an error, not silently dropped.
+func decodeSubmit(r io.Reader) (*SubmitRequest, error) {
 	var req SubmitRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
+	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	return &req, dec.Decode(&req)
+}
+
+func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	req, err := decodeSubmit(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
+	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			writeAPIError(w, http.StatusRequestEntityTooLarge, ClassUsage, "request body exceeds %d bytes", maxSubmitBytes)
@@ -95,7 +103,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if req.Tenant == "" {
 		req.Tenant = r.Header.Get("X-Certify-Tenant")
 	}
-	j, err := s.Submit(&req)
+	j, err := s.Submit(req)
 	if err != nil {
 		var ae *APIError
 		if errors.As(err, &ae) {

@@ -41,17 +41,24 @@ type Line struct {
 // UART is a functional serial port. Transmission is instantaneous (the
 // experiments measure liveness, not baud rates); every byte is captured.
 type UART struct {
-	name    string
-	now     func() sim.Time
-	ier     uint32
-	lcr     uint32
-	txLog   []byte
-	noBytes bool // when set, the raw byte log is not kept
-	lines   []Line
-	cur     strings.Builder
+	name string
+	now  func() sim.Time
+	// regs is the register state: a restore assigns it, and a rejoin
+	// check compares it with ==.
+	regs
+	txLog []byte
+	lines []Line
+	cur   strings.Builder
 
 	// OnLine, when set, is called for each completed output line.
 	OnLine func(Line)
+}
+
+// regs is a UART's register state, one comparable value.
+type regs struct {
+	ier     uint32
+	lcr     uint32
+	noBytes bool // when set, the raw byte log is not kept
 }
 
 // New returns a UART named name (e.g. "uart0"). now supplies virtual time
@@ -80,13 +87,11 @@ func (u *UART) SetCaptureBytes(on bool) {
 // the machine's boot wires it to objects the snapshot belongs to, so
 // restoring the same value is exact.
 type Snapshot struct {
-	ier     uint32
-	lcr     uint32
-	noBytes bool
-	lines   int
-	bytes   int
-	cur     string
-	onLine  func(Line)
+	regs
+	lines  int
+	bytes  int
+	cur    string
+	onLine func(Line)
 }
 
 // Log is the published fault-free prefix of a UART's line and byte
@@ -100,13 +105,11 @@ type Log struct {
 // CaptureSnapshot records the UART state and its log lengths.
 func (u *UART) CaptureSnapshot() *Snapshot {
 	return &Snapshot{
-		ier:     u.ier,
-		lcr:     u.lcr,
-		noBytes: u.noBytes,
-		lines:   len(u.lines),
-		bytes:   len(u.txLog),
-		cur:     u.cur.String(),
-		onLine:  u.OnLine,
+		regs:   u.regs,
+		lines:  len(u.lines),
+		bytes:  len(u.txLog),
+		cur:    u.cur.String(),
+		onLine: u.OnLine,
 	}
 }
 
@@ -126,8 +129,7 @@ func (u *UART) Publish(l Log) Log {
 // run appended beyond the snapshot are zeroed so their strings are
 // released.
 func (u *UART) RestoreSnapshot(s *Snapshot, l Log, from *Snapshot) {
-	u.ier, u.lcr = s.ier, s.lcr
-	u.noBytes = s.noBytes
+	u.regs = s.regs
 	u.txLog = sim.Rewind(u.txLog, l.bytes, from.bytes, s.bytes)
 	u.lines = sim.Rewind(u.lines, l.lines, from.lines, s.lines)
 	u.cur.Reset()
@@ -139,7 +141,7 @@ func (u *UART) RestoreSnapshot(s *Snapshot, l Log, from *Snapshot) {
 // progress equal the snapshot's. The captured lines and bytes are logs,
 // not state, and are not compared.
 func (u *UART) Matches(s *Snapshot) bool {
-	return u.ier == s.ier && u.lcr == s.lcr && u.noBytes == s.noBytes && u.cur.String() == s.cur
+	return u.regs == s.regs && u.cur.String() == s.cur
 }
 
 // Splice moves a UART whose state matches golden snapshot from to the
@@ -147,7 +149,7 @@ func (u *UART) Matches(s *Snapshot) bool {
 // become to's, and the captures gain the golden lines and bytes between
 // the two snapshots from l, after this run's own.
 func (u *UART) Splice(from, to *Snapshot, l Log) {
-	u.ier, u.lcr = to.ier, to.lcr
+	u.regs = to.regs
 	u.txLog = append(u.txLog, l.bytes.Items()[from.bytes:to.bytes]...)
 	u.lines = append(u.lines, l.lines.Items()[from.lines:to.lines]...)
 	u.cur.Reset()

@@ -75,8 +75,9 @@
 # allocs/op, B/op and every ReportMetric series (correct_pct,
 # runs_per_sec, ...). An existing archive (or OUT file) is never
 # overwritten: a second run on the same day writes
-# BENCH_<YYYYMMDD>-2.json, then -3, and so on. The static checks (go vet, gofmt) run first so a
-# dirty tree never produces an archived measurement.
+# BENCH_<YYYYMMDD>-2.json, then -3, and so on. The static checks (go vet,
+# perfbench build and vet, gofmt) run first so a dirty tree never
+# produces an archived measurement.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -132,6 +133,10 @@ done
 
 echo "== static checks =="
 go vet ./...
+# perfbench is a nested module, so the root ./... skips it; it reads
+# machine fields and must keep building against the tree it measures.
+# gofmt walks directories, not modules: "." covers perfbench too.
+(cd perfbench && go build ./... && go vet ./...)
 UNFORMATTED="$(gofmt -l .)"
 if [ -n "$UNFORMATTED" ]; then
     echo "gofmt needed on:" >&2
