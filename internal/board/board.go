@@ -7,6 +7,7 @@ package board
 
 import (
 	"fmt"
+	"strconv"
 
 	"github.com/dessertlab/certify/internal/armv7"
 	"github.com/dessertlab/certify/internal/gic"
@@ -82,6 +83,29 @@ const (
 	EvSendSGI                                // fault model: SGI; target: source CPU, arg: mask<<8 | SGI ID
 	NumEventKinds
 )
+
+// eventKindNames names the event kinds for the flight recorder's
+// per-kind dispatch counts.
+var eventKindNames = [NumEventKinds]string{
+	EvTimer:           "timer",
+	EvCellCPUBoot:     "cell_cpu_boot",
+	EvPSCIBoot:        "psci_boot",
+	EvLinuxHousekeep:  "linux_housekeep",
+	EvLinuxStateQuery: "linux_state_query",
+	EvLinuxRecreate:   "linux_recreate",
+	EvDelayedCreate:   "delayed_create",
+	EvRaiseSPI:        "raise_spi",
+	EvSendSGI:         "send_sgi",
+}
+
+// EventKindName returns the metric label of event kind k; a kind past
+// the board's table (a test's own handler) is "kind_<k>".
+func EventKindName(k sim.HandlerKind) string {
+	if int(k) < len(eventKindNames) {
+		return eventKindNames[k]
+	}
+	return "kind_" + strconv.Itoa(int(k))
+}
 
 // Timer is a per-CPU generic timer that raises the virtual-timer PPI.
 type Timer struct {

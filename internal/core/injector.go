@@ -53,7 +53,7 @@ type Injector struct {
 	armFrom   sim.Time // injections suppressed before this instant
 	disarmAt  sim.Time // 0 = no deadline
 	phase     uint64   // random trigger phase within the rate window
-	calls     map[jailhouse.InjectionPoint]uint64
+	calls     callCounts
 	records   []InjectionRecord
 	callTotal uint64
 
@@ -84,9 +84,13 @@ func NewInjector(plan *TestPlan, profile *SensitivityProfile, rng *sim.RNG, now 
 		// The rig's arming instant is asynchronous to the workload, so
 		// the first trigger lands uniformly inside the rate window.
 		phase: uint64(rng.Intn(plan.EffectiveRate())),
-		calls: make(map[jailhouse.InjectionPoint]uint64),
 	}, nil
 }
+
+// callCounts holds the matching-call count of each injection point,
+// indexed by point: the hook increments an array slot, and the map form
+// is built only where the counts leave as evidence (Calls).
+type callCounts [jailhouse.PointIRQChip + 1]uint64
 
 // Arm (re)enables injection; until is an optional virtual-time deadline
 // (0 = no deadline), implementing the paper's test-duration control.
@@ -131,9 +135,11 @@ func (in *Injector) FirstInjectionAt() sim.Time {
 // the golden-run profiling counters that led the paper to its three
 // candidate functions.
 func (in *Injector) Calls() map[jailhouse.InjectionPoint]uint64 {
-	out := make(map[jailhouse.InjectionPoint]uint64, len(in.calls))
-	for k, v := range in.calls {
-		out[k] = v
+	out := make(map[jailhouse.InjectionPoint]uint64)
+	for p, n := range in.calls {
+		if n != 0 {
+			out[jailhouse.InjectionPoint(p)] = n
+		}
 	}
 	return out
 }
@@ -177,9 +183,7 @@ func (in *Injector) firstTrigger(calls []sim.Time, base uint64) uint64 {
 // counters, as if the injector had watched the stretch a jump skips.
 func (in *Injector) advance(from, to *checkpoint) {
 	for p, n := range to.calls {
-		if d := n - from.calls[p]; d != 0 {
-			in.calls[p] += d
-		}
+		in.calls[p] += n - from.calls[p]
 	}
 	in.callTotal += to.total - from.total
 }
@@ -187,7 +191,7 @@ func (in *Injector) advance(from, to *checkpoint) {
 // preload sets the matching-call counters to a checkpoint's golden
 // counts, as if the injector had watched the prefix it skips.
 func (in *Injector) preload(calls map[jailhouse.InjectionPoint]uint64, total uint64) {
-	clear(in.calls)
+	in.calls = callCounts{}
 	for p, n := range calls {
 		in.calls[p] = n
 	}
@@ -196,7 +200,7 @@ func (in *Injector) preload(calls map[jailhouse.InjectionPoint]uint64, total uin
 
 // Hook is the jailhouse.EntryHook adapter.
 func (in *Injector) Hook(point jailhouse.InjectionPoint, cpu int, cell string, ctx *armv7.TrapContext) jailhouse.InjectionResult {
-	if !in.plan.TargetsPoint(point) {
+	if uint(point) >= uint(len(in.calls)) || !in.plan.TargetsPoint(point) {
 		return jailhouse.InjectionResult{}
 	}
 	if in.plan.TargetCPU != AnyCPU && cpu != in.plan.TargetCPU {

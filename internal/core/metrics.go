@@ -19,6 +19,10 @@ var (
 	metSimEvents = obs.Default.NewCounter(
 		"certify_core_sim_events_total",
 		"Simulation events delivered across all runs.")
+	metSimEventsByKind = obs.Default.NewCounterVec(
+		"certify_core_sim_events_by_kind_total",
+		"Simulation events delivered across all runs, by the board's handler kind; the kinds sum to certify_core_sim_events_total.",
+		"kind")
 	metSimEventsPerRun = obs.Default.NewHistogram(
 		"certify_core_sim_events_per_run",
 		"Simulation events delivered in one run.",

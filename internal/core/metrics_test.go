@@ -1,0 +1,46 @@
+package core
+
+import (
+	"context"
+	"testing"
+
+	"github.com/dessertlab/certify/internal/board"
+	"github.com/dessertlab/certify/internal/obs"
+	"github.com/dessertlab/certify/internal/sim"
+)
+
+// TestSimEventsByKindSumToTotal pins the per-kind dispatch split: over
+// a campaign, the certify_core_sim_events_by_kind_total children grow
+// by exactly what certify_core_sim_events_total grows by, and the kinds
+// an E1 campaign dispatches — timer ticks and root Linux's recreate
+// cycles — show up under their own names.
+func TestSimEventsByKindSumToTotal(t *testing.T) {
+	prev := obs.Enabled()
+	obs.SetEnabled(true)
+	defer obs.SetEnabled(prev)
+
+	byKind := func() (out [board.NumEventKinds]uint64) {
+		for k := range out {
+			out[k] = metSimEventsByKind.With(board.EventKindName(sim.HandlerKind(k))).Value()
+		}
+		return out
+	}
+	total, kinds := metSimEvents.Value(), byKind()
+	c := &Campaign{Plan: PlanE1HVC(), Runs: 4, MasterSeed: 9, Workers: 1, Mode: ModeDistribution}
+	if _, err := c.Execute(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	var sum uint64
+	after := byKind()
+	for k := range after {
+		sum += after[k] - kinds[k]
+	}
+	if grew := metSimEvents.Value() - total; grew == 0 || sum != grew {
+		t.Fatalf("per-kind counts grew by %d, certify_core_sim_events_total by %d", sum, grew)
+	}
+	for _, k := range []sim.HandlerKind{board.EvTimer, board.EvLinuxRecreate} {
+		if after[k] == kinds[k] {
+			t.Errorf("no %s events counted", board.EventKindName(k))
+		}
+	}
+}

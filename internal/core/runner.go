@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"github.com/dessertlab/certify/internal/armv7"
+	"github.com/dessertlab/certify/internal/board"
 	"github.com/dessertlab/certify/internal/jailhouse"
 	"github.com/dessertlab/certify/internal/sim"
 )
@@ -96,6 +97,11 @@ func RunExperimentOpts(plan *TestPlan, seed uint64, ro RunOptions) (*RunResult, 
 	if ev := m.Board.Engine.Executed(); ev > 0 {
 		metSimEvents.Add(ev)
 		metSimEventsPerRun.Observe(float64(ev))
+		for k, n := range m.Board.Engine.ExecutedByKind() {
+			if n > 0 {
+				metSimEventsByKind.With(board.EventKindName(sim.HandlerKind(k))).Add(n)
+			}
+		}
 	}
 	return res, nil
 }

@@ -488,7 +488,7 @@ func (m *Machine) extend() {
 	x.tl.extended = true
 	f := x.tl.frontier()
 	m.restoreTo(f, 0)
-	inj := &Injector{plan: x.plan, now: m.Board.Now, calls: make(map[jailhouse.InjectionPoint]uint64)}
+	inj := &Injector{plan: x.plan, now: m.Board.Now}
 	inj.preload(f.calls, f.total)
 	inj.taping = true
 	m.HV.Hook = inj.Hook

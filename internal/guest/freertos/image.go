@@ -70,14 +70,7 @@ func (k *Kernel) OnCorruptedResume(cpu int, fields []int) {
 				return
 			}
 		case f == armv7.RegR5:
-			// Ready bitmap: drop a wakeup; delayed tasks re-arm.
-			for _, t := range k.tasks {
-				if t.State == StateReady {
-					t.State = StateDelayed
-					t.wakeTick = k.tick + 5
-					break
-				}
-			}
+			k.dropReady()
 		case f == armv7.RegR6:
 			k.tick += uint64(rng.Intn(16)) // timing skew only
 		case f == armv7.RegR7:
@@ -106,16 +99,27 @@ func (k *Kernel) OnCorruptedResume(cpu int, fields []int) {
 	}
 }
 
+// dropReady is the ready-bitmap corruption: the first Ready task in
+// round-robin order loses its wakeup and re-arms five ticks later.
+func (k *Kernel) dropReady() {
+	for _, id := range k.order[:k.nTasks] {
+		if t := k.tasks[id]; t.State == StateReady {
+			k.Delay(t, 5)
+			return
+		}
+	}
+}
+
 // corruptTaskWork flips a working value of whichever task's context held
 // the live registers when the trap fired. Traps are asynchronous with
 // respect to the task schedule, so the victim is effectively uniform over
 // the task set (the idle task included — those flips die silently, as on
 // real hardware).
 func (k *Kernel) corruptTaskWork(slot int, garbage uint32) {
-	if len(k.tasks) == 0 {
+	if k.nTasks == 0 {
 		return
 	}
-	victim := k.tasks[k.brd.Engine.RNG().Intn(len(k.tasks))]
+	victim := k.tasks[k.order[k.brd.Engine.RNG().Intn(int(k.nTasks))]]
 	if victim.Asserted {
 		return
 	}

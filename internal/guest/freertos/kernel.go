@@ -13,7 +13,9 @@
 package freertos
 
 import (
+	"bytes"
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"github.com/dessertlab/certify/internal/armv7"
@@ -32,6 +34,12 @@ const (
 	tickPeriod     = sim.Second / TickRateHz
 	housekeepTicks = 500 // distributor hygiene cadence: ~2 traps/s steady
 	stackCanary    = 0xA5A5A5A5
+
+	// maxTasks bounds the task arena: a task id is a bit position in the
+	// per-priority ready sets.
+	maxTasks = 32
+	// noTask is the id of no task: no current task yet, no idle task.
+	noTask = 0xFF
 )
 
 // TaskState is a task's scheduling state.
@@ -57,6 +65,9 @@ type TCB struct {
 	tcbState
 
 	step StepFunc
+
+	// id is the block's slot in the kernel's task arena.
+	id uint8
 }
 
 // tcbState is a task control block's content apart from its step
@@ -64,7 +75,9 @@ type TCB struct {
 type tcbState struct {
 	Name     string
 	Priority int
-	State    TaskState
+	// State is written only through Kernel.setState, which keeps the
+	// ready sets and the wake list in step with it.
+	State TaskState
 
 	wakeTick uint64
 	waitOn   *Queue
@@ -103,25 +116,42 @@ type Kernel struct {
 	// it, and a rejoin check compares it with ==.
 	kernelState
 
+	// tasks is the task arena in creation order: task id i is tasks[i],
+	// and ids below nTasks are live. A DeepReset keeps every block, and
+	// CreateTask hands slot i to the i-th task created, so a reinstalled
+	// workload gets the same block for the same task and rebuilds
+	// allocation-free.
 	tasks []*TCB
 
 	// queues registered for corruption bookkeeping.
 	queues []*Queue
 
-	// tcbPool and queuePool recycle control blocks across DeepReset
-	// cycles: CreateTask and NewQueue draw from them instead of
-	// allocating, so a recycled arena kernel rebuilds its workload
-	// allocation-free.
-	tcbPool   []*TCB
+	// queuePool recycles queue blocks across DeepReset cycles: NewQueue
+	// draws from it instead of allocating.
 	queuePool []*Queue
 }
 
-// kernelState is a kernel's state apart from its task and queue lists,
-// one comparable value.
+// kernelState is a kernel's state apart from its task content and queue
+// lists, one comparable value.
 type kernelState struct {
-	cpu     int
-	current *TCB
-	idle    *TCB
+	cpu int
+	// cur and idle are task ids: the running task and the idle task
+	// (noTask when none).
+	cur, idle uint8
+
+	// nTasks is the number of live tasks. order[:nTasks] is their
+	// round-robin order: the scheduler runs the first id whose bit is
+	// set in the top non-empty ready set and moves it to the back.
+	nTasks uint8
+	order  [maxTasks]uint8
+	// ready holds, per priority, one bit for every Ready or Running
+	// task id; bit p of readyPrios is set when ready[p] is not empty
+	// (FreeRTOS's uxTopReadyPriority bitmap).
+	ready      [MaxPriorities]uint32
+	readyPrios uint8
+	// wake[:nWake] lists the Delayed task ids ordered by (wakeTick, id).
+	wake  [maxTasks]uint8
+	nWake uint8
 
 	tick       uint64
 	started    bool
@@ -146,18 +176,24 @@ type kernelState struct {
 // NewKernel returns a kernel for the given cell CPU. Call through
 // jailhouse.LoadInmate; the hypervisor invokes Boot when the cell starts.
 func NewKernel(hv *jailhouse.Hypervisor, cpu int) *Kernel {
-	return &Kernel{hv: hv, brd: hv.Board(), kernelState: kernelState{cpu: cpu}}
+	return &Kernel{hv: hv, brd: hv.Board(), kernelState: freshState(cpu)}
+}
+
+// freshState is the state of a kernel with no tasks bound to cell CPU
+// cpu.
+func freshState(cpu int) kernelState {
+	return kernelState{cpu: cpu, cur: noTask, idle: noTask}
 }
 
 var _ jailhouse.Inmate = (*Kernel)(nil)
 
 // DeepReset restores the kernel to the state NewKernel establishes, in
 // place: no tasks, no queues, tick zero, scheduler not started, no armed
-// corruption (wild jump / smashed stack) and zeroed statistics. Existing
-// task and queue control blocks are recycled into internal pools that
-// the next CreateTask/NewQueue calls drain, so re-installing a workload
-// on a deep-reset kernel performs no steady-state allocation. The
-// hypervisor binding survives; cpu rebinds the cell CPU.
+// corruption (wild jump / smashed stack) and zeroed statistics. Task
+// control blocks stay in the arena and queue blocks go to the queue
+// pool, so re-installing a workload on a deep-reset kernel performs no
+// steady-state allocation. The hypervisor binding survives; cpu rebinds
+// the cell CPU.
 //
 // It serves the machine's kernel arena (core's Machine.newRTOS), which
 // hands a deep-reset kernel to a cell load whenever the arena already
@@ -167,32 +203,28 @@ var _ jailhouse.Inmate = (*Kernel)(nil)
 func (k *Kernel) DeepReset(cpu int) {
 	for _, t := range k.tasks {
 		*t = TCB{} // release the step closure and any wait edges
-		k.tcbPool = append(k.tcbPool, t)
 	}
-	k.tasks = k.tasks[:0]
 	for _, q := range k.queues {
 		q.recycle()
 		k.queuePool = append(k.queuePool, q)
 	}
 	k.queues = k.queues[:0]
-	k.kernelState = kernelState{cpu: cpu}
+	k.kernelState = freshState(cpu)
 }
 
 // KernelSnapshot is a copy of a kernel at any instant: its scalar
-// state, private copies of its task, queue and recycling lists, every
-// control block's content, and the queues' content with private copies
-// of their buffers and waiter lists. Control blocks are captured by
-// pointer plus content — step closures and queue waiter lists hold
-// those pointers, so restoring content into the same objects keeps them
-// valid. A block's step closure is restored with its content — a
-// deep-reset kernel hands its blocks to other tasks — but carries no
-// mutable state (it lives in TCB.locals), which is what makes a mid-run
-// capture admissible.
+// state, the content of every live task by id, private copies of its
+// queue and recycling lists, and the queues' content with private
+// copies of their buffers and waiter lists. Tasks are captured by arena
+// slot, queues by pointer plus content — step closures and queue waiter
+// lists hold those pointers, so restoring content into the same objects
+// keeps them valid. A block's step closure is restored with its content
+// but carries no mutable state (it lives in TCB.locals), which is what
+// makes a mid-run capture admissible.
 type KernelSnapshot struct {
 	kernelState
-	tasks, tcbPool    []*TCB
 	queues, queuePool []*Queue
-	tcbs              []TCB   // content of tasks[i]
+	tcbs              []TCB   // content of task id i
 	queueImgs         []Queue // content of queues[i]
 }
 
@@ -200,14 +232,12 @@ type KernelSnapshot struct {
 func (k *Kernel) CaptureSnapshot() KernelSnapshot {
 	s := KernelSnapshot{
 		kernelState: k.kernelState,
-		tasks:       slices.Clone(k.tasks),
-		tcbPool:     slices.Clone(k.tcbPool),
 		queues:      slices.Clone(k.queues),
 		queuePool:   slices.Clone(k.queuePool),
-		tcbs:        make([]TCB, len(k.tasks)),
+		tcbs:        make([]TCB, k.nTasks),
 		queueImgs:   make([]Queue, len(k.queues)),
 	}
-	for i, t := range k.tasks {
+	for i, t := range k.tasks[:k.nTasks] {
 		s.tcbs[i] = *t
 	}
 	for i, q := range k.queues {
@@ -221,16 +251,16 @@ func (k *Kernel) CaptureSnapshot() KernelSnapshot {
 // with the snapshot's, so the run that follows cannot write into the
 // image through an append.
 func (k *Kernel) RestoreSnapshot(s KernelSnapshot) {
-	clear(k.tasks)
 	clear(k.queues)
 	k.kernelState = s.kernelState
-	k.tasks = append(k.tasks[:0], s.tasks...)
-	k.queues = append(k.queues[:0], s.queues...)
-	k.tcbPool = append(k.tcbPool[:0], s.tcbPool...)
-	k.queuePool = append(k.queuePool[:0], s.queuePool...)
-	for i, t := range k.tasks {
-		*t = s.tcbs[i]
+	for len(k.tasks) < len(s.tcbs) {
+		k.tasks = append(k.tasks, &TCB{})
 	}
+	for i := range s.tcbs {
+		*k.tasks[i] = s.tcbs[i]
+	}
+	k.queues = append(k.queues[:0], s.queues...)
+	k.queuePool = append(k.queuePool[:0], s.queuePool...)
 	for i, q := range k.queues {
 		img := &s.queueImgs[i]
 		q.queueState = img.queueState
@@ -240,16 +270,15 @@ func (k *Kernel) RestoreSnapshot(s KernelSnapshot) {
 	}
 }
 
-// Matches reports whether the kernel — scheduler state, task and queue
-// lists, every control block's content and every queue's buffer and
-// waiters — equals the snapshot's. Step functions are not compared: a
-// task's step is fixed when it is created.
+// Matches reports whether the kernel — scheduler state and task order,
+// every live task's content, the queue lists and every queue's buffer
+// and waiters — equals the snapshot's. Step functions are not compared:
+// a task's step is fixed when it is created.
 func (k *Kernel) Matches(s KernelSnapshot) bool {
-	if k.kernelState != s.kernelState || !slices.Equal(k.tasks, s.tasks) || !slices.Equal(k.queues, s.queues) ||
-		!slices.Equal(k.tcbPool, s.tcbPool) || !slices.Equal(k.queuePool, s.queuePool) {
+	if k.kernelState != s.kernelState || !slices.Equal(k.queues, s.queues) || !slices.Equal(k.queuePool, s.queuePool) {
 		return false
 	}
-	for i, t := range k.tasks {
+	for i, t := range k.tasks[:k.nTasks] {
 		if t.tcbState != s.tcbs[i].tcbState {
 			return false
 		}
@@ -274,10 +303,13 @@ func (k *Kernel) Halted() (bool, string) { return k.halted, k.haltReason }
 // Tick returns the current tick count.
 func (k *Kernel) Tick() uint64 { return k.tick }
 
-// Tasks returns the task list (for tests and reports).
+// Tasks returns the live tasks in round-robin order (for tests, reports
+// and the machine-level state digest).
 func (k *Kernel) Tasks() []*TCB {
-	out := make([]*TCB, len(k.tasks))
-	copy(out, k.tasks)
+	out := make([]*TCB, k.nTasks)
+	for i, id := range k.order[:k.nTasks] {
+		out[i] = k.tasks[id]
+	}
 	return out
 }
 
@@ -296,10 +328,10 @@ func (k *Kernel) Queues() []*Queue {
 // which the scheduler's context-switch check escalates to a kernel-level
 // assert. Returns a description of the damage for the injection log.
 func (k *Kernel) CorruptRandomTCB(rng *sim.RNG) string {
-	if len(k.tasks) == 0 {
+	if k.nTasks == 0 {
 		return "no tasks to corrupt"
 	}
-	t := k.tasks[rng.Intn(len(k.tasks))]
+	t := k.tasks[k.order[rng.Intn(int(k.nTasks))]]
 	if rng.Bool(0.25) {
 		t.stackGuard ^= 1 << uint(rng.Intn(32))
 		return "stack canary of task " + t.Name
@@ -318,20 +350,22 @@ func (k *Kernel) CreateTask(name string, priority int, step StepFunc) *TCB {
 	if priority >= MaxPriorities {
 		priority = MaxPriorities - 1
 	}
-	var t *TCB
-	if n := len(k.tcbPool); n > 0 {
-		t = k.tcbPool[n-1]
-		k.tcbPool = k.tcbPool[:n-1]
-	} else {
-		t = &TCB{}
+	id := k.nTasks
+	if id == maxTasks {
+		panic(fmt.Sprintf("freertos: more than %d tasks", maxTasks))
 	}
+	if int(id) == len(k.tasks) {
+		k.tasks = append(k.tasks, &TCB{})
+	}
+	t := k.tasks[id]
 	*t = TCB{tcbState: tcbState{
 		Name:       name,
 		Priority:   priority,
-		State:      StateReady,
 		stackGuard: stackCanary,
-	}, step: step}
-	k.tasks = append(k.tasks, t)
+	}, step: step, id: id}
+	k.order[id] = id // ids below id fill order[:id]: append at the back
+	k.nTasks++
+	k.setState(t, StateReady)
 	return t
 }
 
@@ -394,7 +428,7 @@ func (k *Kernel) Boot(cpu int) {
 	// Program the (untrapped) per-CPU virtual timer: the 1 kHz tick.
 	k.brd.StartTimer(k.cpu, tickPeriod)
 
-	k.idle = k.CreateTask("IDLE", IdlePriority, func(*Kernel, *TCB) bool { return true })
+	k.idle = k.CreateTask("IDLE", IdlePriority, func(*Kernel, *TCB) bool { return true }).id
 	k.started = true
 	k.putString("Scheduler started\r\n")
 }
@@ -468,83 +502,135 @@ func (k *Kernel) onTick() {
 	}
 
 	k.reschedule()
-	if k.current != nil && !k.halted {
-		t := k.current
-		t.runs++
-		if !t.step(k, t) {
-			t.State = StateSuspended
-		}
+	k.runSlice()
+}
+
+// runSlice runs one time slice of the current task; a step that returns
+// false ends the task.
+func (k *Kernel) runSlice() {
+	if k.cur == noTask || k.halted {
+		return
+	}
+	t := k.tasks[k.cur]
+	t.runs++
+	if !t.step(k, t) {
+		k.setState(t, StateSuspended)
 	}
 }
 
 // reschedule wakes due delayed tasks, picks the highest-priority ready
 // task (round-robin within a priority level), and performs the
-// context-switch integrity checks. Waking and selection share one pass
-// over the task list: a task woken by this tick is immediately eligible,
-// exactly as the separate wake loop that used to precede selection made
-// it, and the first task of an equal-priority group still wins because
-// the pass visits tasks in list order.
+// context-switch integrity checks. Every due task wakes before
+// selection, the first ready task in round-robin order of the top
+// priority wins, the idle task runs when nothing is ready, and the
+// winner moves to the back of the order — decision for decision the
+// scan over a rotating task list that TestSchedulerMatchesScanOracle
+// keeps as its oracle.
 func (k *Kernel) reschedule() {
 	// Context-switch stack check (the FreeRTOS
 	// configCHECK_FOR_STACK_OVERFLOW hook).
-	if k.stackSmashed || (k.current != nil && k.current.stackGuard != stackCanary) {
+	if k.stackSmashed || (k.cur != noTask && k.tasks[k.cur].stackGuard != stackCanary) {
 		k.kernelPanic("stack overflow detected in task " + k.currentName())
 		return
 	}
 
-	var best *TCB
-	bestIdx := -1
-	bestPri := 0
-	tick := k.tick
-	for i, t := range k.tasks {
-		st := t.State
-		if st == StateDelayed {
-			if tick < t.wakeTick {
-				continue
-			}
-			t.State = StateReady
-		} else if st != StateReady && st != StateRunning {
-			continue
+	for k.nWake > 0 {
+		t := k.tasks[k.wake[0]]
+		if k.tick < t.wakeTick {
+			break
 		}
-		if best == nil || t.Priority > bestPri {
-			best, bestIdx, bestPri = t, i, t.Priority
+		k.setState(t, StateReady)
+	}
+
+	i := k.pick()
+	best := k.order[i]
+	if k.cur != best {
+		k.ContextSwitches++
+		if k.cur != noTask && k.tasks[k.cur].State == StateRunning {
+			k.setState(k.tasks[k.cur], StateReady)
+		}
+		k.cur = best
+		k.setState(k.tasks[best], StateRunning)
+	}
+	// Round-robin: rotate the chosen task to the back of the order.
+	n := int(k.nTasks)
+	copy(k.order[i:n-1], k.order[i+1:n])
+	k.order[n-1] = best
+}
+
+// pick returns the position in order of the task to run next: the first
+// id whose bit is set in the top non-empty ready set, or the idle task
+// when no task is ready (even one the R5 ready-drop delayed).
+func (k *Kernel) pick() int {
+	want := uint32(1) << k.idle
+	if k.readyPrios != 0 {
+		want = k.ready[bits.Len8(k.readyPrios)-1]
+	}
+	order := k.order[:k.nTasks]
+	if want&(want-1) == 0 {
+		// One candidate, the idle task on most ticks: its position is
+		// the only one to find.
+		if i := bytes.IndexByte(order, byte(bits.TrailingZeros32(want))); i >= 0 {
+			return i
+		}
+	} else {
+		for i, id := range order {
+			if want&(1<<id) != 0 {
+				return i
+			}
 		}
 	}
-	if best == nil {
-		best = k.idle
-		for i, t := range k.tasks {
-			if t == best {
-				bestIdx = i
+	panic("freertos: ready set names no live task")
+}
+
+// setState is the one writer of a task's State: it keeps the ready sets
+// and the wake list in step. A task enters StateDelayed with its
+// wakeTick already set.
+func (k *Kernel) setState(t *TCB, s TaskState) {
+	if t.State == StateDelayed {
+		n := int(k.nWake)
+		i := bytes.IndexByte(k.wake[:n], t.id)
+		copy(k.wake[i:n-1], k.wake[i+1:n])
+		k.nWake--
+	}
+	if runnable(t.State) != runnable(s) {
+		p := t.Priority
+		if k.ready[p] ^= 1 << t.id; k.ready[p] != 0 {
+			k.readyPrios |= 1 << p
+		} else {
+			k.readyPrios &^= 1 << p
+		}
+	}
+	t.State = s
+	if s == StateDelayed {
+		i := int(k.nWake)
+		for ; i > 0; i-- {
+			o := k.tasks[k.wake[i-1]]
+			if o.wakeTick < t.wakeTick || o.wakeTick == t.wakeTick && o.id < t.id {
 				break
 			}
+			k.wake[i] = k.wake[i-1]
 		}
-	}
-	if k.current != best {
-		k.ContextSwitches++
-		if k.current != nil && k.current.State == StateRunning {
-			k.current.State = StateReady
-		}
-		k.current = best
-		best.State = StateRunning
-	}
-	// Round-robin: rotate the chosen task to the back of its class.
-	if bestIdx >= 0 && bestIdx < len(k.tasks)-1 {
-		copy(k.tasks[bestIdx:], k.tasks[bestIdx+1:])
-		k.tasks[len(k.tasks)-1] = best
+		k.wake[i] = t.id
+		k.nWake++
 	}
 }
 
+// runnable reports whether a task in state s is in its priority's ready
+// set.
+func runnable(s TaskState) bool { return s == StateReady || s == StateRunning }
+
 func (k *Kernel) currentName() string {
-	if k.current == nil {
+	if k.cur == noTask {
 		return "?"
 	}
-	return k.current.Name
+	return k.tasks[k.cur].Name
 }
 
 // Delay blocks the current task for the given number of ticks.
 func (k *Kernel) Delay(t *TCB, ticks uint64) {
-	t.State = StateDelayed
 	t.wakeTick = k.tick + ticks
+	k.setState(t, StateDelayed)
 }
 
 // kernelPanic is configASSERT failing at kernel level: print and halt the

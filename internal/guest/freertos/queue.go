@@ -68,7 +68,7 @@ func (q *Queue) Send(k *Kernel, t *TCB, v uint32) bool {
 		return false
 	}
 	if len(q.buf) >= q.cap {
-		t.State = StateBlocked
+		k.setState(t, StateBlocked)
 		t.waitOn = q
 		q.sendWaiters = append(q.sendWaiters, t)
 		return false
@@ -77,9 +77,8 @@ func (q *Queue) Send(k *Kernel, t *TCB, v uint32) bool {
 	q.Sends++
 	// Wake one receiver.
 	if len(q.recvWaiters) > 0 {
-		w := q.recvWaiters[0]
-		q.recvWaiters = q.recvWaiters[1:]
-		w.State = StateReady
+		w := popFront(&q.recvWaiters)
+		k.setState(w, StateReady)
 		w.waitOn = nil
 	}
 	return true
@@ -92,21 +91,31 @@ func (q *Queue) Receive(k *Kernel, t *TCB, out *uint32) bool {
 		return false
 	}
 	if len(q.buf) == 0 {
-		t.State = StateBlocked
+		k.setState(t, StateBlocked)
 		t.waitOn = q
 		q.recvWaiters = append(q.recvWaiters, t)
 		return false
 	}
-	*out = q.buf[0]
-	q.buf = q.buf[1:]
+	*out = popFront(&q.buf)
 	q.Receives++
 	if len(q.sendWaiters) > 0 {
-		w := q.sendWaiters[0]
-		q.sendWaiters = q.sendWaiters[1:]
-		w.State = StateReady
+		w := popFront(&q.sendWaiters)
+		k.setState(w, StateReady)
 		w.waitOn = nil
 	}
 	return true
+}
+
+// popFront removes and returns the first element of *s, shifting the
+// rest down so the slice keeps its backing array: a queue that slid its
+// window forward instead would reallocate on a later append.
+func popFront[T any](s *[]T) T {
+	v := (*s)[0]
+	n := copy(*s, (*s)[1:])
+	var zero T
+	(*s)[n] = zero
+	*s = (*s)[:n]
+	return v
 }
 
 // queueAssert is the configASSERT on a corrupted queue structure: fatal

@@ -200,8 +200,8 @@ func (k *Kernel) LEDToggleCount() int {
 // AssertedTasks returns the names of tasks that failed their own checks.
 func (k *Kernel) AssertedTasks() []string {
 	var out []string
-	for _, t := range k.tasks {
-		if t.Asserted {
+	for _, id := range k.order[:k.nTasks] {
+		if t := k.tasks[id]; t.Asserted {
 			out = append(out, t.Name)
 		}
 	}

@@ -8,9 +8,15 @@ import (
 	"github.com/dessertlab/certify/internal/sim"
 )
 
-// maxConfigBlob bounds how much guest memory CELL_CREATE will read — a
-// corrupted size cannot drag the hypervisor through the whole of DRAM.
-const maxConfigBlob = 64 * 1024
+// maxConfigBlob is the guest-memory window CELL_CREATE accepts a config
+// blob from: a blob whose window leaves RAM is refused, so a corrupted
+// size cannot drag the hypervisor through the whole of DRAM. Only the
+// first maxBlobSize bytes are read — the most a blob within the region
+// and IRQ-line limits can use.
+const (
+	maxConfigBlob = 64 * 1024
+	maxBlobSize   = configHeaderSize + maxRegions*regionEncSize + maxIRQLines*4
+)
 
 // ArchHandleHVC is the hypercall entry — Jailhouse's arch_handle_hvc().
 // The hypercall ABI mirrors the real one: the guest executes
@@ -35,9 +41,15 @@ func (h *Hypervisor) ArchHandleHVC(cpu int, ctx *armv7.TrapContext) {
 
 	code, arg1, arg2 := ctx.Regs[0], ctx.Regs[1], ctx.Regs[2]
 	result := h.hypercall(cpu, code, arg1, arg2)
-	h.trace(sim.KindHypercall, cpu, "%s(%#x, %#x) = %d (%s)",
+	// The result renders as Errno.String does; an unnamed value formats
+	// in the record, so no string is built per call.
+	format, what := "%s(%#x, %#x) = %d (errno(%d))", sim.Int(int64(int32(result)))
+	if name, ok := errnoNames[result]; ok {
+		format, what = "%s(%#x, %#x) = %d (%s)", sim.Str(name)
+	}
+	h.trace(sim.KindHypercall, cpu, format,
 		sim.Str(HypercallName(code)), sim.Uint(uint64(arg1)), sim.Uint(uint64(arg2)),
-		sim.Int(int64(int32(result))), sim.Str(result.String()))
+		sim.Int(int64(int32(result))), what)
 	ctx.WriteReg(0, errnoWord(result))
 	h.notifyCorruptedResume(cpu, ctx, res)
 }
@@ -107,36 +119,33 @@ func (h *Hypervisor) cellCreate(configGPA uint32) Errno {
 
 	// The config pointer must resolve through the root cell's own
 	// mappings — a corrupted pointer fails here with EINVAL.
-	hpa, _, err := root.Stage2.Resolve(uint64(configGPA), memmap.AccessRead)
-	if err != nil {
+	hpa, _, f := root.Stage2.Resolve(uint64(configGPA), memmap.AccessRead)
+	if f != memmap.FaultNone {
 		h.consolef("cell create: cannot access config at %#x", configGPA)
 		return EINVAL
 	}
-	head, err := h.brd.RAM.Read(hpa, configHeaderSize)
-	if err != nil {
+	head := h.configBuf[:configHeaderSize]
+	if h.brd.RAM.ReadInto(hpa, head) != nil {
+		return EINVAL
+	}
+	if string(head[0:6]) != ConfigSignature {
+		h.consolef("cell create: bad config signature")
 		return EINVAL
 	}
 	// Probe the full blob size from the header, bounded.
-	probe, err := UnmarshalCellConfig(head)
-	var full []byte
+	cfg, err := UnmarshalCellConfig(head)
 	if err != nil {
-		// Header alone may be insufficient (region payload follows);
-		// retry with the maximum window when the signature is intact.
-		if string(head[0:6]) != ConfigSignature {
-			h.consolef("cell create: bad config signature")
+		// Header alone may be insufficient (region payload follows):
+		// retry with the whole blob when its window lies in RAM.
+		if !h.brd.RAM.InRange(hpa, maxConfigBlob) || h.brd.RAM.ReadInto(hpa, h.configBuf[:]) != nil {
 			return EINVAL
 		}
-		full, err = h.brd.RAM.Read(hpa, maxConfigBlob)
-		if err != nil {
-			return EINVAL
-		}
-		probe, err = UnmarshalCellConfig(full)
+		cfg, err = UnmarshalCellConfig(h.configBuf[:])
 		if err != nil {
 			h.consolef("cell create: %v", err)
 			return EINVAL
 		}
 	}
-	cfg := probe
 
 	if _, exists := h.CellByName(cfg.Name); exists {
 		return EEXIST

@@ -3,6 +3,7 @@ package jailhouse
 import (
 	"errors"
 	"fmt"
+	"strings"
 
 	"github.com/dessertlab/certify/internal/armv7"
 	"github.com/dessertlab/certify/internal/board"
@@ -94,6 +95,13 @@ type Hypervisor struct {
 
 	// ivshmem holds the registered inter-cell shared-memory links.
 	ivshmem []*IvshmemLink
+
+	// irqFrames and trapFrames are the per-CPU scratch trap frames of
+	// the IRQ entry and the guest trap round trip.
+	irqFrames, trapFrames scratchFrames
+
+	// configBuf receives CELL_CREATE's config blob.
+	configBuf [maxBlobSize]byte
 }
 
 // hvState is the hypervisor's state apart from its cell list, per-CPU
@@ -110,11 +118,6 @@ type hvState struct {
 	// rootOfflined tracks CPUs the root cell has released via PSCI
 	// CPU_OFF; only these may be donated to a new cell.
 	rootOfflined cpuSet
-
-	// irqCtx is the per-CPU scratch trap frame for the IRQ entry path;
-	// irqCtxBusy guards against re-entrant deliveries on the same CPU.
-	irqCtx     [board.NumCPUs]armv7.TrapContext
-	irqCtxBusy [board.NumCPUs]bool
 
 	// fwTainted records that the hypervisor's private firmware region was
 	// corrupted (a RAM fault into the control-block stratum). The next
@@ -325,7 +328,10 @@ func (h *Hypervisor) Disable() Errno {
 
 // consolef emits a hypervisor console line (Jailhouse's printk path).
 func (h *Hypervisor) consolef(format string, args ...any) {
-	line := fmt.Sprintf(format, args...)
+	line := format // a line with no verbs is its own text: no formatting
+	if len(args) > 0 || strings.IndexByte(format, '%') >= 0 {
+		line = fmt.Sprintf(format, args...)
+	}
 	h.ConsoleLines = append(h.ConsoleLines, line)
 	h.trace(sim.KindNote, -1, "[JH] %s", sim.Str(line))
 }

@@ -31,12 +31,12 @@ func (h *Hypervisor) IRQChipHandleIRQ(cpu int) {
 		// released before dispatch, so re-entrant deliveries triggered
 		// by guest code see a free scratch (or fall back to a fresh
 		// allocation while this one is busy).
-		ctx := h.acquireIRQCtx(cpu)
+		ctx := h.irqFrames.acquire(cpu, armv7.TrapContext{CPUID: uint32(cpu)})
 		ctx.Regs[0] = uint32(irq)
 		ctx.Regs[1] = uint32(src)
 		res, proceed := h.enterHandler(PointIRQChip, cpu, ExitIRQ, ctx)
 		effectiveIRQ := int(ctx.Regs[0])
-		h.releaseIRQCtx(cpu, ctx)
+		h.irqFrames.release(cpu, ctx)
 		if !proceed {
 			return
 		}
@@ -44,25 +44,6 @@ func (h *Hypervisor) IRQChipHandleIRQ(cpu int) {
 		h.dispatchIRQ(cpu, effectiveIRQ, irq)
 		h.brd.GIC.EOI(cpu, irq)
 		_ = res
-	}
-}
-
-// acquireIRQCtx returns a zeroed trap context for the IRQ entry path,
-// reusing the per-CPU scratch frame when it is not already in use.
-func (h *Hypervisor) acquireIRQCtx(cpu int) *armv7.TrapContext {
-	if cpu >= 0 && cpu < len(h.irqCtx) && !h.irqCtxBusy[cpu] {
-		h.irqCtxBusy[cpu] = true
-		ctx := &h.irqCtx[cpu]
-		*ctx = armv7.TrapContext{CPUID: uint32(cpu)}
-		return ctx
-	}
-	return &armv7.TrapContext{CPUID: uint32(cpu)}
-}
-
-// releaseIRQCtx returns a scratch frame acquired by acquireIRQCtx.
-func (h *Hypervisor) releaseIRQCtx(cpu int, ctx *armv7.TrapContext) {
-	if cpu >= 0 && cpu < len(h.irqCtx) && ctx == &h.irqCtx[cpu] {
-		h.irqCtxBusy[cpu] = false
 	}
 }
 

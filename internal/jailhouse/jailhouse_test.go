@@ -225,11 +225,11 @@ func TestCellLifecycle(t *testing.T) {
 
 	// Root lost the donated memory window; the cell's RAM resolves only
 	// through the cell.
-	if _, _, err := root.Stage2.Resolve(FreeRTOSMemBase, memmap.AccessRead); err == nil {
+	if _, _, f := root.Stage2.Resolve(FreeRTOSMemBase, memmap.AccessRead); f == memmap.FaultNone {
 		t.Fatal("root still maps donated cell RAM")
 	}
-	if _, _, err := cell.Stage2.Resolve(0, memmap.AccessExec); err != nil {
-		t.Fatalf("cell cannot reach its own RAM: %v", err)
+	if _, _, f := cell.Stage2.Resolve(0, memmap.AccessExec); f != memmap.FaultNone {
+		t.Fatalf("cell cannot reach its own RAM: fault %v", f)
 	}
 
 	// Destroy: everything returns to root.
@@ -242,8 +242,8 @@ func TestCellLifecycle(t *testing.T) {
 	if !root.HasCPU(1) {
 		t.Fatal("cpu1 did not return to root")
 	}
-	if _, _, err := root.Stage2.Resolve(FreeRTOSMemBase, memmap.AccessRead); err != nil {
-		t.Fatalf("donated RAM did not return to root: %v", err)
+	if _, _, f := root.Stage2.Resolve(FreeRTOSMemBase, memmap.AccessRead); f != memmap.FaultNone {
+		t.Fatalf("donated RAM did not return to root: fault %v", f)
 	}
 	if _, ok := h.CellByName("freertos-cell"); ok {
 		t.Fatal("cell still listed after destroy")
@@ -668,17 +668,17 @@ func TestMemmapCarveViaLifecycle(t *testing.T) {
 	if n := s.Carve(0x4800_0000, 0x0100_0000); n != 1 {
 		t.Fatalf("Carve affected %d regions", n)
 	}
-	if _, _, err := s.Resolve(0x4800_0000, memmap.AccessRead); err == nil {
+	if _, _, f := s.Resolve(0x4800_0000, memmap.AccessRead); f == memmap.FaultNone {
 		t.Fatal("carved window still resolves")
 	}
 	// Both remainders still work and translate correctly.
-	hpa, _, err := s.Resolve(0x4000_0000, memmap.AccessRead)
-	if err != nil || hpa != 0x4000_0000 {
-		t.Fatalf("left remainder: %#x %v", hpa, err)
+	hpa, _, f := s.Resolve(0x4000_0000, memmap.AccessRead)
+	if f != memmap.FaultNone || hpa != 0x4000_0000 {
+		t.Fatalf("left remainder: %#x fault %v", hpa, f)
 	}
-	hpa, _, err = s.Resolve(0x4900_0000, memmap.AccessRead)
-	if err != nil || hpa != 0x4900_0000 {
-		t.Fatalf("right remainder: %#x %v", hpa, err)
+	hpa, _, f = s.Resolve(0x4900_0000, memmap.AccessRead)
+	if f != memmap.FaultNone || hpa != 0x4900_0000 {
+		t.Fatalf("right remainder: %#x fault %v", hpa, f)
 	}
 }
 

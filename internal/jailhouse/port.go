@@ -51,7 +51,7 @@ func (h *Hypervisor) GuestRead32(cpu int, gpa uint64) (uint32, error) {
 	if cell == nil {
 		return 0, ErrNotEnabled
 	}
-	if hpa, _, err := cell.Stage2.Resolve(gpa, memmap.AccessRead); err == nil {
+	if hpa, _, f := cell.Stage2.Resolve(gpa, memmap.AccessRead); f == memmap.FaultNone {
 		return h.brd.Read32(cpu, hpa)
 	}
 	// Stage-2 fault → synchronous data abort into HYP.
@@ -67,7 +67,7 @@ func (h *Hypervisor) GuestWrite32(cpu int, gpa uint64, value uint32) error {
 	if cell == nil {
 		return ErrNotEnabled
 	}
-	if hpa, _, err := cell.Stage2.Resolve(gpa, memmap.AccessWrite); err == nil {
+	if hpa, _, f := cell.Stage2.Resolve(gpa, memmap.AccessWrite); f == memmap.FaultNone {
 		return h.brd.Write32(cpu, hpa, value)
 	}
 	c := h.brd.CPUs[cpu]
@@ -97,7 +97,7 @@ func (h *Hypervisor) GuestFetch(cpu int, gpa uint64) error {
 	if cell == nil {
 		return ErrNotEnabled
 	}
-	if _, _, err := cell.Stage2.Resolve(gpa, memmap.AccessExec); err == nil {
+	if _, _, f := cell.Stage2.Resolve(gpa, memmap.AccessExec); f == memmap.FaultNone {
 		return nil
 	}
 	hsr := armv7.BuildHSR(armv7.ECIABTLow, true, armv7.FSCTranslationL1)
@@ -115,13 +115,44 @@ func (h *Hypervisor) guestTrap(cpu int, hsr, hdfar uint32) armv7.TrapContext {
 	c.HDFAR = hdfar
 	c.EnterHyp(hsr, c.Reg(armv7.RegPC)+4)
 	pre := armv7.CaptureContext(c)
-	ctx := pre
-	h.ArchHandleTrap(cpu, &ctx)
+	ctx := h.trapFrames.acquire(cpu, pre)
+	h.ArchHandleTrap(cpu, ctx)
 	merged := ctx.MergeWritten(pre)
 	merged.Restore(c)
 	c.ExitHyp()
 	// Return the handler's view so callers read results (r0, MMIO data).
+	out := *ctx
+	h.trapFrames.release(cpu, ctx)
+	return out
+}
+
+// scratchFrames is one entry path's per-CPU reusable trap frames, so a
+// trap's frame does not escape to the heap. A frame is busy while its
+// entry runs; a re-entrant entry on the same CPU gets a heap frame.
+// Every acquire overwrites the frame, so the frames carry no state from
+// one entry to the next and stay out of hvState and its rejoin check.
+type scratchFrames struct {
+	ctx  [board.NumCPUs]armv7.TrapContext
+	busy [board.NumCPUs]bool
+}
+
+// acquire returns a frame holding init.
+func (s *scratchFrames) acquire(cpu int, init armv7.TrapContext) *armv7.TrapContext {
+	if cpu >= 0 && cpu < len(s.ctx) && !s.busy[cpu] {
+		s.busy[cpu] = true
+		s.ctx[cpu] = init
+		return &s.ctx[cpu]
+	}
+	ctx := new(armv7.TrapContext)
+	*ctx = init
 	return ctx
+}
+
+// release returns a frame acquire handed out.
+func (s *scratchFrames) release(cpu int, ctx *armv7.TrapContext) {
+	if cpu >= 0 && cpu < len(s.ctx) && ctx == &s.ctx[cpu] {
+		s.busy[cpu] = false
+	}
 }
 
 // LoadInmate attaches guest software to a created cell — the modelling

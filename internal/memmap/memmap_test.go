@@ -69,26 +69,19 @@ func TestStage2MapAndResolve(t *testing.T) {
 	must(s.Map(Region{Phys: 0x4000_0000, Virt: 0x0, Size: 0x10000, Flags: FlagRead | FlagWrite | FlagExecute}))
 	must(s.Map(Region{Phys: 0x01C2_8000, Virt: 0x01C2_8000, Size: 0x400, Flags: FlagRead | FlagWrite | FlagIO}))
 
-	hpa, reg, err := s.Resolve(0x100, AccessRead)
-	must(err)
-	if hpa != 0x4000_0100 || reg.Flags&FlagExecute == 0 {
-		t.Fatalf("Resolve = %#x %v", hpa, reg)
+	hpa, reg, f := s.Resolve(0x100, AccessRead)
+	if f != FaultNone || hpa != 0x4000_0100 || reg.Flags&FlagExecute == 0 {
+		t.Fatalf("Resolve = %#x %v fault %v", hpa, reg, f)
 	}
 
 	// Permission fault: executing from the device window.
-	_, _, err = s.Resolve(0x01C2_8000, AccessExec)
-	var f *Fault
-	if !errors.As(err, &f) || f.Kind != FaultPermission {
-		t.Fatalf("want permission fault, got %v", err)
+	if _, _, f := s.Resolve(0x01C2_8000, AccessExec); f != FaultPermission {
+		t.Fatalf("want permission fault, got %v", f)
 	}
 
 	// Translation fault: hole between regions.
-	_, _, err = s.Resolve(0x2000_0000, AccessWrite)
-	if !errors.As(err, &f) || f.Kind != FaultTranslation {
-		t.Fatalf("want translation fault, got %v", err)
-	}
-	if !strings.Contains(f.Error(), "translation") {
-		t.Fatalf("fault error = %q", f.Error())
+	if _, _, f := s.Resolve(0x2000_0000, AccessWrite); f != FaultTranslation {
+		t.Fatalf("want translation fault, got %v", f)
 	}
 }
 
@@ -172,11 +165,11 @@ func TestStage2PropertyResolveMatchesRegions(t *testing.T) {
 		}
 		for _, r := range accepted {
 			mid := r.Virt + r.Size/2
-			hpa, _, err := s.Resolve(mid, AccessRead)
-			if err != nil || hpa != r.Translate(mid) {
+			hpa, _, f := s.Resolve(mid, AccessRead)
+			if f != FaultNone || hpa != r.Translate(mid) {
 				return false
 			}
-			if _, _, err := s.Resolve(mid, AccessWrite); err == nil {
+			if _, _, f := s.Resolve(mid, AccessWrite); f == FaultNone {
 				return false // read-only region allowed a write
 			}
 		}
@@ -353,13 +346,13 @@ func TestPropertyCarveSplitsCorrectly(t *testing.T) {
 		for off := uint64(0); off < size; off += 0x1000 {
 			addr := base + off
 			inCarve := off >= carveOff && off < carveOff+carveSize
-			hpa, _, err := s.Resolve(addr, AccessRead)
+			hpa, _, f := s.Resolve(addr, AccessRead)
 			if inCarve {
-				if err == nil {
+				if f == FaultNone {
 					return false // carved page still resolves
 				}
 			} else {
-				if err != nil || hpa != addr {
+				if f != FaultNone || hpa != addr {
 					return false // surviving page lost its identity map
 				}
 			}

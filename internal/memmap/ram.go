@@ -55,6 +55,16 @@ func (m *RAM) Read(addr uint64, n int) ([]byte, error) {
 		return nil, m.errOOB(addr, n)
 	}
 	out := make([]byte, n)
+	_ = m.ReadInto(addr, out)
+	return out, nil
+}
+
+// ReadInto fills dst with the bytes at physical address addr.
+func (m *RAM) ReadInto(addr uint64, dst []byte) error {
+	n := len(dst)
+	if !m.InRange(addr, n) {
+		return m.errOOB(addr, n)
+	}
 	off := addr - m.base
 	for i := 0; i < n; {
 		page, pgOff := off/pageSize, off%pageSize
@@ -63,12 +73,14 @@ func (m *RAM) Read(addr uint64, n int) ([]byte, error) {
 			chunk = rem
 		}
 		if p, ok := m.pages[page]; ok {
-			copy(out[i:], p[pgOff:pgOff+chunk])
+			copy(dst[i:], p[pgOff:pgOff+chunk])
+		} else {
+			clear(dst[i : i+int(chunk)])
 		}
 		i += int(chunk)
 		off += chunk
 	}
-	return out, nil
+	return nil
 }
 
 // Write stores data at physical address addr.
@@ -100,11 +112,11 @@ func (m *RAM) Write(addr uint64, data []byte) error {
 
 // ReadWord reads a little-endian 32-bit word.
 func (m *RAM) ReadWord(addr uint64) (uint32, error) {
-	b, err := m.Read(addr, 4)
-	if err != nil {
+	var b [4]byte
+	if err := m.ReadInto(addr, b[:]); err != nil {
 		return 0, err
 	}
-	return binary.LittleEndian.Uint32(b), nil
+	return binary.LittleEndian.Uint32(b[:]), nil
 }
 
 // WriteWord stores a little-endian 32-bit word.

@@ -7,6 +7,7 @@
 package memmap
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -112,32 +113,16 @@ func (k AccessKind) String() string {
 	}
 }
 
-// FaultKind classifies a failed translation, mirroring the stage-2 fault
+// FaultKind classifies a stage-2 resolution, mirroring the fault
 // taxonomy the hypervisor's data-abort handler distinguishes.
 type FaultKind int
 
 // Stage-2 fault kinds.
 const (
-	FaultNone        FaultKind = iota
-	FaultTranslation           // no region maps the address
-	FaultPermission            // region exists but forbids the access
+	FaultNone        FaultKind = iota // the access resolves
+	FaultTranslation                  // no region maps the address
+	FaultPermission                   // region exists but forbids the access
 )
-
-// Fault describes a failed stage-2 resolution.
-type Fault struct {
-	Kind FaultKind
-	GPA  uint64
-	Want AccessKind
-}
-
-// Error implements error.
-func (f *Fault) Error() string {
-	k := "translation"
-	if f.Kind == FaultPermission {
-		k = "permission"
-	}
-	return fmt.Sprintf("stage-2 %s fault: %s at gpa %#x", k, f.Want, f.GPA)
-}
 
 // ErrOverlap is wrapped by Map when a new region's guest-physical window
 // collides with an existing mapping.
@@ -167,7 +152,7 @@ func (s *Stage2) Map(r Region) error {
 		}
 	}
 	s.regions = append(s.regions, r)
-	sort.Slice(s.regions, func(i, j int) bool { return s.regions[i].Virt < s.regions[j].Virt })
+	slices.SortFunc(s.regions, func(a, b Region) int { return cmp.Compare(a.Virt, b.Virt) })
 	return nil
 }
 
@@ -194,13 +179,15 @@ func (s *Stage2) Lookup(gpa uint64) (Region, bool) {
 	return Region{}, false
 }
 
-// Resolve translates gpa for the given access kind, enforcing permissions.
-// On failure it returns a *Fault (as error) whose kind feeds the
-// hypervisor's abort handling.
-func (s *Stage2) Resolve(gpa uint64, kind AccessKind) (hpa uint64, region Region, err error) {
+// Resolve translates gpa for the given access kind, enforcing
+// permissions. fault is FaultNone when the access resolves; otherwise it
+// names the stage-2 fault and hpa and region are zero. A fault is a
+// value, not an error, so the trap paths that probe every guest access
+// allocate nothing.
+func (s *Stage2) Resolve(gpa uint64, kind AccessKind) (hpa uint64, region Region, fault FaultKind) {
 	r, ok := s.Lookup(gpa)
 	if !ok {
-		return 0, Region{}, &Fault{Kind: FaultTranslation, GPA: gpa, Want: kind}
+		return 0, Region{}, FaultTranslation
 	}
 	allowed := false
 	switch kind {
@@ -212,9 +199,9 @@ func (s *Stage2) Resolve(gpa uint64, kind AccessKind) (hpa uint64, region Region
 		allowed = r.Flags&FlagExecute != 0
 	}
 	if !allowed {
-		return 0, Region{}, &Fault{Kind: FaultPermission, GPA: gpa, Want: kind}
+		return 0, Region{}, FaultPermission
 	}
-	return r.Translate(gpa), r, nil
+	return r.Translate(gpa), r, FaultNone
 }
 
 // Carve removes the window [start, start+size) from the address space,

@@ -102,11 +102,12 @@ type Engine struct {
 	order        []heapEnt
 	live, golden []QueuedEvent
 
-	// executed counts events delivered (canceled pops excluded) since
-	// the engine was built or last restored. Pure telemetry for the flight recorder's
-	// sim-event throughput metric: it never feeds the trace, the RNG or
-	// any digest, so it cannot perturb determinism.
-	executed uint64
+	// executed counts events delivered (canceled pops excluded) per
+	// handler kind since the engine was built or last restored. Pure
+	// telemetry for the flight recorder's sim-event metrics: it never
+	// feeds the trace, the RNG or any digest, and no snapshot holds it,
+	// so it cannot perturb determinism.
+	executed [1 << 8]uint64
 
 	// wedgeLimit bounds how many events may execute at a single virtual
 	// instant before Run declares the machine wedged. 0 disables the
@@ -362,8 +363,8 @@ func (e *Engine) Run(horizon Time) error {
 			continue
 		}
 		e.now = top.when
+		e.executed[s.kind]++
 		e.deliver(top.idx)
-		e.executed++
 		if e.now != lastNow {
 			lastNow = e.now
 			sameInstant = 0
@@ -395,8 +396,8 @@ func (e *Engine) Step() bool {
 			continue
 		}
 		e.now = top.when
+		e.executed[s.kind]++
 		e.deliver(top.idx)
-		e.executed++
 		return true
 	}
 	return false
@@ -449,7 +450,7 @@ func (e *Engine) CaptureSnapshot() *EngineSnapshot {
 func (e *Engine) RestoreSnapshot(s *EngineSnapshot, seed uint64, l *TraceLog, from *EngineSnapshot) {
 	e.restoreQueue(s)
 	e.halted, e.haltMsg = false, ""
-	e.executed = 0
+	clear(e.executed[:len(e.handlers)])
 	e.rng.Reseed(seed)
 	e.trace.Rewind(l, s.trace, from.trace)
 }
@@ -457,7 +458,18 @@ func (e *Engine) RestoreSnapshot(s *EngineSnapshot, seed uint64, l *TraceLog, fr
 // Executed returns the number of events delivered since the engine was
 // built or last restored.
 // Diagnostic only — the flight recorder's sim-event throughput source.
-func (e *Engine) Executed() uint64 { return e.executed }
+func (e *Engine) Executed() uint64 {
+	var n uint64
+	for _, k := range e.ExecutedByKind() {
+		n += k
+	}
+	return n
+}
+
+// ExecutedByKind returns Executed split by handler kind: element k
+// counts the events of kind k. The slice is the engine's own counter
+// array, valid until the next event; callers must not write it.
+func (e *Engine) ExecutedByKind() []uint64 { return e.executed[:len(e.handlers)] }
 
 // Pending returns the number of events currently queued, including
 // canceled-but-unpopped ones. Diagnostic only.

@@ -33,23 +33,39 @@ func fnvFold(h uint64, b []byte) uint64 {
 	return h
 }
 
-// foldDecimal continues h over the decimal digits of v, exactly as
-// fnvFold over strconv.AppendInt(nil, v, 10) would.
-func foldDecimal(h uint64, v int64) uint64 {
-	var d [20]byte
-	if v < 0 {
-		return fnvFold(h, strconv.AppendInt(d[:0], v, 10))
-	}
-	i := len(d)
-	for {
-		i--
-		d[i] = byte('0' + v%10)
-		v /= 10
-		if v == 0 {
-			break
+// decimalCache holds the decimal rendering of one int64 — a trace's
+// last whole-millisecond timestamp head — and advances it in place when
+// the value grows by one, the usual step between consecutive heads. Any
+// other jump renders the value again.
+type decimalCache struct {
+	v int64
+	d [20]byte // d[:n] renders v
+	n int      // 0 until the first render
+}
+
+// digits returns the decimal rendering of v, as strconv.AppendInt
+// writes it. The slice is valid until the next call.
+func (c *decimalCache) digits(v int64) []byte {
+	if c.n == 0 || v != c.v {
+		if c.n == 0 || v != c.v+1 || v <= 0 || !c.inc() {
+			c.n = len(strconv.AppendInt(c.d[:0], v, 10))
 		}
+		c.v = v
 	}
-	return fnvFold(h, d[i:])
+	return c.d[:c.n]
+}
+
+// inc adds one to the rendering in place; false when the carry runs out
+// of digits (999 → 1000), which leaves the digits to be rendered again.
+func (c *decimalCache) inc() bool {
+	for i := c.n - 1; i >= 0; i-- {
+		if c.d[i] != '9' {
+			c.d[i]++
+			return true
+		}
+		c.d[i] = '0'
+	}
+	return false
 }
 
 // suffixTable folds one fixed byte string S in constant time.

@@ -1,6 +1,10 @@
 package sim
 
-import "testing"
+import (
+	"math"
+	"strconv"
+	"testing"
+)
 
 // refFold is FNV-1a continued from state h, written out here with its
 // own constant so the table algebra is checked against an independent
@@ -44,4 +48,27 @@ func FuzzFoldSuffix(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestDecimalCacheMatchesStrconv walks the cache through the steps a
+// trace's timestamp heads take — runs of +1 across every carry into a
+// new digit, repeats, and jumps forward, back, to zero and below — and
+// requires every rendering to equal strconv's.
+func TestDecimalCacheMatchesStrconv(t *testing.T) {
+	var c decimalCache
+	check := func(v int64) {
+		t.Helper()
+		if got, want := string(c.digits(v)), strconv.FormatInt(v, 10); got != want {
+			t.Fatalf("digits(%d) = %q, want %q", v, got, want)
+		}
+	}
+	for _, start := range []int64{0, 7, 95, 998, 99_990, 123_456_789, math.MaxInt64 - 3, -12, math.MinInt64} {
+		for v := start; v < start+25 && v >= start; v++ {
+			check(v)
+			check(v) // a repeated head
+		}
+	}
+	for _, v := range []int64{5, 4, 0, -1, 0, 1, 1_000_000, 999_999, 1_000_000, 1_000_001, math.MaxInt64} {
+		check(v)
+	}
 }

@@ -145,9 +145,10 @@ type Trace struct {
 	hstate      uint64
 	hashed      int
 	incremental bool
-	hbuf        []byte     // reusable per-record hash line buffer
-	argv        []any      // reusable boxed-operand scratch for fmt.Appendf
-	memo        suffixMemo // suffix tables; kept across rewinds
+	hbuf        []byte       // reusable per-record hash line buffer
+	argv        []any        // reusable boxed-operand scratch for fmt.Appendf
+	memo        suffixMemo   // suffix tables; kept across rewinds
+	head        decimalCache // digits of the last folded millisecond head
 }
 
 // NewTrace returns an empty trace.
@@ -411,7 +412,8 @@ func (t *Trace) SetIncrementalHash(on bool) {
 // sequential fold, so hashing a prefix and continuing later equals
 // hashing the whole stream at once. Each record contributes the line
 // "at|kind|cpu|text\n". For a record whose text is already final, only
-// the timestamp's whole-millisecond digits fold byte by byte; the rest
+// the timestamp's whole-millisecond digits fold byte by byte, from a
+// rendering the trace advances in place (decimalCache); the rest
 // of the line — six sub-millisecond digits, kind, cpu and text — folds
 // through the trace's suffix memo (see suffixTable), which turns a
 // repeated suffix into one multiply-add. Periodic interrupts recur at
@@ -427,7 +429,7 @@ func (t *Trace) foldTo(upTo int) {
 				key.sub = int32(head % int64(Millisecond))
 				head /= int64(Millisecond)
 			}
-			h = foldDecimal(h, head)
+			h = fnvFold(h, t.head.digits(head))
 			tab := t.memo.lookup(key)
 			if tab != nil {
 				if out, ok := tab.fold(h); ok {

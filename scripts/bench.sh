@@ -68,7 +68,9 @@
 #                                    # -race -short pass over the fault-model
 #                                    # and graceful-degradation tests. Use
 #                                    # scripts/soak.sh for the 10k-run soak.
-#   BENCHTIME=5x scripts/bench.sh    # more iterations per benchmark
+#   BENCHTIME=5x scripts/bench.sh    # more iterations for every row that
+#                                    # has no target of its own (see
+#                                    # ROW_TARGETS below)
 #   OUT=mybench.json scripts/bench.sh
 #
 # Emits BENCH_<YYYYMMDD>.json: one object per benchmark with ns/op,
@@ -122,6 +124,20 @@ elif [ "$PATTERN" = "hash" ]; then
     PATTERN='TraceHash|ShardedCampaign'
 fi
 BENCHTIME="${BENCHTIME:-1x}"
+# Per-row iteration targets, "family regex=benchtime": a listed family
+# runs at its own target whatever BENCHTIME says; every other row runs
+# at BENCHTIME.
+#   SnapshotRestore gets a count. Its after-run row dirties the machine
+#     outside the timer, so a duration target grows b.N until about a
+#     second of restores has accumulated, each iteration also paying the
+#     untimed run: it does not finish in practice.
+#   The layers rows get a duration. At a count such as 2000x a
+#     nanosecond row times ~60 µs in total and its archived value is
+#     noise.
+ROW_TARGETS=(
+    'SnapshotRestore=2000x'
+    'HypercallPath|TrapMMIOEmulation|InjectorHook|GICAckEOI|SchedulerTick|VirtualMinute=1s'
+)
 OUT="${OUT:-BENCH_$(date +%Y%m%d).json}"
 # Never overwrite an archive: take the first free -N suffix.
 base="${OUT%.json}"
@@ -162,13 +178,44 @@ fi
 # intervals, sequential estimator) whose decisions shard workers replay.
 go test -race -short ./internal/fanout ./internal/dist ./internal/core ./internal/serve ./internal/obs ./internal/analytics
 
-echo "== benchmarks (pattern: $PATTERN, benchtime: $BENCHTIME) =="
+# bench_rows PKG runs PKG's benchmarks that match PATTERN, one go test
+# per iteration target. The pattern's first element selects the rows;
+# any sub-benchmark elements after a "/" still apply.
+TOP="${PATTERN%%/*}"
+SUB=""
+[ "$TOP" != "$PATTERN" ] && SUB="/${PATTERN#*/}"
+bench_rows() {
+    local pkg="$1" name entry i
+    local -a times=() rows=()
+    for entry in "${ROW_TARGETS[@]}"; do
+        times+=("${entry##*=}")
+        rows+=("")
+    done
+    times+=("$BENCHTIME")
+    rows+=("")
+    for name in $(go test -list "$TOP" "$pkg" | grep '^Benchmark' || true); do
+        i=${#ROW_TARGETS[@]}
+        for entry in "${!ROW_TARGETS[@]}"; do
+            if [[ "${name#Benchmark}" =~ ^(${ROW_TARGETS[$entry]%=*})$ ]]; then
+                i=$entry
+                break
+            fi
+        done
+        rows[i]="${rows[i]:+${rows[i]}|}$name"
+    done
+    for i in "${!rows[@]}"; do
+        [ -n "${rows[i]}" ] || continue
+        go test -run '^$' -bench "^(${rows[i]})\$$SUB" -benchmem -benchtime "${times[i]}" "$pkg"
+    done
+}
+
+echo "== benchmarks (pattern: $PATTERN, benchtime: $BENCHTIME, per-row targets: ${ROW_TARGETS[*]}) =="
 RAW="$(mktemp)"
 trap 'rm -f "$RAW"' EXIT
 # The campaign-server benchmark lives in internal/serve (linking
 # net/http into the root test binary would disturb its allocation
 # goldens); both packages stream into the same archive.
-go test -run '^$' -bench "$PATTERN" -benchmem -benchtime "$BENCHTIME" . ./internal/serve | tee "$RAW"
+{ bench_rows .; bench_rows ./internal/serve; } | tee "$RAW"
 
 awk '
 /^Benchmark/ {
