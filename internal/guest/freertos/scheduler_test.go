@@ -257,3 +257,59 @@ func TestSchedulerMatchesScanOracle(t *testing.T) {
 		}
 	}
 }
+
+func TestQueueKeepsFIFOOrderInItsBuffer(t *testing.T) {
+	k := &Kernel{kernelState: freshState(1)}
+	noop := func(*Kernel, *TCB) bool { return true }
+	s1, s2 := k.CreateTask("s1", 1, noop), k.CreateTask("s2", 1, noop)
+	r := k.CreateTask("r", 1, noop)
+	q := k.NewQueue("q", 3)
+
+	rng := sim.NewRNG(5)
+	var next, want uint32
+	var backing *uint32
+	for i := 0; i < 2000; i++ {
+		// Random traffic that never blocks: send into a queue with room,
+		// receive from one with data.
+		if n := q.Len(); n == 0 || n < q.cap && rng.Intn(2) == 0 {
+			if !q.Send(k, s1, next) {
+				t.Fatalf("step %d: send with room refused", i)
+			}
+			next++
+		} else {
+			var got uint32
+			if !q.Receive(k, r, &got) || got != want {
+				t.Fatalf("step %d: received %d, want %d", i, got, want)
+			}
+			want++
+		}
+		if len(q.buf) == q.cap {
+			if backing == nil {
+				backing = &q.buf[0]
+			} else if &q.buf[0] != backing {
+				t.Fatalf("step %d: the queue buffer was reallocated", i)
+			}
+		}
+	}
+	if backing == nil {
+		t.Fatal("the queue never filled")
+	}
+
+	// Blocked senders wake in the order they blocked.
+	for q.Len() < q.cap {
+		q.Send(k, s1, next)
+		next++
+	}
+	if q.Send(k, s1, 0) || q.Send(k, s2, 0) {
+		t.Fatal("send into a full queue succeeded")
+	}
+	var v uint32
+	q.Receive(k, r, &v)
+	if s1.State != StateReady || s2.State != StateBlocked {
+		t.Fatalf("after one receive: s1 %v, s2 %v", s1.State, s2.State)
+	}
+	q.Receive(k, r, &v)
+	if s2.State != StateReady || len(q.sendWaiters) != 0 {
+		t.Fatalf("after two receives: s2 %v, %d waiters", s2.State, len(q.sendWaiters))
+	}
+}

@@ -1,6 +1,7 @@
 package jailhouse
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -702,5 +703,35 @@ func TestGuestMRCEmulation(t *testing.T) {
 	// The accesses were counted as CP15 exits.
 	if h.PerCPU(1).Stats[ExitCP15] < 3 {
 		t.Fatalf("cp15 exits = %d", h.PerCPU(1).Stats[ExitCP15])
+	}
+}
+
+func TestHypercallTraceRendersErrnoString(t *testing.T) {
+	_, h := rig(t)
+	calls := []struct {
+		code, arg1 uint32
+		want       Errno
+	}{
+		{HCHypervisorGetInfo, InfoNumCells, 1},        // unnamed value
+		{HCHypervisorGetInfo, InfoMemPoolSize, 16384}, // unnamed value
+		{HCCellCreate, 0x1000, EINVAL},                // named errno
+		{0xFF, 0, ENOSYS},                             // named errno
+		{HCDebugConsolePutc, 'x', EOK},                // named "OK"
+		{HCDebugConsolePutc, 0x1FF, EINVAL},           // named errno
+	}
+	for _, c := range calls {
+		got := h.HVC(0, c.code, c.arg1, 0)
+		if got != c.want {
+			t.Fatalf("HVC %#x(%#x) = %v, want %v", c.code, c.arg1, got, c.want)
+		}
+		recs := h.brd.Trace().Filter(sim.KindHypercall)
+		if len(recs) == 0 {
+			t.Fatal("no hypercall record")
+		}
+		msg := recs[len(recs)-1].Msg
+		suffix := fmt.Sprintf(" = %d (%s)", int32(got), got.String())
+		if !strings.HasSuffix(msg, suffix) {
+			t.Fatalf("record %q does not end in %q", msg, suffix)
+		}
 	}
 }

@@ -426,3 +426,50 @@ func digestOf(s *RAMSnapshot) uint64 {
 	r.RestoreSnapshot(s)
 	return r.Digest()
 }
+
+func TestRAMReadIntoOverwritesReusedBuffer(t *testing.T) {
+	m := NewRAM(0, 1<<20)
+	data := make([]byte, pageSize)
+	for i := range data {
+		data[i] = byte(i) | 1
+	}
+	// One written page between two untouched ones; the read starts and
+	// ends mid-page so every chunk is partial or crosses a boundary.
+	if err := m.Write(pageSize, data); err != nil {
+		t.Fatal(err)
+	}
+	start := uint64(pageSize - 9)
+	dst := make([]byte, pageSize+30)
+	for i := range dst {
+		dst[i] = 0xAA // stale bytes from an earlier read
+	}
+	if err := m.ReadInto(start, dst); err != nil {
+		t.Fatal(err)
+	}
+	want, err := m.Read(start, len(dst))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(dst) != string(want) {
+		t.Fatal("ReadInto differs from Read")
+	}
+	for i, b := range dst {
+		off := start + uint64(i)
+		inWritten := off >= pageSize && off < 2*pageSize
+		if inWritten && b != data[off-pageSize] || !inWritten && b != 0 {
+			t.Fatalf("byte at %#x = %#x", off, b)
+		}
+	}
+	if m.PagesAllocated() != 1 {
+		t.Fatalf("ReadInto allocated pages: %d", m.PagesAllocated())
+	}
+
+	// A read that leaves RAM fails and leaves dst as it was.
+	dst = []byte{7, 7, 7, 7}
+	if err := m.ReadInto(1<<20-2, dst); err == nil {
+		t.Fatal("straddling-end ReadInto accepted")
+	}
+	if string(dst) != "\x07\x07\x07\x07" {
+		t.Fatalf("failed ReadInto wrote %v", dst)
+	}
+}
