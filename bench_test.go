@@ -684,6 +684,33 @@ func TestTraceArenaPresize(t *testing.T) {
 
 // ---- Micro-benchmarks of the hot paths ----
 
+// traceRewindPeriod is how many hot-path iterations append to a
+// micro-benchmark machine's trace between two rewinds.
+const traceRewindPeriod = 4096
+
+// benchOnMachine times fn, one hot-path operation on m, b.N times. The
+// trace records fn appends are rewound every traceRewindPeriod
+// iterations outside the timer, after an untimed warm-up period has
+// grown the trace arena to hold them, so B/op reports the path's own
+// allocations and not the arena's amortised doubling.
+func benchOnMachine(b *testing.B, m *core.Machine, fn func()) {
+	tr := m.Board.Trace()
+	mark := tr.Mark()
+	for i := 0; i < traceRewindPeriod; i++ {
+		fn()
+	}
+	tr.Rewind(nil, mark, mark)
+	b.ResetTimer()
+	for i := 1; i <= b.N; i++ {
+		fn()
+		if i%traceRewindPeriod == 0 {
+			b.StopTimer()
+			tr.Rewind(nil, mark, mark)
+			b.StartTimer()
+		}
+	}
+}
+
 // BenchmarkHypercallPath measures one full HVC round trip (guest →
 // ArchHandleTrap → ArchHandleHVC → dispatch → merge-restore).
 func BenchmarkHypercallPath(b *testing.B) {
@@ -691,12 +718,11 @@ func BenchmarkHypercallPath(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	benchOnMachine(b, m, func() {
 		if e := m.HV.HVC(0, jailhouse.HCHypervisorGetInfo, jailhouse.InfoNumCells, 0); e.Failed() {
 			b.Fatal(e)
 		}
-	}
+	})
 }
 
 // BenchmarkTrapMMIOEmulation measures one trapped GICD read.
@@ -705,12 +731,11 @@ func BenchmarkTrapMMIOEmulation(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	benchOnMachine(b, m, func() {
 		if _, err := m.HV.GuestRead32(1, board.GICDBase+gic.GICDTyper); err != nil {
 			b.Fatal(err)
 		}
-	}
+	})
 }
 
 // BenchmarkInjectorHook measures the instrumentation overhead of one
@@ -797,23 +822,34 @@ func BenchmarkDistributionRender(b *testing.B) {
 // over the finished trace (the fold a campaign pays without
 // incremental hashing); "incremental" times the appends with
 // hash-on-append switched on plus the final Hash read (the streamed
-// campaigns' path). ns_per_record divides by the record count.
+// campaigns' path); "splice" rewinds a trace to the post-boot mark and
+// splices the published minute back in one-second stretches with
+// incremental hashing on, as a run that rejoins the golden trajectory
+// fast-forwards. ns_per_record divides by the records replayed or
+// spliced.
 func BenchmarkTraceHash(b *testing.B) {
 	m, err := core.BuildMachine(core.DefaultMachineOptions(2022))
 	if err != nil {
 		b.Fatal(err)
 	}
-	m.Run(core.PlanE3Fig3().EffectiveDuration())
-	recs := m.Board.Trace().Records()
-	want := m.Board.Trace().Hash()
+	golden := m.Board.Trace()
+	marks := []sim.TraceMark{golden.Mark()}
+	booted := golden.Len()
+	for left := core.PlanE3Fig3().EffectiveDuration(); left > 0; left -= sim.Second {
+		m.Run(min(left, sim.Second))
+		marks = append(marks, golden.Mark())
+	}
+	log := golden.Publish(nil)
+	recs := golden.Records()
+	want := golden.Hash()
 	replay := func(tr *sim.Trace) {
 		for _, r := range recs {
 			tr.Add(r.At, r.Kind, r.CPU, r.Msg)
 		}
 	}
-	report := func(b *testing.B) {
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(recs)), "ns_per_record")
-		b.ReportMetric(float64(len(recs)), "records")
+	report := func(b *testing.B, n int) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns_per_record")
+		b.ReportMetric(float64(n), "records")
 	}
 	// Each iteration rewinds one trace to no records, as a pooled
 	// machine's trace is rewound, so its suffix memo stays warm.
@@ -829,7 +865,7 @@ func BenchmarkTraceHash(b *testing.B) {
 				b.Fatal("replayed trace hashes differently")
 			}
 		}
-		report(b)
+		report(b, len(recs))
 	})
 	b.Run("incremental", func(b *testing.B) {
 		tr := sim.NewTrace()
@@ -841,6 +877,22 @@ func BenchmarkTraceHash(b *testing.B) {
 				b.Fatal("replayed trace hashes differently")
 			}
 		}
-		report(b)
+		report(b, len(recs))
+	})
+	b.Run("splice", func(b *testing.B) {
+		tr := sim.NewTrace()
+		from := empty
+		for i := 0; i < b.N; i++ {
+			tr.Rewind(log, marks[0], from)
+			from = marks[0]
+			tr.SetIncrementalHash(true)
+			for k := 1; k < len(marks); k++ {
+				tr.Splice(log, marks[k-1], marks[k])
+			}
+			if tr.Len() != len(recs) || tr.Hash() != want {
+				b.Fatal("spliced trace differs from the straight one")
+			}
+		}
+		report(b, len(recs)-booted)
 	})
 }

@@ -226,12 +226,16 @@ func acquireMachine(pool *MachinePool, opts MachineOptions) (m *Machine, fresh b
 	return m, fresh, func() { pool.Put(m) }, nil
 }
 
+// detectionKinds are the record kinds that evidence a detection.
+var detectionKinds = sim.Kinds(sim.KindPark, sim.KindPanic, sim.KindHypTrap, sim.KindWedge)
+
 // detectionLatency measures first-injection → first detection evidence:
 // a park, a panic, an internal HYP trap or the bounded-progress watchdog.
 // first is the virtual time of the first injection (-1 when none
 // happened). The trace is scanned in place without rendering messages,
 // from the run's start checkpoint on: every earlier record lies at or
-// before it, and it precedes the first firing call.
+// before it, and it precedes the first firing call. Spliced golden
+// stretches hold no detection kinds and are skipped whole.
 func detectionLatency(m *Machine, first sim.Time) sim.Time {
 	if first < 0 {
 		return -1
@@ -241,13 +245,10 @@ func detectionLatency(m *Machine, first sim.Time) sim.Time {
 		from = m.at.board.TraceLen()
 	}
 	latency := sim.Time(-1)
-	m.Board.Trace().ScanMetaFrom(from, func(at sim.Time, kind sim.Kind, _ int) bool {
-		switch kind {
-		case sim.KindPark, sim.KindPanic, sim.KindHypTrap, sim.KindWedge:
-			if at >= first {
-				latency = at - first
-				return false
-			}
+	m.Board.Trace().ScanKindsFrom(from, detectionKinds, func(at sim.Time, _ sim.Kind, _ int) bool {
+		if at >= first {
+			latency = at - first
+			return false
 		}
 		return true
 	})

@@ -178,9 +178,7 @@ func integerTask(id int) StepFunc {
 			t.Asserted = true
 			return false
 		}
-		for i := uint32(0); i < rounds; i++ {
-			t.Work[1]++
-		}
+		t.Work[1] += rounds // wraps mod 2³², as rounds single increments do
 		iter++
 		t.locals[0] = iter
 		if iter%intReport == 0 {

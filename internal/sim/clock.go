@@ -10,6 +10,7 @@ package sim
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 )
 
@@ -35,6 +36,20 @@ func (t Time) Duration() time.Duration { return time.Duration(t) }
 // bracketed style kernel logs use, e.g. "[    1.042]".
 func (t Time) String() string {
 	return fmt.Sprintf("[%5d.%03d]", int64(t/Second), int64(t%Second)/int64(Millisecond))
+}
+
+// AppendString appends t.String() to b. Non-negative instants, the only
+// ones a run produces, are formatted without fmt.
+func (t Time) AppendString(b []byte) []byte {
+	if t < 0 {
+		return append(b, t.String()...)
+	}
+	var d [20]byte
+	secs := strconv.AppendInt(d[:0], int64(t/Second), 10)
+	b = append(b, "[     "[:1+max(5-len(secs), 0)]...)
+	b = append(b, secs...)
+	ms := int64(t%Second) / int64(Millisecond)
+	return append(b, '.', byte('0'+ms/100), byte('0'+ms/10%10), byte('0'+ms%10), ']')
 }
 
 // After reports the virtual instant d past t.

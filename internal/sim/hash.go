@@ -122,6 +122,17 @@ func (t *suffixTable) learn(h uint64, s []byte) uint64 {
 	return out
 }
 
+// learnAll sets the table up for S = s with all 256 entries learned:
+// the form a published fold plan uses and never writes again.
+func (t *suffixTable) learnAll(s []byte) {
+	t.reset(len(s))
+	for lo := range t.c {
+		h := uint64(lo)
+		t.c[lo] = fnvFold(h, s) - h*t.pn
+	}
+	t.known = [4]uint64{^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0)}
+}
+
 // suffixKey names the constant tail of a trace record's hash line by
 // content: the six sub-millisecond timestamp digits (sub, or none when
 // sub is -1), then "|kind|cpu|text\n". text is compared by string

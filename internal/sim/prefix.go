@@ -34,15 +34,19 @@ func (p *Prefix[T]) Items() []T {
 // p's items — the log is a later state of the same golden run. A version
 // that already covers n is returned unchanged.
 func (p *Prefix[T]) Extend(log []T, n int) *Prefix[T] {
-	have := p.Len()
-	if n <= have {
+	if have := p.Len(); n > have {
+		return p.Append(log[have:n]...)
+	}
+	return p
+}
+
+// Append returns the version holding p's items followed by items; p
+// itself when items is empty.
+func (p *Prefix[T]) Append(items ...T) *Prefix[T] {
+	if len(items) == 0 {
 		return p
 	}
-	var items []T
-	if p != nil {
-		items = p.items
-	}
-	return &Prefix[T]{items: append(items, log[have:n]...)}
+	return &Prefix[T]{items: append(p.Items(), items...)}
 }
 
 // Rewind returns log rewritten to p's first n items, reusing log's

@@ -55,6 +55,22 @@ func (k Kind) String() string {
 	return fmt.Sprintf("KIND(%d)", uint8(k))
 }
 
+// KindSet is a set of record kinds: bit k stands for Kind k. Kinds past
+// 63 are never members.
+type KindSet uint64
+
+// Kinds returns the set holding the given kinds.
+func Kinds(kinds ...Kind) KindSet {
+	var s KindSet
+	for _, k := range kinds {
+		s |= 1 << k
+	}
+	return s
+}
+
+// Has reports whether k is in the set.
+func (s KindSet) Has(k Kind) bool { return s&(1<<k) != 0 }
+
 // argKind discriminates the typed argument union.
 type argKind uint8
 
@@ -133,15 +149,26 @@ type record struct {
 // their format string and small typed args instead of a rendered message,
 // so the per-event hot path performs no fmt work and no allocation beyond
 // the amortised growth of the reusable record/argument buffers.
+//
+// A run that rejoins the golden trajectory does not copy the golden
+// records it skips: Splice records a piece — a stretch of a published
+// TraceLog — at its position among the trace's own records. Every
+// reader sees the logical sequence, own records and pieces in order.
 type Trace struct {
-	recs []record
+	recs []record // the trace's own records
 	args []Arg
 
+	// pieces are the spliced golden stretches in order; piece.at places
+	// each among recs. spliced counts their records.
+	pieces  []piece
+	spliced int
+
 	// Incremental hash state. hstate is the running FNV-1a digest over
-	// records [0, hashed); Hash folds the remainder on demand. When
-	// incremental is set (SetIncrementalHash), every append folds its
-	// record immediately, so end-of-run hashing is O(1) and no rendered
-	// message string is ever allocated for hash-only readers.
+	// the first hashed records of the logical sequence; Hash folds the
+	// remainder on demand. When incremental is set (SetIncrementalHash),
+	// every append and splice folds immediately, so end-of-run hashing
+	// is O(1) and no rendered message string is ever allocated for
+	// hash-only readers.
 	hstate      uint64
 	hashed      int
 	incremental bool
@@ -149,6 +176,13 @@ type Trace struct {
 	argv        []any        // reusable boxed-operand scratch for fmt.Appendf
 	memo        suffixMemo   // suffix tables; kept across rewinds
 	head        decimalCache // digits of the last folded millisecond head
+}
+
+// piece is a spliced golden stretch: records [from, to) of log, placed
+// after the trace's first at own records.
+type piece struct {
+	log          *TraceLog
+	from, to, at int
 }
 
 // NewTrace returns an empty trace.
@@ -185,21 +219,61 @@ type TraceMark struct {
 
 // Mark returns the trace's current position with the digest fully
 // folded (hashed == Len), so a trace rewound to the mark never re-folds
-// its prefix, whatever hashing mode the restored run uses.
+// its prefix, whatever hashing mode the restored run uses. Only a trace
+// on the golden trajectory is marked, and such a trace holds no pieces.
 func (t *Trace) Mark() TraceMark {
-	t.foldTo(len(t.recs))
+	t.mustHoldNoPieces("Mark")
+	t.fold()
 	return TraceMark{recs: len(t.recs), args: len(t.args), hstate: t.hstate}
+}
+
+// mustHoldNoPieces panics when the trace holds spliced pieces.
+func (t *Trace) mustHoldNoPieces(op string) {
+	if len(t.pieces) > 0 {
+		panic("sim: Trace." + op + " on a trace holding spliced golden records")
+	}
 }
 
 // TraceLog is the published fault-free prefix of a trace, shared
 // read-only by every machine on one golden trajectory (see Prefix).
 // Records are rendered before publication, so the copies a restore
 // takes carry their final text and never render again — and render()
-// only ever writes into a machine's own copy.
+// only ever writes into a machine's own records.
+//
+// Publication also extends the log's fold plan: one foldStep per
+// record, with the suffix tables the steps name, so a spliced stretch
+// folds into a digest without building a single hash line. Plan and
+// tables are immutable once published, like the records.
 type TraceLog struct {
 	recs *Prefix[record]
 	args *Prefix[Arg]
+	plan *Prefix[foldStep]
+	tabs *Prefix[*suffixTable]
+	// kinds holds every record kind in the log.
+	kinds KindSet
+	// suffixes maps each suffix the lineage has seen to 1 + the index of
+	// its table in tabs, or to 0 while it was sighted once: a suffix
+	// gets its table on its second sighting, so one-off lines (UART
+	// transcripts, console notes) never claim one. All versions of a
+	// lineage share the map; only Publish touches it.
+	suffixes map[suffixKey]uint16
 }
+
+// foldStep is one published record's hash line, prepared for folding
+// in 8 bytes: the decimal digits of its whole-millisecond head (n of
+// them, packed four bits each from the low end) and its suffix table,
+// tabs[tab-1]. A step with tab 0 (a suffix sighted once so far) or n 0
+// (a head that is negative or has more than eight digits) folds its
+// line byte by byte instead.
+type foldStep struct {
+	head uint32
+	tab  uint16
+	n    uint8
+}
+
+// maxPlanTables bounds a lineage's suffix tables to what a step can
+// name; later repeated suffixes fold byte by byte.
+const maxPlanTables = 1<<16 - 1
 
 // Len returns how many records the log holds.
 func (l *TraceLog) Len() int {
@@ -210,35 +284,105 @@ func (l *TraceLog) Len() int {
 }
 
 // Publish returns l extended with this trace's records past l's end,
-// rendered first. The trace must be a later state of the run l was
-// published from — the same golden trajectory. A nil l starts a log.
+// rendered first, and their fold plan. The trace must be a later state
+// of the run l was published from — the same golden trajectory — and
+// hold no pieces. A nil l starts a log.
 func (t *Trace) Publish(l *TraceLog) *TraceLog {
-	if l.Len() >= len(t.recs) {
+	t.mustHoldNoPieces("Publish")
+	have := l.Len()
+	if have >= len(t.recs) {
 		return l
-	}
-	for i := l.Len(); i < len(t.recs); i++ {
-		t.render(i)
 	}
 	out := &TraceLog{}
 	if l != nil {
 		*out = *l
 	}
+	if out.suffixes == nil {
+		out.suffixes = make(map[suffixKey]uint16)
+	}
+	steps := make([]foldStep, 0, len(t.recs)-have)
+	var tabs []*suffixTable
+	// recent holds the last two suffixes found with a table, checked
+	// before the map: periodic interrupts alternate between a few.
+	var recent [2]suffixKey
+	var recentTab [2]uint16
+	for i := have; i < len(t.recs); i++ {
+		r := &t.recs[i]
+		t.render(r)
+		out.kinds |= Kinds(r.kind)
+		key, head := suffixOf(r)
+		var s foldStep
+		s.head, s.n = packDigits(head)
+		switch {
+		case recentTab[0] != 0 && key == recent[0]:
+			s.tab = recentTab[0]
+		case recentTab[1] != 0 && key == recent[1]:
+			s.tab = recentTab[1]
+		default:
+			if s.tab = out.sighted(key, &tabs); s.tab != 0 {
+				recent[1], recentTab[1] = recent[0], recentTab[0]
+				recent[0], recentTab[0] = key, s.tab
+			}
+		}
+		steps = append(steps, s)
+	}
 	out.recs = out.recs.Extend(t.recs, len(t.recs))
 	out.args = out.args.Extend(t.args, len(t.args))
+	out.plan = out.plan.Append(steps...)
+	out.tabs = out.tabs.Append(tabs...)
 	return out
 }
 
-// Rewind rewrites the trace to the golden prefix ending at mark to.
-// from is the mark of the machine's last capture or restore on the same
-// golden lineage (the zero mark when unknown): the trace's content up to
-// from is already golden, so only the difference is copied — restoring
-// an earlier mark is a truncation. Incremental hashing is switched off;
-// the run harness re-enables it per run.
+// sighted records a sighting of suffix key during a publication of l
+// that has built tabs so far, and returns key's table index (0: none).
+// The second sighting builds the table, appended to tabs.
+func (l *TraceLog) sighted(key suffixKey, tabs *[]*suffixTable) uint16 {
+	tab, seen := l.suffixes[key]
+	switch {
+	case !seen:
+		l.suffixes[key] = 0
+	case tab == 0 && l.tabs.Len()+len(*tabs) < maxPlanTables:
+		st := new(suffixTable)
+		st.learnAll(key.appendTo(nil))
+		*tabs = append(*tabs, st)
+		tab = uint16(l.tabs.Len() + len(*tabs))
+		l.suffixes[key] = tab
+	}
+	return tab
+}
+
+// packDigits returns v's decimal digits packed four bits each, first
+// digit lowest, and their count; a count of 0 when v is negative or has
+// more than eight digits.
+func packDigits(v int64) (uint32, uint8) {
+	if v < 0 || v > 99_999_999 {
+		return 0, 0
+	}
+	var p uint32
+	n := uint8(1)
+	for ; v >= 10; v /= 10 {
+		p = p<<4 | uint32(v%10)
+		n++
+	}
+	return p<<4 | uint32(v), n
+}
+
+// Rewind rewrites the trace to the golden prefix ending at mark to,
+// dropping its pieces and keeping only its own records. from is the
+// mark of the machine's last capture or restore on the same golden
+// lineage (the zero mark when unknown): the trace's own records up to
+// from are already golden, so only the difference is copied — restoring
+// an earlier mark is a truncation. Pieces never precede from: they are
+// spliced after the trace's last capture or restore (Mark refuses a
+// trace that holds any). Incremental hashing is switched off; the run
+// harness re-enables it per run.
 func (t *Trace) Rewind(l *TraceLog, to, from TraceMark) {
 	var golden TraceLog
 	if l != nil {
 		golden = *l
 	}
+	clear(t.pieces)
+	t.pieces, t.spliced = t.pieces[:0], 0
 	t.recs = Rewind(t.recs, golden.recs, from.recs, to.recs)
 	t.args = Rewind(t.args, golden.args, from.args, to.args)
 	t.hstate = to.hstate
@@ -252,8 +396,15 @@ func (t *Trace) Add(at Time, kind Kind, cpu int, msg string) {
 		at: at, text: msg, kind: kind, cpu: int16(cpu), rendered: true,
 	})
 	if t.incremental {
-		t.foldTo(len(t.recs))
+		t.foldLast()
 	}
+}
+
+// foldLast folds the record just appended. Incremental mode keeps
+// everything before it folded, so no chunk walk is needed.
+func (t *Trace) foldLast() {
+	t.foldOwn(len(t.recs)-1, len(t.recs))
+	t.hashed++
 }
 
 // Addf appends a record with deferred formatting: format and args are
@@ -273,13 +424,29 @@ func (t *Trace) Addf(at Time, kind Kind, cpu int, format string, args ...Arg) {
 		kind: kind, cpu: int16(cpu),
 	})
 	if t.incremental {
-		t.foldTo(len(t.recs))
+		t.foldLast()
 	}
 }
 
-// render materialises (and caches) the message of record i.
-func (t *Trace) render(i int) string {
-	r := &t.recs[i]
+// Splice appends the golden records between marks from and to of log l
+// — the stretch a run skipped after rejoining the golden trajectory at
+// from — as a piece that refers to l, copying no record, and folds them
+// into the running digest from l's plan when hashing is incremental.
+func (t *Trace) Splice(l *TraceLog, from, to TraceMark) {
+	if to.recs <= from.recs {
+		return
+	}
+	t.pieces = append(t.pieces, piece{log: l, from: from.recs, to: to.recs, at: len(t.recs)})
+	t.spliced += to.recs - from.recs
+	if t.incremental {
+		t.fold()
+	}
+}
+
+// render materialises (and caches) the message of r, one of the
+// trace's own records or a published one. Published records are
+// rendered, so render never writes into a TraceLog.
+func (t *Trace) render(r *record) string {
 	if r.rendered {
 		return r.text
 	}
@@ -295,94 +462,141 @@ func (t *Trace) render(i int) string {
 }
 
 // Len returns the number of records.
-func (t *Trace) Len() int { return len(t.recs) }
+func (t *Trace) Len() int { return len(t.recs) + t.spliced }
 
-// ArgLen returns the number of deferred-format arguments held — the
-// occupancy of the argument arena TraceBudget provisions.
+// ArgLen returns the number of deferred-format arguments the trace's
+// own records hold — the occupancy of the argument arena TraceBudget
+// provisions.
 func (t *Trace) ArgLen() int { return len(t.args) }
 
-// at builds the public view of record i, rendering its message.
-func (t *Trace) at(i int) Record {
-	r := &t.recs[i]
-	return Record{At: r.at, Kind: r.kind, CPU: int(r.cpu), Msg: t.render(i)}
+// chunks calls fn for each run of consecutive records of the logical
+// sequence from position from on: own records (p nil) or a piece's
+// records (lo is then their index in p's log). Return false to stop.
+func (t *Trace) chunks(from int, fn func(recs []record, p *piece, lo int) bool) {
+	pos := 0 // logical position of the next chunk
+	emit := func(recs []record, p *piece, lo int) bool {
+		skip := max(from-pos, 0)
+		pos += len(recs)
+		return skip >= len(recs) || fn(recs[skip:], p, lo+skip)
+	}
+	own := 0
+	for i := range t.pieces {
+		p := &t.pieces[i]
+		if !emit(t.recs[own:p.at], nil, own) || !emit(p.log.recs.items[p.from:p.to], p, p.from) {
+			return
+		}
+		own = p.at
+	}
+	emit(t.recs[own:], nil, own)
+}
+
+// each calls fn for every record from position from on, in order.
+// Return false to stop.
+func (t *Trace) each(from int, fn func(r *record) bool) {
+	t.chunks(from, func(recs []record, _ *piece, _ int) bool {
+		for i := range recs {
+			if !fn(&recs[i]) {
+				return false
+			}
+		}
+		return true
+	})
+}
+
+// public builds the public view of r, rendering its message.
+func (t *Trace) public(r *record) Record {
+	return Record{At: r.at, Kind: r.kind, CPU: int(r.cpu), Msg: t.render(r)}
 }
 
 // Scan visits every record in order without copying the trace. Return
 // false from fn to stop early. Messages are rendered lazily (then cached),
 // so scans that stop early pay only for what they read.
 func (t *Trace) Scan(fn func(Record) bool) {
-	for i := range t.recs {
-		if !fn(t.at(i)) {
-			return
-		}
-	}
+	t.each(0, func(r *record) bool { return fn(t.public(r)) })
 }
 
 // ScanMeta visits every record's metadata in order without rendering any
 // message — the zero-cost path for readers that only need kinds and
-// timestamps (e.g. detection-latency measurement). Return false to stop.
+// timestamps. Return false to stop.
 func (t *Trace) ScanMeta(fn func(at Time, kind Kind, cpu int) bool) { t.ScanMetaFrom(0, fn) }
 
 // ScanMetaFrom is ScanMeta starting at record from.
 func (t *Trace) ScanMetaFrom(from int, fn func(at Time, kind Kind, cpu int) bool) {
-	for i := from; i < len(t.recs); i++ {
-		r := &t.recs[i]
-		if !fn(r.at, r.kind, int(r.cpu)) {
-			return
+	t.each(from, func(r *record) bool { return fn(r.at, r.kind, int(r.cpu)) })
+}
+
+// ScanKindsFrom is ScanMetaFrom restricted to the records whose kind is
+// in kinds (e.g. detection-latency measurement). A piece whose log holds
+// none of those kinds is skipped without reading its records.
+func (t *Trace) ScanKindsFrom(from int, kinds KindSet, fn func(at Time, kind Kind, cpu int) bool) {
+	t.chunks(from, func(recs []record, p *piece, _ int) bool {
+		if p != nil && p.log.kinds&kinds == 0 {
+			return true
 		}
-	}
+		for i := range recs {
+			r := &recs[i]
+			if kinds.Has(r.kind) && !fn(r.at, r.kind, int(r.cpu)) {
+				return false
+			}
+		}
+		return true
+	})
 }
 
 // Records returns a copy of all records (copy keeps callers from mutating
 // the trace). Prefer Scan/ScanMeta on hot paths; Records renders every
 // message and clones the slice.
 func (t *Trace) Records() []Record {
-	out := make([]Record, len(t.recs))
-	for i := range t.recs {
-		out[i] = t.at(i)
-	}
+	out := make([]Record, 0, t.Len())
+	t.each(0, func(r *record) bool {
+		out = append(out, t.public(r))
+		return true
+	})
 	return out
 }
 
 // Filter returns records of the given kind, in order.
 func (t *Trace) Filter(kind Kind) []Record {
 	var out []Record
-	for i := range t.recs {
-		if t.recs[i].kind == kind {
-			out = append(out, t.at(i))
+	t.each(0, func(r *record) bool {
+		if r.kind == kind {
+			out = append(out, t.public(r))
 		}
-	}
+		return true
+	})
 	return out
 }
 
 // Count returns how many records have the given kind.
 func (t *Trace) Count(kind Kind) int {
 	n := 0
-	for i := range t.recs {
-		if t.recs[i].kind == kind {
+	t.each(0, func(r *record) bool {
+		if r.kind == kind {
 			n++
 		}
-	}
+		return true
+	})
 	return n
 }
 
 // CountsByKind returns a map kind → record count.
 func (t *Trace) CountsByKind() map[Kind]int {
 	m := make(map[Kind]int)
-	for i := range t.recs {
-		m[t.recs[i].kind]++
-	}
+	t.each(0, func(r *record) bool {
+		m[r.kind]++
+		return true
+	})
 	return m
 }
 
 // Contains reports whether any record's message contains substr.
 func (t *Trace) Contains(substr string) bool {
-	for i := range t.recs {
-		if strings.Contains(t.render(i), substr) {
-			return true
-		}
-	}
-	return false
+	found := false
+	t.each(0, func(r *record) bool {
+		found = strings.Contains(t.render(r), substr)
+		return !found
+	})
+	return found
 }
 
 // FNV-1a 64-bit parameters (identical to hash/fnv, kept inline so the
@@ -394,41 +608,70 @@ const (
 
 // SetIncrementalHash switches the trace to maintaining its digest on
 // append. Enabling folds every record already present (rendering them
-// once), then each Add/Addf folds its own record as it lands, so Hash
-// becomes a constant-time read at end of run — the render pass the
-// streaming-artefact campaigns used to pay per run disappears. Records
-// folded on append are formatted straight into the hash buffer; their
-// deferred format/args stay in place, so later Dump/Scan reads still
-// work. Rewind disables incremental mode again.
+// once), then each Add/Addf/Splice folds its own records as they land,
+// so Hash becomes a constant-time read at end of run — the render pass
+// the streaming-artefact campaigns used to pay per run disappears.
+// Records folded on append are formatted straight into the hash buffer;
+// their deferred format/args stay in place, so later Dump/Scan reads
+// still work. Rewind disables incremental mode again.
 func (t *Trace) SetIncrementalHash(on bool) {
 	t.incremental = on
 	if on {
-		t.foldTo(len(t.recs))
+		t.fold()
 	}
 }
 
-// foldTo folds records [hashed, upTo) into the running digest. The byte
-// stream is identical to the eager full-trace hash: FNV-1a is a
-// sequential fold, so hashing a prefix and continuing later equals
-// hashing the whole stream at once. Each record contributes the line
-// "at|kind|cpu|text\n". For a record whose text is already final, only
-// the timestamp's whole-millisecond digits fold byte by byte, from a
-// rendering the trace advances in place (decimalCache); the rest
-// of the line — six sub-millisecond digits, kind, cpu and text — folds
-// through the trace's suffix memo (see suffixTable), which turns a
-// repeated suffix into one multiply-add. Periodic interrupts recur at
+// fold folds the records past hashed into the running digest: own
+// records through foldOwn, pieces from their log's plan (foldPiece).
+// FNV-1a is a sequential fold, so hashing a prefix and continuing later
+// equals hashing the whole stream at once.
+func (t *Trace) fold() {
+	t.chunks(t.hashed, func(recs []record, p *piece, lo int) bool {
+		if p != nil {
+			t.hstate = t.foldPiece(t.hstate, p.log, lo, lo+len(recs))
+		} else {
+			t.foldOwn(lo, lo+len(recs))
+		}
+		return true
+	})
+	t.hashed = t.Len()
+}
+
+// suffixOf splits a rendered record's hash line "at|kind|cpu|text\n"
+// into its whole-millisecond head (the timestamp itself below one
+// millisecond) and the suffix key naming the rest.
+func suffixOf(r *record) (suffixKey, int64) {
+	key := suffixKey{text: r.text, kind: r.kind, cpu: r.cpu, sub: -1}
+	head := int64(r.at)
+	if head >= int64(Millisecond) {
+		key.sub = int32(head % int64(Millisecond))
+		head /= int64(Millisecond)
+	}
+	return key, head
+}
+
+// appendLine appends a rendered record's hash line.
+func appendLine(buf []byte, r *record) []byte {
+	buf = strconv.AppendInt(buf, int64(r.at), 10)
+	buf = appendKindCPU(buf, r.kind, r.cpu)
+	buf = append(buf, r.text...)
+	return append(buf, '\n')
+}
+
+// foldOwn folds the trace's own records [lo, hi). Each record
+// contributes the line "at|kind|cpu|text\n". For a record whose text is
+// already final, only the timestamp's whole-millisecond digits fold byte
+// by byte, from a rendering the trace advances in place (decimalCache);
+// the rest of the line — six sub-millisecond digits, kind, cpu and text
+// — folds through the trace's suffix memo (see suffixTable), which turns
+// a repeated suffix into one multiply-add. Periodic interrupts recur at
 // the same sub-millisecond offset, so their suffixes repeat exactly.
-func (t *Trace) foldTo(upTo int) {
+func (t *Trace) foldOwn(lo, hi int) {
 	h := t.hstate
-	for i := t.hashed; i < upTo; i++ {
+	for i := lo; i < hi; i++ {
 		r := &t.recs[i]
 		if r.rendered || r.argN == 0 {
-			key := suffixKey{text: r.text, kind: r.kind, cpu: r.cpu, sub: -1}
-			head := int64(r.at)
-			if head >= int64(Millisecond) {
-				key.sub = int32(head % int64(Millisecond))
-				head /= int64(Millisecond)
-			}
+			key, head := suffixOf(r)
 			h = fnvFold(h, t.head.digits(head))
 			tab := t.memo.lookup(key)
 			if tab != nil {
@@ -467,7 +710,27 @@ func (t *Trace) foldTo(upTo int) {
 		h = fnvFold(h, buf)
 	}
 	t.hstate = h
-	t.hashed = upTo
+}
+
+// foldPiece continues h over records [lo, hi) of l from l's fold plan:
+// per record, the packed head digits fold byte by byte and the suffix
+// is one multiply-add through its table. Steps without a table fold
+// their line byte by byte.
+func (t *Trace) foldPiece(h uint64, l *TraceLog, lo, hi int) uint64 {
+	tabs := l.tabs.Items()
+	for i, s := range l.plan.items[lo:hi] {
+		if s.tab == 0 || s.n == 0 {
+			t.hbuf = appendLine(t.hbuf[:0], &l.recs.items[lo+i])
+			h = fnvFold(h, t.hbuf)
+			continue
+		}
+		for d, n := s.head, s.n; n > 0; d, n = d>>4, n-1 {
+			h = (h ^ uint64('0'+d&0xf)) * fnvPrime64
+		}
+		tab := tabs[s.tab-1]
+		h = h*tab.pn + tab.c[uint8(h)]
+	}
+	return h
 }
 
 // Hash returns a stable FNV-1a digest of the full trace. Two runs with the
@@ -477,7 +740,7 @@ func (t *Trace) foldTo(upTo int) {
 // records already folded (incremental mode or a previous Hash call) are
 // not re-rendered.
 func (t *Trace) Hash() uint64 {
-	t.foldTo(len(t.recs))
+	t.fold()
 	return t.hstate
 }
 
@@ -489,12 +752,13 @@ func (t *Trace) Dump(kinds ...Kind) string {
 		want[k] = true
 	}
 	var b strings.Builder
-	for i := range t.recs {
-		if len(kinds) == 0 || want[t.recs[i].kind] {
-			b.WriteString(t.at(i).String())
+	t.each(0, func(r *record) bool {
+		if len(kinds) == 0 || want[r.kind] {
+			b.WriteString(t.public(r).String())
 			b.WriteByte('\n')
 		}
-	}
+		return true
+	})
 	return b.String()
 }
 
@@ -511,21 +775,4 @@ func (t *Trace) Summary() string {
 		parts = append(parts, fmt.Sprintf("%s=%d", Kind(k), counts[Kind(k)]))
 	}
 	return strings.Join(parts, " ")
-}
-
-// Splice appends the golden records between marks from and to of log l
-// — the stretch a run skipped after rejoining the golden trajectory at
-// from — and folds them into the running digest when hashing is
-// incremental. The records are published, hence rendered, so their
-// argument positions only need shifting to this trace's arena.
-func (t *Trace) Splice(l *TraceLog, from, to TraceMark) {
-	shift := len(t.args) - from.args
-	t.args = append(t.args, l.args.items[from.args:to.args]...)
-	for _, r := range l.recs.items[from.recs:to.recs] {
-		r.argPos = uint32(int(r.argPos) + shift)
-		t.recs = append(t.recs, r)
-	}
-	if t.incremental {
-		t.foldTo(len(t.recs))
-	}
 }

@@ -285,9 +285,16 @@ func (u *UART) Contains(substr string) bool {
 // Transcript renders all completed lines, newline-separated — the "log
 // file" of the paper's framework.
 func (u *UART) Transcript() string {
-	var b strings.Builder
+	// A stamp is 11 bytes below 100000 s; a line adds a space and '\n'.
+	n := 0
 	for _, l := range u.lines {
-		b.WriteString(l.At.String())
+		n += len(l.Text) + 13
+	}
+	var b strings.Builder
+	b.Grow(n)
+	var stamp [24]byte
+	for _, l := range u.lines {
+		b.Write(l.At.AppendString(stamp[:0]))
 		b.WriteByte(' ')
 		b.WriteString(l.Text)
 		b.WriteByte('\n')

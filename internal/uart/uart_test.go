@@ -111,3 +111,28 @@ func TestTranscriptAndBytes(t *testing.T) {
 		t.Fatalf("Bytes = %q", u.Bytes())
 	}
 }
+
+// TestTranscriptStampsMatchTimeString: the transcript formats its
+// stamps without fmt, so every line must still read exactly
+// "<l.At.String()> <text>" — at 0, below one second, at the width's
+// edges and past 100000 s, where the seconds overflow their padding.
+func TestTranscriptStampsMatchTimeString(t *testing.T) {
+	stamps := []sim.Time{
+		0, 1, sim.Millisecond - 1, sim.Millisecond, 999 * sim.Millisecond,
+		sim.Second, 1042 * sim.Millisecond, sim.Minute + 7*sim.Millisecond,
+		99999*sim.Second + 999*sim.Millisecond, 100000 * sim.Second,
+		123456*sim.Second + 5*sim.Millisecond, 9_000_000_000 * sim.Second,
+	}
+	now := sim.Time(0)
+	u := New("uart0", func() sim.Time { return now })
+	var want strings.Builder
+	for i, at := range stamps {
+		now = at
+		text := strings.Repeat("x", i)
+		u.PutString(text + "\n")
+		want.WriteString(at.String() + " " + text + "\n")
+	}
+	if got := u.Transcript(); got != want.String() {
+		t.Fatalf("Transcript =\n%s\nwant\n%s", got, want.String())
+	}
+}

@@ -58,7 +58,9 @@
 #                                    # runs_saved_pct is the ≥30% bar)
 #   scripts/bench.sh hash            # trace-hash layer: ns_per_record of the
 #                                    # end-of-run and incremental folds over
-#                                    # one E3-fig3 minute (BenchmarkTraceHash)
+#                                    # one E3-fig3 minute and of splicing it
+#                                    # back in 1 s stretches from its fold
+#                                    # plan (BenchmarkTraceHash)
 #                                    # next to BenchmarkShardedCampaign, the
 #                                    # campaign row that hashes every run
 #                                    # (CampaignThroughput has no OnRun and
