@@ -689,23 +689,25 @@ func TestTraceArenaPresize(t *testing.T) {
 const traceRewindPeriod = 4096
 
 // benchOnMachine times fn, one hot-path operation on m, b.N times. The
-// trace records fn appends are rewound every traceRewindPeriod
-// iterations outside the timer, after an untimed warm-up period has
-// grown the trace arena to hold them, so B/op reports the path's own
-// allocations and not the arena's amortised doubling.
+// machine's trace so far is published, and the records fn appends are
+// rewound every traceRewindPeriod iterations outside the timer, after an
+// untimed warm-up period has grown the trace arena to hold them, so B/op
+// reports the path's own allocations and not the arena's amortised
+// doubling.
 func benchOnMachine(b *testing.B, m *core.Machine, fn func()) {
 	tr := m.Board.Trace()
+	log := tr.Publish(nil)
 	mark := tr.Mark()
 	for i := 0; i < traceRewindPeriod; i++ {
 		fn()
 	}
-	tr.Rewind(nil, mark, mark)
+	tr.Rewind(log, mark)
 	b.ResetTimer()
 	for i := 1; i <= b.N; i++ {
 		fn()
 		if i%traceRewindPeriod == 0 {
 			b.StopTimer()
-			tr.Rewind(nil, mark, mark)
+			tr.Rewind(log, mark)
 			b.StartTimer()
 		}
 	}
@@ -815,8 +817,9 @@ func BenchmarkDistributionRender(b *testing.B) {
 }
 
 // BenchmarkTraceHash measures the trace-hash layer alone over one
-// fault-free E3-fig3 minute trace (the Figure-3 machine and horizon).
-// The trace's records are replayed into one reused trace per
+// fault-free E3-fig3 minute trace (the Figure-3 machine and horizon),
+// marked and published every virtual second, as a golden timeline marks
+// and publishes its checkpoints. The trace's records are replayed into one reused trace per
 // iteration, as a pooled machine reuses its trace run after run;
 // replayed records carry their rendered text. "end-of-run" times Hash
 // over the finished trace (the fold a campaign pays without
@@ -825,8 +828,10 @@ func BenchmarkDistributionRender(b *testing.B) {
 // campaigns' path); "splice" rewinds a trace to the post-boot mark and
 // splices the published minute back in one-second stretches with
 // incremental hashing on, as a run that rejoins the golden trajectory
-// fast-forwards. ns_per_record divides by the records replayed or
-// spliced.
+// fast-forwards; "rewind" restores a trace at the post-boot mark to the
+// minute's last mark, as a run starting from the latest checkpoint does,
+// and back. ns_per_record divides by the records replayed, spliced or
+// restored.
 func BenchmarkTraceHash(b *testing.B) {
 	m, err := core.BuildMachine(core.DefaultMachineOptions(2022))
 	if err != nil {
@@ -834,12 +839,13 @@ func BenchmarkTraceHash(b *testing.B) {
 	}
 	golden := m.Board.Trace()
 	marks := []sim.TraceMark{golden.Mark()}
+	log := golden.Publish(nil)
 	booted := golden.Len()
 	for left := core.PlanE3Fig3().EffectiveDuration(); left > 0; left -= sim.Second {
 		m.Run(min(left, sim.Second))
 		marks = append(marks, golden.Mark())
+		log = golden.Publish(log)
 	}
-	log := golden.Publish(nil)
 	recs := golden.Records()
 	want := golden.Hash()
 	replay := func(tr *sim.Trace) {
@@ -858,7 +864,7 @@ func BenchmarkTraceHash(b *testing.B) {
 		tr := sim.NewTrace()
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
-			tr.Rewind(nil, empty, empty)
+			tr.Rewind(nil, empty)
 			replay(tr)
 			b.StartTimer()
 			if tr.Hash() != want {
@@ -870,7 +876,7 @@ func BenchmarkTraceHash(b *testing.B) {
 	b.Run("incremental", func(b *testing.B) {
 		tr := sim.NewTrace()
 		for i := 0; i < b.N; i++ {
-			tr.Rewind(nil, empty, empty)
+			tr.Rewind(nil, empty)
 			tr.SetIncrementalHash(true)
 			replay(tr)
 			if tr.Hash() != want {
@@ -881,10 +887,8 @@ func BenchmarkTraceHash(b *testing.B) {
 	})
 	b.Run("splice", func(b *testing.B) {
 		tr := sim.NewTrace()
-		from := empty
 		for i := 0; i < b.N; i++ {
-			tr.Rewind(log, marks[0], from)
-			from = marks[0]
+			tr.Rewind(log, marks[0])
 			tr.SetIncrementalHash(true)
 			for k := 1; k < len(marks); k++ {
 				tr.Splice(log, marks[k-1], marks[k])
@@ -892,6 +896,19 @@ func BenchmarkTraceHash(b *testing.B) {
 			if tr.Len() != len(recs) || tr.Hash() != want {
 				b.Fatal("spliced trace differs from the straight one")
 			}
+		}
+		report(b, len(recs)-booted)
+	})
+	b.Run("rewind", func(b *testing.B) {
+		tr := sim.NewTrace()
+		last := marks[len(marks)-1]
+		tr.Rewind(log, marks[0])
+		for i := 0; i < b.N; i++ {
+			tr.Rewind(log, last)
+			if tr.Len() != len(recs) || tr.Hash() != want {
+				b.Fatal("restored trace differs from the straight one")
+			}
+			tr.Rewind(log, marks[0])
 		}
 		report(b, len(recs)-booted)
 	})

@@ -261,15 +261,17 @@ func (b *Board) Publish(l *Log) *Log {
 
 // RestoreSnapshot rewinds the board to a captured state with a fresh RNG
 // seed, reusing every live buffer. The logs are rewritten from the
-// golden log l, which must cover the snapshot; from is the snapshot the
-// board last captured or restored on the same golden lineage, whose log
-// prefix is already in place and is not copied again. Returns how many
-// RAM pages the preceding run dirtied and how many the restore copied
-// back — the flight recorder's dirty-page metrics. The observable result must be indistinguishable from the
+// golden log l, which must cover the snapshot: the trace reads l's
+// records in place, and the UART and GPIO logs copy what they lack.
+// from is the snapshot the board last captured or restored on the same
+// golden lineage, whose UART and GPIO log prefixes are already in place
+// and are not copied again. Returns how many RAM pages the preceding
+// run dirtied and how many the restore copied back — the flight
+// recorder's dirty-page metrics. The observable result must be indistinguishable from the
 // straight run that reached the snapshot (the differential and
 // checkpoint exactness suites in internal/core hold it to that).
 func (b *Board) RestoreSnapshot(s *Snapshot, seed uint64, l *Log, from *Snapshot) (dirtied, restored int) {
-	b.Engine.RestoreSnapshot(s.engine, seed, l.trace, from.engine)
+	b.Engine.RestoreSnapshot(s.engine, seed, l.trace)
 	dirtied, restored = b.RAM.RestoreSnapshot(s.ram)
 	b.GIC.RestoreSnapshot(s.gic)
 	b.UART0.RestoreSnapshot(s.uart0, l.uart0, from.uart0)

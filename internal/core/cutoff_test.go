@@ -191,19 +191,21 @@ func TestCutoffNeedsEveryCheck(t *testing.T) {
 	origin := tl.cps[0].at()
 	horizon := origin + plan.EffectiveDuration()
 	ih := int(plan.EffectiveDuration() / checkpointSpacing)
-	b := origin + 6*checkpointSpacing
-	cb := tl.cps[6]
-	if tl.cps[7].total == cb.total {
+	// The boundary at 6 s, past the plan's arm offset.
+	ib := int(6 * sim.Second / checkpointSpacing)
+	b := origin + sim.Time(ib)*checkpointSpacing
+	cb := tl.cps[ib]
+	if tl.cps[ib+1].total == cb.total {
 		t.Fatal("no golden call in the segment after the boundary")
 	}
 	// later is the last golden call up to the horizon; landing is the
 	// last checkpoint before it.
 	later := tl.cps[ih].total
-	landing := 6
+	landing := ib
 	for tl.cps[landing+1].total < later {
 		landing++
 	}
-	if landing == 6 {
+	if landing == ib {
 		t.Fatal("no checkpoint between the boundary and the last golden call")
 	}
 

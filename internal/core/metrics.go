@@ -64,8 +64,8 @@ var (
 		"certify_core_checkpoint_restores_total",
 		"Runs started from a golden-timeline checkpoint past the post-boot image.")
 	metCheckpointSkipped = obs.Default.NewCounter(
-		"certify_core_checkpoint_skipped_virtual_seconds_total",
-		"Virtual seconds of fault-free prefix not re-simulated because runs started from golden-timeline checkpoints.")
+		"certify_core_checkpoint_skipped_virtual_milliseconds_total",
+		"Virtual milliseconds of fault-free prefix not re-simulated because runs started from golden-timeline checkpoints.")
 	metCheckpointCaptures = obs.Default.NewCounter(
 		"certify_core_checkpoint_captures_total",
 		"Golden-timeline checkpoints captured by runs that had not yet injected.")
@@ -73,17 +73,17 @@ var (
 		"certify_core_cutoff_runs_total",
 		"Runs whose simulation stopped early because their state rejoined the golden trajectory after the last possible injection; the rest of the run was spliced from the golden timeline.")
 	metCutoffSkipped = obs.Default.NewCounter(
-		"certify_core_cutoff_skipped_virtual_seconds_total",
-		"Virtual seconds between a cut-off run's rejoin boundary and its horizon, taken from the golden timeline instead of simulated.")
+		"certify_core_cutoff_skipped_virtual_milliseconds_total",
+		"Virtual milliseconds between a cut-off run's rejoin boundary and its horizon, taken from the golden timeline instead of simulated.")
 	metFastForwards = obs.Default.NewCounter(
 		"certify_core_fastforward_total",
 		"Jumps of runs that rejoined the golden trajectory to the last golden checkpoint before their next injection, short of the horizon; the stretch was spliced from the golden timeline.")
 	metFastForwardSkipped = obs.Default.NewCounter(
-		"certify_core_fastforward_skipped_virtual_seconds_total",
-		"Virtual seconds between a fast-forwarded run's rejoin boundary and its landing checkpoint, taken from the golden timeline instead of simulated.")
+		"certify_core_fastforward_skipped_virtual_milliseconds_total",
+		"Virtual milliseconds between a fast-forwarded run's rejoin boundary and its landing checkpoint, taken from the golden timeline instead of simulated.")
 	metTimelineExtension = obs.Default.NewCounter(
-		"certify_core_timeline_extension_seconds_total",
-		"Virtual seconds of fault-free simulation spent extending golden timelines to a plan's horizon so later runs can be cut off.")
+		"certify_core_timeline_extension_milliseconds_total",
+		"Virtual milliseconds of fault-free simulation spent extending golden timelines to a plan's horizon so later runs can be cut off.")
 	metPoolDrops = obs.Default.NewCounter(
 		"certify_pool_tainted_drops_total",
 		"Machines dropped at MachinePool.Put because the run ended in a sim-fault or machine wedge.")

@@ -25,7 +25,13 @@ import (
 
 const (
 	// checkpointSpacing is the virtual time between golden checkpoints.
-	checkpointSpacing = sim.Second
+	// A run starts at most this long before its first trigger and can
+	// rejoin only on this grid: a finer grid simulates less of each run
+	// but captures more checkpoints (each holds RAM pages and control
+	// blocks). 250 ms simulates about 28% fewer E3-fig3 events than 1 s
+	// for less CPU; 100 ms saves no more CPU and holds more memory
+	// (DESIGN.md "Lazy capture").
+	checkpointSpacing = 250 * sim.Millisecond
 	// maxTimelines bounds the timelines one machine keeps; the least
 	// recently used one is dropped past it.
 	maxTimelines = 4
@@ -258,7 +264,7 @@ func (m *Machine) prepare(opts MachineOptions, plan *TestPlan, inj *Injector, fr
 	inj.preload(c.calls, c.total)
 	if c != boot {
 		metCheckpointRestores.Inc()
-		metCheckpointSkipped.Add(uint64((c.at() - start) / sim.Second))
+		metCheckpointSkipped.Add(virtualMillis(c.at() - start))
 	}
 	m.run = timelineRun{tl: tl, inj: inj, record: c == tl.frontier()}
 	inj.taping = m.run.record
@@ -388,7 +394,7 @@ func (m *Machine) rejoin(r timelineRun, b, horizon sim.Time) bool {
 	m.splice(cb, ct)
 	inj.advance(cb, ct)
 	m.HV.Hook = inj.Hook
-	skipped := uint64((ct.at() - b) / sim.Second)
+	skipped := virtualMillis(ct.at() - b)
 	if it == ih {
 		metCutoffRuns.Inc()
 		metCutoffSkipped.Add(skipped)
@@ -494,5 +500,9 @@ func (m *Machine) extend() {
 	m.HV.Hook = inj.Hook
 	m.record(timelineRun{tl: x.tl, inj: inj}, x.horizon)
 	m.HV.Hook = nil
-	metTimelineExtension.Add(uint64((x.tl.frontier().at() - f.at()) / sim.Second))
+	metTimelineExtension.Add(virtualMillis(x.tl.frontier().at() - f.at()))
 }
+
+// virtualMillis returns d in whole virtual milliseconds, the unit of the
+// timeline counters.
+func virtualMillis(d sim.Time) uint64 { return uint64(d / sim.Millisecond) }

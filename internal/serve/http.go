@@ -277,6 +277,12 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	tail := dist.NewTail(s.ArtefactPath(j))
 	total := j.spec.Runs
 	lastRuns := -1
+	progress := func() {
+		if p, err := tail.Poll(); err == nil && p.Countable && p.Runs != lastRuns {
+			lastRuns = p.Runs
+			emit(Event{Type: "progress", Runs: p.Runs, Total: total, Bytes: p.Bytes})
+		}
+	}
 	ticker := time.NewTicker(s.cfg.Poll)
 	defer ticker.Stop()
 	for {
@@ -284,6 +290,9 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		case <-r.Context().Done():
 			return
 		case <-j.Done():
+			// Report the growth since the last tick: a job that ends
+			// between two ticks still streams its progress before done.
+			progress()
 			final()
 			return
 		case <-ticker.C:
@@ -291,10 +300,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 				lastState = st
 				emit(Event{Type: "state", State: st})
 			}
-			if p, err := tail.Poll(); err == nil && p.Countable && p.Runs != lastRuns {
-				lastRuns = p.Runs
-				emit(Event{Type: "progress", Runs: p.Runs, Total: total, Bytes: p.Bytes})
-			}
+			progress()
 		}
 	}
 }

@@ -444,15 +444,14 @@ func (e *Engine) CaptureSnapshot() *EngineSnapshot {
 // (periodic-timer cancels) remain valid after the restore; handles
 // minted after the capture are invalidated. halted and the executed
 // counter are cleared — they are run products.
-// The trace is rewound from the golden log l (Trace.Rewind); from is the
-// snapshot the engine last captured or restored on the same golden
-// lineage.
-func (e *Engine) RestoreSnapshot(s *EngineSnapshot, seed uint64, l *TraceLog, from *EngineSnapshot) {
+// The trace is rewound onto the golden log l, which must cover the
+// snapshot (Trace.Rewind).
+func (e *Engine) RestoreSnapshot(s *EngineSnapshot, seed uint64, l *TraceLog) {
 	e.restoreQueue(s)
 	e.halted, e.haltMsg = false, ""
 	clear(e.executed[:len(e.handlers)])
 	e.rng.Reseed(seed)
-	e.trace.Rewind(l, s.trace, from.trace)
+	e.trace.Rewind(l, s.trace)
 }
 
 // Executed returns the number of events delivered since the engine was

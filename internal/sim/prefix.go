@@ -1,11 +1,12 @@
 package sim
 
 // Prefix is one published version of the fault-free prefix of an
-// append-only log — trace records, UART lines and bytes, LED toggles,
-// the hypervisor console. Machines that replay the same golden
-// trajectory share it read-only instead of each keeping a copy in every
-// checkpoint: a checkpoint stores only its logs' lengths, and a restore
-// copies the prefix back from here.
+// append-only log — UART lines and bytes, LED toggles, the hypervisor
+// console. Machines that replay the same golden trajectory share it
+// read-only instead of each keeping a copy in every checkpoint: a
+// checkpoint stores only its logs' lengths, and a restore copies the
+// prefix back from here. (Trace records are published as a TraceLog,
+// which a restored trace reads in place.)
 //
 // A longer version is derived with Extend. Versions of one lineage share
 // a backing array, but Extend only writes past the end of the version it

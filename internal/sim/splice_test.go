@@ -147,6 +147,25 @@ func sameTrace(t *testing.T, step string, rng *RNG, tr, ref *Trace) {
 	}
 }
 
+// sameOps appends the same n golden records, drawn from seed, to every
+// trace in traces.
+func sameOps(seed uint64, n int, uniq *int, traces ...*Trace) {
+	u := *uniq
+	for _, tr := range traces {
+		*uniq = u
+		goldenOps(tr, NewRNG(seed), n, uniq)
+	}
+}
+
+// appended returns a fresh trace that appends recs.
+func appended(recs []Record) *Trace {
+	tr := NewTrace()
+	for _, r := range recs {
+		tr.Add(r.At, r.Kind, r.CPU, r.Msg)
+	}
+	return tr
+}
+
 // TestSpliceMatchesAppend: splicing golden stretches by reference must
 // be indistinguishable from appending the same records. One trace is
 // rewound to random marks of a log published in several versions, then
@@ -154,7 +173,9 @@ func sameTrace(t *testing.T, step string, rng *RNG, tr, ref *Trace) {
 // below one millisecond) interleaved with splices of random stretches,
 // hashing incrementally from the start, at the end only, or from a
 // random point on, with Hash also read midway. A fresh trace appends
-// the same records; the two must agree on every reader.
+// the same records; the two must agree on every reader. So must a trace
+// that publishes after a Rewind, and one that publishes to a lineage
+// already longer than itself.
 func TestSpliceMatchesAppend(t *testing.T) {
 	rng := NewRNG(2022)
 	uniq := 0
@@ -165,16 +186,10 @@ func TestSpliceMatchesAppend(t *testing.T) {
 		}
 	}
 	tr := NewTrace()
-	from := TraceMark{}
 	for round := 0; round < 60; round++ {
 		step := fmt.Sprintf("round %d", round)
 		start := marks[rng.Intn(len(marks))]
-		tr.Rewind(covering(rng, logs, start), start, from)
-		if round%4 != 3 {
-			from = start // as a machine's last restore; else unknown
-		} else {
-			from = TraceMark{}
-		}
+		tr.Rewind(covering(rng, logs, start), start)
 		ref := NewTrace()
 		appendGolden(ref, TraceMark{}, start)
 		mode := round % 3 // 0: incremental from the start, 1: end only, 2: switched on midway
@@ -201,10 +216,81 @@ func TestSpliceMatchesAppend(t *testing.T) {
 		}
 		sameTrace(t, step, rng, tr, ref)
 	}
+
+	// Two machines recording one golden run: a records 50 records and
+	// publishes them, then both are rewound to that mark. a records 80
+	// more and publishes them after its Rewind; b, which has recorded
+	// only 30 of those, publishes to the now longer lineage, which moves
+	// its base and publishes nothing. b then records past the lineage's
+	// end and publishes the rest.
+	ref, a, b := NewTrace(), NewTrace(), NewTrace()
+	sameOps(1, 50, &uniq, ref, a)
+	m1 := a.Mark()
+	l1 := a.Publish(nil)
+	a.Rewind(l1, m1)
+	b.Rewind(l1, m1)
+	u, rb := uniq, NewRNG(2)
+	goldenOps(b, rb, 30, &u)
+	sameOps(2, 80, &uniq, ref, a)
+	l2 := a.Publish(l1)
+	if l2.Len() != ref.Len() || len(l2.segs) != 2 {
+		t.Fatalf("Publish after Rewind: %d records in %d segments, want %d in 2", l2.Len(), len(l2.segs), ref.Len())
+	}
+	sameTrace(t, "Publish after Rewind", rng, a, ref)
+	if got := b.Publish(l2); got != l2 {
+		t.Fatal("a trace shorter than its lineage extended it")
+	}
+	sameTrace(t, "Publish to a longer lineage", rng, b, appended(ref.Records()[:m1.recs+30]))
+	goldenOps(b, rb, 50, &u)
+	sameOps(3, 40, &uniq, ref, b)
+	l3 := b.Publish(l2)
+	if l3.Len() != ref.Len() || len(l3.segs) != 3 {
+		t.Fatalf("Publish past a longer lineage: %d records in %d segments, want %d in 3", l3.Len(), len(l3.segs), ref.Len())
+	}
+	sameTrace(t, "Publish past a longer lineage", rng, b, ref)
+	c := NewTrace()
+	c.Rewind(l3, m1)
+	c.Splice(l3, m1, b.Mark())
+	sameTrace(t, "splice across segments", rng, c, ref)
+}
+
+// TestRewindInstallsBaseWithoutCopying: a trace rewound to the last mark
+// of a golden minute, published one second at a time, reads the minute
+// from the log: its own record and argument arenas are empty, it reads
+// like the golden trace, and the restore allocates nothing.
+func TestRewindInstallsBaseWithoutCopying(t *testing.T) {
+	rng := NewRNG(60)
+	uniq := 0
+	g := NewTrace()
+	var l *TraceLog
+	for s := 0; s < 60; s++ {
+		goldenOps(g, rng, 200, &uniq)
+		l = g.Publish(l)
+	}
+	last := g.Mark()
+	ref := appended(g.Records())
+	tr := NewTrace()
+	run := func() {
+		for i := 0; i < 100; i++ {
+			tr.Addf(Time(i)*Millisecond, KindNote, 0, "run record %d", Int(int64(i)))
+		}
+		tr.Rewind(l, last)
+	}
+	run()
+	if len(tr.recs) != 0 || tr.ArgLen() != 0 || tr.Len() != l.Len() {
+		t.Fatalf("rewound trace holds %d own records and %d arguments, length %d; want 0, 0, %d",
+			len(tr.recs), tr.ArgLen(), tr.Len(), l.Len())
+	}
+	sameTrace(t, "rewound to the last mark", rng, tr, ref)
+	if got := testing.AllocsPerRun(50, run); got != 0 {
+		t.Fatalf("a run and its restore allocate %.0f times, want 0", got)
+	}
 }
 
 // TestMarkAndPublishRefuseSplicedTrace: a trace holding pieces is off
-// the golden trajectory, so it can be neither marked nor published.
+// the golden trajectory, so it can be neither marked nor published. A
+// base installed by Rewind is no piece: a trace holding one is marked
+// and published.
 func TestMarkAndPublishRefuseSplicedTrace(t *testing.T) {
 	g := NewTrace()
 	from := g.Mark()
@@ -215,16 +301,31 @@ func TestMarkAndPublishRefuseSplicedTrace(t *testing.T) {
 		"Mark":    func(tr *Trace) { tr.Mark() },
 		"Publish": func(tr *Trace) { tr.Publish(l) },
 	} {
-		tr := NewTrace()
-		tr.Splice(l, from, to)
-		func() {
-			defer func() {
-				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "spliced") {
-					t.Errorf("%s on a spliced trace: recovered %v, want a panic", name, r)
-				}
+		for _, rewound := range []bool{false, true} {
+			tr := NewTrace()
+			if rewound {
+				tr.Rewind(l, from) // a base does not hide a piece
+			}
+			tr.Splice(l, from, to)
+			func() {
+				defer func() {
+					if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "spliced") {
+						t.Errorf("%s on a spliced trace (rewound %v): recovered %v, want a panic", name, rewound, r)
+					}
+				}()
+				op(tr)
 			}()
-			op(tr)
-		}()
+		}
+	}
+
+	tr := NewTrace()
+	tr.Rewind(l, to)
+	tr.Add(2*Millisecond, KindNote, 0, "golden too")
+	if m := tr.Mark(); m.recs != 2 {
+		t.Fatalf("Mark on a rewound trace: %d records, want 2", m.recs)
+	}
+	if l2 := tr.Publish(l); l2.Len() != 2 || tr.Len() != 2 || len(tr.recs) != 0 {
+		t.Fatalf("Publish on a rewound trace: log of %d, trace of %d with %d own records; want 2, 2, 0", l2.Len(), tr.Len(), len(tr.recs))
 	}
 }
 
@@ -248,16 +349,19 @@ func TestFoldPlanTablesRepeatedSuffixesOnly(t *testing.T) {
 		tab  uint16
 	}
 	var got []step
-	for _, s := range l.plan.Items() {
-		var d []byte
-		for h, n := s.head, s.n; n > 0; h, n = h>>4, n-1 {
-			d = append(d, byte('0'+h&0xf))
+	for _, seg := range l.segs {
+		for _, s := range seg.plan {
+			var d []byte
+			for h, n := s.head, s.n; n > 0; h, n = h>>4, n-1 {
+				d = append(d, byte('0'+h&0xf))
+			}
+			got = append(got, step{string(d), s.tab})
 		}
-		got = append(got, step{string(d), s.tab})
 	}
 	want := []step{{"1", 0}, {"7", 0}, {"2", 1}, {"13", 1}, {"14", 0}}
-	if !reflect.DeepEqual(got, want) || l.tabs.Len() != 1 || l.Len() != len(want) {
-		t.Fatalf("plan %v with %d tables over %d records, want %v with 1 table", got, l.tabs.Len(), l.Len(), want)
+	if !reflect.DeepEqual(got, want) || l.tabs.Len() != 1 || l.Len() != len(want) || len(l.segs) != 2 {
+		t.Fatalf("plan %v with %d tables over %d records in %d segments, want %v with 1 table in 2 segments",
+			got, l.tabs.Len(), l.Len(), len(l.segs), want)
 	}
 	if size := unsafe.Sizeof(foldStep{}); size != 8 {
 		t.Fatalf("a fold step takes %d bytes, want 8", size)

@@ -150,12 +150,22 @@ type record struct {
 // so the per-event hot path performs no fmt work and no allocation beyond
 // the amortised growth of the reusable record/argument buffers.
 //
-// A run that rejoins the golden trajectory does not copy the golden
-// records it skips: Splice records a piece — a stretch of a published
+// A trace restored to a golden checkpoint does not copy the golden
+// records before it: its base is the leading stretch of a published
+// TraceLog, read in place, and its own records follow. A run that
+// rejoins the golden trajectory does not copy the golden records it
+// skips either: Splice records a piece — a stretch of a published
 // TraceLog — at its position among the trace's own records. Every
-// reader sees the logical sequence, own records and pieces in order.
+// reader sees the logical sequence: the base, then own records and
+// pieces in order.
 type Trace struct {
-	recs []record // the trace's own records
+	// The first nbase records of the published log base are the
+	// trace's first records: Rewind installs them, Publish moves them
+	// over what it publishes.
+	base  *TraceLog
+	nbase int
+
+	recs []record // the trace's own records, after the base
 	args []Arg
 
 	// pieces are the spliced golden stretches in order; piece.at places
@@ -208,23 +218,23 @@ func (t *Trace) Grow(recs, args int) {
 	}
 }
 
-// TraceMark is a trace position captured into a checkpoint: record and
-// argument counts plus the running digest over exactly those records.
-// The records themselves live once in the golden TraceLog, not in every
-// checkpoint.
+// TraceMark is a trace position captured into a checkpoint: the record
+// count plus the running digest over exactly those records. The records
+// themselves live once in the golden TraceLog, not in every checkpoint.
 type TraceMark struct {
-	recs, args int
-	hstate     uint64
+	recs   int
+	hstate uint64
 }
 
 // Mark returns the trace's current position with the digest fully
 // folded (hashed == Len), so a trace rewound to the mark never re-folds
 // its prefix, whatever hashing mode the restored run uses. Only a trace
-// on the golden trajectory is marked, and such a trace holds no pieces.
+// on the golden trajectory is marked: it may have a base, but holds no
+// pieces.
 func (t *Trace) Mark() TraceMark {
 	t.mustHoldNoPieces("Mark")
 	t.fold()
-	return TraceMark{recs: len(t.recs), args: len(t.args), hstate: t.hstate}
+	return TraceMark{recs: t.Len(), hstate: t.hstate}
 }
 
 // mustHoldNoPieces panics when the trace holds spliced pieces.
@@ -235,19 +245,22 @@ func (t *Trace) mustHoldNoPieces(op string) {
 }
 
 // TraceLog is the published fault-free prefix of a trace, shared
-// read-only by every machine on one golden trajectory (see Prefix).
-// Records are rendered before publication, so the copies a restore
-// takes carry their final text and never render again — and render()
-// only ever writes into a machine's own records.
+// read-only by every machine on one golden trajectory, like a Prefix.
+// Records are rendered before publication, so a trace reading them as
+// its base or a piece never renders them — and render() only ever
+// writes into a machine's own records.
 //
-// Publication also extends the log's fold plan: one foldStep per
-// record, with the suffix tables the steps name, so a spliced stretch
-// folds into a digest without building a single hash line. Plan and
-// tables are immutable once published, like the records.
+// The records lie in segments, one per publication that added any,
+// each holding its records and their fold plan: one foldStep per
+// record, naming the suffix tables the log holds, so a published
+// stretch folds into a digest without building a single hash line.
+// Segments and tables are immutable once published. Versions of one
+// lineage share the segment list's backing array, but a publication only
+// appends past the end of the newest version, so readers need no lock
+// and no record array is ever regrown.
 type TraceLog struct {
-	recs *Prefix[record]
-	args *Prefix[Arg]
-	plan *Prefix[foldStep]
+	segs []logSegment
+	n    int // records in segs
 	tabs *Prefix[*suffixTable]
 	// kinds holds every record kind in the log.
 	kinds KindSet
@@ -257,6 +270,15 @@ type TraceLog struct {
 	// transcripts, console notes) never claim one. All versions of a
 	// lineage share the map; only Publish touches it.
 	suffixes map[suffixKey]uint16
+}
+
+// logSegment is the stretch of records one publication added to a
+// lineage, starting at log position start; plan[i] is recs[i]'s fold
+// step.
+type logSegment struct {
+	start int
+	recs  []record
+	plan  []foldStep
 }
 
 // foldStep is one published record's hash line, prepared for folding
@@ -280,19 +302,46 @@ func (l *TraceLog) Len() int {
 	if l == nil {
 		return 0
 	}
-	return l.recs.Len()
+	return l.n
+}
+
+// segment returns the index of the segment holding record i < l.Len().
+func (l *TraceLog) segment(i int) int {
+	lo, hi := 0, len(l.segs)-1
+	for lo < hi {
+		if mid := int(uint(lo+hi) >> 1); l.segs[mid].start+len(l.segs[mid].recs) > i {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo
 }
 
 // Publish returns l extended with this trace's records past l's end,
-// rendered first, and their fold plan. The trace must be a later state
-// of the run l was published from — the same golden trajectory — and
-// hold no pieces. A nil l starts a log.
+// rendered, as one segment with its fold plan, and moves the trace's
+// base over all of its records, which empties its own record and
+// argument arenas. When l already holds as many records as the trace,
+// l is returned as it is and only the base moves. l must be the newest
+// version of the lineage the trace's base was published to (a nil l
+// starts one), and the trace a later state of the same golden run,
+// holding no pieces.
 func (t *Trace) Publish(l *TraceLog) *TraceLog {
 	t.mustHoldNoPieces("Publish")
-	have := l.Len()
-	if have >= len(t.recs) {
-		return l
+	n := t.Len()
+	if have := l.Len(); have < n {
+		l = t.extend(l, t.recs[have-t.nbase:])
 	}
+	t.base, t.nbase = l, n
+	clear(t.recs)
+	clear(t.args)
+	t.recs, t.args = t.recs[:0], t.args[:0]
+	return l
+}
+
+// extend returns l followed by a segment holding recs, the trace's own
+// records, rendered first, and their fold plan.
+func (t *Trace) extend(l *TraceLog, recs []record) *TraceLog {
 	out := &TraceLog{}
 	if l != nil {
 		*out = *l
@@ -300,18 +349,18 @@ func (t *Trace) Publish(l *TraceLog) *TraceLog {
 	if out.suffixes == nil {
 		out.suffixes = make(map[suffixKey]uint16)
 	}
-	steps := make([]foldStep, 0, len(t.recs)-have)
+	seg := logSegment{start: out.n, recs: make([]record, len(recs)), plan: make([]foldStep, len(recs))}
 	var tabs []*suffixTable
 	// recent holds the last two suffixes found with a table, checked
 	// before the map: periodic interrupts alternate between a few.
 	var recent [2]suffixKey
 	var recentTab [2]uint16
-	for i := have; i < len(t.recs); i++ {
-		r := &t.recs[i]
+	for i := range recs {
+		r := &recs[i]
 		t.render(r)
 		out.kinds |= Kinds(r.kind)
 		key, head := suffixOf(r)
-		var s foldStep
+		s := &seg.plan[i]
 		s.head, s.n = packDigits(head)
 		switch {
 		case recentTab[0] != 0 && key == recent[0]:
@@ -324,11 +373,10 @@ func (t *Trace) Publish(l *TraceLog) *TraceLog {
 				recent[0], recentTab[0] = key, s.tab
 			}
 		}
-		steps = append(steps, s)
 	}
-	out.recs = out.recs.Extend(t.recs, len(t.recs))
-	out.args = out.args.Extend(t.args, len(t.args))
-	out.plan = out.plan.Append(steps...)
+	copy(seg.recs, recs)
+	out.segs = append(out.segs, seg)
+	out.n += len(recs)
 	out.tabs = out.tabs.Append(tabs...)
 	return out
 }
@@ -367,26 +415,22 @@ func packDigits(v int64) (uint32, uint8) {
 	return p<<4 | uint32(v), n
 }
 
-// Rewind rewrites the trace to the golden prefix ending at mark to,
-// dropping its pieces and keeping only its own records. from is the
-// mark of the machine's last capture or restore on the same golden
-// lineage (the zero mark when unknown): the trace's own records up to
-// from are already golden, so only the difference is copied — restoring
-// an earlier mark is a truncation. Pieces never precede from: they are
-// spliced after the trace's last capture or restore (Mark refuses a
-// trace that holds any). Incremental hashing is switched off; the run
-// harness re-enables it per run.
-func (t *Trace) Rewind(l *TraceLog, to, from TraceMark) {
-	var golden TraceLog
-	if l != nil {
-		golden = *l
+// Rewind rewrites the trace to the golden prefix ending at mark to of
+// log l: l up to the mark becomes the trace's base, read in place, and
+// the trace's own records, arguments and pieces are dropped, so no
+// record is copied whatever the mark. Incremental hashing is switched
+// off; the run harness re-enables it per run.
+func (t *Trace) Rewind(l *TraceLog, to TraceMark) {
+	if l.Len() < to.recs {
+		panic("sim: Trace.Rewind to a mark past the end of its log")
 	}
 	clear(t.pieces)
+	clear(t.recs)
+	clear(t.args)
 	t.pieces, t.spliced = t.pieces[:0], 0
-	t.recs = Rewind(t.recs, golden.recs, from.recs, to.recs)
-	t.args = Rewind(t.args, golden.args, from.args, to.args)
-	t.hstate = to.hstate
-	t.hashed = to.recs
+	t.recs, t.args = t.recs[:0], t.args[:0]
+	t.base, t.nbase = l, to.recs
+	t.hstate, t.hashed = to.hstate, to.recs
 	t.incremental = false
 }
 
@@ -403,7 +447,7 @@ func (t *Trace) Add(at Time, kind Kind, cpu int, msg string) {
 // foldLast folds the record just appended. Incremental mode keeps
 // everything before it folded, so no chunk walk is needed.
 func (t *Trace) foldLast() {
-	t.foldOwn(len(t.recs)-1, len(t.recs))
+	t.foldOwn(t.recs[len(t.recs)-1:])
 	t.hashed++
 }
 
@@ -462,7 +506,7 @@ func (t *Trace) render(r *record) string {
 }
 
 // Len returns the number of records.
-func (t *Trace) Len() int { return len(t.recs) + t.spliced }
+func (t *Trace) Len() int { return t.nbase + len(t.recs) + t.spliced }
 
 // ArgLen returns the number of deferred-format arguments the trace's
 // own records hold — the occupancy of the argument arena TraceBudget
@@ -470,30 +514,50 @@ func (t *Trace) Len() int { return len(t.recs) + t.spliced }
 func (t *Trace) ArgLen() int { return len(t.args) }
 
 // chunks calls fn for each run of consecutive records of the logical
-// sequence from position from on: own records (p nil) or a piece's
-// records (lo is then their index in p's log). Return false to stop.
-func (t *Trace) chunks(from int, fn func(recs []record, p *piece, lo int) bool) {
-	pos := 0 // logical position of the next chunk
-	emit := func(recs []record, p *piece, lo int) bool {
+// sequence from position from on, in order: the trace's own records (l
+// nil) or records of the published log l with their fold steps, one run
+// per segment. A published stretch is entered at the first segment it
+// needs. Return false to stop.
+func (t *Trace) chunks(from int, fn func(recs []record, l *TraceLog, plan []foldStep) bool) {
+	pos := 0 // logical position of the next stretch
+	// stretch emits records [lo, hi) of l, or of recs when l is nil.
+	stretch := func(l *TraceLog, lo, hi int) bool {
 		skip := max(from-pos, 0)
-		pos += len(recs)
-		return skip >= len(recs) || fn(recs[skip:], p, lo+skip)
+		pos += hi - lo
+		if lo += skip; lo >= hi {
+			return true
+		}
+		if l == nil {
+			return fn(t.recs[lo:hi], nil, nil)
+		}
+		for k := l.segment(lo); lo < hi; k++ {
+			s := &l.segs[k]
+			i, j := lo-s.start, min(hi-s.start, len(s.recs))
+			if !fn(s.recs[i:j], l, s.plan[i:j]) {
+				return false
+			}
+			lo = s.start + j
+		}
+		return true
+	}
+	if !stretch(t.base, 0, t.nbase) {
+		return
 	}
 	own := 0
 	for i := range t.pieces {
 		p := &t.pieces[i]
-		if !emit(t.recs[own:p.at], nil, own) || !emit(p.log.recs.items[p.from:p.to], p, p.from) {
+		if !stretch(nil, own, p.at) || !stretch(p.log, p.from, p.to) {
 			return
 		}
 		own = p.at
 	}
-	emit(t.recs[own:], nil, own)
+	stretch(nil, own, len(t.recs))
 }
 
 // each calls fn for every record from position from on, in order.
 // Return false to stop.
 func (t *Trace) each(from int, fn func(r *record) bool) {
-	t.chunks(from, func(recs []record, _ *piece, _ int) bool {
+	t.chunks(from, func(recs []record, _ *TraceLog, _ []foldStep) bool {
 		for i := range recs {
 			if !fn(&recs[i]) {
 				return false
@@ -526,11 +590,11 @@ func (t *Trace) ScanMetaFrom(from int, fn func(at Time, kind Kind, cpu int) bool
 }
 
 // ScanKindsFrom is ScanMetaFrom restricted to the records whose kind is
-// in kinds (e.g. detection-latency measurement). A piece whose log holds
-// none of those kinds is skipped without reading its records.
+// in kinds (e.g. detection-latency measurement). Published records
+// whose log holds none of those kinds are skipped without being read.
 func (t *Trace) ScanKindsFrom(from int, kinds KindSet, fn func(at Time, kind Kind, cpu int) bool) {
-	t.chunks(from, func(recs []record, p *piece, _ int) bool {
-		if p != nil && p.log.kinds&kinds == 0 {
+	t.chunks(from, func(recs []record, l *TraceLog, _ []foldStep) bool {
+		if l != nil && l.kinds&kinds == 0 {
 			return true
 		}
 		for i := range recs {
@@ -622,15 +686,15 @@ func (t *Trace) SetIncrementalHash(on bool) {
 }
 
 // fold folds the records past hashed into the running digest: own
-// records through foldOwn, pieces from their log's plan (foldPiece).
-// FNV-1a is a sequential fold, so hashing a prefix and continuing later
-// equals hashing the whole stream at once.
+// records through foldOwn, published ones from their fold plan
+// (foldPlan). FNV-1a is a sequential fold, so hashing a prefix and
+// continuing later equals hashing the whole stream at once.
 func (t *Trace) fold() {
-	t.chunks(t.hashed, func(recs []record, p *piece, lo int) bool {
-		if p != nil {
-			t.hstate = t.foldPiece(t.hstate, p.log, lo, lo+len(recs))
+	t.chunks(t.hashed, func(recs []record, l *TraceLog, plan []foldStep) bool {
+		if l != nil {
+			t.hstate = t.foldPlan(t.hstate, l.tabs.Items(), recs, plan)
 		} else {
-			t.foldOwn(lo, lo+len(recs))
+			t.foldOwn(recs)
 		}
 		return true
 	})
@@ -658,7 +722,7 @@ func appendLine(buf []byte, r *record) []byte {
 	return append(buf, '\n')
 }
 
-// foldOwn folds the trace's own records [lo, hi). Each record
+// foldOwn folds recs, a run of the trace's own records. Each record
 // contributes the line "at|kind|cpu|text\n". For a record whose text is
 // already final, only the timestamp's whole-millisecond digits fold byte
 // by byte, from a rendering the trace advances in place (decimalCache);
@@ -666,10 +730,10 @@ func appendLine(buf []byte, r *record) []byte {
 // — folds through the trace's suffix memo (see suffixTable), which turns
 // a repeated suffix into one multiply-add. Periodic interrupts recur at
 // the same sub-millisecond offset, so their suffixes repeat exactly.
-func (t *Trace) foldOwn(lo, hi int) {
+func (t *Trace) foldOwn(recs []record) {
 	h := t.hstate
-	for i := lo; i < hi; i++ {
-		r := &t.recs[i]
+	for i := range recs {
+		r := &recs[i]
 		if r.rendered || r.argN == 0 {
 			key, head := suffixOf(r)
 			h = fnvFold(h, t.head.digits(head))
@@ -712,15 +776,14 @@ func (t *Trace) foldOwn(lo, hi int) {
 	t.hstate = h
 }
 
-// foldPiece continues h over records [lo, hi) of l from l's fold plan:
-// per record, the packed head digits fold byte by byte and the suffix
-// is one multiply-add through its table. Steps without a table fold
-// their line byte by byte.
-func (t *Trace) foldPiece(h uint64, l *TraceLog, lo, hi int) uint64 {
-	tabs := l.tabs.Items()
-	for i, s := range l.plan.items[lo:hi] {
+// foldPlan continues h over recs, published records, from plan, their
+// fold steps naming tables in tabs: per record, the packed head digits
+// fold byte by byte and the suffix is one multiply-add through its
+// table. Steps without a table fold their line byte by byte.
+func (t *Trace) foldPlan(h uint64, tabs []*suffixTable, recs []record, plan []foldStep) uint64 {
+	for i, s := range plan {
 		if s.tab == 0 || s.n == 0 {
-			t.hbuf = appendLine(t.hbuf[:0], &l.recs.items[lo+i])
+			t.hbuf = appendLine(t.hbuf[:0], &recs[i])
 			h = fnvFold(h, t.hbuf)
 			continue
 		}

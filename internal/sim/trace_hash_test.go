@@ -90,7 +90,7 @@ func TestHashStreamsAcrossCalls(t *testing.T) {
 var emptyMark = NewTrace().Mark()
 
 // empty rewinds tr to no records, keeping its buffers and suffix memo.
-func empty(tr *Trace) { tr.Rewind(nil, emptyMark, emptyMark) }
+func empty(tr *Trace) { tr.Rewind(nil, emptyMark) }
 
 // TestRewindClearsIncrementalState: a trace rewound for its next run
 // must restart its digest from the mark and drop incremental mode (the
@@ -187,9 +187,8 @@ func TestTraceHashMatchesReference(t *testing.T) {
 	}
 
 	// Checkpoint restore: a golden prefix, then runs that each rewind to
-	// it — by truncation, or by copying the published log back when the
-	// trace's own prefix is not known to be golden — alternate
-	// incremental and end-of-run hashing, and check every run.
+	// it, reading the published log as their base, alternate incremental
+	// and end-of-run hashing, and check every run.
 	empty(tr)
 	traceOps(tr, rng, 50, &uniq)
 	_ = tr.Hash()
@@ -197,11 +196,7 @@ func TestTraceHashMatchesReference(t *testing.T) {
 	mark := tr.Mark() // folds the digest up to the mark
 	golden := tr.Publish(nil)
 	for run := 0; run < 20; run++ {
-		from := mark
-		if run%3 == 0 {
-			from = TraceMark{}
-		}
-		tr.Rewind(golden, mark, from)
+		tr.Rewind(golden, mark)
 		tr.SetIncrementalHash(run%2 == 1)
 		traceOps(tr, rng, 300, &uniq)
 		check(fmt.Sprintf("restored run %d", run), tr)
@@ -239,7 +234,7 @@ func TestSuffixMemoBoundedAcrossPooledRuns(t *testing.T) {
 	golden := tr.Publish(nil)
 	run := 0
 	oneRun := func() {
-		tr.Rewind(golden, mark, mark)
+		tr.Rewind(golden, mark)
 		tr.SetIncrementalHash(true)
 		for rep := 0; rep < 3; rep++ {
 			for j, s := range texts[run] {

@@ -58,9 +58,10 @@
 #                                    # runs_saved_pct is the ≥30% bar)
 #   scripts/bench.sh hash            # trace-hash layer: ns_per_record of the
 #                                    # end-of-run and incremental folds over
-#                                    # one E3-fig3 minute and of splicing it
+#                                    # one E3-fig3 minute, of splicing it
 #                                    # back in 1 s stretches from its fold
-#                                    # plan (BenchmarkTraceHash)
+#                                    # plan and of restoring a trace to its
+#                                    # last mark (BenchmarkTraceHash)
 #                                    # next to BenchmarkShardedCampaign, the
 #                                    # campaign row that hashes every run
 #                                    # (CampaignThroughput has no OnRun and
@@ -68,7 +69,8 @@
 #   scripts/bench.sh soak            # not a benchmark: a quick soak gate —
 #                                    # short FuzzFaultInjection sweep plus a
 #                                    # -race -short pass over the fault-model
-#                                    # and graceful-degradation tests. Use
+#                                    # and graceful-degradation tests and the
+#                                    # artefact-order tests. Use
 #                                    # scripts/soak.sh for the 10k-run soak.
 #   BENCHTIME=5x scripts/bench.sh    # more iterations for every row that
 #                                    # has no target of its own (see
@@ -96,7 +98,9 @@ if [ "$PATTERN" = "soak" ]; then
     echo "== soak gate: -race -short over fault-model tests =="
     go test -race -short ./internal/core \
         -run 'TestSoakFaultModels|TestClassifyGracefulDegradation|TestGracefulRunsAreDeterministic|TestFaultModelRegistryContents|TestFaultNamePlanFileRoundTrip|TestRegisterFactoryMatchesIntensityModel'
-    go test -race -short ./internal/dist -run 'TestShardedCampaignMatchesSerialPerModel|TestMergeRejectsCrossModelShardSets'
+    # The artefact-order pair runs pooled machines that read their
+    # profile's golden trace segments without a lock.
+    go test -race -short ./internal/dist -run 'TestShardedCampaignMatchesSerialPerModel|TestMergeRejectsCrossModelShardSets|TestArtefactBytesIndependentOfWorkerCount|TestCutoffArtefactBytesMatchColdBuild'
     echo "soak gate clean"
     exit 0
 fi
