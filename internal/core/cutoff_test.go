@@ -72,7 +72,7 @@ func TestCutoffRunsMatchStraightRuns(t *testing.T) {
 
 // TestCutoffFullLengthE3 holds full-horizon E3-fig3 runs — the plan the
 // cut-off is for — to their straight runs, starting from a cold pool so
-// the timeline reaches the horizon only through the lazy extension.
+// the timeline reaches the horizon only through the golden pass.
 func TestCutoffFullLengthE3(t *testing.T) {
 	seeds := 24
 	if testing.Short() {
@@ -89,8 +89,8 @@ func TestCutoffFullLengthE3(t *testing.T) {
 			t.Fatalf("seed %d: pooled %s (digest %#x), straight %s (digest %#x)",
 				seed, summarize(got), gotDigest, summarize(want), wantDigest)
 		}
-		if m.owed != nil && m.owed.tl.frontier().at() >= plan.EffectiveDuration() {
-			t.Fatalf("seed %d: extension owed on a timeline that already reaches the horizon", seed)
+		if at := timelineFor(t, m, plan).frontier().at(); i == 0 && at != plan.EffectiveDuration() {
+			t.Fatalf("timeline reaches %v before the second run, want the horizon %v", at, plan.EffectiveDuration())
 		}
 	}
 	if metTimelineExtension.Value() == ext {
@@ -104,7 +104,7 @@ func TestCutoffFullLengthE3(t *testing.T) {
 // TestFastForwardRunsMatchStraightRuns: a run that rejoins its golden
 // trajectory between injections jumps to the last checkpoint before its
 // next one and simulates that injection for real. Full-horizon E3-fig3
-// runs from a cold pool (the timeline grows by recording and extension)
+// runs from a cold pool (the golden pass records the timeline first)
 // and every builtin plan × fault model at cutoffDuration, with a rate
 // that spaces firings ~4 s apart on a timeline that reaches the horizon,
 // must each equal the straight run. Fast-forwards must happen. On a

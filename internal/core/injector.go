@@ -61,8 +61,8 @@ type Injector struct {
 	// models (MachineFaulter); nil for pure register models.
 	machine *Machine
 
-	// tape, while taping is set, logs the virtual time of every matching
-	// call: the call log of the golden timeline the run is extending.
+	// tape, when taping is set, logs the virtual time of every matching
+	// call: the call log of the golden timeline a golden pass records.
 	tape   []sim.Time
 	taping bool
 }

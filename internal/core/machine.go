@@ -61,9 +61,6 @@ type Machine struct {
 	at *checkpoint
 	// run, when set, makes the next Run a timeline run (see prepare).
 	run timelineRun
-	// owed is a timeline extension a rejoin check found missing; the
-	// next prepare pays it.
-	owed *extension
 }
 
 // machineState is a Machine's bookkeeping, one comparable value.
@@ -318,6 +315,8 @@ func (m *Machine) bootImage(opts MachineOptions) (*checkpoint, error) {
 	case m.Tainted():
 		return nil, errors.New("core: machine is tainted")
 	}
+	// Presized once: arenas regrown by doubling leave more garbage
+	// behind than the whole-horizon estimate holds.
 	m.Board.Trace().Grow(opts.TraceRecords, opts.TraceArgs)
 	return m.postBoot, nil
 }
@@ -339,11 +338,10 @@ func inmateImage() []byte {
 // kill a shard worker or poison a campaign aggregate.
 //
 // A run prepared on a golden timeline runs in checkpoint-spacing
-// segments: while it stays fault-free at the timeline's frontier it
-// extends the timeline (see record), and once it has rejoined the golden
-// trajectory the stretch up to its next injection, or to the horizon, is
-// spliced from the timeline instead of simulated (see converge). The
-// result is the same as one Engine.Run.
+// segments, and once it has rejoined the golden trajectory the stretch
+// up to its next injection, or to the horizon, is spliced from the
+// timeline instead of simulated (see converge). The result is the same
+// as one Engine.Run.
 func (m *Machine) Run(d sim.Time) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -357,9 +355,6 @@ func (m *Machine) Run(d sim.Time) {
 	if r.tl == nil {
 		_ = m.Board.Engine.Run(horizon)
 		return
-	}
-	if r.record {
-		m.record(r, horizon)
 	}
 	m.converge(r, horizon)
 }

@@ -18,14 +18,14 @@ var (
 		obs.LatencyBuckets)
 	metSimEvents = obs.Default.NewCounter(
 		"certify_core_sim_events_total",
-		"Simulation events delivered across all runs.")
+		"Simulation events delivered across all runs and the golden passes that record their timelines.")
 	metSimEventsByKind = obs.Default.NewCounterVec(
 		"certify_core_sim_events_by_kind_total",
-		"Simulation events delivered across all runs, by the board's handler kind; the kinds sum to certify_core_sim_events_total.",
+		"Simulation events delivered across all runs and golden passes, by the board's handler kind; the kinds sum to certify_core_sim_events_total.",
 		"kind")
 	metSimEventsPerRun = obs.Default.NewHistogram(
 		"certify_core_sim_events_per_run",
-		"Simulation events delivered in one run.",
+		"Simulation events delivered in one run, its timeline's golden pass excluded.",
 		obs.ExpBuckets(256, 4, 12))
 
 	metPoolGet = obs.Default.NewHistogram(
@@ -38,7 +38,7 @@ var (
 		obs.LatencyBuckets)
 	metRestore = obs.Default.NewHistogram(
 		"certify_pool_machine_restore_seconds",
-		"Latency of rewinding a pooled machine for its next run: the post-boot image or golden-timeline checkpoint restore, including any timeline extension the run pays first.",
+		"Latency of rewinding a pooled machine for its next run: the post-boot image or golden-timeline checkpoint restore, including the golden pass that first records a timeline up to the run's horizon (a cold build's first run is not timed here).",
 		obs.LatencyBuckets)
 	metPoolColdBuilds = obs.Default.NewCounter(
 		"certify_pool_cold_builds_total",
@@ -68,7 +68,7 @@ var (
 		"Virtual milliseconds of fault-free prefix not re-simulated because runs started from golden-timeline checkpoints.")
 	metCheckpointCaptures = obs.Default.NewCounter(
 		"certify_core_checkpoint_captures_total",
-		"Golden-timeline checkpoints captured by runs that had not yet injected.")
+		"Golden-timeline checkpoints captured by golden passes.")
 	metCutoffRuns = obs.Default.NewCounter(
 		"certify_core_cutoff_runs_total",
 		"Runs whose simulation stopped early because their state rejoined the golden trajectory after the last possible injection; the rest of the run was spliced from the golden timeline.")
@@ -83,7 +83,7 @@ var (
 		"Virtual milliseconds between a fast-forwarded run's rejoin boundary and its landing checkpoint, taken from the golden timeline instead of simulated.")
 	metTimelineExtension = obs.Default.NewCounter(
 		"certify_core_timeline_extension_milliseconds_total",
-		"Virtual milliseconds of fault-free simulation spent extending golden timelines to a plan's horizon so later runs can be cut off.")
+		"Virtual milliseconds of fault-free simulation the golden passes spent recording golden timelines up to a run's horizon before the run, so runs can start late and be fast-forwarded or cut off.")
 	metPoolDrops = obs.Default.NewCounter(
 		"certify_pool_tainted_drops_total",
 		"Machines dropped at MachinePool.Put because the run ended in a sim-fault or machine wedge.")

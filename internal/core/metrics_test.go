@@ -44,3 +44,35 @@ func TestSimEventsByKindSumToTotal(t *testing.T) {
 		}
 	}
 }
+
+// TestSimEventsCountGoldenPass: the golden pass that records a fresh
+// pool's timeline up to the horizon counts towards
+// certify_core_sim_events_total on top of the run's own events, which
+// alone go to the per-run histogram.
+func TestSimEventsCountGoldenPass(t *testing.T) {
+	prev := obs.Enabled()
+	obs.SetEnabled(true)
+	defer obs.SetEnabled(prev)
+
+	plan := PlanE3Fig3()
+	opts := runMachineOptions(plan, 1, ModeDistribution)
+	m, err := BuildMachine(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.CaptureSnapshot()
+	if err := m.Restore(opts); err != nil {
+		t.Fatal(err)
+	}
+	m.Run(plan.EffectiveDuration())
+	golden := m.Board.Engine.Executed()
+
+	total, perRun := metSimEvents.Value(), metSimEventsPerRun.Sum()
+	if _, err := RunExperimentOpts(plan, 2022, RunOptions{Mode: ModeDistribution, Pool: NewMachinePool()}); err != nil {
+		t.Fatal(err)
+	}
+	own := uint64(metSimEventsPerRun.Sum() - perRun)
+	if grew := metSimEvents.Value() - total; grew != golden+own {
+		t.Fatalf("first run on a fresh pool counted %d events, want the golden pass's %d plus the run's own %d", grew, golden, own)
+	}
+}

@@ -94,16 +94,24 @@ func RunExperimentOpts(plan *TestPlan, seed uint64, ro RunOptions) (*RunResult, 
 	}
 	metRunsTotal.Inc()
 	metRunDuration.ObserveSince(started)
-	if ev := m.Board.Engine.Executed(); ev > 0 {
-		metSimEvents.Add(ev)
+	if ev := countSimEvents(m.Board.Engine); ev > 0 {
 		metSimEventsPerRun.Observe(float64(ev))
-		for k, n := range m.Board.Engine.ExecutedByKind() {
-			if n > 0 {
-				metSimEventsByKind.With(board.EventKindName(sim.HandlerKind(k))).Add(n)
-			}
-		}
 	}
 	return res, nil
+}
+
+// countSimEvents adds the events e delivered since its last restore to
+// the sim-event counters and returns their number.
+func countSimEvents(e *sim.Engine) uint64 {
+	var total uint64
+	for k, n := range e.ExecutedByKind() {
+		if n > 0 {
+			metSimEventsByKind.With(board.EventKindName(sim.HandlerKind(k))).Add(n)
+			total += n
+		}
+	}
+	metSimEvents.Add(total)
+	return total
 }
 
 // runMachineOptions derives the machine configuration of a plan's run.
@@ -129,8 +137,8 @@ func runMachineOptions(plan *TestPlan, seed uint64, mode CampaignMode) MachineOp
 // runOn executes one run of plan on m, booted (fresh) or left by its
 // previous run, and assembles the result. With timeline set, the run
 // starts from the latest golden checkpoint its injector cannot have
-// fired before and extends the timeline while it stays fault-free;
-// otherwise m must be fresh and runs straight from boot.
+// fired before, on a timeline recorded up to its horizon first if need
+// be; otherwise m must be fresh and runs straight from boot.
 func runOn(m *Machine, fresh, timeline bool, opts MachineOptions, plan *TestPlan, ro RunOptions) (*RunResult, error) {
 	// Derive the injector's random stream from the run seed so the
 	// workload's own draws do not perturb injection choices.

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -19,9 +18,10 @@ import (
 // drawn only on corruption paths, and the injector's first trigger is
 // fixed by its phase and the golden call count. A warm machine therefore
 // keeps checkpoints of that trajectory every checkpointSpacing of
-// virtual time, captured lazily by ordinary runs that have not injected
-// yet, and starts each run from the latest checkpoint its injector
-// provably cannot have fired before. The post-boot image is checkpoint 0.
+// virtual time, recorded up to the horizon by one fault-free golden
+// pass before the timeline's first run, and starts each run from the
+// latest checkpoint its injector provably cannot have fired before. The
+// post-boot image is checkpoint 0.
 
 const (
 	// checkpointSpacing is the virtual time between golden checkpoints.
@@ -30,7 +30,7 @@ const (
 	// but captures more checkpoints (each holds RAM pages and control
 	// blocks). 250 ms simulates about 28% fewer E3-fig3 events than 1 s
 	// for less CPU; 100 ms saves no more CPU and holds more memory
-	// (DESIGN.md "Lazy capture").
+	// (DESIGN.md "Golden pass").
 	checkpointSpacing = 250 * sim.Millisecond
 	// maxTimelines bounds the timelines one machine keeps; the least
 	// recently used one is dropped past it.
@@ -142,8 +142,6 @@ type timeline struct {
 	// frontier, in call order: calls[n-1] is the time of call n.
 	calls []sim.Time
 	used  uint64 // LRU stamp
-	// extended is set once the timeline was extended to a run's horizon.
-	extended bool
 }
 
 func (tl *timeline) frontier() *checkpoint { return tl.cps[len(tl.cps)-1] }
@@ -228,12 +226,10 @@ func (m *Machine) restoreTo(c *checkpoint, seed uint64) {
 }
 
 // timelineRun is what prepare hands the next Machine.Run: the run's
-// golden timeline and injector, and whether the run starts at the
-// timeline's frontier and so records further checkpoints.
+// golden timeline and injector.
 type timelineRun struct {
-	tl     *timeline
-	inj    *Injector
-	record bool
+	tl  *timeline
+	inj *Injector
 }
 
 // prepare rewinds a pooled machine for one run of plan and arms inj:
@@ -241,23 +237,23 @@ type timelineRun struct {
 // cannot have fired before, with the injector's counters preloaded to
 // the golden counts at that instant. fresh reports that m is already at
 // the post-boot state for opts (just built, post-boot image captured).
-// A run that starts at the timeline's frontier records further
-// checkpoints as it goes. A timeline extension left owed by an earlier
-// run is paid first. Returns the run's start instant (the post-boot
-// time).
+// A timeline that stops short of the run's horizon is first recorded up
+// to it (see extend), so runs never capture checkpoints themselves.
+// Returns the run's start instant (the post-boot time).
 func (m *Machine) prepare(opts MachineOptions, plan *TestPlan, inj *Injector, fresh bool) (sim.Time, error) {
 	boot, err := m.bootImage(opts)
 	if err != nil {
 		return 0, err
 	}
-	if m.owed != nil {
-		m.extend()
-		fresh = false
-	}
 	start := boot.at()
+	horizon := start + plan.EffectiveDuration()
 	armOffset := armRun(inj, plan, start)
 	tl := m.timeline(timelineKeyOf(plan, armOffset), boot)
-	c := tl.latest(inj, start+plan.EffectiveDuration())
+	if tl.frontier().at()+checkpointSpacing <= horizon {
+		m.extend(tl, plan, horizon)
+		fresh = false
+	}
+	c := tl.latest(inj, horizon)
 	if !fresh || c != boot {
 		m.restoreTo(c, opts.Seed)
 	}
@@ -266,38 +262,46 @@ func (m *Machine) prepare(opts MachineOptions, plan *TestPlan, inj *Injector, fr
 		metCheckpointRestores.Inc()
 		metCheckpointSkipped.Add(virtualMillis(c.at() - start))
 	}
-	m.run = timelineRun{tl: tl, inj: inj, record: c == tl.frontier()}
-	inj.taping = m.run.record
+	m.run = timelineRun{tl: tl, inj: inj}
 	return start, nil
 }
 
-// record runs the fault-free stretch of a run past its timeline's
-// frontier in checkpointSpacing segments, capturing a checkpoint at each
-// boundary, until the run injects, halts or would pass horizon.
-// Splitting Engine.Run at a boundary is exact: every event at or before
-// the boundary runs in the first segment, the watchdog's same-instant
-// count restarts only where time advances anyway, and the boundary clamp
-// of the clock is unobservable because no event runs between segments.
-func (m *Machine) record(r timelineRun, horizon sim.Time) {
+// extend is the golden pass: from tl's frontier it runs fault-free,
+// with an injector that tapes the plan's matching calls and never
+// fires, capturing a checkpoint every checkpointSpacing up to horizon
+// (see record). The events it delivers count towards the sim-event
+// metrics; the run's own restore clears the engine's counters after it.
+func (m *Machine) extend(tl *timeline, plan *TestPlan, horizon sim.Time) {
+	f := tl.frontier()
+	m.restoreTo(f, 0)
+	inj := &Injector{plan: plan, now: m.Board.Now, taping: true}
+	inj.preload(f.calls, f.total)
+	m.HV.Hook = inj.Hook
+	m.record(tl, inj, horizon)
+	countSimEvents(m.Board.Engine)
+	metTimelineExtension.Add(virtualMillis(tl.frontier().at() - f.at()))
+}
+
+// record runs the machine from tl's frontier in checkpointSpacing
+// segments, capturing a checkpoint at each boundary and moving the
+// calls inj taped into tl, until the next boundary would pass horizon
+// or the engine halts. Splitting Engine.Run at a boundary is exact:
+// every event at or before the boundary runs in the first segment, the
+// watchdog's same-instant count restarts only where time advances
+// anyway, and the boundary clamp of the clock is unobservable because
+// no event runs between segments.
+func (m *Machine) record(tl *timeline, inj *Injector, horizon sim.Time) {
 	eng := m.Board.Engine
-	defer func() {
-		r.inj.taping = false
-		r.inj.tape = r.inj.tape[:0]
-	}()
-	for {
-		next := r.tl.frontier().at() + checkpointSpacing
-		if next > horizon {
-			return
-		}
+	for next := tl.frontier().at() + checkpointSpacing; next <= horizon; next += checkpointSpacing {
 		_ = eng.Run(next)
-		if halted, _ := eng.Halted(); halted || len(r.inj.records) > 0 {
+		if halted, _ := eng.Halted(); halted {
 			return
 		}
 		c := m.capture()
-		c.calls, c.total = r.inj.Calls(), r.inj.TotalCalls()
-		r.tl.calls = append(r.tl.calls, r.inj.tape...)
-		r.inj.tape = r.inj.tape[:0]
-		r.tl.cps = append(r.tl.cps, c)
+		c.calls, c.total = inj.Calls(), inj.TotalCalls()
+		tl.calls = append(tl.calls, inj.tape...)
+		inj.tape = inj.tape[:0]
+		tl.cps = append(tl.cps, c)
 		metCheckpointCaptures.Inc()
 	}
 }
@@ -310,8 +314,8 @@ func (m *Machine) record(r timelineRun, horizon sim.Time) {
 // skips from its timeline.
 
 // converge runs the rest of a timeline run to horizon in
-// checkpointSpacing segments on the timeline's grid — the split record
-// uses — and at each boundary where the run has rejoined its golden
+// checkpointSpacing segments on the timeline's grid — the split the
+// golden pass uses (see record) — and at each boundary where the run has rejoined its golden
 // trajectory jumps it ahead (see rejoin), stopping once it lands on the
 // horizon.
 func (m *Machine) converge(r timelineRun, horizon sim.Time) {
@@ -341,36 +345,28 @@ func (m *Machine) converge(r timelineRun, horizon sim.Time) {
 // the RNG it has — a golden stretch draws nothing from it — and simulates
 // that injection for real. rejoin reports whether the run landed on the
 // horizon. The checks run cheapest first and the first failure exits; a
-// target at b skips them unless an extension may be owed. A run that
-// passes every check against a timeline that stops short of its
-// horizon, with no firing call known up to the frontier, leaves the
-// timeline's extension owed (see extend), unless its injector is
-// expected to fire again past the frontier anyway.
+// target at b skips them.
 func (m *Machine) rejoin(r timelineRun, b, horizon sim.Time) bool {
 	tl, inj := r.tl, r.inj
 	origin := tl.cps[0].at()
 	if (horizon-origin)%checkpointSpacing != 0 {
 		return false // no checkpoint can sit at the horizon
 	}
-	// 1. The timeline covers b.
+	// 1. The timeline reaches the horizon: only a golden pass that
+	// halted leaves it short.
 	ib, ih := int((b-origin)/checkpointSpacing), int((horizon-origin)/checkpointSpacing)
-	if ib >= len(tl.cps) {
+	if ih >= len(tl.cps) {
 		return false
 	}
-	last := min(ih, len(tl.cps)-1)
 	cb := tl.cps[ib]
 	// 2. The target: the injector's first firing golden call after b,
 	// numbered on from the run's own count, bounds it.
-	fire := inj.firstTrigger(tl.calls[cb.total:tl.cps[last].total], inj.callTotal)
+	fire := inj.firstTrigger(tl.calls[cb.total:tl.cps[ih].total], inj.callTotal)
 	it := ib
-	for it < last && (fire == 0 || tl.cps[it+1].total < cb.total+fire) {
+	for it < ih && (fire == 0 || tl.cps[it+1].total < cb.total+fire) {
 		it++
 	}
-	// Past an uncovered frontier the calls are not known yet, so the
-	// forecast decides whether extending the timeline can lead anywhere.
-	owe := fire == 0 && last < ih && !tl.extended && m.owed == nil &&
-		!tl.expectsTrigger(inj, inj.callTotal+uint64(len(tl.calls))-cb.total, horizon)
-	if it == ib && !owe {
+	if it == ib {
 		return false
 	}
 	// 3. The machine is healthy.
@@ -382,12 +378,6 @@ func (m *Machine) rejoin(r timelineRun, b, horizon sim.Time) bool {
 	brd := m.Board
 	if !brd.MatchesCPUs(cb.board) || !brd.MatchesDevices(cb.board) || !m.matchesGuests(cb) ||
 		!brd.MatchesQueue(cb.board) || !brd.MatchesRAM(cb.board) {
-		return false
-	}
-	if owe {
-		m.owed = &extension{tl: tl, plan: inj.plan, horizon: horizon}
-	}
-	if it == ib {
 		return false
 	}
 	ct := tl.cps[it]
@@ -403,26 +393,6 @@ func (m *Machine) rejoin(r timelineRun, b, horizon sim.Time) bool {
 	metFastForwards.Inc()
 	metFastForwardSkipped.Add(skipped)
 	return false
-}
-
-// expectsTrigger reports whether inj, which will have counted known
-// matching calls by the timeline's frontier, can be expected to fire
-// again before horizon, extrapolating the golden call rate up to the
-// frontier. It only decides whether extending the timeline is worth its
-// cost — a run that keeps injecting never rejoins — never where a run
-// may jump.
-func (tl *timeline) expectsTrigger(inj *Injector, known uint64, horizon sim.Time) bool {
-	if !inj.armed {
-		return false
-	}
-	span := tl.frontier().at() - tl.cps[0].at()
-	if span <= 0 {
-		return true
-	}
-	rate := uint64(inj.plan.EffectiveRate())
-	next := rate - (known+inj.phase)%rate // calls until the next firing one
-	expected := float64(len(tl.calls)) * float64(horizon-tl.frontier().at()) / float64(span)
-	return float64(next) <= expected
 }
 
 // matchesGuests reports whether the hypervisor, root Linux, every live
@@ -470,37 +440,6 @@ func (m *Machine) splice(from, to *checkpoint) {
 	m.Board.Splice(from.board, to.board, logs.board)
 	m.HV.Splice(from.hv, to.hv, logs.console)
 	m.restoreGuests(to)
-}
-
-// extension is a timeline extension a run left owed: the timeline's
-// frontier lay before the horizon of a run that rejoined with no firing
-// call known up to it.
-type extension struct {
-	tl      *timeline
-	plan    *TestPlan
-	horizon sim.Time
-}
-
-// extend pays the owed extension: from the timeline's frontier it runs
-// fault-free, with an injector that tapes the plan's matching calls and
-// never fires, capturing a checkpoint every spacing up to the horizon.
-// Each timeline is extended at most once.
-func (m *Machine) extend() {
-	x := m.owed
-	m.owed = nil
-	if !slices.Contains(m.timelines, x.tl) {
-		return // evicted meanwhile
-	}
-	x.tl.extended = true
-	f := x.tl.frontier()
-	m.restoreTo(f, 0)
-	inj := &Injector{plan: x.plan, now: m.Board.Now}
-	inj.preload(f.calls, f.total)
-	inj.taping = true
-	m.HV.Hook = inj.Hook
-	m.record(timelineRun{tl: x.tl, inj: inj}, x.horizon)
-	m.HV.Hook = nil
-	metTimelineExtension.Add(virtualMillis(x.tl.frontier().at() - f.at()))
 }
 
 // virtualMillis returns d in whole virtual milliseconds, the unit of the

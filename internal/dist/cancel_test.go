@@ -17,8 +17,11 @@ import (
 // later invocation reruns to the full, bit-exact result.
 func TestExecuteShardCancelMidCampaign(t *testing.T) {
 	dir := t.TempDir()
+	// Enough runs that the shard is still going when the cancel lands:
+	// warm runs start from golden checkpoints and many are cut off, so a
+	// short shard can finish between two polls on a loaded host.
 	spec := &Spec{
-		Plan: core.PlanE3Fig3(), Runs: 40, MasterSeed: 2022,
+		Plan: core.PlanE3Fig3(), Runs: 400, MasterSeed: 2022,
 		Shards: 1, Mode: core.ModeDistribution,
 	}
 	path := filepath.Join(dir, "runs.jsonl")

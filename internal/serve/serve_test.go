@@ -400,7 +400,10 @@ func TestCachePoisoning(t *testing.T) {
 // and resubmitting the cancelled campaign completes it.
 func TestCancellationFreesSlotAndLeavesResumableArtefact(t *testing.T) {
 	s, c := newTestServer(t, Config{SkipGoldenCheck: true, Slots: 1, WorkersPerJob: 1})
-	long := &SubmitRequest{Plan: "E3-fig3", Runs: 16, Seed: 7}
+	// Enough runs that the campaign is still going when the cancel
+	// lands: warm runs start from golden checkpoints and many are cut
+	// off, so a short campaign finishes within a few milliseconds.
+	long := &SubmitRequest{Plan: "E3-fig3", Runs: 400, Seed: 7}
 	_, v := rawSubmit(t, c.Base, long)
 
 	// Wait until the campaign has made real progress, then cancel.
@@ -456,8 +459,8 @@ func TestCancellationFreesSlotAndLeavesResumableArtefact(t *testing.T) {
 	for _, n := range fin.Distribution {
 		total += n
 	}
-	if total != 16 {
-		t.Fatalf("resumed campaign classified %d runs, want 16", total)
+	if total != long.Runs {
+		t.Fatalf("resumed campaign classified %d runs, want %d", total, long.Runs)
 	}
 }
 

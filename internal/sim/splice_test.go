@@ -366,6 +366,9 @@ func TestFoldPlanTablesRepeatedSuffixesOnly(t *testing.T) {
 	if size := unsafe.Sizeof(foldStep{}); size != 8 {
 		t.Fatalf("a fold step takes %d bytes, want 8", size)
 	}
+	if size := unsafe.Sizeof(record{}); size != 32 {
+		t.Fatalf("a trace record takes %d bytes, want 32", size)
+	}
 	if l.kinds != Kinds(KindIRQ, KindUART, KindNote) {
 		t.Fatalf("log kinds %#x, want IRQ|UART|NOTE", l.kinds)
 	}

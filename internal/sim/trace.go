@@ -132,16 +132,17 @@ func (r Record) String() string {
 // when somebody actually reads the message.
 type record struct {
 	at Time
-	// text is the rendered message when rendered is set, otherwise the
-	// pending format string. One field for both keeps the record at 40
-	// bytes, which matters: the arena holds tens of thousands of records
-	// and every append crosses the write barrier once per string field.
-	text     string
-	argPos   uint32 // index into Trace.args
-	argN     uint16
-	kind     Kind
-	cpu      int16
-	rendered bool
+	// text is the final message when argN is 0, otherwise the pending
+	// format string of the argN arguments at argPos; rendering zeroes
+	// argN. One field for both keeps the record at 32 bytes, which
+	// matters: arenas, golden logs and checkpoints hold hundreds of
+	// thousands of records, and every append crosses the write barrier
+	// once per string field.
+	text   string
+	argPos uint32 // index into Trace.args
+	argN   uint8
+	kind   Kind
+	cpu    int16
 }
 
 // Trace accumulates records for one run. It is deliberately append-only;
@@ -437,7 +438,7 @@ func (t *Trace) Rewind(l *TraceLog, to TraceMark) {
 // Add appends a record whose message needs no formatting.
 func (t *Trace) Add(at Time, kind Kind, cpu int, msg string) {
 	t.recs = append(t.recs, record{
-		at: at, text: msg, kind: kind, cpu: int16(cpu), rendered: true,
+		at: at, text: msg, kind: kind, cpu: int16(cpu),
 	})
 	if t.incremental {
 		t.foldLast()
@@ -455,16 +456,20 @@ func (t *Trace) foldLast() {
 // stored as-is and rendered only if Dump, Hash, Contains or a scan reads
 // the message. args must render byte-identically to the values the call
 // site would have passed to fmt.Sprintf (use Str(x.String()) for %v/%s of
-// Stringers, Str(fmt.Sprint(x)) for exotic values).
+// Stringers, Str(fmt.Sprint(x)) for exotic values). It panics past
+// 255 arguments.
 func (t *Trace) Addf(at Time, kind Kind, cpu int, format string, args ...Arg) {
 	if len(args) == 0 {
 		t.Add(at, kind, cpu, format)
 		return
 	}
+	if len(args) > 255 { // what argN holds
+		panic("sim: Trace.Addf with more than 255 arguments")
+	}
 	pos := uint32(len(t.args))
 	t.args = append(t.args, args...)
 	t.recs = append(t.recs, record{
-		at: at, text: format, argPos: pos, argN: uint16(len(args)),
+		at: at, text: format, argPos: pos, argN: uint8(len(args)),
 		kind: kind, cpu: int16(cpu),
 	})
 	if t.incremental {
@@ -491,17 +496,14 @@ func (t *Trace) Splice(l *TraceLog, from, to TraceMark) {
 // trace's own records or a published one. Published records are
 // rendered, so render never writes into a TraceLog.
 func (t *Trace) render(r *record) string {
-	if r.rendered {
+	if r.argN == 0 {
 		return r.text
 	}
-	if r.argN > 0 {
-		av := make([]any, r.argN)
-		for j := range av {
-			av[j] = t.args[int(r.argPos)+j].value()
-		}
-		r.text = fmt.Sprintf(r.text, av...)
+	av := make([]any, r.argN)
+	for j := range av {
+		av[j] = t.args[int(r.argPos)+j].value()
 	}
-	r.rendered = true
+	r.text, r.argN = fmt.Sprintf(r.text, av...), 0
 	return r.text
 }
 
@@ -734,7 +736,7 @@ func (t *Trace) foldOwn(recs []record) {
 	h := t.hstate
 	for i := range recs {
 		r := &recs[i]
-		if r.rendered || r.argN == 0 {
+		if r.argN == 0 {
 			key, head := suffixOf(r)
 			h = fnvFold(h, t.head.digits(head))
 			tab := t.memo.lookup(key)

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"hash/fnv"
+	"strings"
 	"testing"
 )
 
@@ -297,4 +298,36 @@ func TestOneOffTextsClaimNoTable(t *testing.T) {
 	if tr.memo.n != 0 {
 		t.Fatalf("one-off texts promoted %d suffix tables, want none", tr.memo.n)
 	}
+}
+
+// TestAddfArgumentBound: a record holds up to 255 deferred arguments
+// and, once rendered, reads and hashes as final text; one more panics.
+func TestAddfArgumentBound(t *testing.T) {
+	args := make([]Arg, 256)
+	want := ""
+	for i := range args {
+		args[i] = Int(int64(i))
+		if i < 255 {
+			want += fmt.Sprint(i) + " "
+		}
+	}
+	format := strings.Repeat("%d ", 255)
+	rendered, deferred := NewTrace(), NewTrace()
+	rendered.Addf(1, KindNote, 0, format, args[:255]...)
+	deferred.Addf(1, KindNote, 0, format, args[:255]...)
+	if got := rendered.Records()[0].Msg; got != want {
+		t.Fatalf("255 arguments rendered %q", got)
+	}
+	if n := rendered.recs[0].argN; n != 0 {
+		t.Fatalf("a rendered record keeps %d pending arguments", n)
+	}
+	if rendered.Hash() != deferred.Hash() {
+		t.Fatal("a rendered record hashes differently from its deferred twin")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Addf with 256 arguments did not panic")
+		}
+	}()
+	rendered.Addf(2, KindNote, 0, format+"%d", args...)
 }
