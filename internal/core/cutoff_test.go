@@ -2,9 +2,11 @@ package core
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/dessertlab/certify/internal/board"
+	"github.com/dessertlab/certify/internal/obs"
 	"github.com/dessertlab/certify/internal/sim"
 )
 
@@ -101,6 +103,40 @@ func TestCutoffFullLengthE3(t *testing.T) {
 	}
 }
 
+// TestFailedProbeRunsRejoin: on E1 a corrupted hypercall or trap often
+// fails root Linux's GET_STATE probe once, which leaves its StateQueries
+// tally short of the golden count for the rest of the run. Such a run
+// must still rejoin its golden trajectory — it is cut off, ending with
+// the skewed tally — and equal its straight run in the full RunResult
+// and the final StateDigest.
+func TestFailedProbeRunsRejoin(t *testing.T) {
+	for _, plan := range []*TestPlan{PlanE1HVC(), PlanE1Trap()} {
+		t.Run(plan.Name, func(t *testing.T) {
+			pool := NewMachinePool()
+			found := 0
+			for seed := uint64(31); seed < 31+64 && (found == 0 || !testing.Short() && found < 4); seed++ {
+				cut := metCutoffRuns.Value()
+				got, gotDigest, m := pooledRun(t, pool, plan, seed)
+				want, wantDigest := straightRun(t, plan, seed)
+				if !reflect.DeepEqual(got, want) || gotDigest != wantDigest {
+					t.Fatalf("seed %d: pooled %s (digest %#x), straight %s (digest %#x)",
+						seed, summarize(got), gotDigest, summarize(want), wantDigest)
+				}
+				tl := timelineFor(t, m, plan)
+				golden := tl.cps[len(tl.cps)-1].linux.StateQueries
+				if metCutoffRuns.Value() > cut && strings.Contains(got.RootTranscript, "cell state failed") &&
+					m.Linux.StateQueries != golden {
+					t.Logf("seed %d: cut off with %d state queries, golden %d", seed, m.Linux.StateQueries, golden)
+					found++
+				}
+			}
+			if found == 0 {
+				t.Fatal("no run whose state probe failed was cut off")
+			}
+		})
+	}
+}
+
 // TestFastForwardRunsMatchStraightRuns: a run that rejoins its golden
 // trajectory between injections jumps to the last checkpoint before its
 // next one and simulates that injection for real. Full-horizon E3-fig3
@@ -180,7 +216,10 @@ func TestFastForwardRunsMatchStraightRuns(t *testing.T) {
 // that rejoined (its state equals the golden checkpoint at a boundary)
 // must jump neither to the horizon nor to a later checkpoint when its
 // queue, its RAM or its health say otherwise, and the injector's next
-// firing call decides where it lands.
+// firing call decides where it lands. A skewed tally must not refuse a
+// jump, and the run must land with the target's golden tally plus its
+// skew: a splice that kept the run's count or took the golden one would
+// fail here.
 func TestCutoffNeedsEveryCheck(t *testing.T) {
 	plan := *PlanE3Fig3()
 	plan.Duration = cutoffDuration
@@ -247,22 +286,83 @@ func TestCutoffNeedsEveryCheck(t *testing.T) {
 		}
 	}
 	nothing := func() {}
+	refused := rejoinRefusals()
 	expect("golden state", 0, nothing, true, tl.cps[ih])
 	expect("next trigger", cb.total+1, nothing, false, cb)
 	expect("later trigger", later, nothing, false, tl.cps[landing])
+	if n := rejoinRefusals() - refused; n != 0 {
+		t.Fatalf("%d refusals counted where no check refused", n)
+	}
 	for _, c := range []struct {
 		name    string
 		breakIt func()
+		refused *obs.Counter
 	}{
 		// The extra event sorts after every event a handle refers to, so
 		// only the queue comparison can see it.
-		{"extra queued event", func() { m.Board.Engine.After(sim.Minute, board.EvRaiseSPI, 40, 0) }},
-		{"RAM word", func() { _ = m.Board.RAM.WriteWord(board.DRAMBase+0x100, 0xBAD) }},
-		{"tainted", func() { m.simFault = "test" }},
+		{"extra queued event", func() { m.Board.Engine.After(sim.Minute, board.EvRaiseSPI, 40, 0) }, refusedQueue},
+		{"RAM word", func() { _ = m.Board.RAM.WriteWord(board.DRAMBase+0x100, 0xBAD) }, refusedRAM},
+		{"tainted", func() { m.simFault = "test" }, refusedTainted},
 	} {
+		refused, mine := rejoinRefusals(), c.refused.Value()
 		expect(c.name+" (no trigger left)", 0, c.breakIt, false, cb)
 		expect(c.name+" (later trigger)", later, c.breakIt, false, cb)
+		if rejoinRefusals()-refused != 2 || c.refused.Value()-mine != 2 {
+			t.Fatalf("%s: refusals %d→%d, %d→%d under its own check; want 2 more under its own",
+				c.name, refused, rejoinRefusals(), mine, c.refused.Value())
+		}
 	}
+
+	// tallies reads root Linux's, the kernel's and its queue's tallies at
+	// checkpoint c, or the machine's own when c is nil.
+	tallies := func(c *checkpoint) [3]uint64 {
+		if c != nil {
+			m.restoreTo(c, 5)
+		}
+		return [3]uint64{m.Linux.StateQueries, m.RTOS.TicksSeen, m.RTOS.Queues()[0].Sends}
+	}
+	skew := func() {
+		m.Linux.StateQueries += 3
+		m.RTOS.TicksSeen += 3
+		m.RTOS.Queues()[0].Sends += 3
+	}
+	for _, c := range []struct {
+		name string
+		fire uint64
+		want bool
+		at   *checkpoint
+	}{
+		{"tally skew (no trigger left)", 0, true, tl.cps[ih]},
+		{"tally skew (later trigger)", later, false, tl.cps[landing]},
+	} {
+		from, to := tallies(cb), tallies(c.at)
+		for i := range from {
+			if from[i] == to[i] {
+				t.Fatalf("%s: tally %d does not move between b and the target (%d)", c.name, i, from[i])
+			}
+		}
+		refused := rejoinRefusals()
+		expect(c.name, c.fire, skew, c.want, c.at)
+		if got, want := tallies(nil), [3]uint64{to[0] + 3, to[1] + 3, to[2] + 3}; got != want {
+			t.Fatalf("%s: machine lands with tallies %v, want the target's golden %v plus 3", c.name, got, to)
+		}
+		if rejoinRefusals() != refused {
+			t.Fatalf("%s: counted as a refusal", c.name)
+		}
+	}
+}
+
+// rejoinRefusals sums certify_core_rejoin_refused_total over its checks.
+func rejoinRefusals() uint64 {
+	var n float64
+	for _, s := range obs.Default.Snapshot() {
+		if s.Name == "certify_core_rejoin_refused_total" {
+			for _, ser := range s.Series {
+				n += ser.Value
+			}
+		}
+	}
+	return uint64(n)
 }
 
 // TestStateDigestFoldsQueuedEvents: two machines that differ only in one

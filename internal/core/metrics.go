@@ -81,10 +81,27 @@ var (
 	metFastForwardSkipped = obs.Default.NewCounter(
 		"certify_core_fastforward_skipped_virtual_milliseconds_total",
 		"Virtual milliseconds between a fast-forwarded run's rejoin boundary and its landing checkpoint, taken from the golden timeline instead of simulated.")
+	metRejoinRefused = obs.Default.NewCounterVec(
+		"certify_core_rejoin_refused_total",
+		"Grid boundaries where a run that could have jumped ahead stayed on its own trajectory, by the first rejoin check that told its state apart from the golden checkpoint (a taint, or the cpus, devices, machine, hypervisor, root_linux, kernels, queue or ram state).",
+		"check")
 	metTimelineExtension = obs.Default.NewCounter(
 		"certify_core_timeline_extension_milliseconds_total",
 		"Virtual milliseconds of fault-free simulation the golden passes spent recording golden timelines up to a run's horizon before the run, so runs can start late and be fast-forwarded or cut off.")
 	metPoolDrops = obs.Default.NewCounter(
 		"certify_pool_tainted_drops_total",
 		"Machines dropped at MachinePool.Put because the run ended in a sim-fault or machine wedge.")
+)
+
+// The rejoin refusal series, one per check (see Machine.mismatch).
+var (
+	refusedTainted    = metRejoinRefused.With("tainted")
+	refusedCPUs       = metRejoinRefused.With("cpus")
+	refusedDevices    = metRejoinRefused.With("devices")
+	refusedMachine    = metRejoinRefused.With("machine")
+	refusedHypervisor = metRejoinRefused.With("hypervisor")
+	refusedRootLinux  = metRejoinRefused.With("root_linux")
+	refusedKernels    = metRejoinRefused.With("kernels")
+	refusedQueue      = metRejoinRefused.With("queue")
+	refusedRAM        = metRejoinRefused.With("ram")
 )

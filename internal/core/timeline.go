@@ -9,6 +9,7 @@ import (
 	"github.com/dessertlab/certify/internal/guest/freertos"
 	"github.com/dessertlab/certify/internal/guest/rootlinux"
 	"github.com/dessertlab/certify/internal/jailhouse"
+	"github.com/dessertlab/certify/internal/obs"
 	"github.com/dessertlab/certify/internal/sim"
 )
 
@@ -345,7 +346,8 @@ func (m *Machine) converge(r timelineRun, horizon sim.Time) {
 // the RNG it has — a golden stretch draws nothing from it — and simulates
 // that injection for real. rejoin reports whether the run landed on the
 // horizon. The checks run cheapest first and the first failure exits; a
-// target at b skips them.
+// target at b skips the state checks, and a refused one counts towards
+// certify_core_rejoin_refused_total.
 func (m *Machine) rejoin(r timelineRun, b, horizon sim.Time) bool {
 	tl, inj := r.tl, r.inj
 	origin := tl.cps[0].at()
@@ -369,15 +371,10 @@ func (m *Machine) rejoin(r timelineRun, b, horizon sim.Time) bool {
 	if it == ib {
 		return false
 	}
-	// 3. The machine is healthy.
-	if m.Tainted() {
-		return false
-	}
-	// 4–8. The state matches the golden checkpoint at b: CPUs, devices,
-	// guests, queued events, RAM.
-	brd := m.Board
-	if !brd.MatchesCPUs(cb.board) || !brd.MatchesDevices(cb.board) || !m.matchesGuests(cb) ||
-		!brd.MatchesQueue(cb.board) || !brd.MatchesRAM(cb.board) {
+	// 3–8. The machine is healthy and its state matches the golden
+	// checkpoint at b.
+	if refused := m.mismatch(cb); refused != nil {
+		refused.Inc()
 		return false
 	}
 	ct := tl.cps[it]
@@ -395,16 +392,37 @@ func (m *Machine) rejoin(r timelineRun, b, horizon sim.Time) bool {
 	return false
 }
 
-// matchesGuests reports whether the hypervisor, root Linux, every live
-// FreeRTOS kernel and the machine's own bookkeeping equal checkpoint c.
-func (m *Machine) matchesGuests(c *checkpoint) bool {
-	if m.machineState != c.machine || !m.HV.Matches(c.hv) {
-		return false
+// mismatch returns the refusal counter of the first check, cheapest
+// first, that tells the machine apart from checkpoint c, or nil when it
+// matches. Tallies are never compared.
+func (m *Machine) mismatch(c *checkpoint) *obs.Counter {
+	brd := m.Board
+	switch {
+	case m.Tainted():
+		return refusedTainted
+	case !brd.MatchesCPUs(c.board):
+		return refusedCPUs
+	case !brd.MatchesDevices(c.board):
+		return refusedDevices
+	case m.machineState != c.machine:
+		return refusedMachine
+	case !m.HV.Matches(c.hv):
+		return refusedHypervisor
+	case !m.Linux.Matches(c.linux, func(live, golden sim.Event) bool { return brd.SameEvent(live, c.board, golden) }):
+		return refusedRootLinux
+	case !m.matchesKernels(c):
+		return refusedKernels
+	case !brd.MatchesQueue(c.board):
+		return refusedQueue
+	case !brd.MatchesRAM(c.board):
+		return refusedRAM
 	}
-	same := func(live, golden sim.Event) bool { return m.Board.SameEvent(live, c.board, golden) }
-	if !m.Linux.Matches(c.linux, same) {
-		return false
-	}
+	return nil
+}
+
+// matchesKernels reports whether exactly c's kernels are live and each
+// equals its capture.
+func (m *Machine) matchesKernels(c *checkpoint) bool {
 	for i, ks := range c.kernels {
 		k := m.rtosArena[i]
 		if live := m.live(k); live != (ks != nil) || live && !k.Matches(*ks) {
@@ -432,14 +450,26 @@ func (m *Machine) restoreGuests(c *checkpoint) {
 
 // splice moves a machine that matches golden checkpoint from to the
 // later checkpoint to of the same timeline: every state layer becomes
-// to's, and every log keeps the run's own content and gains the golden
-// content between the two checkpoints. m.at stays: the logs are still
-// golden up to its lengths.
+// to's, every tally keeps the run's own count and gains the golden delta
+// between the two checkpoints, and every log keeps the run's own content
+// and gains the golden content between them. A kernel loaded between
+// the two takes to's content, tallies included. m.at stays: the logs are
+// still golden up to its lengths.
 func (m *Machine) splice(from, to *checkpoint) {
 	logs := to.golden.cur.Load()
 	m.Board.Splice(from.board, to.board, logs.board)
 	m.HV.Splice(from.hv, to.hv, logs.console)
-	m.restoreGuests(to)
+	m.Linux.Splice(from.linux, to.linux)
+	for i, ks := range to.kernels {
+		switch {
+		case ks == nil:
+		case i < len(from.kernels) && from.kernels[i] != nil:
+			m.rtosArena[i].Splice(*from.kernels[i], *ks)
+		default:
+			m.rtosArena[i].RestoreSnapshot(*ks)
+		}
+	}
+	m.machineState = to.machine
 }
 
 // virtualMillis returns d in whole virtual milliseconds, the unit of the

@@ -49,6 +49,9 @@ type Linux struct {
 	// state is the guest's scalar state: a restore assigns it, and a
 	// rejoin check compares it with ==.
 	state
+	// tally holds the guest's digest-only counters, outside the
+	// rejoin check: a splice adds the golden delta to them.
+	tally
 
 	// cancelBg holds the periodic background events (housekeeping,
 	// state watchdog, recreate loop) that a panic or shutdown stops.
@@ -64,7 +67,6 @@ type state struct {
 	booted   bool
 	paniced  bool
 	panicWhy string
-	oopses   int
 
 	// recreateCfg is the cell configuration the E1 recreate loop
 	// creates each cycle (nil when no loop was started).
@@ -73,9 +75,6 @@ type state struct {
 	// CellID of the managed non-root cell (set by CellCreate).
 	CellID uint32
 
-	// StateQueries counts completed GET_STATE probes.
-	StateQueries uint64
-
 	// LastState is the most recent GET_STATE answer.
 	LastState jailhouse.CellState
 
@@ -83,6 +82,20 @@ type state struct {
 	// classifier uses it to distinguish "ran, then died" from "never
 	// came up".
 	LastStartAt sim.Time
+}
+
+// tally is the root-cell guest's tallies: counters only the state
+// digest reads (DESIGN.md "Checkpoints and timelines"). A failed probe
+// skews them for the rest of a run without changing anything the run
+// does, so they stay out of the rejoin check.
+type tally struct {
+	// StateQueries counts completed GET_STATE probes.
+	StateQueries uint64
+}
+
+// plus returns t advanced by the golden delta to − from.
+func (t tally) plus(from, to tally) tally {
+	return tally{StateQueries: t.StateQueries + to.StateQueries - from.StateQueries}
 }
 
 var _ jailhouse.Inmate = (*Linux)(nil)
@@ -105,22 +118,33 @@ func (l *Linux) Name() string { return "Linux-5.10-jailhouse" }
 // after a restore.
 type Snapshot struct {
 	state
+	tally
 	cancelBg []sim.Event
 }
 
 // CaptureSnapshot copies the guest state.
 func (l *Linux) CaptureSnapshot() *Snapshot {
-	return &Snapshot{l.state, append([]sim.Event(nil), l.cancelBg...)}
+	return &Snapshot{l.state, l.tally, append([]sim.Event(nil), l.cancelBg...)}
 }
 
 // RestoreSnapshot rewinds the guest to a captured state in place.
 func (l *Linux) RestoreSnapshot(s *Snapshot) {
-	l.state = s.state
+	l.state, l.tally = s.state, s.tally
 	l.cancelBg = append(l.cancelBg[:0], s.cancelBg...)
 }
 
-// Matches reports whether the guest state equals the snapshot's;
-// same compares a live background-event handle with a captured one.
+// Splice moves a guest that matches golden snapshot from to the later
+// golden snapshot to: it takes to's state, and its tallies gain the
+// golden delta between the two.
+func (l *Linux) Splice(from, to *Snapshot) {
+	t := l.tally.plus(from.tally, to.tally)
+	l.RestoreSnapshot(to)
+	l.tally = t
+}
+
+// Matches reports whether the guest state equals the snapshot's,
+// tallies aside; same compares a live background-event handle with a
+// captured one.
 func (l *Linux) Matches(s *Snapshot, same func(live, golden sim.Event) bool) bool {
 	if l.state != s.state || len(l.cancelBg) != len(s.cancelBg) {
 		return false
@@ -258,7 +282,6 @@ func (l *Linux) oops(cpu int, reg string) {
 	l.console("Kernel panic - not syncing: Fatal exception in interrupt")
 	l.paniced = true
 	l.panicWhy = "register corruption (" + reg + ")"
-	l.oopses++
 	l.stopBackground()
 	l.brd.StopTimer(0)
 	l.brd.Trace().Addf(l.brd.Now(), sim.KindPanic, cpu, "root kernel panic: corrupted %s", sim.Str(reg))

@@ -23,7 +23,9 @@
 #                                    # that start runs from the latest golden
 #                                    # checkpoint before their first injection
 #                                    # — E3-fig3 (late first injection, the
-#                                    # gain), E1-hvc (recreate cycles) and
+#                                    # gain), E1-hvc and E1-trap (recreate
+#                                    # cycles; failed state probes rejoin
+#                                    # through spliced tallies) and
 #                                    # A3-irqchip (injects at ~2 s: must not
 #                                    # regress). Use BENCHTIME>=5x.
 #   scripts/bench.sh layers          # the per-layer hot paths: one HVC round
@@ -115,7 +117,7 @@ elif [ "$PATTERN" = "warm" ]; then
 elif [ "$PATTERN" = "snapshot" ]; then
     PATTERN='SnapshotRestore|WarmMachineCampaign|CampaignThroughput'
 elif [ "$PATTERN" = "checkpoint" ]; then
-    PATTERN='Figure3MediumIntensityCampaign|E1HighIntensityRootHVC|A3IRQChipInjection'
+    PATTERN='Figure3MediumIntensityCampaign|E1HighIntensityRootHVC|E1HighIntensityRootTrap|A3IRQChipInjection'
 elif [ "$PATTERN" = "layers" ]; then
     PATTERN='HypercallPath|TrapMMIOEmulation|InjectorHook|GICAckEOI|SchedulerTick|VirtualMinute'
 elif [ "$PATTERN" = "inspect" ]; then
