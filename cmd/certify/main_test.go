@@ -121,7 +121,8 @@ func TestCampaignFlagValidation(t *testing.T) {
 		{"index without shards", []string{"-runs", "12", "-shard-index", "1"}, "-shards"},
 		{"index out of range", []string{"-runs", "12", "-shards", "3", "-shard-index", "3", "-out", "s.jsonl"}, "out of range"},
 		{"sharded without out", []string{"-runs", "12", "-shards", "3", "-shard-index", "1"}, ".jsonl"},
-		{"dir artefacts in distribution mode", []string{"-mode", "distribution", "-out", "artefacts"}, "-mode full"},
+		{"dir artefacts in distribution mode", []string{"-mode", "distribution", "-out", "artefacts"}, ".jsonl.gz"},
+		{"dir artefacts in full mode", []string{"-mode", "full", "-out", "artefacts"}, ".jsonl.gz"},
 		{"unknown mode", []string{"-mode", "turbo"}, "unknown -mode"},
 	}
 	for _, tc := range cases {
@@ -316,19 +317,21 @@ func TestCmdCampaignGzipJSONL(t *testing.T) {
 	}
 }
 
-func TestCmdCampaignArtifacts(t *testing.T) {
-	if testing.Short() {
-		t.Skip("campaign")
+// TestCmdCampaignOutNeedsJSONL: -out names the JSONL artefact, so a
+// path without a .jsonl or .jsonl.gz suffix is a usage error (exit 2)
+// whose message names both suffixes, and nothing runs.
+func TestCmdCampaignOutNeedsJSONL(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "x.json")
+	err := cmdCampaign([]string{"-plan", "E3-fig3", "-runs", "3", "-out", out, "-csv"})
+	if code := exitCode(err); code != exitUsage {
+		t.Fatalf("exit code %d (err %v), want %d", code, err, exitUsage)
 	}
-	dir := t.TempDir()
-	if err := cmdCampaign([]string{"-plan", "E3-fig3", "-runs", "3", "-out", dir, "-csv"}); err != nil {
-		t.Fatalf("campaign with -out: %v", err)
+	for _, want := range []string{".jsonl ", ".jsonl.gz"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("error %q does not name %q", err, want)
+		}
 	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 4 { // 3 runs + campaign.json
-		t.Fatalf("artefacts = %d, want 4", len(entries))
+	if _, serr := os.Stat(out); !os.IsNotExist(serr) {
+		t.Fatalf("-out %s was written: %v", out, serr)
 	}
 }

@@ -193,9 +193,6 @@ func (e *SequentialEstimator) AddCampaign(res *core.CampaignResult) {
 // N returns how many runs were observed.
 func (e *SequentialEstimator) N() int { return e.n }
 
-// Count returns how many observed runs ended in the given class.
-func (e *SequentialEstimator) Count(o core.Outcome) int { return e.counts[o] }
-
 // Interval returns the confidence interval of the given outcome
 // class's proportion.
 func (e *SequentialEstimator) Interval(o core.Outcome) (lo, hi float64) {

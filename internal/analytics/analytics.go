@@ -69,16 +69,6 @@ func (d *Distribution) Percent(o core.Outcome) float64 {
 	return 100 * float64(d.Counts[o]) / float64(t)
 }
 
-// Table renders the distribution as an aligned two-column table.
-func (d *Distribution) Table() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s (n=%d)\n", d.Label, d.Total())
-	for _, o := range d.classes() {
-		fmt.Fprintf(&b, "  %-22s %4d  %6.1f%%\n", o, d.Counts[o], d.Percent(o))
-	}
-	return b.String()
-}
-
 // Bars renders the distribution as a horizontal ASCII bar chart — the
 // repository's rendering of Figure 3.
 func (d *Distribution) Bars(width int) string {

@@ -43,12 +43,8 @@ func TestTableBarsCSVRender(t *testing.T) {
 	res := smallCampaign(t)
 	d := FromCampaign("fig3-test", res)
 
-	table := d.Table()
-	if !strings.Contains(table, "fig3-test (n=12)") || !strings.Contains(table, "correct") {
-		t.Fatalf("Table = %q", table)
-	}
 	bars := d.Bars(40)
-	if !strings.Contains(bars, "|") || !strings.Contains(bars, "%") {
+	if !strings.Contains(bars, "fig3-test (n=12)") || !strings.Contains(bars, "|") || !strings.Contains(bars, "%") {
 		t.Fatalf("Bars = %q", bars)
 	}
 	csv := d.CSV()
@@ -136,7 +132,6 @@ func TestRenderersSurfaceUnknownClasses(t *testing.T) {
 		Order: []core.Outcome{core.OutcomeCorrect},
 	}
 	for name, render := range map[string]func() string{
-		"Table":       d.Table,
 		"Bars":        func() string { return d.Bars(20) },
 		"CSV":         d.CSV,
 		"TableWithCI": d.TableWithCI,

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 	"strings"
-
-	"github.com/dessertlab/certify/internal/core"
 )
 
 // Wilson returns the Wilson score interval for a proportion at the given
@@ -54,12 +52,4 @@ func (d *Distribution) TableWithCI() string {
 			o, d.Counts[o], d.Percent(o), 100*lo, 100*hi)
 	}
 	return b.String()
-}
-
-// WithinBand reports whether the outcome's share is statistically
-// compatible with the target proportion at 95% confidence — the check
-// EXPERIMENTS.md applies when comparing against the paper's numbers.
-func (d *Distribution) WithinBand(o core.Outcome, target float64) bool {
-	lo, hi := Wilson(d.Counts[o], d.Total(), Z95)
-	return target >= lo && target <= hi
 }

@@ -56,12 +56,10 @@ func TestTableWithCIAndBand(t *testing.T) {
 	if !strings.Contains(out, "Wilson CI") || !strings.Contains(out, "[") {
 		t.Fatalf("TableWithCI = %q", out)
 	}
-	// The paper's 30% lies inside the panic-park interval for 29/100.
-	if !d.WithinBand(core.OutcomePanicPark, 0.30) {
-		t.Fatal("paper's 30%% not compatible with 29/100")
-	}
-	// And 60% does not.
-	if d.WithinBand(core.OutcomePanicPark, 0.60) {
-		t.Fatal("60%% should be outside the interval")
+	// The paper's 30% lies inside the panic-park interval for 29/100,
+	// and 60% does not.
+	lo, hi := Wilson(d.Counts[core.OutcomePanicPark], d.Total(), Z95)
+	if lo > 0.30 || hi < 0.30 || hi >= 0.60 {
+		t.Fatalf("panic-park interval [%v, %v] for 29/100", lo, hi)
 	}
 }

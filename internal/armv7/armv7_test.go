@@ -25,15 +25,15 @@ func TestNewCPUResetState(t *testing.T) {
 	}
 }
 
-func TestModeValidAndString(t *testing.T) {
+func TestModeString(t *testing.T) {
 	valid := []Mode{ModeUSR, ModeFIQ, ModeIRQ, ModeSVC, ModeMON, ModeABT, ModeHYP, ModeUND, ModeSYS}
 	for _, m := range valid {
-		if !m.Valid() {
-			t.Errorf("mode %v should be valid", m)
+		if strings.HasPrefix(m.String(), "mode(") {
+			t.Errorf("mode %v has no name", m)
 		}
 	}
-	if Mode(0x00).Valid() || Mode(0x1E).Valid() {
-		t.Error("undefined mode encodings reported valid")
+	if Mode(0x1E).String() != "mode(0x1e)" {
+		t.Errorf("undefined mode string = %q", Mode(0x1E).String())
 	}
 	if ModeHYP.String() != "hyp" {
 		t.Errorf("ModeHYP.String() = %q", ModeHYP.String())
@@ -167,7 +167,7 @@ func TestHSRRoundTrip(t *testing.T) {
 	if got := HSRClass(hsr); got != ECDABTLow {
 		t.Fatalf("class = %v", got)
 	}
-	if !HSRIL(hsr) {
+	if hsr&hsrILBit == 0 {
 		t.Fatal("IL lost")
 	}
 	if got := HSRISS(hsr); got != 0x123456 {
@@ -179,19 +179,16 @@ func TestHSRPropertyRoundTrip(t *testing.T) {
 	prop := func(ecRaw uint8, il bool, iss uint32) bool {
 		ec := EC(ecRaw & 0x3F)
 		hsr := BuildHSR(ec, il, iss)
-		return HSRClass(hsr) == ec && HSRIL(hsr) == il && HSRISS(hsr) == iss&0x01FFFFFF
+		return HSRClass(hsr) == ec && (hsr&hsrILBit != 0) == il && HSRISS(hsr) == iss&0x01FFFFFF
 	}
 	if err := quick.Check(prop, nil); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func TestECKnownAndString(t *testing.T) {
-	if !ECHVC.Known() || !ECDABTLow.Known() {
-		t.Fatal("architectural ECs reported unknown")
-	}
-	if EC(0x3F).Known() {
-		t.Fatal("EC 0x3f should be unknown")
+func TestECString(t *testing.T) {
+	if got := EC(0x3F).String(); got != "invalid(0x3f)" {
+		t.Fatalf("EC(0x3f).String() = %q", got)
 	}
 	if got := ECDABTLow.String(); !strings.Contains(got, "0x24") || !strings.Contains(got, "dabt-low") {
 		t.Fatalf("ECDABTLow.String() = %q", got)
@@ -307,17 +304,6 @@ func TestFieldNames(t *testing.T) {
 	}
 	if FieldName(FieldHSR) != "hsr" || FieldName(FieldCPUID) != "cpuid" {
 		t.Error("control field names")
-	}
-}
-
-func TestTrapContextDump(t *testing.T) {
-	var tc TrapContext
-	tc.HSR = BuildHSR(ECDABTLow, true, 0)
-	d := tc.Dump()
-	for _, want := range []string{"r0=", "pc=", "dabt-low", "cpu=0"} {
-		if !strings.Contains(d, want) {
-			t.Fatalf("Dump missing %q:\n%s", want, d)
-		}
 	}
 }
 

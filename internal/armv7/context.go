@@ -1,9 +1,6 @@
 package armv7
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // TrapContext is the register frame a hypervisor saves on entry from a
 // guest — the exact structure the paper's injector corrupts. It mirrors
@@ -161,18 +158,4 @@ func (tc *TrapContext) Set(f Field, v uint32) {
 // the injection tests rely on.
 func (tc *TrapContext) FlipBit(f Field, bit uint) {
 	tc.Set(f, tc.Get(f)^(1<<(bit%32)))
-}
-
-// Dump renders the frame the way hypervisor panic messages do.
-func (tc *TrapContext) Dump() string {
-	var b strings.Builder
-	for i := 0; i < NumRegs; i++ {
-		fmt.Fprintf(&b, "%s=%08x ", RegName(i), tc.Regs[i])
-		if i%4 == 3 {
-			b.WriteByte('\n')
-		}
-	}
-	fmt.Fprintf(&b, "hsr=%08x (%s) spsr=%08x elr=%08x hdfar=%08x cpu=%d\n",
-		tc.HSR, HSRClass(tc.HSR), tc.SPSR, tc.ELR, tc.HDFAR, tc.CPUID)
-	return b.String()
 }

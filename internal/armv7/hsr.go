@@ -62,14 +62,6 @@ var ecStrings = func() (s [64]string) {
 	return s
 }()
 
-// Known reports whether the EC value is architecturally defined in this
-// model. Bit-flips in HSR routinely produce unknown classes; the
-// hypervisor's dispatch treats those as unhandled traps.
-func (e EC) Known() bool {
-	_, ok := ecNames[e]
-	return ok
-}
-
 // HSR field layout.
 const (
 	hsrECShift = 26
@@ -90,9 +82,6 @@ func BuildHSR(ec EC, il32 bool, iss uint32) uint32 {
 
 // HSRClass extracts the exception class from a syndrome value.
 func HSRClass(hsr uint32) EC { return EC((hsr >> hsrECShift) & hsrECMask) }
-
-// HSRIL reports the instruction-length bit (true = 32-bit instruction).
-func HSRIL(hsr uint32) bool { return hsr&hsrILBit != 0 }
 
 // HSRISS extracts the 25-bit instruction-specific syndrome.
 func HSRISS(hsr uint32) uint32 { return hsr & hsrISSMask }

@@ -42,12 +42,6 @@ func (m Mode) String() string {
 	return fmt.Sprintf("mode(%#x)", uint32(m))
 }
 
-// Valid reports whether m is an architecturally defined mode.
-func (m Mode) Valid() bool {
-	_, ok := modeNames[m]
-	return ok
-}
-
 // CPSR bit positions (beyond the mode field).
 const (
 	CPSRThumb uint32 = 1 << 5  // T
@@ -261,7 +255,7 @@ func (c *CPU) CPSR() uint32 { return c.cpsr }
 
 // SetCPSR replaces CPSR, performing register re-banking if the mode field
 // changed. Invalid target modes are still written (hardware would take an
-// illegal-state exception; our callers detect it via Mode().Valid()).
+// illegal-state exception).
 func (c *CPU) SetCPSR(v uint32) {
 	oldMode := c.Mode()
 	newMode := Mode(v & 0x1F)

@@ -128,9 +128,6 @@ type Board struct {
 
 // Options tunes board assembly.
 type Options struct {
-	// NoByteCapture disables the UARTs' raw transmitted-byte logs (line
-	// capture is unaffected). Distribution-mode campaigns set this.
-	NoByteCapture bool
 	// TraceRecordHint/TraceArgHint pre-size the engine trace's arenas
 	// (sim.Trace.Grow) — the plan-profile capacity estimate. Zero means
 	// no pre-sizing.
@@ -139,24 +136,16 @@ type Options struct {
 }
 
 // New builds a powered-on board with the given deterministic seed.
-func New(seed uint64) *Board {
-	return NewWithOptions(seed, Options{})
-}
-
-// NewWithOptions builds a powered-on board.
-func NewWithOptions(seed uint64, opts Options) *Board {
+func New(seed uint64, opts Options) *Board {
 	eng := sim.NewEngine(seed)
 	eng.Trace().Grow(opts.TraceRecordHint, opts.TraceArgHint)
-	u0, u7 := uart.New("uart0", eng.Now), uart.New("uart7", eng.Now)
-	u0.SetCaptureBytes(!opts.NoByteCapture)
-	u7.SetCaptureBytes(!opts.NoByteCapture)
 	b := &Board{
 		Engine: eng,
 		RAM:    memmap.NewRAM(DRAMBase, DRAMSize),
 		GIC:    gic.New(NumCPUs),
-		UART0:  u0,
-		UART7:  u7,
-		GPIO:   gpio.New(eng.Now),
+		UART0:  uart.New(eng.Now),
+		UART7:  uart.New(eng.Now),
+		GPIO:   gpio.New(),
 		timers: make([]Timer, NumCPUs),
 	}
 	for i := 0; i < NumCPUs; i++ {
@@ -189,8 +178,8 @@ func NewWithOptions(seed uint64, opts Options) *Board {
 // Snapshot is the whole board at one instant: scheduler (events, clock,
 // trace position), RAM image, interrupt controller, both UARTs, the GPIO
 // bank, every core and the timer bookkeeping. The append-only logs —
-// trace records, UART captures, LED toggles — are held as lengths only;
-// their content lives once in the golden Log a restore is handed. The
+// trace records and UART lines — are held as lengths only; their
+// content lives once in the golden Log a restore is handed. The
 // timers are Event handles into the engine slab; the engine snapshot
 // restores slot generations exactly, so they remain valid after a
 // restore.
@@ -205,9 +194,6 @@ type Snapshot struct {
 	timers []Timer
 }
 
-// RAMPages returns how many RAM pages the snapshot image holds.
-func (s *Snapshot) RAMPages() int { return s.ram.Pages() }
-
 // Now returns the virtual time of the snapshot.
 func (s *Snapshot) Now() sim.Time { return s.engine.Now() }
 
@@ -215,14 +201,13 @@ func (s *Snapshot) Now() sim.Time { return s.engine.Now() }
 func (s *Snapshot) TraceLen() int { return s.engine.TraceLen() }
 
 // Log is the published fault-free prefix of the board's append-only
-// logs — trace, both UART captures, the GPIO toggle history — shared
-// read-only by every machine on one golden trajectory. A published Log
-// is never written again; Publish returns a new one.
+// logs — trace and both UARTs' lines — shared read-only by every machine
+// on one golden trajectory. A published Log is never written again;
+// Publish returns a new one.
 type Log struct {
 	trace *sim.TraceLog
 	uart0 uart.Log
 	uart7 uart.Log
-	gpio  gpio.Log
 }
 
 // CaptureSnapshot copies the board state, records its log lengths, and
@@ -255,17 +240,16 @@ func (b *Board) Publish(l *Log) *Log {
 		trace: b.Trace().Publish(l.trace),
 		uart0: b.UART0.Publish(l.uart0),
 		uart7: b.UART7.Publish(l.uart7),
-		gpio:  b.GPIO.Publish(l.gpio),
 	}
 }
 
 // RestoreSnapshot rewinds the board to a captured state with a fresh RNG
 // seed, reusing every live buffer. The logs are rewritten from the
 // golden log l, which must cover the snapshot: the trace reads l's
-// records in place, and the UART and GPIO logs copy what they lack.
-// from is the snapshot the board last captured or restored on the same
-// golden lineage, whose UART and GPIO log prefixes are already in place
-// and are not copied again. Returns how many RAM pages the preceding
+// records in place, and the UART lines copy what they lack. from is the
+// snapshot the board last captured or restored on the same golden
+// lineage, whose UART line prefixes are already in place and are not
+// copied again. Returns how many RAM pages the preceding
 // run dirtied and how many the restore copied back — the flight
 // recorder's dirty-page metrics. The observable result must be indistinguishable from the
 // straight run that reached the snapshot (the differential and
@@ -276,7 +260,7 @@ func (b *Board) RestoreSnapshot(s *Snapshot, seed uint64, l *Log, from *Snapshot
 	b.GIC.RestoreSnapshot(s.gic)
 	b.UART0.RestoreSnapshot(s.uart0, l.uart0, from.uart0)
 	b.UART7.RestoreSnapshot(s.uart7, l.uart7, from.uart7)
-	b.GPIO.RestoreSnapshot(s.gpio, l.gpio, from.gpio)
+	b.GPIO.RestoreSnapshot(s.gpio)
 	b.restoreCPUs(s)
 	return dirtied, restored
 }
@@ -327,15 +311,16 @@ func (b *Board) SameEvent(ev sim.Event, s *Snapshot, golden sim.Event) bool {
 // Splice moves a board whose state matches golden snapshot from to the
 // later golden snapshot to of the same lineage without simulating the
 // stretch between them: every state layer becomes to's, and each log —
-// trace, UART captures, LED toggles — keeps this run's content and gains
-// the golden content between the two snapshots from l. The RNG is kept.
+// trace and UART lines — keeps this run's content and gains the golden
+// content between the two snapshots from l; the LED toggle count gains
+// the golden toggles between them. The RNG is kept.
 func (b *Board) Splice(from, to *Snapshot, l *Log) {
 	b.Engine.Splice(from.engine, to.engine, l.trace)
 	b.RAM.Splice(from.ram, to.ram)
 	b.GIC.RestoreSnapshot(to.gic)
 	b.UART0.Splice(from.uart0, to.uart0, l.uart0)
 	b.UART7.Splice(from.uart7, to.uart7, l.uart7)
-	b.GPIO.Splice(from.gpio, to.gpio, l.gpio)
+	b.GPIO.Splice(from.gpio, to.gpio)
 	b.restoreCPUs(to)
 }
 
@@ -352,16 +337,6 @@ func (b *Board) addMMIO(name string, base, size uint64,
 	read func(int, uint64) (uint32, error),
 	write func(int, uint64, uint32) error) {
 	b.mmio = append(b.mmio, mmioRange{name: name, base: base, size: size, read: read, write: write})
-}
-
-// DeviceAt returns the name of the device window covering addr, if any.
-func (b *Board) DeviceAt(addr uint64) (string, bool) {
-	for _, m := range b.mmio {
-		if addr >= m.base && addr < m.base+m.size {
-			return m.name, true
-		}
-	}
-	return "", false
 }
 
 // Read32 performs a host-physical 32-bit read as seen by cpu.

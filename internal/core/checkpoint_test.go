@@ -21,7 +21,7 @@ import (
 // digest.
 func straightRun(t *testing.T, plan *TestPlan, seed uint64) (*RunResult, uint64) {
 	t.Helper()
-	opts := runMachineOptions(plan, seed, ModeFull)
+	opts := runMachineOptions(plan, seed)
 	m, err := BuildMachine(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -42,12 +42,12 @@ func pooledRun(t *testing.T, pool *MachinePool, plan *TestPlan, seed uint64) (*R
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := pool.Size()
+	n := len(pool.idle)
 	if n == 0 {
 		t.Fatal("run left no warm machine in the pool")
 	}
 	m := pool.idle[n-1] // the run's machine, parked last
-	if m.profile != profileOf(runMachineOptions(plan, seed, ModeFull)) {
+	if m.profile != profileOf(runMachineOptions(plan, seed)) {
 		t.Fatalf("last parked machine serves another profile than %s", plan.Name)
 	}
 	return res, m.StateDigest(), m
@@ -61,7 +61,7 @@ func holdOnePerPlan(t *testing.T, pool *MachinePool, plans ...*TestPlan) {
 	t.Helper()
 	var held []*Machine
 	for _, plan := range plans {
-		m, err := pool.Get(runMachineOptions(plan, 1, ModeFull))
+		m, err := pool.Get(runMachineOptions(plan, 1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -237,7 +237,7 @@ func TestMachineRNGUntouchedByFaultFreePrefix(t *testing.T) {
 			t.Fatal(err)
 		}
 		const seed = 99
-		m, err := BuildMachine(runMachineOptions(plan, seed, ModeFull))
+		m, err := BuildMachine(runMachineOptions(plan, seed))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -292,7 +292,7 @@ func TestChosenCheckpointPrecedesFirstInjection(t *testing.T) {
 			}
 			c := tl.latest(mk(m.Board.Now), horizon)
 
-			ref, err := BuildMachine(runMachineOptions(&p, seed, ModeFull))
+			ref, err := BuildMachine(runMachineOptions(&p, seed))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -328,7 +328,7 @@ func TestTraceBudgetCoversBuiltinPlans(t *testing.T) {
 		recBudget, argBudget := TraceBudget(plan)
 		peakRecs, peakArgs := 0, 0
 		for _, seed := range seeds {
-			opts := runMachineOptions(plan, seed, ModeFull)
+			opts := runMachineOptions(plan, seed)
 			m, err := BuildMachine(opts)
 			if err != nil {
 				t.Fatal(err)

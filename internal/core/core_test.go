@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -109,6 +110,33 @@ func TestPlanValidation(t *testing.T) {
 	}
 }
 
+// TestCampaignDetectionLatency: at a hot injection rate some run of a
+// short E3 campaign detects its failure, and the campaign's mean
+// detection latency is a plausible virtual duration within the run.
+func TestCampaignDetectionLatency(t *testing.T) {
+	if testing.Short() {
+		t.Skip("campaign test")
+	}
+	plan := *PlanE3Fig3()
+	plan.Duration = 20 * sim.Second
+	plan.Rate = 10 // hot: force detections
+	c := &Campaign{Plan: &plan, Runs: 20, MasterSeed: 3}
+	res, err := c.Execute(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Total() != 20 {
+		t.Fatalf("campaign ran %d runs, want 20", res.Total())
+	}
+	mean := res.MeanDetectionLatency()
+	if mean < 0 {
+		t.Fatal("no run of a rate-10 campaign detected its failure")
+	}
+	if mean > plan.Duration {
+		t.Fatalf("mean detection latency = %v, past the %v run", mean, plan.Duration)
+	}
+}
+
 func TestPlanDefaults(t *testing.T) {
 	p := PlanE3Fig3()
 	if p.EffectiveRate() != 100 {
@@ -125,28 +153,6 @@ func TestPlanDefaults(t *testing.T) {
 		if !strings.Contains(s, want) {
 			t.Fatalf("plan string %q missing %q", s, want)
 		}
-	}
-}
-
-func TestPlanMatrix(t *testing.T) {
-	plans := PlanMatrix(
-		[]jailhouse.InjectionPoint{jailhouse.PointTrap, jailhouse.PointHVC},
-		[]Intensity{IntensityMedium, IntensityHigh},
-		[]int{25, 50, 100},
-		TestPlan{Name: "A1", TargetCPU: 1, Workload: WorkloadSteady},
-	)
-	if len(plans) != 12 {
-		t.Fatalf("matrix size = %d, want 12", len(plans))
-	}
-	names := map[string]bool{}
-	for _, p := range plans {
-		if err := p.Validate(); err != nil {
-			t.Fatalf("matrix plan invalid: %v", err)
-		}
-		if names[p.Name] {
-			t.Fatalf("duplicate plan name %q", p.Name)
-		}
-		names[p.Name] = true
 	}
 }
 
@@ -196,7 +202,7 @@ func TestInjectorFilterAndRate(t *testing.T) {
 	}
 }
 
-func TestInjectorDisarmAndWindow(t *testing.T) {
+func TestInjectorWindow(t *testing.T) {
 	plan := &TestPlan{
 		Name:      "t",
 		Points:    []jailhouse.InjectionPoint{jailhouse.PointTrap},
@@ -211,11 +217,6 @@ func TestInjectorDisarmAndWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := &armv7.TrapContext{HSR: armv7.BuildHSR(armv7.ECWFx, true, 0)}
-
-	inj.Disarm()
-	if r := inj.Hook(jailhouse.PointTrap, 0, "c", ctx); len(r.Fields) > 0 {
-		t.Fatal("disarmed injector injected")
-	}
 
 	// Window [10s, 20s].
 	inj.ArmWindow(10*sim.Second, 20*sim.Second)

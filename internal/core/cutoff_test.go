@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/dessertlab/certify/internal/board"
+	"github.com/dessertlab/certify/internal/gpio"
 	"github.com/dessertlab/certify/internal/obs"
 	"github.com/dessertlab/certify/internal/sim"
 )
@@ -313,18 +314,27 @@ func TestCutoffNeedsEveryCheck(t *testing.T) {
 		}
 	}
 
-	// tallies reads root Linux's, the kernel's and its queue's tallies at
-	// checkpoint c, or the machine's own when c is nil.
-	tallies := func(c *checkpoint) [3]uint64 {
+	// tallies reads root Linux's, the kernel's and its queue's tallies
+	// and the LED toggle count at checkpoint c, or the machine's own when
+	// c is nil.
+	tallies := func(c *checkpoint) [4]uint64 {
 		if c != nil {
 			m.restoreTo(c, 5)
 		}
-		return [3]uint64{m.Linux.StateQueries, m.RTOS.TicksSeen, m.RTOS.Queues()[0].Sends}
+		return [4]uint64{m.Linux.StateQueries, m.RTOS.TicksSeen, m.RTOS.Queues()[0].Sends,
+			uint64(m.Board.GPIO.ToggleCount(gpio.LEDGreen))}
 	}
+	// skew raises every tally by 3 and the LED count by 4: an even
+	// number of toggles leaves the LED level, which is state, as b has it.
 	skew := func() {
 		m.Linux.StateQueries += 3
 		m.RTOS.TicksSeen += 3
 		m.RTOS.Queues()[0].Sends += 3
+		led := m.Board.GPIO.Get(gpio.LEDGreen)
+		for i := 0; i < 4; i++ {
+			led = !led
+			m.Board.GPIO.Set(gpio.LEDGreen, led)
+		}
 	}
 	for _, c := range []struct {
 		name string
@@ -343,8 +353,8 @@ func TestCutoffNeedsEveryCheck(t *testing.T) {
 		}
 		refused := rejoinRefusals()
 		expect(c.name, c.fire, skew, c.want, c.at)
-		if got, want := tallies(nil), [3]uint64{to[0] + 3, to[1] + 3, to[2] + 3}; got != want {
-			t.Fatalf("%s: machine lands with tallies %v, want the target's golden %v plus 3", c.name, got, to)
+		if got, want := tallies(nil), [4]uint64{to[0] + 3, to[1] + 3, to[2] + 3, to[3] + 4}; got != want {
+			t.Fatalf("%s: machine lands with tallies %v, want the target's golden %v plus the skew", c.name, got, to)
 		}
 		if rejoinRefusals() != refused {
 			t.Fatalf("%s: counted as a refusal", c.name)

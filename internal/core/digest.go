@@ -9,6 +9,7 @@ import (
 	"github.com/dessertlab/certify/internal/board"
 	"github.com/dessertlab/certify/internal/gic"
 	"github.com/dessertlab/certify/internal/gpio"
+	"github.com/dessertlab/certify/internal/uart"
 )
 
 // fold is an incremental FNV-1a accumulator (stdlib hash/fnv) over the
@@ -44,9 +45,9 @@ func (f *fold) str(s string) {
 // state: engine clock and queued events (kind, target, argument, time,
 // period and cancel flag, in delivery order), the rendered trace, both UART
 // captures, the GIC's full register file and per-CPU pending/active
-// bitmaps, the LED history, RAM content, each CPU's architectural state,
-// the hypervisor's cells/per-CPU blocks/console/ivshmem links, root
-// Linux's lifecycle state and the FreeRTOS kernel's scheduler state,
+// bitmaps, the LED level and toggle count, RAM content, each CPU's
+// architectural state, the hypervisor's cells/per-CPU blocks/console/
+// ivshmem links, root Linux's lifecycle state and the FreeRTOS kernel's scheduler state,
 // task control blocks included (working registers and the task bodies'
 // own locals).
 //
@@ -78,16 +79,10 @@ func (m *Machine) StateDigest() uint64 {
 	f.u64(m.Board.Trace().Hash())
 	f.i64(int64(m.Board.Trace().Len()))
 
-	// UART captures (lines carry timestamps via Transcript; the raw byte
-	// log length covers the byte-capture channel).
-	for _, u := range []interface {
-		LineCount() int
-		Transcript() string
-		Bytes() []byte
-	}{m.Board.UART0, m.Board.UART7} {
+	// UART captures (lines carry timestamps via Transcript).
+	for _, u := range []*uart.UART{m.Board.UART0, m.Board.UART7} {
 		f.i64(int64(u.LineCount()))
 		f.str(u.Transcript())
-		f.i64(int64(len(u.Bytes())))
 	}
 
 	// GIC: distributor register file plus per-CPU banked state.
@@ -142,7 +137,6 @@ func (m *Machine) StateDigest() uint64 {
 		f.str(c.Name())
 		f.u64(uint64(c.State))
 		f.b(c.Loadable)
-		f.u64(uint64(c.CommPending))
 		for _, cpu := range c.CPUList() {
 			f.i64(int64(cpu))
 		}

@@ -183,7 +183,6 @@ func TestE2DestroyRecoversBrokenCell(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inj.Arm(0)
 	m.HV.Hook = inj.Hook
 	m.Run(PlanE2Core1().EffectiveDuration())
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"slices"
+	"strings"
 	"testing"
 
 	"github.com/dessertlab/certify/internal/board"
@@ -58,7 +59,7 @@ func TestHypervisorHotPathsAllocationFree(t *testing.T) {
 			t.Errorf("%s: %v allocations per operation, want 0", o.name, got)
 		}
 	}
-	if !m.HV.ConsoleContains("cell create: bad config signature") {
+	if !strings.Contains(strings.Join(m.HV.ConsoleLines, "\n"), "cell create: bad config signature") {
 		t.Fatal("refused CELL_CREATE left no console line")
 	}
 }

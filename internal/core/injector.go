@@ -92,23 +92,14 @@ func NewInjector(plan *TestPlan, profile *SensitivityProfile, rng *sim.RNG, now 
 // is built only where the counts leave as evidence (Calls).
 type callCounts [jailhouse.PointIRQChip + 1]uint64
 
-// Arm (re)enables injection; until is an optional virtual-time deadline
-// (0 = no deadline), implementing the paper's test-duration control.
-func (in *Injector) Arm(until sim.Time) {
-	in.armed = true
-	in.disarmAt = until
-}
-
-// ArmWindow enables injection only inside [from, until] of virtual time;
+// ArmWindow enables injection only inside [from, until] of virtual time
+// (0 = no bound), implementing the paper's test-duration control;
 // matching calls are still counted outside the window (profiling).
 func (in *Injector) ArmWindow(from, until sim.Time) {
 	in.armed = true
 	in.armFrom = from
 	in.disarmAt = until
 }
-
-// Disarm stops all future injections.
-func (in *Injector) Disarm() { in.armed = false }
 
 // BindMachine attaches the experiment target so machine-level fault
 // models (MachineFaulter) can reach RAM, the GIC, the guests and the

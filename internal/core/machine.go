@@ -85,8 +85,9 @@ type machineState struct {
 // shapes the post-boot state. Seed is excluded — boot draws nothing from
 // the RNG, so one image serves every seed (restore reseeds) — and so
 // are the trace arena hints, which only size buffers. A campaign's
-// profile is fixed by its plan's workload and its capture mode, so
-// campaigns have at most 3 × 2 profiles, whatever their durations.
+// profile is fixed by its plan's workload alone — full and distribution
+// mode boot the same machine — so campaigns have at most 3 profiles,
+// whatever their durations.
 type profileKey struct {
 	skipCellStart   bool
 	recreateLoop    bool
@@ -94,7 +95,6 @@ type profileKey struct {
 	delayedCreate   bool
 	delayedCreateAt sim.Time
 	stateWatchdog   bool
-	leanCapture     bool
 }
 
 func profileOf(opts MachineOptions) profileKey {
@@ -105,7 +105,6 @@ func profileOf(opts MachineOptions) profileKey {
 		delayedCreate:   opts.DelayedCreate,
 		delayedCreateAt: opts.DelayedCreateAt,
 		stateWatchdog:   opts.StateWatchdog,
-		leanCapture:     opts.LeanCapture,
 	}
 }
 
@@ -127,8 +126,8 @@ type MachineOptions struct {
 	DelayedCreateAt sim.Time
 	// StateWatchdog arms the periodic "jailhouse cell state" probe.
 	StateWatchdog bool
-	// LeanCapture disables the UARTs' raw byte logs; line capture (the
-	// classifier's channel) is unaffected. Set by Distribution mode.
+	// Deprecated: LeanCapture has no effect. The UARTs keep no raw byte
+	// log to disable, so every capture mode boots the same machine.
 	LeanCapture bool
 	// TraceRecords/TraceArgs pre-size the engine's trace arenas — the
 	// plan-profile hint from TraceBudget. Zero leaves the arenas to
@@ -148,8 +147,7 @@ func DefaultMachineOptions(seed uint64) MachineOptions {
 // hypervisor enable, FreeRTOS cell create/load/start. The returned
 // machine is ready for its engine to run the experiment horizon.
 func BuildMachine(opts MachineOptions) (*Machine, error) {
-	brd := board.NewWithOptions(opts.Seed, board.Options{
-		NoByteCapture:   opts.LeanCapture,
+	brd := board.New(opts.Seed, board.Options{
 		TraceRecordHint: opts.TraceRecords,
 		TraceArgHint:    opts.TraceArgs,
 	})

@@ -15,9 +15,8 @@ import (
 // an E1 campaign dispatches — timer ticks and root Linux's recreate
 // cycles — show up under their own names.
 func TestSimEventsByKindSumToTotal(t *testing.T) {
-	prev := obs.Enabled()
 	obs.SetEnabled(true)
-	defer obs.SetEnabled(prev)
+	defer obs.SetEnabled(true) // recording is on by default
 
 	byKind := func() (out [board.NumEventKinds]uint64) {
 		for k := range out {
@@ -50,12 +49,11 @@ func TestSimEventsByKindSumToTotal(t *testing.T) {
 // certify_core_sim_events_total on top of the run's own events, which
 // alone go to the per-run histogram.
 func TestSimEventsCountGoldenPass(t *testing.T) {
-	prev := obs.Enabled()
 	obs.SetEnabled(true)
-	defer obs.SetEnabled(prev)
+	defer obs.SetEnabled(true) // recording is on by default
 
 	plan := PlanE3Fig3()
-	opts := runMachineOptions(plan, 1, ModeDistribution)
+	opts := runMachineOptions(plan, 1)
 	m, err := BuildMachine(opts)
 	if err != nil {
 		t.Fatal(err)

@@ -270,22 +270,3 @@ func PlanByName(name string) (*TestPlan, error) {
 	}
 	return nil, fmt.Errorf("core: unknown plan %q (known: %s)", name, strings.Join(BuiltinPlanNames(), ", "))
 }
-
-// PlanMatrix expands a cartesian sweep of points × intensities × rates
-// into plans, for the A1 occurrence ablation.
-func PlanMatrix(points []jailhouse.InjectionPoint, intensities []Intensity, rates []int, base TestPlan) []*TestPlan {
-	var out []*TestPlan
-	for _, pt := range points {
-		for _, in := range intensities {
-			for _, r := range rates {
-				p := base // copy
-				p.Points = []jailhouse.InjectionPoint{pt}
-				p.Intensity = in
-				p.Rate = r
-				p.Name = fmt.Sprintf("%s/%s/%s/1-%d", base.Name, pt, in, r)
-				out = append(out, &p)
-			}
-		}
-	}
-	return out
-}

@@ -131,13 +131,6 @@ func (p *MachinePool) Put(m *Machine) {
 	metPoolPut.ObserveSince(start)
 }
 
-// Size reports how many machines sit idle in the pool.
-func (p *MachinePool) Size() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.idle)
-}
-
 // Stats reports how many Gets built cold and how many reused a warm
 // machine — the bench and the race test read these.
 func (p *MachinePool) Stats() (builds, reuses uint64) {

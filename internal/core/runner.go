@@ -82,7 +82,7 @@ func RunExperimentOpts(plan *TestPlan, seed uint64, ro RunOptions) (*RunResult, 
 		return nil, err
 	}
 	started := time.Now()
-	opts := runMachineOptions(plan, seed, ro.Mode)
+	opts := runMachineOptions(plan, seed)
 	m, fresh, release, err := acquireMachine(ro.Pool, opts)
 	if err != nil {
 		return nil, err
@@ -115,15 +115,12 @@ func countSimEvents(e *sim.Engine) uint64 {
 }
 
 // runMachineOptions derives the machine configuration of a plan's run.
-func runMachineOptions(plan *TestPlan, seed uint64, mode CampaignMode) MachineOptions {
+func runMachineOptions(plan *TestPlan, seed uint64) MachineOptions {
 	opts := MachineOptions{Seed: seed, StateWatchdog: true}
 	// Pre-size the trace arenas from the plan profile: one allocation
 	// per arena up front instead of a doubling cascade during the run.
 	// Pooled machines grow theirs to the hint when they are rewound.
 	opts.TraceRecords, opts.TraceArgs = TraceBudget(plan)
-	if mode == ModeDistribution {
-		opts.LeanCapture = true
-	}
 	switch plan.Workload {
 	case WorkloadManagement:
 		opts.RecreateLoop = true

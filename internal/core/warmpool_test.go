@@ -307,12 +307,12 @@ func TestStateLeakFuzzSnapshotRestoreMatchesFresh(t *testing.T) {
 		if _, err := RunExperimentOpts(&plan, dirtySeed, RunOptions{Mode: mode, Pool: pool}); err != nil {
 			t.Fatalf("iter %d: dirty run (%s/%s, seed %#x): %v", iter, plan.Name, plan.FaultName, dirtySeed, err)
 		}
-		if pool.Size() != 1 {
+		if len(pool.idle) != 1 {
 			t.Fatalf("iter %d: dirty run (%s/%s, seed %#x) left no machine in the pool", iter, plan.Name, plan.FaultName, dirtySeed)
 		}
 		m := pool.idle[0]
 
-		opts := runMachineOptions(&plan, rng.Uint64(), mode)
+		opts := runMachineOptions(&plan, rng.Uint64())
 		if err := m.Restore(opts); err != nil {
 			t.Fatalf("iter %d: restore: %v", iter, err)
 		}
@@ -449,9 +449,10 @@ func TestMachinePoolConcurrentWorkers(t *testing.T) {
 // interleaved on one pool leave exactly one machine per boot profile,
 // and every run equals its straight run from a fresh build. Plans that
 // differ only in duration share a profile, so they share one machine,
-// one timeline and one golden lineage. A fourth profile replaces the
-// least recently parked machine instead of growing the pool. Restore
-// refuses a foreign profile and a tainted machine.
+// one timeline and one golden lineage, and so do a plan's full- and
+// distribution-mode runs. A fourth profile replaces the least recently
+// parked machine instead of growing the pool. Restore refuses a foreign
+// profile and a tainted machine.
 func TestPoolServesEachProfileItsOwnMachine(t *testing.T) {
 	plans := shortPlans() // E1, E2, E3
 	pool := NewMachinePool()
@@ -479,8 +480,8 @@ func TestPoolServesEachProfileItsOwnMachine(t *testing.T) {
 	for _, m := range pool.idle {
 		profiles[m.profile] = true
 	}
-	if pool.Size() != 3 || len(profiles) != 3 {
-		t.Fatalf("pool holds %d machines of %d profiles, want 3 of 3", pool.Size(), len(profiles))
+	if len(pool.idle) != 3 || len(profiles) != 3 {
+		t.Fatalf("pool holds %d machines of %d profiles, want 3 of 3", len(pool.idle), len(profiles))
 	}
 
 	short := plans[2]
@@ -490,11 +491,11 @@ func TestPoolServesEachProfileItsOwnMachine(t *testing.T) {
 	if _, err := RunExperimentOpts(&long, 5, RunOptions{Mode: ModeFull, Pool: pool}); err != nil {
 		t.Fatal(err)
 	}
-	if builds, _ := pool.Stats(); builds != 3 || pool.Size() != 3 {
-		t.Fatalf("a longer E3 plan built a machine of its own (builds=%d, idle=%d)", builds, pool.Size())
+	if builds, _ := pool.Stats(); builds != 3 || len(pool.idle) != 3 {
+		t.Fatalf("a longer E3 plan built a machine of its own (builds=%d, idle=%d)", builds, len(pool.idle))
 	}
 	e3 := pool.idle[2]
-	if e3.profile != profileOf(runMachineOptions(&long, 5, ModeFull)) {
+	if e3.profile != profileOf(runMachineOptions(&long, 5)) {
 		t.Fatal("the longer E3 plan did not run on the E3 machine")
 	}
 	if len(e3.timelines) != 1 {
@@ -506,26 +507,39 @@ func TestPoolServesEachProfileItsOwnMachine(t *testing.T) {
 		}
 	}
 
-	// idle is in parking order: E1, E2, then the E3 machine the long
-	// plan ran on. A distribution-mode E3 run has a profile of its own;
-	// its cold build replaces the E1 machine.
-	e1 := pool.idle[0]
+	// The capture mode is not part of the profile: a distribution-mode
+	// E3 run reuses the E3 machine.
 	if _, err := RunExperimentOpts(short, 5, RunOptions{Mode: ModeDistribution, Pool: pool}); err != nil {
 		t.Fatal(err)
 	}
-	if builds, _ := pool.Stats(); builds != 4 || pool.Size() != 3 || slices.Contains(pool.idle, e1) {
-		t.Fatalf("a fourth profile grew the pool (builds=%d, idle=%d, E1 machine kept %v)",
-			builds, pool.Size(), slices.Contains(pool.idle, e1))
+	if builds, _ := pool.Stats(); builds != 3 || len(pool.idle) != 3 || pool.idle[2] != e3 {
+		t.Fatalf("a distribution-mode E3 run did not reuse the E3 machine (builds=%d, idle=%d)", builds, len(pool.idle))
 	}
 
-	m, err := pool.Get(runMachineOptions(short, 9, ModeFull))
+	// idle is in parking order: E1, E2, then the E3 machine. A fourth
+	// profile — the E3 workload with its cell left unstarted — replaces
+	// the E1 machine.
+	e1 := pool.idle[0]
+	unstarted := runMachineOptions(short, 5)
+	unstarted.SkipCellStart = true
+	m4, err := pool.Get(unstarted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool.Put(m4)
+	if builds, _ := pool.Stats(); builds != 4 || len(pool.idle) != 3 || slices.Contains(pool.idle, e1) {
+		t.Fatalf("a fourth profile grew the pool (builds=%d, idle=%d, E1 machine kept %v)",
+			builds, len(pool.idle), slices.Contains(pool.idle, e1))
+	}
+
+	m, err := pool.Get(runMachineOptions(short, 9))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m != e3 {
 		t.Fatal("the E3 machine was evicted although it was parked after the E1 machine")
 	}
-	if err := m.Restore(runMachineOptions(plans[0], 9, ModeFull)); err == nil {
+	if err := m.Restore(runMachineOptions(plans[0], 9)); err == nil {
 		t.Fatal("Restore accepted the E1 profile on an E3 machine")
 	}
 	armSpin(m)
@@ -533,7 +547,54 @@ func TestPoolServesEachProfileItsOwnMachine(t *testing.T) {
 	if !m.Tainted() {
 		t.Fatal("wedged machine does not report tainted")
 	}
-	if err := m.Restore(runMachineOptions(short, 9, ModeFull)); err == nil {
+	if err := m.Restore(runMachineOptions(short, 9)); err == nil {
 		t.Fatal("Restore accepted a tainted machine")
+	}
+}
+
+// TestFullAndDistributionRunsShareOneMachine: full- and
+// distribution-mode runs of one workload boot the same profile, so
+// E1-hvc and E3-fig3 runs interleaved across both modes on one pool
+// build one machine per workload, and every run equals its straight run
+// from a fresh build in the same mode — result fingerprint and final
+// state digest.
+func TestFullAndDistributionRunsShareOneMachine(t *testing.T) {
+	plans := shortPlans()
+	e1, e3 := plans[0], plans[2]
+	pool := NewMachinePool()
+	holdOnePerPlan(t, pool, e1, e3)
+	steps := []struct {
+		plan *TestPlan
+		mode CampaignMode
+	}{{e1, ModeFull}, {e3, ModeDistribution}, {e1, ModeDistribution}, {e3, ModeFull}}
+	for _, seed := range []uint64{3, 42} {
+		for _, st := range steps {
+			ro := RunOptions{Mode: st.mode, CaptureTraceHash: true}
+			opts := runMachineOptions(st.plan, seed)
+			fresh, err := BuildMachine(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := runOn(fresh, true, false, opts, st.plan, ro)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ro.Pool = pool
+			got, err := RunExperimentOpts(st.plan, seed, ro)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := pool.idle[len(pool.idle)-1] // the run's machine, parked last
+			if fingerprint(got) != fingerprint(want) {
+				t.Fatalf("%s %v seed %d: pooled run diverged from its straight run:\npooled:   %+v\nstraight: %+v",
+					st.plan.Name, st.mode, seed, fingerprint(got), fingerprint(want))
+			}
+			if g, w := m.StateDigest(), fresh.StateDigest(); g != w {
+				t.Fatalf("%s %v seed %d: pooled digest %#x != straight digest %#x", st.plan.Name, st.mode, seed, g, w)
+			}
+		}
+	}
+	if builds, reuses := pool.Stats(); builds != 2 || reuses != 2*uint64(len(steps)) {
+		t.Fatalf("pool builds=%d reuses=%d, want one build per workload and a reuse per run", builds, reuses)
 	}
 }

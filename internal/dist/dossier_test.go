@@ -7,6 +7,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"slices"
@@ -308,47 +309,77 @@ func TestDossierEquivalenceRealCampaign(t *testing.T) {
 	}
 }
 
+// writePreIndex writes shard sh of spec to path in the pre-index format:
+// a CreateJSONL artefact cut at its trailer's footer offset, which
+// leaves the line stream without footer or trailer. A gzip artefact is
+// then re-encoded as a single member, with no restart points, as the
+// pre-index writer produced it.
+func writePreIndex(t *testing.T, path string, spec *Spec, sh Shard) {
+	t.Helper()
+	w, err := CreateJSONL(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.WriteManifest(sh.Manifest()); err != nil {
+		t.Fatal(err)
+	}
+	agg := &core.CampaignResult{Plan: spec.Plan.Name}
+	for k := 0; k < spec.Runs; k++ {
+		r := synthResult(k)
+		w.OnRun(k, r)
+		agg.AddSample(r.Outcome(), len(r.Injections), r.DetectionLatency)
+	}
+	if err := w.WriteSummary(agg); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gz := IsGzipPath(path)
+	var footerOff int64
+	var ok bool
+	if gz {
+		footerOff, _, ok = parseGzipTrailer(data[len(data)-gzipTrailerSize:])
+	} else {
+		footerOff, _, ok = parsePlainTrailer(data[len(data)-plainTrailerSize:])
+	}
+	if !ok {
+		t.Fatal("CreateJSONL artefact has no trailer")
+	}
+	data = data[:footerOff]
+	if gz {
+		zr, err := gzip.NewReader(bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var one bytes.Buffer
+		zw := gzip.NewWriter(&one)
+		if _, err := io.Copy(zw, zr); err != nil {
+			t.Fatal(err)
+		}
+		if err := zw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		data = one.Bytes()
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestDossierFallbackPreIndex pins backwards compatibility: artefacts
-// written without a footer (the pre-index format, here produced by the
-// caller-owned writer) still serve every access path — via the
-// sequential fallback, with identical records.
+// written without a footer (the pre-index format, see writePreIndex)
+// still serve every access path — via the sequential fallback, with
+// identical records.
 func TestDossierFallbackPreIndex(t *testing.T) {
 	spec := synthSpec(40, 1)
 	sh, err := spec.Shard(0)
 	if err != nil {
 		t.Fatal(err)
-	}
-	writeLegacy := func(t *testing.T, path string, gz bool) {
-		f, err := os.Create(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer f.Close()
-		var w *JSONLWriter
-		if gz {
-			// The pre-index gzip shape: one member for the whole file,
-			// no restart points, no footer.
-			zw := gzip.NewWriter(f)
-			defer zw.Close()
-			w = NewJSONLWriter(zw)
-		} else {
-			w = NewJSONLWriter(f)
-		}
-		if err := w.WriteManifest(sh.Manifest()); err != nil {
-			t.Fatal(err)
-		}
-		agg := &core.CampaignResult{Plan: spec.Plan.Name}
-		for k := 0; k < spec.Runs; k++ {
-			r := synthResult(k)
-			w.OnRun(k, r)
-			agg.AddSample(r.Outcome(), len(r.Injections), r.DetectionLatency)
-		}
-		if err := w.WriteSummary(agg); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
 	}
 	for _, tc := range []struct {
 		name string
@@ -360,7 +391,7 @@ func TestDossierFallbackPreIndex(t *testing.T) {
 				name += ".gz"
 			}
 			path := filepath.Join(t.TempDir(), name)
-			writeLegacy(t, path, tc.gz)
+			writePreIndex(t, path, spec, sh)
 			d, err := OpenDossier(path)
 			if err != nil {
 				t.Fatalf("pre-index artefact unreadable: %v", err)

@@ -1,9 +1,7 @@
 package dist
 
 import (
-	"compress/gzip"
 	"context"
-	"os"
 	"path/filepath"
 	"regexp"
 	"strings"
@@ -129,36 +127,6 @@ func TestDossierGrepDegraded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	writeLegacy := func(t *testing.T, path string, gz bool) {
-		f, err := os.Create(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer f.Close()
-		var w *JSONLWriter
-		if gz {
-			zw := gzip.NewWriter(f)
-			defer zw.Close()
-			w = NewJSONLWriter(zw)
-		} else {
-			w = NewJSONLWriter(f)
-		}
-		if err := w.WriteManifest(sh.Manifest()); err != nil {
-			t.Fatal(err)
-		}
-		agg := &core.CampaignResult{Plan: spec.Plan.Name}
-		for k := 0; k < spec.Runs; k++ {
-			r := synthResult(k)
-			w.OnRun(k, r)
-			agg.AddSample(r.Outcome(), len(r.Injections), r.DetectionLatency)
-		}
-		if err := w.WriteSummary(agg); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
 	re := regexp.MustCompile(`synthetic evidence for run \d+`)
 	for _, tc := range []struct {
 		name string
@@ -170,7 +138,7 @@ func TestDossierGrepDegraded(t *testing.T) {
 				name += ".gz"
 			}
 			path := filepath.Join(t.TempDir(), name)
-			writeLegacy(t, path, tc.gz)
+			writePreIndex(t, path, spec, sh)
 			d, err := OpenDossier(path)
 			if err != nil {
 				t.Fatal(err)

@@ -212,8 +212,8 @@ type JSONLWriter struct {
 	w    *bufio.Writer
 	enc  *json.Encoder // persistent line encoder over lineCount → w
 	gz   *gzip.Writer  // non-nil for .gz artefacts; closed before file
-	file *os.File      // nil when wrapping a caller-owned io.Writer
-	err  error         // first write error; OnRun cannot return one
+	file *os.File
+	err  error // first write error; OnRun cannot return one
 	runs int
 	man  Manifest // header, kept for the summary's stop stamp
 	// haveMan guards man: a writer used without WriteManifest (tests,
@@ -226,8 +226,7 @@ type JSONLWriter struct {
 	// fileCount meters compressed bytes reaching the file — the gzip
 	// restart offsets. Nil for plain artefacts.
 	fileCount *countingWriter
-	// idx accumulates the index footer; nil for caller-owned writers,
-	// which stay footer-free (the pre-index format).
+	// idx accumulates the index footer.
 	idx *indexBuilder
 
 	flushEvery time.Duration // 0 = flush every record synchronously
@@ -247,17 +246,6 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 	n, err := c.w.Write(p)
 	c.n += int64(n)
 	return n, err
-}
-
-// NewJSONLWriter wraps a caller-owned writer (Close flushes but does not
-// close it). Caller-owned writers flush synchronously per record unless
-// SetFlushInterval arms batching, and never append an index footer —
-// they produce the pre-index artefact format.
-func NewJSONLWriter(w io.Writer) *JSONLWriter {
-	jw := &JSONLWriter{w: bufio.NewWriter(w)}
-	jw.lineCount = &countingWriter{w: jw.w}
-	jw.enc = json.NewEncoder(jw.lineCount)
-	return jw
 }
 
 // SetFlushInterval selects the batching window: d > 0 lets run records
@@ -435,17 +423,15 @@ func (jw *JSONLWriter) OnRun(index int, r *core.RunResult) {
 	if jw.writeLine(rec) == nil {
 		jw.runs++
 		metRecords.Inc()
-		if jw.idx != nil {
-			jw.idx.entries = append(jw.idx.entries, IndexEntry{
-				Index:       index,
-				Offset:      start,
-				Length:      int(jw.lineCount.n - start),
-				Outcome:     rec.Outcome,
-				Injections:  rec.Injections,
-				TraceHash:   r.TraceHash,
-				DetectionNS: rec.DetectionNS,
-			})
-		}
+		jw.idx.entries = append(jw.idx.entries, IndexEntry{
+			Index:       index,
+			Offset:      start,
+			Length:      int(jw.lineCount.n - start),
+			Outcome:     rec.Outcome,
+			Injections:  rec.Injections,
+			TraceHash:   r.TraceHash,
+			DetectionNS: rec.DetectionNS,
+		})
 		jw.noteRecordLocked()
 	}
 }
@@ -481,18 +467,9 @@ func (jw *JSONLWriter) WriteSummary(res *core.CampaignResult) error {
 	if err := jw.writeLine(s); err != nil {
 		return err
 	}
-	if jw.idx != nil {
-		jw.idx.summary = true
-	}
+	jw.idx.summary = true
 	jw.flushLocked()
 	return jw.err
-}
-
-// Runs returns how many run records were written.
-func (jw *JSONLWriter) Runs() int {
-	jw.mu.Lock()
-	defer jw.mu.Unlock()
-	return jw.runs
 }
 
 // Err returns the first write error, if any.
@@ -502,17 +479,17 @@ func (jw *JSONLWriter) Err() error {
 	return jw.err
 }
 
-// Close flushes, appends the index footer (file-backed writers only)
-// and closes the file, returning the first error seen anywhere in the
-// stream. The gzip layer, when present, is finalised between the
-// buffer flush and the footer — only then does the artefact carry a
-// valid trailer. A writer that hit an earlier error skips the footer:
-// the artefact stays readable through the sequential fallback rather
-// than carrying an index that may not match its bytes.
+// Close flushes, appends the index footer and closes the file,
+// returning the first error seen anywhere in the stream. The gzip
+// layer, when present, is finalised between the buffer flush and the
+// footer — only then does the artefact carry a valid trailer. A writer
+// that hit an earlier error skips the footer: the artefact stays
+// readable through the sequential fallback rather than carrying an
+// index that may not match its bytes.
 func (jw *JSONLWriter) Close() error {
 	jw.mu.Lock()
 	defer jw.mu.Unlock()
-	if jw.closed && jw.file == nil {
+	if jw.closed {
 		return jw.err // second Close: everything already finalised
 	}
 	jw.closed = true
@@ -529,21 +506,14 @@ func (jw *JSONLWriter) Close() error {
 		jw.err = err
 	}
 	if jw.gz != nil {
-		if jw.idx != nil {
-			jw.closeMemberLocked()
-		} else if err := jw.gz.Close(); err != nil && jw.err == nil {
-			jw.err = err
-		}
+		jw.closeMemberLocked()
 	}
-	if jw.idx != nil && jw.file != nil && jw.err == nil {
+	if jw.err == nil {
 		jw.writeFooterLocked()
 	}
 	jw.gz = nil
-	if jw.file != nil {
-		if err := jw.file.Close(); err != nil && jw.err == nil {
-			jw.err = err
-		}
-		jw.file = nil
+	if err := jw.file.Close(); err != nil && jw.err == nil {
+		jw.err = err
 	}
 	return jw.err
 }

@@ -24,9 +24,8 @@ func TestInstrumentationIsOutOfBand(t *testing.T) {
 	}
 	run := func(t *testing.T, enabled bool, path string) *core.CampaignResult {
 		t.Helper()
-		prev := obs.Enabled()
 		obs.SetEnabled(enabled)
-		defer obs.SetEnabled(prev)
+		defer obs.SetEnabled(true) // recording is on by default
 		spec := &Spec{Plan: core.PlanE3Fig3(), Runs: 40, MasterSeed: 2022, Shards: 1, Mode: core.ModeDistribution}
 		res, skipped, err := ExecuteShardPool(context.Background(), spec, 0, 0, path, core.NewMachinePool())
 		if err != nil || skipped {

@@ -41,3 +41,20 @@ func TestHostileWindowAllocatesByBytes(t *testing.T) {
 	}
 	t.Logf("ReadShardAt allocated %d bytes for a %d-byte artefact", alloc, len(data))
 }
+
+// TestOutcomeNameRoundTrip: artefacts carry outcomes as taxonomy names,
+// and the readers map every name the classifier can produce back to its
+// outcome, refusing any other.
+func TestOutcomeNameRoundTrip(t *testing.T) {
+	for _, o := range core.AllOutcomes() {
+		got, err := parseOutcome(o.String())
+		if err != nil || got != o {
+			t.Fatalf("parseOutcome(%q) = %v, %v; want %v", o.String(), got, err, o)
+		}
+	}
+	for _, bad := range []string{"weird", "", "Correct", "17"} {
+		if _, err := parseOutcome(bad); err == nil {
+			t.Fatalf("unknown outcome name %q accepted", bad)
+		}
+	}
+}

@@ -100,21 +100,6 @@ type ShardSnapshot struct {
 	Attempt int // 1-based attempt number (0 before the first launch)
 }
 
-// Counts tallies the snapshot's shard states for one-line summaries.
-func (s Snapshot) Counts() (running, done, failed int) {
-	for _, sh := range s.Shards {
-		switch sh.State {
-		case StateRunning:
-			running++
-		case StateCompleted, StateSkipped:
-			done++
-		case StateFailed, StateAborted:
-			failed++
-		}
-	}
-	return
-}
-
 // Attempt records one worker launch in the manifest.
 type Attempt struct {
 	Worker  string `json:"worker"`           // launcher's description (pid, in-process)

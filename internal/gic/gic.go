@@ -51,14 +51,6 @@ func (s *irqSet) set(id int)      { s[id>>6] |= 1 << uint(id&63) }
 func (s *irqSet) clear(id int)    { s[id>>6] &^= 1 << uint(id&63) }
 func (s *irqSet) has(id int) bool { return s[id>>6]&(1<<uint(id&63)) != 0 }
 
-func (s *irqSet) count() int {
-	n := 0
-	for _, w := range s {
-		n += bits.OnesCount64(w)
-	}
-	return n
-}
-
 // perCPU holds banked per-core interrupt state (SGIs+PPIs pending/active,
 // the CPU interface registers).
 type perCPU struct {
@@ -145,9 +137,6 @@ func (d *Distributor) RestoreSnapshot(s Snapshot) { d.state, d.DeliverHook = s.s
 // Matches reports whether the register file equals the snapshot's. The
 // delivery hook is wiring, not state, and is not compared.
 func (d *Distributor) Matches(s Snapshot) bool { return d.state == s.state }
-
-// NumCPUs returns the number of CPU interfaces.
-func (d *Distributor) NumCPUs() int { return d.numCPUs }
 
 // EnableDistributor sets GICD_CTLR.EnableGrp0.
 func (d *Distributor) EnableDistributor(on bool) { d.ctlr = on }
@@ -397,15 +386,6 @@ func (d *Distributor) Pending(cpu, irq int) bool {
 func (d *Distributor) Active(cpu, irq int) bool {
 	p := d.cpu(cpu)
 	return p != nil && irq >= 0 && irq < MaxIRQ && p.active.has(irq)
-}
-
-// PendingCount returns the number of pending interrupts on cpu.
-func (d *Distributor) PendingCount(cpu int) int {
-	p := d.cpu(cpu)
-	if p == nil {
-		return 0
-	}
-	return p.pending.count()
 }
 
 // ClearCPU drops all pending/active state for a core — what happens when

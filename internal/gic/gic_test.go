@@ -193,7 +193,7 @@ func TestClearCPU(t *testing.T) {
 	d.SetTargets(40, 1)
 	_ = d.RaiseSPI(40)
 	d.ClearCPU(0)
-	if d.PendingCount(0) != 0 {
+	if d.cpu(0).pending != (irqSet{}) {
 		t.Fatal("ClearCPU left pending state")
 	}
 	if got, _ := d.Acknowledge(0); got != SpuriousIRQ {

@@ -1,28 +1,21 @@
 package gpio
 
-import (
-	"testing"
+import "testing"
 
-	"github.com/dessertlab/certify/internal/sim"
-)
-
-func TestSetRecordsToggles(t *testing.T) {
-	now := sim.Time(0)
-	p := New(func() sim.Time { return now })
+func TestSetCountsToggles(t *testing.T) {
+	p := New()
 	p.Set(LEDGreen, true)
-	now = sim.Second
 	p.Set(LEDGreen, false)
 	if p.ToggleCount(LEDGreen) != 2 {
 		t.Fatalf("ToggleCount = %d", p.ToggleCount(LEDGreen))
 	}
-	ts := p.Toggles(LEDGreen)
-	if !ts[0].On || ts[1].On || ts[1].At != sim.Second {
-		t.Fatalf("Toggles = %v", ts)
+	if p.Get(LEDGreen) {
+		t.Fatal("Get lost state")
 	}
 }
 
 func TestRedundantSetIsNoToggle(t *testing.T) {
-	p := New(func() sim.Time { return 0 })
+	p := New()
 	p.Set(5, true)
 	p.Set(5, true)
 	if p.ToggleCount(5) != 1 {
@@ -33,16 +26,38 @@ func TestRedundantSetIsNoToggle(t *testing.T) {
 	}
 }
 
-func TestLastToggle(t *testing.T) {
-	now := sim.Time(0)
-	p := New(func() sim.Time { return now })
-	if _, ok := p.LastToggle(1); ok {
-		t.Fatal("untouched pin reports toggle")
+// TestSnapshotRestoreAndSplice: a restore puts back the captured levels
+// and counts, dropping pins first driven after the capture; a splice
+// takes the later snapshot's levels and adds the golden toggles between
+// the two snapshots to the port's own count.
+func TestSnapshotRestoreAndSplice(t *testing.T) {
+	p := New()
+	p.Set(LEDGreen, true)
+	from := p.CaptureSnapshot()
+	p.Set(LEDGreen, false)
+	p.Set(LEDGreen, true)
+	p.Set(LEDGreen, false)
+	to := p.CaptureSnapshot()
+
+	p.RestoreSnapshot(from)
+	if !p.Matches(from) || p.ToggleCount(LEDGreen) != 1 {
+		t.Fatalf("after restore: count %d, matches %v", p.ToggleCount(LEDGreen), p.Matches(from))
 	}
-	now = 3 * sim.Second
-	p.Set(1, true)
-	at, ok := p.LastToggle(1)
-	if !ok || at != 3*sim.Second {
-		t.Fatalf("LastToggle = %v %v", at, ok)
+	p.Set(3, true)
+	p.RestoreSnapshot(from)
+	if p.Get(3) || p.ToggleCount(3) != 0 {
+		t.Fatalf("restore kept pin 3: count %d", p.ToggleCount(3))
+	}
+
+	// A run that toggled twice more than golden, with the level back
+	// where golden had it, splices onto to with its excess kept.
+	p.Set(LEDGreen, false)
+	p.Set(LEDGreen, true)
+	p.Splice(from, to)
+	if !p.Matches(to) || p.Get(LEDGreen) {
+		t.Fatal("splice did not take to's levels")
+	}
+	if got, want := p.ToggleCount(LEDGreen), to.toggles[LEDGreen]+2; got != want {
+		t.Fatalf("spliced count = %d, want %d", got, want)
 	}
 }

@@ -191,7 +191,7 @@ func TestWildJumpGetsCPUParked(t *testing.T) {
 	if !p.Parked {
 		t.Fatal("wild jump did not park the CPU")
 	}
-	if !m.HV.ConsoleContains("Parking CPU 1") {
+	if !strings.Contains(strings.Join(m.HV.ConsoleLines, "\n"), "Parking CPU 1") {
 		t.Fatal("missing park console evidence")
 	}
 	// Root cell unaffected; destroy still succeeds (paper E3).

@@ -6,7 +6,6 @@ import (
 	"github.com/dessertlab/certify/internal/board"
 	"github.com/dessertlab/certify/internal/gpio"
 	"github.com/dessertlab/certify/internal/jailhouse"
-	"github.com/dessertlab/certify/internal/uart"
 )
 
 // Workload parameters for the paper's task set.
@@ -205,6 +204,3 @@ func (k *Kernel) AssertedTasks() []string {
 	}
 	return out
 }
-
-// ConsoleBase re-exports where the cell console lives.
-const ConsoleBase = board.UART7Base + uart.RegTHR

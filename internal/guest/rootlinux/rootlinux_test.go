@@ -168,39 +168,3 @@ func TestHypercallStreamFeedsInjector(t *testing.T) {
 		t.Fatalf("cpu0 mmio exits = %d — too quiet for E1 trap plans", p.Stats[jailhouse.ExitMMIO])
 	}
 }
-
-func TestCellListRendersTable(t *testing.T) {
-	m := build(t, 20)
-	m.Run(sim.Second)
-	out := m.Linux.CellList()
-	for _, want := range []string{"ID", "banana-pi", "freertos-cell", "running"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("CellList missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestCellShutdownKeepsCellConfigured(t *testing.T) {
-	m := build(t, 21)
-	m.Run(sim.Second)
-	if err := m.Linux.CellShutdown(m.CellID); err != nil {
-		t.Fatal(err)
-	}
-	cell, ok := m.HV.CellByID(m.CellID)
-	if !ok {
-		t.Fatal("shutdown removed the cell (that is destroy's job)")
-	}
-	if cell.State != jailhouse.CellShutDown {
-		t.Fatalf("state = %v, want shut down", cell.State)
-	}
-	// The cell console goes silent after shutdown.
-	before := m.Board.UART7.LineCount()
-	m.Run(2 * sim.Second)
-	if m.Board.UART7.LineCount() != before {
-		t.Fatal("cell kept printing after shutdown")
-	}
-	// Destroy still returns everything.
-	if err := m.Linux.CellDestroy(m.CellID); err != nil {
-		t.Fatal(err)
-	}
-}

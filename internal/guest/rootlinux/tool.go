@@ -2,7 +2,6 @@ package rootlinux
 
 import (
 	"fmt"
-	"strings"
 
 	"github.com/dessertlab/certify/internal/armv7"
 	"github.com/dessertlab/certify/internal/board"
@@ -98,20 +97,6 @@ func (l *Linux) CellStart(id uint32) error {
 	return nil
 }
 
-// CellShutdown models "jailhouse cell shutdown": the cooperative
-// comm-region handshake followed by SET_LOADABLE, which stops the cell's
-// CPUs whatever state the inmate is in. The cell stays configured (state
-// SHUT_DOWN); destroy returns its resources.
-func (l *Linux) CellShutdown(id uint32) error {
-	_ = l.hv.RequestShutdown(id) // best effort: broken inmates ignore it
-	if e := l.hv.HVC(0, jailhouse.HCCellSetLoadable, id, 0); e.Failed() {
-		l.console("jailhouse: cell shutdown failed: %v", e)
-		return fmt.Errorf("cell shutdown: %v", e)
-	}
-	l.console("Cell %d shut down", id)
-	return nil
-}
-
 // CellDestroy models "jailhouse cell destroy".
 func (l *Linux) CellDestroy(id uint32) error {
 	if e := l.hv.HVC(0, jailhouse.HCCellDestroy, id, 0); e.Failed() {
@@ -128,19 +113,6 @@ func (l *Linux) CellDestroy(id uint32) error {
 		}
 	}
 	return nil
-}
-
-// CellList models "jailhouse cell list": the operator-facing table of
-// cells and their reported states — the very view E2 shows to be
-// misleading for broken cells.
-func (l *Linux) CellList() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-4s%-26s%-18s%s\n", "ID", "Name", "State", "Assigned CPUs")
-	for _, c := range l.hv.Cells() {
-		cpus := fmt.Sprint(c.CPUList())
-		fmt.Fprintf(&b, "%-4d%-26s%-18s%s\n", c.ID, c.Name(), c.State, cpus)
-	}
-	return b.String()
 }
 
 // CellState models "jailhouse cell state <id>". Failures are printed to

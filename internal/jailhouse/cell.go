@@ -68,16 +68,7 @@ type cellState struct {
 
 	// Guest is the inmate software, attached by LoadInmate.
 	Guest Inmate
-
-	// CommPending holds the last comm-region message sent to the cell.
-	CommPending uint32
 }
-
-// Comm-region messages (subset of JAILHOUSE_MSG_*).
-const (
-	MsgNone            uint32 = 0
-	MsgShutdownRequest uint32 = 1
-)
 
 func newCell(id uint32, cfg *CellConfig) (*Cell, error) {
 	s2 := memmap.NewStage2()

@@ -61,9 +61,6 @@ func (s cpuSet) list() []int {
 	return out
 }
 
-// HasCPU reports whether the bitmap includes cpu.
-func (c *CellConfig) HasCPU(cpu int) bool { return cpuSet(c.CPUSet).has(cpu) }
-
 // OwnsIRQ reports whether the config assigns SPI irq to the cell.
 func (c *CellConfig) OwnsIRQ(irq int) bool {
 	for _, l := range c.IRQLines {

@@ -214,24 +214,6 @@ func (h *Hypervisor) cellCreate(configGPA uint32) Errno {
 	return Errno(cell.ID)
 }
 
-// RequestShutdown delivers the comm-region SHUTDOWN_REQUEST message to a
-// running cell — the cooperative half of "jailhouse cell shutdown". The
-// inmate acknowledges via OnShutdown; an unresponsive (broken) inmate is
-// simply overridden by the subsequent SET_LOADABLE, which is exactly how
-// the paper's broken cells still shut down cleanly.
-func (h *Hypervisor) RequestShutdown(id uint32) Errno {
-	cell, ok := h.CellByID(id)
-	if !ok || cell.ID == 0 {
-		return ENOENT
-	}
-	cell.CommPending = MsgShutdownRequest
-	if cell.Guest != nil {
-		cell.Guest.OnShutdown()
-	}
-	h.trace(sim.KindCellEvent, -1, "cell %q shutdown requested", sim.Str(cell.Name()))
-	return EOK
-}
-
 // cellSetLoadable implements CELL_SET_LOADABLE: stop the cell and map its
 // loadable regions into the root cell so images can be written.
 func (h *Hypervisor) cellSetLoadable(id uint32) Errno {
@@ -286,7 +268,6 @@ func (h *Hypervisor) cellStart(id uint32) Errno {
 	}
 	cell.Loadable = false
 	cell.State = CellRunning
-	cell.CommPending = MsgNone
 	h.consolef("Started cell \"%s\"", cell.Name())
 	h.trace(sim.KindCellEvent, -1, "cell %q started", sim.Str(cell.Name()))
 

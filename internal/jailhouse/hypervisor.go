@@ -343,28 +343,6 @@ func (h *Hypervisor) trace(kind sim.Kind, cpu int, format string, args ...sim.Ar
 	h.brd.Trace().Addf(h.brd.Now(), kind, cpu, format, args...)
 }
 
-// ConsoleContains reports whether any hypervisor console line contains s.
-func (h *Hypervisor) ConsoleContains(s string) bool {
-	for _, l := range h.ConsoleLines {
-		if containsStr(l, s) {
-			return true
-		}
-	}
-	return false
-}
-
-func containsStr(s, sub string) bool {
-	if len(sub) == 0 {
-		return true
-	}
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return true
-		}
-	}
-	return false
-}
-
 // cpuPark implements cpu_park(): the core leaves guest execution and
 // spins in the hypervisor's parking page. The owning cell's state is NOT
 // changed — exactly the behaviour the paper flags as dangerous: Jailhouse

@@ -30,7 +30,7 @@ func TestIvshmemLinkSetup(t *testing.T) {
 	if len(h.IvshmemLinks()) != 1 {
 		t.Fatal("link not registered")
 	}
-	if !h.ConsoleContains("virtual PCI device") {
+	if !consoleContains(h, "virtual PCI device") {
 		t.Fatal("missing device-add console lines")
 	}
 	a, b := link.Rings()
@@ -111,31 +111,25 @@ func TestIvshmemSharedMemoryDataPath(t *testing.T) {
 	}
 }
 
-func TestRequestShutdownHandshake(t *testing.T) {
+// TestSetLoadableShutsDownRunningCell: SET_LOADABLE on a running cell
+// stops it whatever state its inmate is in; the cell stays configured
+// (state SHUT_DOWN), and destroy then removes it.
+func TestSetLoadableShutsDownRunningCell(t *testing.T) {
 	brd, h := rig(t)
-	guest := &fakeInmate{name: "freertos"}
-	cell := createFreeRTOSCell(t, brd, h, guest)
-
-	if e := h.RequestShutdown(cell.ID); e.Failed() {
-		t.Fatalf("RequestShutdown: %v", e)
-	}
-	if !guest.shutdown {
-		t.Fatal("inmate did not receive the shutdown request")
-	}
-	if cell.CommPending != MsgShutdownRequest {
-		t.Fatal("comm region message not latched")
-	}
-	if e := h.RequestShutdown(0); e != ENOENT {
-		t.Fatalf("shutdown of root = %v, want ENOENT", e)
-	}
-	if e := h.RequestShutdown(77); e != ENOENT {
-		t.Fatalf("shutdown of missing cell = %v", e)
-	}
-	// Follow with SET_LOADABLE (the tool's second half): cell stops.
+	cell := createFreeRTOSCell(t, brd, h, &fakeInmate{name: "freertos"})
 	if e := h.HVC(0, HCCellSetLoadable, uint32(cell.ID), 0); e.Failed() {
 		t.Fatal(e)
 	}
 	if cell.State != CellShutDown {
-		t.Fatalf("state after shutdown = %v", cell.State)
+		t.Fatalf("state after SET_LOADABLE = %v, want shut down", cell.State)
+	}
+	if _, ok := h.CellByID(cell.ID); !ok {
+		t.Fatal("SET_LOADABLE removed the cell (that is destroy's job)")
+	}
+	if e := h.HVC(0, HCCellDestroy, uint32(cell.ID), 0); e.Failed() {
+		t.Fatalf("destroy after shutdown: %v", e)
+	}
+	if _, ok := h.CellByID(cell.ID); ok {
+		t.Fatal("destroy left the shut-down cell")
 	}
 }

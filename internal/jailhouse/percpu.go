@@ -77,9 +77,6 @@ func newPerCPU(id int) *PerCPU {
 	return &PerCPU{CPUID: id, canary: percpuCanary}
 }
 
-// Cell returns the owning cell (nil before the hypervisor is enabled).
-func (p *PerCPU) Cell() *Cell { return p.cell }
-
 // IntegrityOK reports whether the block's canary is intact.
 func (p *PerCPU) IntegrityOK() bool { return p.canary == percpuCanary }
 

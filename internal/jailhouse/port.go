@@ -3,7 +3,6 @@ package jailhouse
 import (
 	"github.com/dessertlab/certify/internal/armv7"
 	"github.com/dessertlab/certify/internal/board"
-	"github.com/dessertlab/certify/internal/gic"
 	"github.com/dessertlab/certify/internal/memmap"
 )
 
@@ -181,10 +180,3 @@ func (h *Hypervisor) AssignRootInmate(guest Inmate) Errno {
 	root.Guest = guest
 	return EOK
 }
-
-// GICMaxIRQ re-exports the distributor size for guests building their
-// interrupt setup loops without importing the gic package directly.
-const GICMaxIRQ = gic.MaxIRQ
-
-// GICDBase re-exports the distributor base address for guests.
-const GICDBase = board.GICDBase

@@ -106,34 +106,10 @@ func TestStage2RejectsDegenerateRegions(t *testing.T) {
 	}
 }
 
-func TestStage2Unmap(t *testing.T) {
-	s := NewStage2()
-	r := Region{Phys: 0x1000, Virt: 0x5000, Size: 0x1000, Flags: FlagRead}
-	if err := s.Map(r); err != nil {
-		t.Fatal(err)
-	}
-	got, ok := s.Unmap(0x5000)
-	if !ok || got != r {
-		t.Fatalf("Unmap = %v %v", got, ok)
-	}
-	if _, ok := s.Lookup(0x5000); ok {
-		t.Fatal("region still mapped after Unmap")
-	}
-	if _, ok := s.Unmap(0x5000); ok {
-		t.Fatal("double Unmap succeeded")
-	}
-}
-
 func TestStage2AccountingHelpers(t *testing.T) {
 	s := NewStage2()
 	_ = s.Map(Region{Phys: 0, Virt: 0, Size: 0x1000, Flags: FlagRead})
 	_ = s.Map(Region{Phys: 0x1000, Virt: 0x8000, Size: 0x3000, Flags: FlagRead})
-	if s.Len() != 2 {
-		t.Fatalf("Len = %d", s.Len())
-	}
-	if s.TotalSize() != 0x4000 {
-		t.Fatalf("TotalSize = %#x", s.TotalSize())
-	}
 	regs := s.Regions()
 	if len(regs) != 2 || regs[0].Virt != 0 || regs[1].Virt != 0x8000 {
 		t.Fatalf("Regions = %v", regs)
@@ -186,7 +162,7 @@ func TestRAMReadWriteRoundTrip(t *testing.T) {
 	if err := m.Write(0x4000_1000, data); err != nil {
 		t.Fatal(err)
 	}
-	got, err := m.Read(0x4000_1000, len(data))
+	got, err := read(m, 0x4000_1000, len(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +181,7 @@ func TestRAMCrossPageAccess(t *testing.T) {
 	if err := m.Write(start, data); err != nil {
 		t.Fatal(err)
 	}
-	got, err := m.Read(start, len(data))
+	got, err := read(m, start, len(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +194,7 @@ func TestRAMCrossPageAccess(t *testing.T) {
 
 func TestRAMUntouchedReadsZero(t *testing.T) {
 	m := NewRAM(0, 1<<20)
-	got, err := m.Read(0x5000, 16)
+	got, err := read(m, 0x5000, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +203,7 @@ func TestRAMUntouchedReadsZero(t *testing.T) {
 			t.Fatal("untouched RAM returned nonzero")
 		}
 	}
-	if m.PagesAllocated() != 0 {
+	if len(m.pages) != 0 {
 		t.Fatal("read allocated pages")
 	}
 }
@@ -240,7 +216,7 @@ func TestRAMOutOfBounds(t *testing.T) {
 	if err := m.Write(0x1FFF, []byte{1, 2}); err == nil {
 		t.Fatal("straddling-end write accepted")
 	}
-	if _, err := m.Read(0x2000, 1); err == nil {
+	if _, err := read(m, 0x2000, 1); err == nil {
 		t.Fatal("past-end read accepted")
 	}
 	if !m.InRange(0x1000, 0x1000) || m.InRange(0x1000, 0x1001) {
@@ -257,42 +233,9 @@ func TestRAMWords(t *testing.T) {
 	if err != nil || v != 0xDEADBEEF {
 		t.Fatalf("ReadWord = %#x, %v", v, err)
 	}
-	b, _ := m.Read(0x10, 4)
+	b, _ := read(m, 0x10, 4)
 	if b[0] != 0xEF {
 		t.Fatal("WriteWord is not little-endian")
-	}
-}
-
-func TestRAMZero(t *testing.T) {
-	m := NewRAM(0, 1<<20)
-	if err := m.Write(0, make([]byte, 2*pageSize)); err != nil {
-		t.Fatal(err)
-	}
-	// Fill with ones then zero a window crossing a page boundary.
-	ones := make([]byte, 2*pageSize)
-	for i := range ones {
-		ones[i] = 0xFF
-	}
-	_ = m.Write(0, ones)
-	if err := m.Zero(100, pageSize); err != nil {
-		t.Fatal(err)
-	}
-	got, _ := m.Read(0, 2*pageSize)
-	for i := 0; i < 100; i++ {
-		if got[i] != 0xFF {
-			t.Fatal("Zero clobbered prefix")
-		}
-	}
-	for i := 100; i < 100+pageSize; i++ {
-		if got[i] != 0 {
-			t.Fatalf("byte %d not zeroed", i)
-		}
-	}
-	if got[100+pageSize] != 0xFF {
-		t.Fatal("Zero clobbered suffix")
-	}
-	if err := m.Zero(1<<20-1, 2); err == nil {
-		t.Fatal("out-of-range Zero accepted")
 	}
 }
 
@@ -308,7 +251,7 @@ func TestRAMPropertyRoundTrip(t *testing.T) {
 		if err := m.Write(addr, payload); err != nil {
 			return false
 		}
-		got, err := m.Read(addr, len(payload))
+		got, err := read(m, addr, len(payload))
 		if err != nil {
 			return false
 		}
@@ -375,8 +318,8 @@ func TestCarveEdgeCases(t *testing.T) {
 	if n := s.Carve(0x1000, 0x3000); n != 1 {
 		t.Fatalf("full carve affected %d", n)
 	}
-	if s.Len() != 0 {
-		t.Fatalf("regions left = %d", s.Len())
+	if len(s.regions) != 0 {
+		t.Fatalf("regions left = %d", len(s.regions))
 	}
 }
 
@@ -446,13 +389,6 @@ func TestRAMReadIntoOverwritesReusedBuffer(t *testing.T) {
 	if err := m.ReadInto(start, dst); err != nil {
 		t.Fatal(err)
 	}
-	want, err := m.Read(start, len(dst))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(dst) != string(want) {
-		t.Fatal("ReadInto differs from Read")
-	}
 	for i, b := range dst {
 		off := start + uint64(i)
 		inWritten := off >= pageSize && off < 2*pageSize
@@ -460,8 +396,8 @@ func TestRAMReadIntoOverwritesReusedBuffer(t *testing.T) {
 			t.Fatalf("byte at %#x = %#x", off, b)
 		}
 	}
-	if m.PagesAllocated() != 1 {
-		t.Fatalf("ReadInto allocated pages: %d", m.PagesAllocated())
+	if len(m.pages) != 1 {
+		t.Fatalf("ReadInto allocated pages: %d", len(m.pages))
 	}
 
 	// A read that leaves RAM fails and leaves dst as it was.
@@ -472,4 +408,10 @@ func TestRAMReadIntoOverwritesReusedBuffer(t *testing.T) {
 	if string(dst) != "\x07\x07\x07\x07" {
 		t.Fatalf("failed ReadInto wrote %v", dst)
 	}
+}
+
+// read returns n bytes at physical address addr through ReadInto.
+func read(m *RAM, addr uint64, n int) ([]byte, error) {
+	out := make([]byte, n)
+	return out, m.ReadInto(addr, out)
 }

@@ -21,7 +21,7 @@ type RAM struct {
 	pages map[uint64][]byte // page index → page content
 
 	// Dirty-page tracking, enabled by the first CaptureSnapshot. Every
-	// Write/Zero marks the pages it touches; RestoreSnapshot then copies
+	// Write marks the pages it touches; RestoreSnapshot then copies
 	// back only the dirtied pages instead of rebuilding the whole image.
 	tracking bool
 	dirty    map[uint64]struct{}
@@ -33,12 +33,6 @@ func NewRAM(base, size uint64) *RAM {
 	return &RAM{base: base, size: size, pages: make(map[uint64][]byte)}
 }
 
-// Base returns the first physical address of the RAM.
-func (m *RAM) Base() uint64 { return m.base }
-
-// Size returns the RAM size in bytes.
-func (m *RAM) Size() uint64 { return m.size }
-
 // InRange reports whether [addr, addr+n) lies entirely inside the RAM.
 func (m *RAM) InRange(addr uint64, n int) bool {
 	return addr >= m.base && addr-m.base+uint64(n) <= m.size && n >= 0
@@ -47,16 +41,6 @@ func (m *RAM) InRange(addr uint64, n int) bool {
 // errOOB builds the out-of-bounds access error.
 func (m *RAM) errOOB(addr uint64, n int) error {
 	return fmt.Errorf("memmap: physical access [%#x,+%d) outside RAM [%#x,+%#x)", addr, n, m.base, m.size)
-}
-
-// Read copies n bytes at physical address addr.
-func (m *RAM) Read(addr uint64, n int) ([]byte, error) {
-	if !m.InRange(addr, n) {
-		return nil, m.errOOB(addr, n)
-	}
-	out := make([]byte, n)
-	_ = m.ReadInto(addr, out)
-	return out, nil
 }
 
 // ReadInto fills dst with the bytes at physical address addr.
@@ -126,44 +110,6 @@ func (m *RAM) WriteWord(addr uint64, v uint32) error {
 	return m.Write(addr, b[:])
 }
 
-// Zero clears n bytes starting at addr (releasing whole pages where
-// possible, so large clears stay cheap).
-func (m *RAM) Zero(addr uint64, n int) error {
-	if !m.InRange(addr, n) {
-		return m.errOOB(addr, n)
-	}
-	off := addr - m.base
-	for i := 0; i < n; {
-		page, pgOff := off/pageSize, off%pageSize
-		chunk := int(pageSize - pgOff)
-		if rem := n - i; chunk > rem {
-			chunk = rem
-		}
-		if pgOff == 0 && chunk == pageSize {
-			if _, ok := m.pages[page]; ok {
-				delete(m.pages, page)
-				if m.tracking {
-					m.dirty[page] = struct{}{}
-				}
-			}
-		} else if p, ok := m.pages[page]; ok {
-			for j := 0; j < chunk; j++ {
-				p[int(pgOff)+j] = 0
-			}
-			if m.tracking {
-				m.dirty[page] = struct{}{}
-			}
-		}
-		i += chunk
-		off += uint64(chunk)
-	}
-	return nil
-}
-
-// PagesAllocated returns how many 4 KiB pages have been materialised;
-// useful for verifying that simulations stay sparse.
-func (m *RAM) PagesAllocated() int { return len(m.pages) }
-
 // RAMSnapshot is an immutable image of the materialised page set at
 // capture time. Pages a capture finds unchanged since the previous
 // snapshot of the same RAM are shared with it by reference, so a
@@ -175,13 +121,10 @@ type RAMSnapshot struct {
 	pages map[uint64][]byte
 }
 
-// Pages returns how many pages the snapshot image holds.
-func (s *RAMSnapshot) Pages() int { return len(s.pages) }
-
 // CaptureSnapshot images the current content and switches the RAM into
-// dirty-page tracking mode: from here on, Write and Zero mark the pages
-// they touch so a later RestoreSnapshot of this image copies back only
-// what changed. A page not dirtied since the previous capture or restore
+// dirty-page tracking mode: from here on, Write marks the pages it
+// touches so a later RestoreSnapshot of this image copies back only what
+// changed. A page not dirtied since the previous capture or restore
 // is shared with that snapshot instead of copied.
 func (m *RAM) CaptureSnapshot() *RAMSnapshot {
 	s := &RAMSnapshot{pages: make(map[uint64][]byte, len(m.pages))}

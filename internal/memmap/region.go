@@ -156,18 +156,6 @@ func (s *Stage2) Map(r Region) error {
 	return nil
 }
 
-// Unmap removes the region with exactly the given guest-physical base,
-// returning it. The boolean reports whether one was found.
-func (s *Stage2) Unmap(virt uint64) (Region, bool) {
-	for i, r := range s.regions {
-		if r.Virt == virt {
-			s.regions = append(s.regions[:i], s.regions[i+1:]...)
-			return r, true
-		}
-	}
-	return Region{}, false
-}
-
 // Lookup returns the region containing gpa.
 func (s *Stage2) Lookup(gpa uint64) (Region, bool) {
 	i := sort.Search(len(s.regions), func(i int) bool {
@@ -262,16 +250,4 @@ func (s *Stage2) Regions() []Region {
 	out := make([]Region, len(s.regions))
 	copy(out, s.regions)
 	return out
-}
-
-// Len returns the number of mapped regions.
-func (s *Stage2) Len() int { return len(s.regions) }
-
-// TotalSize returns the summed size of all regions.
-func (s *Stage2) TotalSize() uint64 {
-	var total uint64
-	for _, r := range s.regions {
-		total += r.Size
-	}
-	return total
 }

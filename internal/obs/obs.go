@@ -14,9 +14,8 @@
 //     uninstrumented one.
 //  2. Recording must be cheap enough for hot paths: a counter Add is
 //     one atomic add behind one atomic enabled-gate load; a histogram
-//     Observe adds a short linear bucket walk. Workers that hammer one
-//     counter take a Local() shard (its own cache line) so parallel
-//     campaigns do not serialise on a shared counter word.
+//     Observe adds a short linear bucket walk. Each counter word sits on
+//     its own cache line, so hot counters do not falsely share one.
 //  3. Metric names are a flat global namespace
 //     (certify_<layer>_<what>_<unit>); the Registry rejects duplicate
 //     registrations loudly (panic at package init), so a name collision
@@ -46,9 +45,6 @@ func init() { enabled.Store(true) }
 // SetEnabled flips the global recording gate. Used by the overhead
 // benchmark and by deployments that want the flight recorder dark.
 func SetEnabled(on bool) { enabled.Store(on) }
-
-// Enabled reports whether recording is on.
-func Enabled() bool { return enabled.Load() }
 
 // validName is the Prometheus metric/label name grammar.
 var validName = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*$`)
@@ -141,13 +137,6 @@ func (r *Registry) Lookup(name string) (Metric, bool) {
 	return m, ok
 }
 
-// Names returns the registered metric names in registration order.
-func (r *Registry) Names() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return append([]string(nil), r.order...)
-}
-
 // Snapshot renders every metric's current state, sorted by name — the
 // stable order both exposition formats share.
 func (r *Registry) Snapshot() []Snapshot {
@@ -175,23 +164,16 @@ type labeled interface{ labelName() string }
 
 // --- Counter ---------------------------------------------------------
 
-// counterShards stripes hot counters across cache lines. Eight shards
-// cover the worker counts campaigns actually run with; Value sums them.
-const counterShards = 8
-
 // pad64 spaces atomic words one cache line apart.
 type pad64 struct {
 	v atomic.Uint64
 	_ [56]byte
 }
 
-// Counter is a monotonically increasing metric. Add/Inc hit shard 0;
-// loops that hammer a counter from several workers grab Local() shards
-// so they stop sharing a cache line.
+// Counter is a monotonically increasing metric.
 type Counter struct {
 	name, help string
-	shards     [counterShards]pad64
-	next       atomic.Uint32 // round-robin Local() assignment
+	v          pad64 // its own cache line: campaign workers share hot counters
 }
 
 // NewCounter registers a counter, panicking on a duplicate name.
@@ -217,43 +199,14 @@ func (c *Counter) Add(n uint64) {
 	if !enabled.Load() {
 		return
 	}
-	c.shards[0].v.Add(n)
+	c.v.v.Add(n)
 }
 
-// Value sums all shards.
-func (c *Counter) Value() uint64 {
-	var n uint64
-	for i := range c.shards {
-		n += c.shards[i].v.Load()
-	}
-	return n
-}
+// Value returns the current count.
+func (c *Counter) Value() uint64 { return c.v.v.Load() }
 
 func (c *Counter) snapshot() []Series {
 	return []Series{{Value: float64(c.Value())}}
-}
-
-// Local returns a per-worker shard handle: recording through it touches
-// a cache line (approximately) private to this handle. Handles are
-// assigned round-robin; create one per long-lived worker, not per
-// operation.
-func (c *Counter) Local() *LocalCounter {
-	i := c.next.Add(1) % counterShards
-	return &LocalCounter{s: &c.shards[i]}
-}
-
-// LocalCounter is a shard handle of a Counter (see Counter.Local).
-type LocalCounter struct{ s *pad64 }
-
-// Inc adds one to the local shard.
-func (l *LocalCounter) Inc() { l.Add(1) }
-
-// Add adds n to the local shard.
-func (l *LocalCounter) Add(n uint64) {
-	if !enabled.Load() {
-		return
-	}
-	l.s.v.Add(n)
 }
 
 // --- Gauge -----------------------------------------------------------
@@ -300,9 +253,6 @@ func (g *Gauge) Inc() { g.Add(1) }
 
 // Dec subtracts one.
 func (g *Gauge) Dec() { g.Add(-1) }
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
 
 func (g *Gauge) snapshot() []Series {
 	return []Series{{Value: float64(g.v.Load())}}

@@ -20,18 +20,17 @@ func TestCounterBasics(t *testing.T) {
 	}
 }
 
-func TestCounterLocalShardsSum(t *testing.T) {
+func TestCounterConcurrentAddsSum(t *testing.T) {
 	r := NewRegistry()
-	c := r.NewCounter("test_sharded_total", "sharded counter")
+	c := r.NewCounter("test_concurrent_total", "concurrent counter")
 	var wg sync.WaitGroup
 	const workers, per = 16, 1000
 	for i := 0; i < workers; i++ {
-		l := c.Local()
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for j := 0; j < per; j++ {
-				l.Inc()
+				c.Inc()
 			}
 		}()
 	}
@@ -48,7 +47,7 @@ func TestGauge(t *testing.T) {
 	g.Inc()
 	g.Dec()
 	g.Add(-2)
-	if got := g.Value(); got != 5 {
+	if got := g.v.Load(); got != 5 {
 		t.Fatalf("Value = %d, want 5", got)
 	}
 }
@@ -132,12 +131,12 @@ func TestDisabledRecordingIsNoOp(t *testing.T) {
 	SetEnabled(false)
 	defer SetEnabled(true)
 	c.Inc()
-	c.Local().Add(3)
+	c.Add(3)
 	g.Set(9)
 	h.Observe(2)
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 {
+	if c.Value() != 0 || g.v.Load() != 0 || h.Count() != 0 {
 		t.Fatalf("recording not gated: counter=%d gauge=%d hist=%d",
-			c.Value(), g.Value(), h.Count())
+			c.Value(), g.v.Load(), h.Count())
 	}
 }
 

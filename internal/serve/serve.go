@@ -253,18 +253,6 @@ func (s *Server) Jobs() []*Job {
 	return out
 }
 
-// Cancel aborts the job: queued jobs terminate immediately, running
-// jobs stop mid-campaign (their artefact stays resumable) and free
-// their slot.
-func (s *Server) Cancel(id string) (*Job, bool) {
-	j, ok := s.Job(id)
-	if !ok {
-		return nil, false
-	}
-	j.requestCancel()
-	return j, true
-}
-
 // ArtefactPath returns where the job's shard artefact lives (the
 // content-addressed cache entry it executes into or was served from).
 func (s *Server) ArtefactPath(j *Job) string { return s.cache.artefactPath(j.key) }

@@ -51,6 +51,3 @@ func (t Time) AppendString(b []byte) []byte {
 	ms := int64(t%Second) / int64(Millisecond)
 	return append(b, '.', byte('0'+ms/100), byte('0'+ms/10%10), byte('0'+ms%10), ']')
 }
-
-// After reports the virtual instant d past t.
-func (t Time) After(d Time) Time { return t + d }

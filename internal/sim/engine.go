@@ -470,10 +470,6 @@ func (e *Engine) Executed() uint64 {
 // array, valid until the next event; callers must not write it.
 func (e *Engine) ExecutedByKind() []uint64 { return e.executed[:len(e.handlers)] }
 
-// Pending returns the number of events currently queued, including
-// canceled-but-unpopped ones. Diagnostic only.
-func (e *Engine) Pending() int { return len(e.heap) }
-
 // restoreQueue copies a snapshot's clock and scheduler state into the
 // live buffers; the copies never alias the snapshot's arrays.
 func (e *Engine) restoreQueue(s *EngineSnapshot) {

@@ -56,8 +56,8 @@ func TestEngineHorizonStopsFutureEvents(t *testing.T) {
 	if ran {
 		t.Fatal("event past horizon ran")
 	}
-	if e.Pending() != 1 {
-		t.Fatalf("Pending() = %d, want 1", e.Pending())
+	if len(e.heap) != 1 {
+		t.Fatalf("queued = %d, want 1", len(e.heap))
 	}
 }
 

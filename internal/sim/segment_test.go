@@ -86,9 +86,9 @@ func TestSegmentedRunMatchesSingleRun(t *testing.T) {
 				if hs != hg || ms != mg {
 					t.Fatalf("halt: single (%v %q), segmented (%v %q)", hs, ms, hg, mg)
 				}
-				if single.Now() != seg.Now() || single.Executed() != seg.Executed() || single.Pending() != seg.Pending() {
+				if single.Now() != seg.Now() || single.Executed() != seg.Executed() || len(single.heap) != len(seg.heap) {
 					t.Fatalf("single now=%v executed=%d pending=%d, segmented now=%v executed=%d pending=%d",
-						single.Now(), single.Executed(), single.Pending(), seg.Now(), seg.Executed(), seg.Pending())
+						single.Now(), single.Executed(), len(single.heap), seg.Now(), seg.Executed(), len(seg.heap))
 				}
 				if single.Trace().Hash() != seg.Trace().Hash() || single.Trace().Len() != seg.Trace().Len() {
 					t.Fatalf("trace: single %d records %#x, segmented %d records %#x",

@@ -1,7 +1,7 @@
 // Package uart models the 8250/16550-class serial ports of the Allwinner
 // A20. The serial line is the paper's only observation channel: every
 // outcome in Figure 3 was classified from what did — or did not — appear
-// on the board's UARTs. The model therefore captures transmitted bytes
+// on the board's UARTs. The model therefore captures completed lines
 // with virtual timestamps so the classifier can ask questions like "did
 // the non-root cell produce any output after the injection?".
 package uart
@@ -39,14 +39,13 @@ type Line struct {
 }
 
 // UART is a functional serial port. Transmission is instantaneous (the
-// experiments measure liveness, not baud rates); every byte is captured.
+// experiments measure liveness, not baud rates); every completed line is
+// captured.
 type UART struct {
-	name string
-	now  func() sim.Time
+	now func() sim.Time
 	// regs is the register state: a restore assigns it, and a rejoin
 	// check compares it with ==.
 	regs
-	txLog []byte
 	lines []Line
 	cur   strings.Builder
 
@@ -56,81 +55,58 @@ type UART struct {
 
 // regs is a UART's register state, one comparable value.
 type regs struct {
-	ier     uint32
-	lcr     uint32
-	noBytes bool // when set, the raw byte log is not kept
+	ier uint32
+	lcr uint32
 }
 
-// New returns a UART named name (e.g. "uart0"). now supplies virtual time
-// for capture timestamps.
-func New(name string, now func() sim.Time) *UART {
-	return &UART{name: name, now: now}
-}
-
-// Name returns the device name.
-func (u *UART) Name() string { return u.name }
-
-// SetCaptureBytes toggles the raw transmitted-byte log. Line capture (the
-// classifier's observation channel) is unaffected. Campaigns that only
-// need outcome distributions disable byte capture to skip the copy.
-func (u *UART) SetCaptureBytes(on bool) {
-	u.noBytes = !on
-	if !on {
-		u.txLog = u.txLog[:0]
-	}
+// New returns a UART. now supplies virtual time for capture timestamps.
+func New(now func() sim.Time) *UART {
+	return &UART{now: now}
 }
 
 // Snapshot is a UART's register and capture state at one instant. The
-// captured lines and bytes are append-only logs and are not copied: the
-// snapshot keeps their lengths, and the content lives once in the golden
-// Log the restore is handed. The line hook is captured as a func value:
+// captured lines are an append-only log and are not copied: the snapshot
+// keeps their count, and the content lives once in the golden Log the
+// restore is handed. The line hook is captured as a func value:
 // the machine's boot wires it to objects the snapshot belongs to, so
 // restoring the same value is exact.
 type Snapshot struct {
 	regs
 	lines  int
-	bytes  int
 	cur    string
 	onLine func(Line)
 }
 
-// Log is the published fault-free prefix of a UART's line and byte
-// captures, shared read-only by every machine on one golden trajectory
-// (see sim.Prefix). The zero value is an empty log.
+// Log is the published fault-free prefix of a UART's line capture,
+// shared read-only by every machine on one golden trajectory (see
+// sim.Prefix). The zero value is an empty log.
 type Log struct {
 	lines *sim.Prefix[Line]
-	bytes *sim.Prefix[byte]
 }
 
-// CaptureSnapshot records the UART state and its log lengths.
+// CaptureSnapshot records the UART state and its line count.
 func (u *UART) CaptureSnapshot() *Snapshot {
 	return &Snapshot{
 		regs:   u.regs,
 		lines:  len(u.lines),
-		bytes:  len(u.txLog),
 		cur:    u.cur.String(),
 		onLine: u.OnLine,
 	}
 }
 
-// Publish returns l extended with this UART's captures past l's end. The
+// Publish returns l extended with this UART's lines past l's end. The
 // UART must be a later state of the run l was published from.
 func (u *UART) Publish(l Log) Log {
-	return Log{
-		lines: l.lines.Extend(u.lines, len(u.lines)),
-		bytes: l.bytes.Extend(u.txLog, len(u.txLog)),
-	}
+	return Log{lines: l.lines.Extend(u.lines, len(u.lines))}
 }
 
 // RestoreSnapshot rewinds the UART to a captured state, reusing the live
-// line/byte buffers: the captures are rewritten from the golden log l,
-// copying only what lies past from (the snapshot this UART last captured
-// or restored on the same golden lineage). Lines the
-// run appended beyond the snapshot are zeroed so their strings are
-// released.
+// line buffer: the capture is rewritten from the golden log l, copying
+// only what lies past from (the snapshot this UART last captured or
+// restored on the same golden lineage). Lines the run appended beyond
+// the snapshot are zeroed so their strings are released.
 func (u *UART) RestoreSnapshot(s *Snapshot, l Log, from *Snapshot) {
 	u.regs = s.regs
-	u.txLog = sim.Rewind(u.txLog, l.bytes, from.bytes, s.bytes)
 	u.lines = sim.Rewind(u.lines, l.lines, from.lines, s.lines)
 	u.cur.Reset()
 	u.cur.WriteString(s.cur)
@@ -138,19 +114,18 @@ func (u *UART) RestoreSnapshot(s *Snapshot, l Log, from *Snapshot) {
 }
 
 // Matches reports whether the UART's register state and the line in
-// progress equal the snapshot's. The captured lines and bytes are logs,
-// not state, and are not compared.
+// progress equal the snapshot's. The captured lines are a log, not
+// state, and are not compared.
 func (u *UART) Matches(s *Snapshot) bool {
 	return u.regs == s.regs && u.cur.String() == s.cur
 }
 
 // Splice moves a UART whose state matches golden snapshot from to the
 // later golden snapshot to: the registers and the line in progress
-// become to's, and the captures gain the golden lines and bytes between
-// the two snapshots from l, after this run's own.
+// become to's, and the capture gains the golden lines between the two
+// snapshots from l, after this run's own.
 func (u *UART) Splice(from, to *Snapshot, l Log) {
 	u.regs = to.regs
-	u.txLog = append(u.txLog, l.bytes.Items()[from.bytes:to.bytes]...)
 	u.lines = append(u.lines, l.lines.Items()[from.lines:to.lines]...)
 	u.cur.Reset()
 	u.cur.WriteString(to.cur)
@@ -158,9 +133,6 @@ func (u *UART) Splice(from, to *Snapshot, l Log) {
 
 // PutByte transmits one byte.
 func (u *UART) PutByte(b byte) {
-	if !u.noBytes {
-		u.txLog = append(u.txLog, b)
-	}
 	if b == '\n' {
 		line := Line{At: u.now(), Text: u.cur.String()}
 		u.lines = append(u.lines, line)
@@ -212,13 +184,6 @@ func (u *UART) WriteReg(offset uint64, value uint32) error {
 	return nil
 }
 
-// Bytes returns a copy of everything transmitted so far.
-func (u *UART) Bytes() []byte {
-	out := make([]byte, len(u.txLog))
-	copy(out, u.txLog)
-	return out
-}
-
 // Lines returns a copy of all completed output lines. Debug/test
 // convenience — hot paths use ScanLines to avoid the per-call copy.
 func (u *UART) Lines() []Line {
@@ -258,18 +223,6 @@ func (u *UART) LastActivity() (sim.Time, bool) {
 		return 0, false
 	}
 	return u.lines[len(u.lines)-1].At, true
-}
-
-// LinesAfter returns the completed lines with timestamps strictly after
-// t. Debug/test convenience — hot paths use ScanLinesAfter.
-func (u *UART) LinesAfter(t sim.Time) []Line {
-	var out []Line
-	for _, l := range u.lines {
-		if l.At > t {
-			out = append(out, l)
-		}
-	}
-	return out
 }
 
 // Contains reports whether any completed line contains substr.
