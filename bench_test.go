@@ -29,6 +29,7 @@ import (
 	"github.com/dessertlab/certify/internal/dist"
 	"github.com/dessertlab/certify/internal/fanout"
 	"github.com/dessertlab/certify/internal/gic"
+	"github.com/dessertlab/certify/internal/gpio"
 	"github.com/dessertlab/certify/internal/jailhouse"
 	"github.com/dessertlab/certify/internal/obs"
 	"github.com/dessertlab/certify/internal/sim"
@@ -348,10 +349,12 @@ func BenchmarkWarmMachineCampaign(b *testing.B) {
 }
 
 // BenchmarkSnapshotRestore isolates the per-run machine recycling cost
-// the pool pays: restoring the post-boot image over a machine that just
-// ran ("after-run", the steady state of a warm campaign) and the floor
-// cost of restoring an undirtied machine ("clean"). The dirty-run
-// virtual second is excluded from the timer.
+// the pool pays: restoring the post-boot image over a machine that ran
+// ("after-run", the steady state of a warm campaign) and the floor cost
+// of restoring an undirtied machine ("clean"). The after-run row dirties
+// the machine with a fixed mutation inside the timer instead of running
+// it outside, so any benchtime, a duration included, works for it; its
+// time includes the mutation.
 func BenchmarkSnapshotRestore(b *testing.B) {
 	opts := core.DefaultMachineOptions(1)
 	m, err := core.BuildMachine(opts)
@@ -367,11 +370,22 @@ func BenchmarkSnapshotRestore(b *testing.B) {
 			}
 		}
 	})
+	// dirty leaves what a run leaves for the restore to undo: a queued
+	// event, a RAM word, the LED level, a line on each UART and trace
+	// records.
+	dirty := func() {
+		m.Board.Engine.After(sim.Second, board.EvRaiseSPI, 40, 0)
+		_ = m.Board.RAM.WriteWord(board.DRAMBase+0x100, 0xBAD)
+		m.Board.GPIO.Set(gpio.LEDGreen, !m.Board.GPIO.Get(gpio.LEDGreen))
+		m.Board.UART0.PutString("dirty\n")
+		m.Board.UART7.PutString("dirty\n")
+		for k := 0; k < 64; k++ {
+			m.Board.Trace().Add(m.Board.Now(), sim.KindNote, -1, "dirty")
+		}
+	}
 	b.Run("after-run", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			m.Run(1 * sim.Second)
-			b.StartTimer()
+			dirty()
 			if err := m.Restore(opts); err != nil {
 				b.Fatal(err)
 			}
@@ -819,13 +833,11 @@ func BenchmarkDistributionRender(b *testing.B) {
 // and publishes its checkpoints. The trace's records are replayed into one reused trace per
 // iteration, as a pooled machine reuses its trace run after run;
 // replayed records carry their rendered text. "end-of-run" times Hash
-// over the finished trace (the fold a campaign pays without
-// incremental hashing); "incremental" times the appends with
-// hash-on-append switched on plus the final Hash read (the streamed
-// campaigns' path); "splice" rewinds a trace to the post-boot mark and
-// splices the published minute back in one-second stretches with
-// incremental hashing on, as a run that rejoins the golden trajectory
-// fast-forwards; "rewind" restores a trace at the post-boot mark to the
+// over the finished trace (the fold a campaign run pays at its end);
+// "append" times the appends plus that Hash read (a run's whole trace
+// path); "splice" rewinds a trace to the post-boot mark, splices the
+// published minute back in one-second stretches and reads Hash, as a
+// run that rejoins the golden trajectory fast-forwards; "rewind" restores a trace at the post-boot mark to the
 // minute's last mark, as a run starting from the latest checkpoint does,
 // and back. ns_per_record divides by the records replayed, spliced or
 // restored.
@@ -870,11 +882,10 @@ func BenchmarkTraceHash(b *testing.B) {
 		}
 		report(b, len(recs))
 	})
-	b.Run("incremental", func(b *testing.B) {
+	b.Run("append", func(b *testing.B) {
 		tr := sim.NewTrace()
 		for i := 0; i < b.N; i++ {
 			tr.Rewind(nil, empty)
-			tr.SetIncrementalHash(true)
 			replay(tr)
 			if tr.Hash() != want {
 				b.Fatal("replayed trace hashes differently")
@@ -886,7 +897,6 @@ func BenchmarkTraceHash(b *testing.B) {
 		tr := sim.NewTrace()
 		for i := 0; i < b.N; i++ {
 			tr.Rewind(log, marks[0])
-			tr.SetIncrementalHash(true)
 			for k := 1; k < len(marks); k++ {
 				tr.Splice(log, marks[k-1], marks[k])
 			}

@@ -32,5 +32,5 @@ func main() {
 		fmt.Println("  ", c)
 	}
 	fmt.Printf("\nLED toggles: %d, FreeRTOS ticks: %d, trace: %s\n",
-		m.RTOS.LEDToggleCount(), m.RTOS.TicksSeen, m.Board.Trace().Summary())
+		m.RTOS.LEDToggleCount(), m.RTOS.Tick(), m.Board.Trace().Summary())
 }

@@ -2,19 +2,19 @@ package armv7
 
 import "testing"
 
-// bankedModes are the eight modes that own a bank of SP/LR/SPSR, plus
+// bankedModes are the eight modes that own a bank of SP/LR, plus
 // SYS, which shares USR's.
 var bankedModes = []Mode{ModeUSR, ModeSYS, ModeFIQ, ModeIRQ, ModeSVC, ModeMON, ModeABT, ModeHYP, ModeUND}
 
-// hasSPSR reports whether m has a saved program status register.
-func hasSPSR(m Mode) bool { return m != ModeUSR && m != ModeSYS }
+// userBank reports whether m uses the bank USR and SYS share.
+func userBank(m Mode) bool { return m == ModeUSR || m == ModeSYS }
 
-// sharesBank reports whether a and b see the same SP/LR/SPSR copy.
-func sharesBank(a, b Mode) bool { return a == b || !hasSPSR(a) && !hasSPSR(b) }
+// sharesBank reports whether a and b see the same SP/LR copy.
+func sharesBank(a, b Mode) bool { return a == b || userBank(a) && userBank(b) }
 
 // TestBankingEveryModePair switches between every ordered pair of
-// banked modes and checks what each switch saves and loads: SP, LR and
-// SPSR round-trip through each mode's bank, USR and SYS share one bank,
+// banked modes and checks what each switch saves and loads: SP and LR
+// round-trip through each mode's bank, USR and SYS share one bank,
 // and only FIQ swaps r8–r12.
 func TestBankingEveryModePair(t *testing.T) {
 	for _, a := range bankedModes {
@@ -26,7 +26,6 @@ func TestBankingEveryModePair(t *testing.T) {
 			c.SetMode(a)
 			c.SetReg(RegSP, 0xA000)
 			c.SetReg(RegLR, 0xA004)
-			c.SetSPSR(0xA008)
 			for r := RegR8; r <= RegR12; r++ {
 				c.SetReg(r, uint32(0x800+r))
 			}
@@ -42,9 +41,6 @@ func TestBankingEveryModePair(t *testing.T) {
 			if got := c.BankedSP(a); got != 0xA000 {
 				t.Fatalf("%v→%v: BankedSP(%v) = %#x, want 0xa000", a, b, a, got)
 			}
-			if got := c.SPSR(); got != 0 {
-				t.Fatalf("%v→%v: fresh SPSR = %#x, want 0", a, b, got)
-			}
 			for r := RegR8; r <= RegR12; r++ {
 				want := uint32(0x800 + r)
 				if a == ModeFIQ || b == ModeFIQ {
@@ -56,22 +52,18 @@ func TestBankingEveryModePair(t *testing.T) {
 			}
 			c.SetReg(RegSP, 0xB000)
 			c.SetReg(RegLR, 0xB004)
-			c.SetSPSR(0xB008)
 			for r := RegR8; r <= RegR12; r++ {
 				c.SetReg(r, uint32(0xF00+r))
 			}
 
 			c.SetMode(a)
-			wantSP, wantLR, wantSPSR := uint32(0xA000), uint32(0xA004), uint32(0xA008)
+			wantSP, wantLR = 0xA000, 0xA004
 			if sharesBank(a, b) {
 				wantSP, wantLR = 0xB000, 0xB004
 			}
-			if !hasSPSR(a) {
-				wantSPSR = 0
-			}
-			if c.Reg(RegSP) != wantSP || c.Reg(RegLR) != wantLR || c.SPSR() != wantSPSR {
-				t.Fatalf("%v→%v→%v: sp=%#x lr=%#x spsr=%#x, want %#x %#x %#x",
-					a, b, a, c.Reg(RegSP), c.Reg(RegLR), c.SPSR(), wantSP, wantLR, wantSPSR)
+			if c.Reg(RegSP) != wantSP || c.Reg(RegLR) != wantLR {
+				t.Fatalf("%v→%v→%v: sp=%#x lr=%#x, want %#x %#x",
+					a, b, a, c.Reg(RegSP), c.Reg(RegLR), wantSP, wantLR)
 			}
 			for r := RegR8; r <= RegR12; r++ {
 				want := uint32(0xF00 + r)
@@ -91,8 +83,7 @@ func TestBankingEveryModePair(t *testing.T) {
 
 // TestInvalidModeHasNoBank enters a CPSR whose mode field encodes no
 // mode from every banked mode and leaves it for every other: the
-// invalid mode neither saves its SP/LR into any bank nor loads one, and
-// has no SPSR.
+// invalid mode neither saves its SP/LR into any bank nor loads one.
 func TestInvalidModeHasNoBank(t *testing.T) {
 	for _, invalid := range []Mode{0x00, 0x15, 0x1E} {
 		for _, a := range bankedModes {
@@ -108,10 +99,6 @@ func TestInvalidModeHasNoBank(t *testing.T) {
 				}
 				if c.Reg(RegSP) != 0xA000 || c.Reg(RegLR) != 0xA004 {
 					t.Fatalf("%v→%v loaded a bank: sp=%#x lr=%#x", a, invalid, c.Reg(RegSP), c.Reg(RegLR))
-				}
-				c.SetSPSR(0xDEAD)
-				if c.SPSR() != 0 {
-					t.Fatalf("%v has SPSR %#x", invalid, c.SPSR())
 				}
 				c.SetReg(RegSP, 0xC000)
 				c.SetReg(RegLR, 0xC004)

@@ -95,7 +95,7 @@ func RegName(i int) string {
 	}
 }
 
-// bankIndex maps every mode encoding to the bank of SP/LR/SPSR it
+// bankIndex maps every mode encoding to the bank of SP/LR it
 // uses, -1 for encodings with no bank (a corrupted CPSR mode field).
 // USR and SYS share one bank; every exception mode has its own. The
 // bank order is VisitState's.
@@ -110,9 +110,10 @@ var bankIndex = func() (idx [32]int8) {
 	return idx
 }()
 
-// bank holds the per-mode banked registers.
+// bank holds the per-mode banked registers. The exception modes' own
+// SPSRs are not modelled: HYP entry and ERET use SPSR_hyp.
 type bank struct {
-	sp, lr, spsr uint32
+	sp, lr uint32
 }
 
 // CPU is the architectural state of one ARMv7-A core with the
@@ -186,7 +187,7 @@ func (c *CPU) Reset() {
 	}
 }
 
-// bank returns the SP/LR/SPSR bank mode m uses, nil when m has none.
+// bank returns the SP/LR bank mode m uses, nil when m has none.
 func (c *CPU) bank(m Mode) *bank {
 	if m >= Mode(len(bankIndex)) || bankIndex[m] < 0 {
 		return nil
@@ -195,7 +196,7 @@ func (c *CPU) bank(m Mode) *bank {
 }
 
 // VisitState feeds every architectural state word of the core to f in a
-// fixed order: current-mode GPRs, CPSR, all banked SP/LR/SPSR copies,
+// fixed order: current-mode GPRs, CPSR, all banked SP/LR copies,
 // the FIQ high-register banks, the HYP virtualization registers, the
 // identification/control registers and the power/park status. It exists
 // for power-on-equivalence digests (core.Machine.StateDigest): a reset
@@ -208,7 +209,6 @@ func (c *CPU) VisitState(f func(uint32)) {
 	for _, b := range c.banks {
 		f(b.sp)
 		f(b.lr)
-		f(b.spsr)
 	}
 	for _, r := range c.fiqBank {
 		f(r)
@@ -313,26 +313,6 @@ func (c *CPU) Regs() [NumRegs]uint32 { return c.regs }
 // SetRegs replaces all 16 current-mode GPRs (used on exception return,
 // when the possibly-corrupted trap context is restored to the guest).
 func (c *CPU) SetRegs(r [NumRegs]uint32) { c.regs = r }
-
-// SPSR returns the saved program status register of the current mode.
-// USR/SYS have no SPSR; reading it returns 0 (UNPREDICTABLE on hardware).
-func (c *CPU) SPSR() uint32 {
-	b := c.bank(c.Mode())
-	if b == nil || c.Mode() == ModeUSR || c.Mode() == ModeSYS {
-		return 0
-	}
-	return b.spsr
-}
-
-// SetSPSR writes the current mode's SPSR.
-func (c *CPU) SetSPSR(v uint32) {
-	if c.Mode() == ModeUSR || c.Mode() == ModeSYS {
-		return
-	}
-	if b := c.bank(c.Mode()); b != nil {
-		b.spsr = v
-	}
-}
 
 // BankedSP returns mode m's banked stack pointer without switching modes.
 func (c *CPU) BankedSP(m Mode) uint32 {

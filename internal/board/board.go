@@ -197,9 +197,6 @@ type Snapshot struct {
 // Now returns the virtual time of the snapshot.
 func (s *Snapshot) Now() sim.Time { return s.engine.Now() }
 
-// TraceLen returns how many trace records precede the snapshot.
-func (s *Snapshot) TraceLen() int { return s.engine.TraceLen() }
-
 // Log is the published fault-free prefix of the board's append-only
 // logs — trace and both UARTs' lines — shared read-only by every machine
 // on one golden trajectory. A published Log is never written again;
@@ -246,20 +243,18 @@ func (b *Board) Publish(l *Log) *Log {
 // RestoreSnapshot rewinds the board to a captured state with a fresh RNG
 // seed, reusing every live buffer. The logs are rewritten from the
 // golden log l, which must cover the snapshot: the trace reads l's
-// records in place, and the UART lines copy what they lack. from is the
-// snapshot the board last captured or restored on the same golden
-// lineage, whose UART line prefixes are already in place and are not
-// copied again. Returns how many RAM pages the preceding
-// run dirtied and how many the restore copied back — the flight
-// recorder's dirty-page metrics. The observable result must be indistinguishable from the
-// straight run that reached the snapshot (the differential and
-// checkpoint exactness suites in internal/core hold it to that).
-func (b *Board) RestoreSnapshot(s *Snapshot, seed uint64, l *Log, from *Snapshot) (dirtied, restored int) {
+// records in place, and the UART lines are copied from it. Returns how
+// many RAM pages the preceding run dirtied and how many the restore
+// copied back — the flight recorder's dirty-page metrics. The
+// observable result must be indistinguishable from the straight run
+// that reached the snapshot (the differential and checkpoint exactness
+// suites in internal/core hold it to that).
+func (b *Board) RestoreSnapshot(s *Snapshot, seed uint64, l *Log) (dirtied, restored int) {
 	b.Engine.RestoreSnapshot(s.engine, seed, l.trace)
 	dirtied, restored = b.RAM.RestoreSnapshot(s.ram)
 	b.GIC.RestoreSnapshot(s.gic)
-	b.UART0.RestoreSnapshot(s.uart0, l.uart0, from.uart0)
-	b.UART7.RestoreSnapshot(s.uart7, l.uart7, from.uart7)
+	b.UART0.RestoreSnapshot(s.uart0, l.uart0)
+	b.UART7.RestoreSnapshot(s.uart7, l.uart7)
 	b.GPIO.RestoreSnapshot(s.gpio)
 	b.restoreCPUs(s)
 	return dirtied, restored

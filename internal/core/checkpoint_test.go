@@ -73,7 +73,7 @@ func holdOnePerPlan(t *testing.T, pool *MachinePool, plans ...*TestPlan) {
 }
 
 // quietVariant is plan with an occurrence rate no horizon reaches: the
-// same golden timeline (profile, call filter, arm offset), but the run
+// same golden timeline (profile, call filter), but the run
 // never injects, so one run records checkpoints up to the horizon.
 func quietVariant(plan *TestPlan) *TestPlan {
 	q := *plan
@@ -84,11 +84,7 @@ func quietVariant(plan *TestPlan) *TestPlan {
 // timelineFor returns m's timeline for a run of plan.
 func timelineFor(t *testing.T, m *Machine, plan *TestPlan) *timeline {
 	t.Helper()
-	armOffset := sim.Time(0)
-	if plan.Workload == WorkloadSteady {
-		armOffset = 2 * sim.Second
-	}
-	key := timelineKeyOf(plan, armOffset)
+	key := timelineKeyOf(plan)
 	for _, tl := range m.timelines {
 		if tl.key == key {
 			return tl
@@ -373,5 +369,37 @@ func TestCheckpointsSurviveProfileSwitches(t *testing.T) {
 	}
 	if metCheckpointRestores.Value() == restores {
 		t.Fatal("no run started from a checkpoint")
+	}
+}
+
+// TestGoldenLogsHoldNoDetectionKinds: detectionLatency scans a run's
+// trace from its first record and relies on the golden records — a
+// restored trace's base and its spliced stretches — holding no
+// detection kind, so that ScanKindsFrom passes over each published
+// segment in one step. For each builtin plan, a machine restored to the
+// last checkpoint of its timeline, recorded to the horizon, reads the
+// whole published golden log up to there as its base: no record of it
+// may have a detection kind.
+func TestGoldenLogsHoldNoDetectionKinds(t *testing.T) {
+	for _, name := range BuiltinPlanNames() {
+		plan, err := PlanByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _, m := pooledRun(t, NewMachinePool(), quietVariant(plan), 1)
+		tl := timelineFor(t, m, plan)
+		last := tl.frontier()
+		if last.at()+checkpointSpacing <= tl.cps[0].at()+plan.EffectiveDuration() {
+			t.Fatalf("%s: the timeline stops at %v, short of the horizon", name, last.at())
+		}
+		m.restoreTo(last, 1)
+		tr := m.Board.Trace()
+		if tr.Len() == 0 {
+			t.Fatalf("%s: restored trace is empty", name)
+		}
+		tr.ScanKindsFrom(0, detectionKinds, func(at sim.Time, kind sim.Kind, _ int) bool {
+			t.Errorf("%s: golden %v record at %v", name, kind, at)
+			return true
+		})
 	}
 }

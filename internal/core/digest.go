@@ -183,7 +183,6 @@ func (m *Machine) StateDigest() uint64 {
 	f.b(lp)
 	f.str(lw)
 	f.u64(uint64(m.Linux.CellID))
-	f.u64(m.Linux.StateQueries)
 	f.u64(uint64(m.Linux.LastState))
 	f.i64(int64(m.Linux.LastStartAt))
 
@@ -196,7 +195,6 @@ func (m *Machine) StateDigest() uint64 {
 		f.b(kh)
 		f.str(kw)
 		f.u64(k.ContextSwitches)
-		f.u64(k.TicksSeen)
 		tasks := k.Tasks()
 		f.i64(int64(len(tasks)))
 		for _, t := range tasks {
@@ -213,7 +211,6 @@ func (m *Machine) StateDigest() uint64 {
 		}
 		for _, q := range k.Queues() {
 			f.i64(int64(q.Len()))
-			f.u64(q.Sends)
 			f.u64(q.Receives)
 		}
 	}

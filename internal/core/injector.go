@@ -173,20 +173,16 @@ func (in *Injector) firstTrigger(calls []sim.Time, base uint64) uint64 {
 // advance adds the golden matching calls between two checkpoints to the
 // counters, as if the injector had watched the stretch a jump skips.
 func (in *Injector) advance(from, to *checkpoint) {
-	for p, n := range to.calls {
-		in.calls[p] += n - from.calls[p]
+	for p := range in.calls {
+		in.calls[p] += to.calls[p] - from.calls[p]
 	}
 	in.callTotal += to.total - from.total
 }
 
 // preload sets the matching-call counters to a checkpoint's golden
 // counts, as if the injector had watched the prefix it skips.
-func (in *Injector) preload(calls map[jailhouse.InjectionPoint]uint64, total uint64) {
-	in.calls = callCounts{}
-	for p, n := range calls {
-		in.calls[p] = n
-	}
-	in.callTotal = total
+func (in *Injector) preload(c *checkpoint) {
+	in.calls, in.callTotal = c.calls, c.total
 }
 
 // Hook is the jailhouse.EntryHook adapter.

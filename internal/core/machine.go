@@ -56,9 +56,6 @@ type Machine struct {
 	// machine served recently (at most maxTimelines, LRU by lruClock).
 	timelines []*timeline
 	lruClock  uint64
-	// at is the checkpoint last captured or restored: the machine's logs
-	// are golden up to its lengths.
-	at *checkpoint
 	// run, when set, makes the next Run a timeline run (see prepare).
 	run timelineRun
 }
@@ -283,8 +280,9 @@ func (m *Machine) CaptureSnapshot() {
 }
 
 // Restore brings the machine back to the post-boot state for opts from
-// its post-boot image, copying back only dirtied RAM pages, log tails
-// and the captured control blocks — no boot replay. It fails for a
+// its post-boot image, copying back only dirtied RAM pages, the golden
+// UART and console lines and the captured control blocks — no boot
+// replay. It fails for a
 // machine without an image, for options of another boot profile and
 // for a tainted machine (sim-fault, machine wedge), whose state is not
 // trusted as a restore base: such machines are built anew instead. The

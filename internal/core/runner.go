@@ -158,13 +158,6 @@ func runOn(m *Machine, fresh, timeline bool, opts MachineOptions, plan *TestPlan
 	} else {
 		armRun(inj, plan, start)
 	}
-	if ro.CaptureTraceHash {
-		// Fold the digest on append: end-of-run hashing then reads a
-		// finished state instead of rendering the whole trace. Records
-		// already present (boot, or a checkpoint's folded prefix) are
-		// caught up here.
-		m.Board.Trace().SetIncrementalHash(true)
-	}
 	m.HV.Hook = inj.Hook
 
 	m.Run(start + plan.EffectiveDuration() - m.Board.Now())
@@ -194,17 +187,15 @@ func runOn(m *Machine, fresh, timeline bool, opts MachineOptions, plan *TestPlan
 }
 
 // armRun arms the run's injection window relative to the post-boot
-// instant start and returns the arm offset. Steady workloads arm after
-// the cell is up (the rig starts its test once the workload runs);
-// management workloads inject from the start — create/boot windows are
-// their subject.
-func armRun(inj *Injector, plan *TestPlan, start sim.Time) sim.Time {
+// instant start. Steady workloads arm after the cell is up (the rig
+// starts its test once the workload runs); management workloads inject
+// from the start — create/boot windows are their subject.
+func armRun(inj *Injector, plan *TestPlan, start sim.Time) {
 	var offset sim.Time
 	if plan.Workload == WorkloadSteady {
 		offset = 2 * sim.Second
 	}
 	inj.ArmWindow(start+offset, start+plan.EffectiveDuration())
-	return offset
 }
 
 // noRelease is the release stub for machines nobody reclaims.
@@ -237,20 +228,15 @@ var detectionKinds = sim.Kinds(sim.KindPark, sim.KindPanic, sim.KindHypTrap, sim
 // detectionLatency measures first-injection → first detection evidence:
 // a park, a panic, an internal HYP trap or the bounded-progress watchdog.
 // first is the virtual time of the first injection (-1 when none
-// happened). The trace is scanned in place without rendering messages,
-// from the run's start checkpoint on: every earlier record lies at or
-// before it, and it precedes the first firing call. Spliced golden
-// stretches hold no detection kinds and are skipped whole.
+// happened). The trace is scanned in place without rendering messages.
+// The golden base and spliced golden stretches hold no detection kinds
+// and are skipped whole.
 func detectionLatency(m *Machine, first sim.Time) sim.Time {
 	if first < 0 {
 		return -1
 	}
-	from := 0
-	if m.at != nil {
-		from = m.at.board.TraceLen()
-	}
 	latency := sim.Time(-1)
-	m.Board.Trace().ScanKindsFrom(from, detectionKinds, func(at sim.Time, _ sim.Kind, _ int) bool {
+	m.Board.Trace().ScanKindsFrom(0, detectionKinds, func(at sim.Time, _ sim.Kind, _ int) bool {
 		if at >= first {
 			latency = at - first
 			return false

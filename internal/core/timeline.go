@@ -57,7 +57,7 @@ type checkpoint struct {
 
 	// calls and total are the injector's matching-call counters at the
 	// checkpoint (zero at the post-boot image: no hook runs during boot).
-	calls map[jailhouse.InjectionPoint]uint64
+	calls callCounts
 	total uint64
 }
 
@@ -110,18 +110,17 @@ func publishGolden(pk profileKey, m *Machine) *goldenLineage {
 }
 
 // timelineKey identifies one of a machine's golden timelines: what
-// shapes its matching-call count (the plan's call filter) and the arm
-// offset. The fault-free trajectory itself is fixed by the machine's
-// boot profile.
+// shapes its matching-call count, the plan's call filter. The
+// fault-free trajectory itself is fixed by the machine's boot profile,
+// and calls count whether or not the injector is armed.
 type timelineKey struct {
-	points    uint64 // bit p set: the plan targets injection point p
-	cpu       int
-	cell      string
-	armOffset sim.Time
+	points uint64 // bit p set: the plan targets injection point p
+	cpu    int
+	cell   string
 }
 
-func timelineKeyOf(plan *TestPlan, armOffset sim.Time) timelineKey {
-	k := timelineKey{cpu: plan.TargetCPU, cell: plan.TargetCell, armOffset: armOffset}
+func timelineKeyOf(plan *TestPlan) timelineKey {
+	k := timelineKey{cpu: plan.TargetCPU, cell: plan.TargetCell}
 	for _, p := range plan.Points {
 		// The hypervisor only calls the hook with its own points, all
 		// inside the mask; a point outside it never matches a call.
@@ -205,22 +204,19 @@ func (m *Machine) capture() *checkpoint {
 			c.kernels[i] = &ks
 		}
 	}
-	m.at = c
 	return c
 }
 
 // restoreTo rewinds the machine to checkpoint c and reseeds its RNG.
-// Logs already golden up to the machine's last capture or restore are
-// not copied again. The injection hook comes back as captured (nil);
-// the run installs its own afterwards.
+// The injection hook comes back as captured (nil); the run installs its
+// own afterwards.
 func (m *Machine) restoreTo(c *checkpoint, seed uint64) {
 	start := time.Now()
 	logs := c.golden.cur.Load()
-	dirtied, restored := m.Board.RestoreSnapshot(c.board, seed, logs.board, m.at.board)
-	m.HV.RestoreSnapshot(c.hv, logs.console, m.at.hv)
+	dirtied, restored := m.Board.RestoreSnapshot(c.board, seed, logs.board)
+	m.HV.RestoreSnapshot(c.hv, logs.console)
 	m.restoreGuests(c)
 	m.simFault = ""
-	m.at = c
 	metSnapshotRestore.ObserveSince(start)
 	metPagesDirtied.Add(uint64(dirtied))
 	metPagesRestored.Add(uint64(restored))
@@ -248,8 +244,8 @@ func (m *Machine) prepare(opts MachineOptions, plan *TestPlan, inj *Injector, fr
 	}
 	start := boot.at()
 	horizon := start + plan.EffectiveDuration()
-	armOffset := armRun(inj, plan, start)
-	tl := m.timeline(timelineKeyOf(plan, armOffset), boot)
+	armRun(inj, plan, start)
+	tl := m.timeline(timelineKeyOf(plan), boot)
 	if tl.frontier().at()+checkpointSpacing <= horizon {
 		m.extend(tl, plan, horizon)
 		fresh = false
@@ -258,7 +254,7 @@ func (m *Machine) prepare(opts MachineOptions, plan *TestPlan, inj *Injector, fr
 	if !fresh || c != boot {
 		m.restoreTo(c, opts.Seed)
 	}
-	inj.preload(c.calls, c.total)
+	inj.preload(c)
 	if c != boot {
 		metCheckpointRestores.Inc()
 		metCheckpointSkipped.Add(virtualMillis(c.at() - start))
@@ -276,7 +272,7 @@ func (m *Machine) extend(tl *timeline, plan *TestPlan, horizon sim.Time) {
 	f := tl.frontier()
 	m.restoreTo(f, 0)
 	inj := &Injector{plan: plan, now: m.Board.Now, taping: true}
-	inj.preload(f.calls, f.total)
+	inj.preload(f)
 	m.HV.Hook = inj.Hook
 	m.record(tl, inj, horizon)
 	countSimEvents(m.Board.Engine)
@@ -299,7 +295,7 @@ func (m *Machine) record(tl *timeline, inj *Injector, horizon sim.Time) {
 			return
 		}
 		c := m.capture()
-		c.calls, c.total = inj.Calls(), inj.TotalCalls()
+		c.calls, c.total = inj.calls, inj.callTotal
 		tl.calls = append(tl.calls, inj.tape...)
 		inj.tape = inj.tape[:0]
 		tl.cps = append(tl.cps, c)
@@ -394,7 +390,7 @@ func (m *Machine) rejoin(r timelineRun, b, horizon sim.Time) bool {
 
 // mismatch returns the refusal counter of the first check, cheapest
 // first, that tells the machine apart from checkpoint c, or nil when it
-// matches. Tallies are never compared.
+// matches.
 func (m *Machine) mismatch(c *checkpoint) *obs.Counter {
 	brd := m.Board
 	switch {
@@ -450,26 +446,13 @@ func (m *Machine) restoreGuests(c *checkpoint) {
 
 // splice moves a machine that matches golden checkpoint from to the
 // later checkpoint to of the same timeline: every state layer becomes
-// to's, every tally keeps the run's own count and gains the golden delta
-// between the two checkpoints, and every log keeps the run's own content
-// and gains the golden content between them. A kernel loaded between
-// the two takes to's content, tallies included. m.at stays: the logs are
-// still golden up to its lengths.
+// to's, and every log keeps the run's own content and gains the golden
+// content between the two checkpoints.
 func (m *Machine) splice(from, to *checkpoint) {
 	logs := to.golden.cur.Load()
 	m.Board.Splice(from.board, to.board, logs.board)
 	m.HV.Splice(from.hv, to.hv, logs.console)
-	m.Linux.Splice(from.linux, to.linux)
-	for i, ks := range to.kernels {
-		switch {
-		case ks == nil:
-		case i < len(from.kernels) && from.kernels[i] != nil:
-			m.rtosArena[i].Splice(*from.kernels[i], *ks)
-		default:
-			m.rtosArena[i].RestoreSnapshot(*ks)
-		}
-	}
-	m.machineState = to.machine
+	m.restoreGuests(to)
 }
 
 // virtualMillis returns d in whole virtual milliseconds, the unit of the

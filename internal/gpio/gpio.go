@@ -55,7 +55,7 @@ func (p *Port) RestoreSnapshot(s *Snapshot) {
 }
 
 // Matches reports whether every line level equals the snapshot's. The
-// toggle counts tally a log, not state, and are not compared.
+// toggle counts are a log's length, not state, and are not compared.
 func (p *Port) Matches(s *Snapshot) bool {
 	for pin, on := range p.state {
 		if s.state[pin] != on {

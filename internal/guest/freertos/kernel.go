@@ -115,9 +115,6 @@ type Kernel struct {
 	// kernelState is the scheduler's scalar state: a restore assigns
 	// it, and a rejoin check compares it with ==.
 	kernelState
-	// kernelTally holds the kernel's digest-only counters, outside the
-	// rejoin check: a splice adds the golden delta to them.
-	kernelTally
 
 	// tasks is the task arena in creation order: task id i is tasks[i],
 	// and ids below nTasks are live. A DeepReset keeps every block, and
@@ -176,18 +173,6 @@ type kernelState struct {
 	ContextSwitches uint64
 }
 
-// kernelTally is a kernel's tallies: counters only the state digest
-// reads (DESIGN.md "Checkpoints and timelines").
-type kernelTally struct {
-	// TicksSeen counts tick interrupts the started kernel handled.
-	TicksSeen uint64
-}
-
-// plus returns t advanced by the golden delta to − from.
-func (t kernelTally) plus(from, to kernelTally) kernelTally {
-	return kernelTally{TicksSeen: t.TicksSeen + to.TicksSeen - from.TicksSeen}
-}
-
 // NewKernel returns a kernel for the given cell CPU. Call through
 // jailhouse.LoadInmate; the hypervisor invokes Boot when the cell starts.
 func NewKernel(hv *jailhouse.Hypervisor, cpu int) *Kernel {
@@ -225,7 +210,6 @@ func (k *Kernel) DeepReset(cpu int) {
 	}
 	k.queues = k.queues[:0]
 	k.kernelState = freshState(cpu)
-	k.kernelTally = kernelTally{}
 }
 
 // KernelSnapshot is a copy of a kernel at any instant: its scalar
@@ -239,7 +223,6 @@ func (k *Kernel) DeepReset(cpu int) {
 // makes a mid-run capture admissible.
 type KernelSnapshot struct {
 	kernelState
-	kernelTally
 	queues, queuePool []*Queue
 	tcbs              []TCB   // content of task id i
 	queueImgs         []Queue // content of queues[i]
@@ -249,7 +232,6 @@ type KernelSnapshot struct {
 func (k *Kernel) CaptureSnapshot() KernelSnapshot {
 	s := KernelSnapshot{
 		kernelState: k.kernelState,
-		kernelTally: k.kernelTally,
 		queues:      slices.Clone(k.queues),
 		queuePool:   slices.Clone(k.queuePool),
 		tcbs:        make([]TCB, k.nTasks),
@@ -259,7 +241,7 @@ func (k *Kernel) CaptureSnapshot() KernelSnapshot {
 		s.tcbs[i] = *t
 	}
 	for i, q := range k.queues {
-		s.queueImgs[i] = Queue{q.queueState, q.queueTally, slices.Clone(q.buf), slices.Clone(q.sendWaiters), slices.Clone(q.recvWaiters)}
+		s.queueImgs[i] = Queue{q.queueState, slices.Clone(q.buf), slices.Clone(q.sendWaiters), slices.Clone(q.recvWaiters)}
 	}
 	return s
 }
@@ -269,31 +251,6 @@ func (k *Kernel) CaptureSnapshot() KernelSnapshot {
 // with the snapshot's, so the run that follows cannot write into the
 // image through an append.
 func (k *Kernel) RestoreSnapshot(s KernelSnapshot) {
-	k.restoreState(s)
-	k.kernelTally = s.kernelTally
-	for i, q := range k.queues {
-		q.queueTally = s.queueImgs[i].queueTally
-	}
-}
-
-// Splice moves a kernel that matches golden snapshot from to the later
-// golden snapshot to: it takes to's state and content, and each tally
-// gains the golden delta between the two. A queue to holds that from
-// does not was created in between and takes to's tallies.
-func (k *Kernel) Splice(from, to KernelSnapshot) {
-	k.restoreState(to)
-	k.kernelTally = k.kernelTally.plus(from.kernelTally, to.kernelTally)
-	for i, q := range k.queues {
-		t := to.queueImgs[i].queueTally
-		if j := slices.Index(from.queues, q); j >= 0 {
-			t = q.queueTally.plus(from.queueImgs[j].queueTally, t)
-		}
-		q.queueTally = t
-	}
-}
-
-// restoreState writes s back into the kernel, tallies aside.
-func (k *Kernel) restoreState(s KernelSnapshot) {
 	clear(k.queues)
 	k.kernelState = s.kernelState
 	for len(k.tasks) < len(s.tcbs) {
@@ -315,8 +272,8 @@ func (k *Kernel) restoreState(s KernelSnapshot) {
 
 // Matches reports whether the kernel — scheduler state and task order,
 // every live task's content, the queue lists and every queue's buffer
-// and waiters — equals the snapshot's, tallies aside. Step functions
-// are not compared: a task's step is fixed when it is created.
+// and waiters — equals the snapshot's. Step functions are not
+// compared: a task's step is fixed when it is created.
 func (k *Kernel) Matches(s KernelSnapshot) bool {
 	if k.kernelState != s.kernelState || !slices.Equal(k.queues, s.queues) || !slices.Equal(k.queuePool, s.queuePool) {
 		return false
@@ -520,7 +477,6 @@ func (k *Kernel) onTick() {
 		return
 	}
 	k.tick++
-	k.TicksSeen++
 
 	// A pending wild jump executes *before* any scheduling: the guest
 	// resumes at the corrupted address and immediately prefetch-aborts

@@ -7,9 +7,6 @@ type Queue struct {
 	// queueState is the queue's scalar content: a restore assigns it,
 	// and a rejoin check compares it with ==.
 	queueState
-	// queueTally holds the queue's digest-only counters, outside the
-	// rejoin check: a splice adds the golden delta to them.
-	queueTally
 
 	buf []uint32
 
@@ -30,18 +27,6 @@ type queueState struct {
 	// Receives counts dequeued messages; the receiver task reports
 	// every receiverReport-th, so it stays in the comparable state.
 	Receives uint64
-}
-
-// queueTally is a queue's tallies: counters only the state digest reads
-// (DESIGN.md "Checkpoints and timelines").
-type queueTally struct {
-	// Sends counts enqueued messages.
-	Sends uint64
-}
-
-// plus returns t advanced by the golden delta to − from.
-func (t queueTally) plus(from, to queueTally) queueTally {
-	return queueTally{Sends: t.Sends + to.Sends - from.Sends}
 }
 
 // NewQueue creates a queue with the given capacity and registers it with
@@ -68,7 +53,7 @@ func (k *Kernel) NewQueue(name string, capacity int) *Queue {
 func (q *Queue) recycle() {
 	clear(q.sendWaiters)
 	clear(q.recvWaiters)
-	q.queueState, q.queueTally = queueState{}, queueTally{}
+	q.queueState = queueState{}
 	q.buf, q.sendWaiters, q.recvWaiters = q.buf[:0], q.sendWaiters[:0], q.recvWaiters[:0]
 }
 
@@ -90,7 +75,6 @@ func (q *Queue) Send(k *Kernel, t *TCB, v uint32) bool {
 		return false
 	}
 	q.buf = append(q.buf, v)
-	q.Sends++
 	// Wake one receiver.
 	if len(q.recvWaiters) > 0 {
 		w := popFront(&q.recvWaiters)

@@ -49,9 +49,6 @@ type Linux struct {
 	// state is the guest's scalar state: a restore assigns it, and a
 	// rejoin check compares it with ==.
 	state
-	// tally holds the guest's digest-only counters, outside the
-	// rejoin check: a splice adds the golden delta to them.
-	tally
 
 	// cancelBg holds the periodic background events (housekeeping,
 	// state watchdog, recreate loop) that a panic or shutdown stops.
@@ -84,20 +81,6 @@ type state struct {
 	LastStartAt sim.Time
 }
 
-// tally is the root-cell guest's tallies: counters only the state
-// digest reads (DESIGN.md "Checkpoints and timelines"). A failed probe
-// skews them for the rest of a run without changing anything the run
-// does, so they stay out of the rejoin check.
-type tally struct {
-	// StateQueries counts completed GET_STATE probes.
-	StateQueries uint64
-}
-
-// plus returns t advanced by the golden delta to − from.
-func (t tally) plus(from, to tally) tally {
-	return tally{StateQueries: t.StateQueries + to.StateQueries - from.StateQueries}
-}
-
 var _ jailhouse.Inmate = (*Linux)(nil)
 
 // New returns the root Linux model bound to the hypervisor's board.
@@ -118,33 +101,22 @@ func (l *Linux) Name() string { return "Linux-5.10-jailhouse" }
 // after a restore.
 type Snapshot struct {
 	state
-	tally
 	cancelBg []sim.Event
 }
 
 // CaptureSnapshot copies the guest state.
 func (l *Linux) CaptureSnapshot() *Snapshot {
-	return &Snapshot{l.state, l.tally, append([]sim.Event(nil), l.cancelBg...)}
+	return &Snapshot{l.state, append([]sim.Event(nil), l.cancelBg...)}
 }
 
 // RestoreSnapshot rewinds the guest to a captured state in place.
 func (l *Linux) RestoreSnapshot(s *Snapshot) {
-	l.state, l.tally = s.state, s.tally
+	l.state = s.state
 	l.cancelBg = append(l.cancelBg[:0], s.cancelBg...)
 }
 
-// Splice moves a guest that matches golden snapshot from to the later
-// golden snapshot to: it takes to's state, and its tallies gain the
-// golden delta between the two.
-func (l *Linux) Splice(from, to *Snapshot) {
-	t := l.tally.plus(from.tally, to.tally)
-	l.RestoreSnapshot(to)
-	l.tally = t
-}
-
-// Matches reports whether the guest state equals the snapshot's,
-// tallies aside; same compares a live background-event handle with a
-// captured one.
+// Matches reports whether the guest state equals the snapshot's; same
+// compares a live background-event handle with a captured one.
 func (l *Linux) Matches(s *Snapshot, same func(live, golden sim.Event) bool) bool {
 	if l.state != s.state || len(l.cancelBg) != len(s.cancelBg) {
 		return false

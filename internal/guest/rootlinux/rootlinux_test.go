@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/dessertlab/certify/internal/armv7"
+	"github.com/dessertlab/certify/internal/board"
 	"github.com/dessertlab/certify/internal/core"
 	"github.com/dessertlab/certify/internal/jailhouse"
 	"github.com/dessertlab/certify/internal/sim"
@@ -61,8 +62,8 @@ func TestStateWatchdogQueries(t *testing.T) {
 	m := build(t, 3)
 	m.Run(5 * sim.Second)
 	// 500 ms cadence → ~10 queries in 5 s.
-	if m.Linux.StateQueries < 8 {
-		t.Fatalf("state queries = %d, want ≥8", m.Linux.StateQueries)
+	if n := m.Board.Engine.ExecutedByKind()[board.EvLinuxStateQuery]; n < 8 {
+		t.Fatalf("state queries = %d, want ≥8", n)
 	}
 	if m.Linux.LastState != jailhouse.CellRunning {
 		t.Fatalf("last state = %v", m.Linux.LastState)

@@ -124,7 +124,6 @@ func (l *Linux) CellState(id uint32) (jailhouse.CellState, error) {
 		l.console("jailhouse: cell state failed: %v", ret)
 		return 0, fmt.Errorf("cell state: %v", ret)
 	}
-	l.StateQueries++
 	l.LastState = jailhouse.CellState(ret)
 	return l.LastState, nil
 }

@@ -81,14 +81,13 @@ func (h *Hypervisor) PublishConsole(l *sim.Prefix[string]) *sim.Prefix[string] {
 // RestoreSnapshot rewinds the hypervisor to a captured state in place.
 // Cells the run created after the capture are dropped from the cell
 // list; cells present at capture get their content written back into
-// the same objects, so guest models holding those pointers keep working. The console is rewritten from the golden log,
-// copying only the lines past from (the snapshot this hypervisor last
-// captured or restored on the same golden lineage).
-// The injection hook comes back as captured: a run installs its own
-// after the restore.
-func (h *Hypervisor) RestoreSnapshot(s *Snapshot, console *sim.Prefix[string], from *Snapshot) {
+// the same objects, so guest models holding those pointers keep
+// working. The console is rewritten from the golden log. The injection
+// hook comes back as captured: a run installs its own after the
+// restore.
+func (h *Hypervisor) RestoreSnapshot(s *Snapshot, console *sim.Prefix[string]) {
 	h.restoreState(s)
-	h.ConsoleLines = sim.Rewind(h.ConsoleLines, console, from.console, s.console)
+	h.ConsoleLines = sim.Rewind(h.ConsoleLines, console, s.console)
 }
 
 // Splice moves a hypervisor whose state matches golden snapshot from to

@@ -89,8 +89,6 @@ var reachAllow = []allowGroup{
 	}},
 	{"architectural register accessors: the banking tests observe the CPU model's mode switches through them", []string{
 		"armv7.CPU.CPSR",
-		"armv7.CPU.SPSR",
-		"armv7.CPU.SetSPSR",
 		"armv7.CPU.BankedSP",
 		"armv7.CPU.SetBankedSP",
 	}},

@@ -422,9 +422,6 @@ type EngineSnapshot struct {
 // Now returns the virtual time of the snapshot.
 func (s *EngineSnapshot) Now() Time { return s.now }
 
-// TraceLen returns how many trace records precede the snapshot.
-func (s *EngineSnapshot) TraceLen() int { return s.trace.recs }
-
 // CaptureSnapshot copies the engine's scheduler state and marks the
 // trace position (folding the digest up to it).
 func (e *Engine) CaptureSnapshot() *EngineSnapshot {

@@ -51,19 +51,13 @@ func (p *Prefix[T]) Append(items ...T) *Prefix[T] {
 }
 
 // Rewind returns log rewritten to p's first n items, reusing log's
-// buffer. valid is how many leading items of log are already known to
-// equal p's (the length at the machine's last capture or restore on the
-// same lineage); only the rest is copied. Items dropped from the tail
-// are zeroed so the strings and pointers they hold are released.
-func Rewind[T any](log []T, p *Prefix[T], valid, n int) []T {
+// buffer. Items dropped from the tail are zeroed so the strings and
+// pointers they hold are released.
+func Rewind[T any](log []T, p *Prefix[T], n int) []T {
 	old := len(log)
-	if valid = min(valid, old, n); valid < n {
-		log = append(log[:valid], p.items[valid:n]...)
-	} else {
-		log = log[:n]
-	}
-	if len(log) < old {
-		clear(log[len(log):old])
+	log = append(log[:0], p.Items()[:n]...)
+	if n < old {
+		clear(log[n:old])
 	}
 	return log
 }

@@ -104,7 +104,7 @@ func TestSegmentedRunMatchesSingleRun(t *testing.T) {
 
 // TestPrefixRewind covers the shared-log primitive: Extend publishes
 // only past a version's end (older versions never change), and Rewind
-// copies only what lies past the known-golden length.
+// rewrites the whole prefix and zeroes the dropped tail.
 func TestPrefixRewind(t *testing.T) {
 	log := []int{1, 2, 3}
 	v1 := (*Prefix[int])(nil).Extend(log, 3)
@@ -118,20 +118,20 @@ func TestPrefixRewind(t *testing.T) {
 		t.Fatalf("extending rewrote an older version: %v", got)
 	}
 
-	// A machine log holding a golden prefix of 2 and a divergent tail.
-	mine := []int{1, 2, 9, 9, 9, 9, 9}
-	mine = Rewind(mine, v3, 2, 4)
+	// A machine log that diverged from the golden one at its first item.
+	mine := []int{7, 2, 9, 9, 9, 9, 9}
+	mine = Rewind(mine, v3, 4)
 	if fmt.Sprint(mine) != "[1 2 3 4]" {
 		t.Fatalf("rewind forward: %v", mine)
 	}
 	if full := mine[:7]; fmt.Sprint(full[4:]) != "[0 0 0]" {
 		t.Fatalf("dropped tail not zeroed: %v", full)
 	}
-	mine = Rewind(mine, v3, 4, 1) // backwards: a truncation
+	mine = Rewind(mine, v3, 1) // backwards: a truncation
 	if fmt.Sprint(mine) != "[1]" {
 		t.Fatalf("rewind back: %v", mine)
 	}
-	mine = Rewind(mine, nil, 0, 0)
+	mine = Rewind(mine, nil, 0)
 	if len(mine) != 0 {
 		t.Fatalf("rewind to empty: %v", mine)
 	}

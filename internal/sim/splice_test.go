@@ -171,8 +171,8 @@ func appended(recs []Record) *Trace {
 // rewound to random marks of a log published in several versions, then
 // gets own appends (arguments, repeated and one-off suffixes, stamps
 // below one millisecond) interleaved with splices of random stretches,
-// hashing incrementally from the start, at the end only, or from a
-// random point on, with Hash also read midway. A fresh trace appends
+// with Hash read after every append and splice from the start, at the
+// end only, or from midway on, and also read at random points. A fresh trace appends
 // the same records; the two must agree on every reader. So must a trace
 // that publishes after a Rewind, and one that publishes to a lineage
 // already longer than itself.
@@ -192,26 +192,30 @@ func TestSpliceMatchesAppend(t *testing.T) {
 		tr.Rewind(covering(rng, logs, start), start)
 		ref := NewTrace()
 		appendGolden(ref, TraceMark{}, start)
-		mode := round % 3 // 0: incremental from the start, 1: end only, 2: switched on midway
-		tr.SetIncrementalHash(mode == 0)
+		mode := round % 3 // 0: Hash after every append from the start, 1: end only, 2: from midway on
 		ops := 1 + rng.Intn(8)
 		for op := 0; op < ops; op++ {
-			if mode == 2 && op == ops/2 {
-				tr.SetIncrementalHash(true)
-			}
+			each := mode == 0 || mode == 2 && op >= ops/2
 			if rng.Intn(4) == 0 {
 				_ = tr.Hash()
 			}
 			if rng.Intn(2) == 0 {
 				seed, n := rng.Uint64(), rng.Intn(40)
 				u := uniq
-				traceOps(tr, NewRNG(seed), n, &uniq)
+				if each {
+					hashingOps(tr, NewRNG(seed), n, &uniq)
+				} else {
+					traceOps(tr, NewRNG(seed), n, &uniq)
+				}
 				traceOps(ref, NewRNG(seed), n, &u)
 				continue
 			}
 			i := rng.Intn(len(marks))
 			j := i + rng.Intn(len(marks)-i)
 			tr.Splice(covering(rng, logs, marks[j]), marks[i], marks[j])
+			if each {
+				_ = tr.Hash()
+			}
 			appendGolden(ref, marks[i], marks[j])
 		}
 		sameTrace(t, step, rng, tr, ref)

@@ -174,19 +174,16 @@ type Trace struct {
 	pieces  []piece
 	spliced int
 
-	// Incremental hash state. hstate is the running FNV-1a digest over
-	// the first hashed records of the logical sequence; Hash folds the
-	// remainder on demand. When incremental is set (SetIncrementalHash),
-	// every append and splice folds immediately, so end-of-run hashing
-	// is O(1) and no rendered message string is ever allocated for
-	// hash-only readers.
-	hstate      uint64
-	hashed      int
-	incremental bool
-	hbuf        []byte       // reusable per-record hash line buffer
-	argv        []any        // reusable boxed-operand scratch for fmt.Appendf
-	memo        suffixMemo   // suffix tables; kept across rewinds
-	head        decimalCache // digits of the last folded millisecond head
+	// Hash state. hstate is the running FNV-1a digest over the first
+	// hashed records of the logical sequence; Hash folds the remainder
+	// on demand, formatting into a scratch buffer, so no rendered
+	// message string is allocated for hash-only readers.
+	hstate uint64
+	hashed int
+	hbuf   []byte       // reusable per-record hash line buffer
+	argv   []any        // reusable boxed-operand scratch for fmt.Appendf
+	memo   suffixMemo   // suffix tables; kept across rewinds
+	head   decimalCache // digits of the last folded millisecond head
 }
 
 // piece is a spliced golden stretch: records [from, to) of log, placed
@@ -229,9 +226,8 @@ type TraceMark struct {
 
 // Mark returns the trace's current position with the digest fully
 // folded (hashed == Len), so a trace rewound to the mark never re-folds
-// its prefix, whatever hashing mode the restored run uses. Only a trace
-// on the golden trajectory is marked: it may have a base, but holds no
-// pieces.
+// its prefix. Only a trace on the golden trajectory is marked: it may
+// have a base, but holds no pieces.
 func (t *Trace) Mark() TraceMark {
 	t.mustHoldNoPieces("Mark")
 	t.fold()
@@ -419,8 +415,7 @@ func packDigits(v int64) (uint32, uint8) {
 // Rewind rewrites the trace to the golden prefix ending at mark to of
 // log l: l up to the mark becomes the trace's base, read in place, and
 // the trace's own records, arguments and pieces are dropped, so no
-// record is copied whatever the mark. Incremental hashing is switched
-// off; the run harness re-enables it per run.
+// record is copied whatever the mark.
 func (t *Trace) Rewind(l *TraceLog, to TraceMark) {
 	if l.Len() < to.recs {
 		panic("sim: Trace.Rewind to a mark past the end of its log")
@@ -432,7 +427,6 @@ func (t *Trace) Rewind(l *TraceLog, to TraceMark) {
 	t.recs, t.args = t.recs[:0], t.args[:0]
 	t.base, t.nbase = l, to.recs
 	t.hstate, t.hashed = to.hstate, to.recs
-	t.incremental = false
 }
 
 // Add appends a record whose message needs no formatting.
@@ -440,16 +434,6 @@ func (t *Trace) Add(at Time, kind Kind, cpu int, msg string) {
 	t.recs = append(t.recs, record{
 		at: at, text: msg, kind: kind, cpu: int16(cpu),
 	})
-	if t.incremental {
-		t.foldLast()
-	}
-}
-
-// foldLast folds the record just appended. Incremental mode keeps
-// everything before it folded, so no chunk walk is needed.
-func (t *Trace) foldLast() {
-	t.foldOwn(t.recs[len(t.recs)-1:])
-	t.hashed++
 }
 
 // Addf appends a record with deferred formatting: format and args are
@@ -472,24 +456,18 @@ func (t *Trace) Addf(at Time, kind Kind, cpu int, format string, args ...Arg) {
 		at: at, text: format, argPos: pos, argN: uint8(len(args)),
 		kind: kind, cpu: int16(cpu),
 	})
-	if t.incremental {
-		t.foldLast()
-	}
 }
 
 // Splice appends the golden records between marks from and to of log l
 // — the stretch a run skipped after rejoining the golden trajectory at
-// from — as a piece that refers to l, copying no record, and folds them
-// into the running digest from l's plan when hashing is incremental.
+// from — as a piece that refers to l, copying no record. Hash folds
+// them from l's plan.
 func (t *Trace) Splice(l *TraceLog, from, to TraceMark) {
 	if to.recs <= from.recs {
 		return
 	}
 	t.pieces = append(t.pieces, piece{log: l, from: from.recs, to: to.recs, at: len(t.recs)})
 	t.spliced += to.recs - from.recs
-	if t.incremental {
-		t.fold()
-	}
 }
 
 // render materialises (and caches) the message of r, one of the
@@ -672,21 +650,6 @@ const (
 	fnvPrime64  uint64 = 1099511628211
 )
 
-// SetIncrementalHash switches the trace to maintaining its digest on
-// append. Enabling folds every record already present (rendering them
-// once), then each Add/Addf/Splice folds its own records as they land,
-// so Hash becomes a constant-time read at end of run — the render pass
-// the streaming-artefact campaigns used to pay per run disappears.
-// Records folded on append are formatted straight into the hash buffer;
-// their deferred format/args stay in place, so later Dump/Scan reads
-// still work. Rewind disables incremental mode again.
-func (t *Trace) SetIncrementalHash(on bool) {
-	t.incremental = on
-	if on {
-		t.fold()
-	}
-}
-
 // fold folds the records past hashed into the running digest: own
 // records through foldOwn, published ones from their fold plan
 // (foldPlan). FNV-1a is a sequential fold, so hashing a prefix and
@@ -802,8 +765,10 @@ func (t *Trace) foldPlan(h uint64, tabs []*suffixTable, recs []record, plan []fo
 // same seed and configuration must produce identical hashes; the
 // determinism property tests rely on this. The digest is computed over the
 // rendered records and is unchanged from the eager-formatting engine;
-// records already folded (incremental mode or a previous Hash call) are
-// not re-rendered.
+// records already folded (a checkpoint's prefix or a previous Hash call)
+// are not folded again, and records are never rendered for it: deferred
+// messages are formatted into a scratch buffer, so later Dump/Scan
+// reads still see their format and arguments.
 func (t *Trace) Hash() uint64 {
 	t.fold()
 	return t.hstate

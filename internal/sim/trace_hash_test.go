@@ -8,72 +8,68 @@ import (
 )
 
 // populate fills a trace with a representative mix of static, deferred
-// and pre-rendered records.
-func populate(t *Trace) {
+// and pre-rendered records, calling each after every append.
+func populate(t *Trace, each func()) {
 	t.Add(0, KindBoot, -1, "power on")
+	each()
 	for i := 0; i < 200; i++ {
 		t.Addf(Time(i)*Millisecond, KindIRQ, i%2, "irq %d asserted on cpu%d", Int(int64(32+i%8)), Int(int64(i%2)))
+		each()
 		t.Addf(Time(i)*Millisecond+1, KindUART, -1, "tx %q", Str("hello"))
+		each()
 		if i%7 == 0 {
 			t.Add(Time(i)*Millisecond+2, KindNote, 1, "checkpoint")
+			each()
 		}
 	}
 	t.Addf(Second, KindPanic, 0, "unhandled trap hsr=%#x", Uint(0x96000045))
+	each()
 }
 
-// TestIncrementalHashMatchesDeferred pins the satellite contract: the
-// digest maintained on append is bit-identical to the one computed by
-// the end-of-run fold over deferred records.
-func TestIncrementalHashMatchesDeferred(t *testing.T) {
-	deferred := NewTrace()
-	populate(deferred)
-	want := deferred.Hash()
+// nothing is an each callback that does nothing.
+func nothing() {}
 
-	inc := NewTrace()
-	inc.SetIncrementalHash(true)
-	populate(inc)
-	if got := inc.Hash(); got != want {
-		t.Fatalf("incremental hash %#x, deferred hash %#x", got, want)
-	}
-
-	// Enabling mid-stream must catch up on the records appended before
-	// the switch — the runner enables after the machine build's boot
-	// records have already landed.
-	late := NewTrace()
-	late.Add(0, KindBoot, -1, "power on")
-	late.Addf(Millisecond, KindIRQ, 0, "irq %d asserted on cpu%d", Int(32), Int(0))
-	late.SetIncrementalHash(true)
-	late.Addf(Second, KindPanic, 0, "unhandled trap hsr=%#x", Uint(0x96000045))
-
-	ref := NewTrace()
-	ref.Add(0, KindBoot, -1, "power on")
-	ref.Addf(Millisecond, KindIRQ, 0, "irq %d asserted on cpu%d", Int(32), Int(0))
-	ref.Addf(Second, KindPanic, 0, "unhandled trap hsr=%#x", Uint(0x96000045))
-	if late.Hash() != ref.Hash() {
-		t.Fatalf("mid-stream enable diverged: %#x vs %#x", late.Hash(), ref.Hash())
+// hashingOps is traceOps with Hash read after every append.
+func hashingOps(tr *Trace, rng *RNG, n int, uniq *int) {
+	for i := 0; i < n; i++ {
+		traceOps(tr, rng, 1, uniq)
+		_ = tr.Hash()
 	}
 }
 
-// TestIncrementalHashLeavesRecordsReadable makes sure hashing on append
-// does not consume the deferred format state: scans after an
-// incremental-hash run still render every message.
-func TestIncrementalHashLeavesRecordsReadable(t *testing.T) {
+// TestHashAfterEveryAppendMatchesOneShot: reading Hash after every
+// append folds the trace a record at a time; the digest must equal the
+// one a single Hash at the end folds over the deferred records.
+func TestHashAfterEveryAppendMatchesOneShot(t *testing.T) {
+	once := NewTrace()
+	populate(once, nothing)
+	want := once.Hash()
+
+	each := NewTrace()
+	populate(each, func() { _ = each.Hash() })
+	if got := each.Hash(); got != want {
+		t.Fatalf("hash after every append %#x, hash once at the end %#x", got, want)
+	}
+}
+
+// TestHashLeavesRecordsReadable makes sure hashing does not consume the
+// deferred format state: scans after Hash still render every message.
+func TestHashLeavesRecordsReadable(t *testing.T) {
 	tr := NewTrace()
-	tr.SetIncrementalHash(true)
 	tr.Addf(Second, KindTrap, 1, "data abort at %#x", Uint(0xdeadbeef))
+	h := tr.Hash()
 	if !tr.Contains("data abort at 0xdeadbeef") {
-		t.Fatal("message unreadable after incremental hashing")
+		t.Fatal("message unreadable after hashing")
 	}
 	// Hash unchanged by the read.
-	h := tr.Hash()
 	if tr.Hash() != h {
 		t.Fatal("hash not idempotent")
 	}
 }
 
 // TestHashStreamsAcrossCalls: hashing a prefix and continuing after more
-// appends equals hashing everything at once — the property the
-// incremental mode is built on.
+// appends equals hashing everything at once — the property checkpoint
+// marks and a Hash read midway rely on.
 func TestHashStreamsAcrossCalls(t *testing.T) {
 	a := NewTrace()
 	a.Add(0, KindBoot, -1, "x")
@@ -93,25 +89,19 @@ var emptyMark = NewTrace().Mark()
 // empty rewinds tr to no records, keeping its buffers and suffix memo.
 func empty(tr *Trace) { tr.Rewind(nil, emptyMark) }
 
-// TestRewindClearsIncrementalState: a trace rewound for its next run
-// must restart its digest from the mark and drop incremental mode (the
-// runner re-enables it per run).
-func TestRewindClearsIncrementalState(t *testing.T) {
+// TestRewindRestartsDigest: a trace rewound for its next run must
+// restart its digest from the mark.
+func TestRewindRestartsDigest(t *testing.T) {
 	tr := NewTrace()
-	tr.SetIncrementalHash(true)
-	populate(tr)
-	_ = tr.Hash()
+	populate(tr, func() { _ = tr.Hash() })
 	empty(tr)
-	if tr.incremental {
-		t.Fatal("rewound trace still hashes on append")
-	}
 	fresh := NewTrace()
 	if tr.Hash() != fresh.Hash() {
 		t.Fatalf("rewound trace hash %#x, fresh empty trace %#x", tr.Hash(), fresh.Hash())
 	}
-	populate(tr)
+	populate(tr, nothing)
 	ref := NewTrace()
-	populate(ref)
+	populate(ref, nothing)
 	if tr.Hash() != ref.Hash() {
 		t.Fatalf("post-rewind hash %#x, fresh-trace hash %#x", tr.Hash(), ref.Hash())
 	}
@@ -165,8 +155,8 @@ func traceOps(tr *Trace, rng *RNG, n int, uniq *int) {
 
 // TestTraceHashMatchesReference checks the folded digest against the
 // reference byte loop across mixed traces, rewinds to no records,
-// checkpoint rewinds, and incremental versus end-of-run hashing, on one
-// trace whose memo is carried through all of it.
+// checkpoint rewinds, and Hash read after every append versus once at
+// the end, on one trace whose memo is carried through all of it.
 func TestTraceHashMatchesReference(t *testing.T) {
 	rng := NewRNG(42)
 	uniq := 0
@@ -179,8 +169,11 @@ func TestTraceHashMatchesReference(t *testing.T) {
 	tr := NewTrace()
 	for round := 0; round < 20; round++ {
 		empty(tr)
-		tr.SetIncrementalHash(round%2 == 0)
-		traceOps(tr, rng, 400, &uniq)
+		if round%2 == 0 {
+			hashingOps(tr, rng, 400, &uniq)
+		} else {
+			traceOps(tr, rng, 400, &uniq)
+		}
 		check(fmt.Sprintf("round %d", round), tr)
 	}
 	if tr.memo.n != suffixSlots {
@@ -188,8 +181,8 @@ func TestTraceHashMatchesReference(t *testing.T) {
 	}
 
 	// Checkpoint restore: a golden prefix, then runs that each rewind to
-	// it, reading the published log as their base, alternate incremental
-	// and end-of-run hashing, and check every run.
+	// it, reading the published log as their base, alternate hashing
+	// after every append and at the end, and check every run.
 	empty(tr)
 	traceOps(tr, rng, 50, &uniq)
 	_ = tr.Hash()
@@ -198,8 +191,11 @@ func TestTraceHashMatchesReference(t *testing.T) {
 	golden := tr.Publish(nil)
 	for run := 0; run < 20; run++ {
 		tr.Rewind(golden, mark)
-		tr.SetIncrementalHash(run%2 == 1)
-		traceOps(tr, rng, 300, &uniq)
+		if run%2 == 1 {
+			hashingOps(tr, rng, 300, &uniq)
+		} else {
+			traceOps(tr, rng, 300, &uniq)
+		}
 		check(fmt.Sprintf("restored run %d", run), tr)
 	}
 
@@ -236,7 +232,6 @@ func TestSuffixMemoBoundedAcrossPooledRuns(t *testing.T) {
 	run := 0
 	oneRun := func() {
 		tr.Rewind(golden, mark)
-		tr.SetIncrementalHash(true)
 		for rep := 0; rep < 3; rep++ {
 			for j, s := range texts[run] {
 				at := Time(rep*perRun+j+1) * Millisecond
@@ -262,18 +257,18 @@ func TestSuffixMemoBoundedAcrossPooledRuns(t *testing.T) {
 }
 
 // TestRepeatedAddAllocatesNothing pins the hot path: appending a
-// repeated text with hash-on-append switched on allocates nothing.
+// repeated text and folding it into the digest allocates nothing.
 func TestRepeatedAddAllocatesNothing(t *testing.T) {
 	tr := NewTrace()
 	tr.Grow(4096, 0)
-	tr.SetIncrementalHash(true)
 	at := Millisecond + 100_000
 	add := func() {
 		tr.Add(at, KindIRQ, 1, `vIRQ 27 → cell "freertos-cell"`)
+		_ = tr.Hash()
 		at += Millisecond
 	}
 	if got := testing.AllocsPerRun(2000, add); got != 0 {
-		t.Fatalf("repeated incremental Add allocates %.2f times per call, want 0", got)
+		t.Fatalf("repeated Add and Hash allocate %.2f times per call, want 0", got)
 	}
 }
 
@@ -286,14 +281,14 @@ func TestOneOffTextsClaimNoTable(t *testing.T) {
 	}
 	tr := NewTrace()
 	tr.Grow(4096, 0)
-	tr.SetIncrementalHash(true)
 	i := 0
 	add := func() {
 		tr.Add(Time(i)*Millisecond, KindUART, -1, texts[i])
+		_ = tr.Hash()
 		i++
 	}
 	if got := testing.AllocsPerRun(2000, add); got != 0 {
-		t.Fatalf("one-off incremental Add allocates %.2f times per call, want 0", got)
+		t.Fatalf("one-off Add and Hash allocate %.2f times per call, want 0", got)
 	}
 	if tr.memo.n != 0 {
 		t.Fatalf("one-off texts promoted %d suffix tables, want none", tr.memo.n)

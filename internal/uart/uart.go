@@ -101,13 +101,12 @@ func (u *UART) Publish(l Log) Log {
 }
 
 // RestoreSnapshot rewinds the UART to a captured state, reusing the live
-// line buffer: the capture is rewritten from the golden log l, copying
-// only what lies past from (the snapshot this UART last captured or
-// restored on the same golden lineage). Lines the run appended beyond
-// the snapshot are zeroed so their strings are released.
-func (u *UART) RestoreSnapshot(s *Snapshot, l Log, from *Snapshot) {
+// line buffer: the capture is rewritten from the golden log l. Lines
+// the run appended beyond the snapshot are zeroed so their strings are
+// released.
+func (u *UART) RestoreSnapshot(s *Snapshot, l Log) {
 	u.regs = s.regs
-	u.lines = sim.Rewind(u.lines, l.lines, from.lines, s.lines)
+	u.lines = sim.Rewind(u.lines, l.lines, s.lines)
 	u.cur.Reset()
 	u.cur.WriteString(s.cur)
 	u.OnLine = s.onLine

@@ -24,8 +24,8 @@
 #                                    # checkpoint before their first injection
 #                                    # — E3-fig3 (late first injection, the
 #                                    # gain), E1-hvc and E1-trap (recreate
-#                                    # cycles; failed state probes rejoin
-#                                    # through spliced tallies) and
+#                                    # cycles; runs whose state probe
+#                                    # failed rejoin) and
 #                                    # A3-irqchip (injects at ~2 s: must not
 #                                    # regress). Use BENCHTIME>=5x.
 #   scripts/bench.sh layers          # the per-layer hot paths: one HVC round
@@ -59,9 +59,10 @@
 #                                    # guard (BenchmarkAdaptiveCampaign,
 #                                    # runs_saved_pct is the ≥30% bar)
 #   scripts/bench.sh hash            # trace-hash layer: ns_per_record of the
-#                                    # end-of-run and incremental folds over
-#                                    # one E3-fig3 minute, of splicing it
-#                                    # back in 1 s stretches from its fold
+#                                    # end-of-run fold and of appends plus
+#                                    # that fold over one E3-fig3 minute,
+#                                    # of splicing it back in 1 s
+#                                    # stretches from its fold
 #                                    # plan and of restoring a trace to its
 #                                    # last mark (BenchmarkTraceHash)
 #                                    # next to BenchmarkShardedCampaign, the
@@ -135,15 +136,10 @@ BENCHTIME="${BENCHTIME:-1x}"
 # Per-row iteration targets, "family regex=benchtime": a listed family
 # runs at its own target whatever BENCHTIME says; every other row runs
 # at BENCHTIME.
-#   SnapshotRestore gets a count. Its after-run row dirties the machine
-#     outside the timer, so a duration target grows b.N until about a
-#     second of restores has accumulated, each iteration also paying the
-#     untimed run: it does not finish in practice.
 #   The layers rows get a duration. At a count such as 2000x a
 #     nanosecond row times ~60 µs in total and its archived value is
 #     noise.
 ROW_TARGETS=(
-    'SnapshotRestore=2000x'
     'HypercallPath|TrapMMIOEmulation|InjectorHook|GICAckEOI|SchedulerTick|VirtualMinute=1s'
 )
 OUT="${OUT:-BENCH_$(date +%Y%m%d).json}"
