@@ -29,7 +29,6 @@ import (
 	"github.com/dessertlab/certify/internal/dist"
 	"github.com/dessertlab/certify/internal/fanout"
 	"github.com/dessertlab/certify/internal/gic"
-	"github.com/dessertlab/certify/internal/gpio"
 	"github.com/dessertlab/certify/internal/jailhouse"
 	"github.com/dessertlab/certify/internal/obs"
 	"github.com/dessertlab/certify/internal/sim"
@@ -376,7 +375,7 @@ func BenchmarkSnapshotRestore(b *testing.B) {
 	dirty := func() {
 		m.Board.Engine.After(sim.Second, board.EvRaiseSPI, 40, 0)
 		_ = m.Board.RAM.WriteWord(board.DRAMBase+0x100, 0xBAD)
-		m.Board.GPIO.Set(gpio.LEDGreen, !m.Board.GPIO.Get(gpio.LEDGreen))
+		m.Board.GPIO.Set(!m.Board.GPIO.Get())
 		m.Board.UART0.PutString("dirty\n")
 		m.Board.UART7.PutString("dirty\n")
 		for k := 0; k < 64; k++ {

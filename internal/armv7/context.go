@@ -6,7 +6,7 @@ import "fmt"
 // guest — the exact structure the paper's injector corrupts. It mirrors
 // Jailhouse's per-CPU saved state on ARM: the 16 guest GPRs (the banked
 // user-mode view), the syndrome register, the saved guest PSR, the
-// preferred return address and the fault address registers.
+// preferred return address and the data fault address register.
 //
 // Everything the three instrumented handlers (ArchHandleTrap,
 // ArchHandleHVC, IRQChipHandleIRQ) know about the interrupted guest flows
@@ -18,7 +18,6 @@ type TrapContext struct {
 	SPSR  uint32          // guest CPSR at trap time
 	ELR   uint32          // preferred return address
 	HDFAR uint32          // faulting virtual address (data aborts)
-	HPFAR uint32          // faulting IPA >> 4 (stage-2 aborts)
 
 	// CPUID is the hypervisor's cached linear CPU number for this frame.
 	// Jailhouse derives its per-CPU data pointer from the HYP stack
@@ -67,7 +66,6 @@ func CaptureContext(c *CPU) TrapContext {
 		SPSR:  c.SPSRHyp,
 		ELR:   c.ELRHyp,
 		HDFAR: c.HDFAR,
-		HPFAR: c.HPFAR,
 		CPUID: uint32(c.Index),
 	}
 }

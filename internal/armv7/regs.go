@@ -140,22 +140,17 @@ type State struct {
 	fiqShadow [5]uint32
 	inFIQRegs bool
 
-	// HYP-mode virtualization registers.
+	// HYP-mode trap registers. The configuration, vector-base,
+	// stage-2 base and remaining fault-address registers are not
+	// modelled: nothing in the model writes them.
 	ELRHyp  uint32 // preferred return address after a hyp trap
 	SPSRHyp uint32 // saved guest CPSR at hyp entry
 	HSR     uint32 // hyp syndrome register
-	HVBAR   uint32 // hyp vector base
-	HCR     uint32 // hyp configuration
-	VTTBR   uint64 // stage-2 translation base (VMID in bits 48+)
 	HDFAR   uint32 // hyp data fault address
-	HIFAR   uint32 // hyp instruction fault address
-	HPFAR   uint32 // hyp IPA fault address (bits 31:4 = IPA[39:12])
 
-	// Core identification / control.
+	// Core identification.
 	MIDR  uint32
 	MPIDR uint32
-	SCTLR uint32
-	VBAR  uint32
 
 	// Online mirrors the PSCI power state of the core: false after
 	// CPU_OFF, true after reset or successful CPU_ON.
@@ -197,8 +192,8 @@ func (c *CPU) bank(m Mode) *bank {
 
 // VisitState feeds every architectural state word of the core to f in a
 // fixed order: current-mode GPRs, CPSR, all banked SP/LR copies,
-// the FIQ high-register banks, the HYP virtualization registers, the
-// identification/control registers and the power/park status. It exists
+// the FIQ high-register banks, the HYP trap registers, the
+// identification registers and the power/park status. It exists
 // for power-on-equivalence digests (core.Machine.StateDigest): a reset
 // that forgets any of this state must be visible to the leak detector.
 func (c *CPU) VisitState(f func(uint32)) {
@@ -224,17 +219,9 @@ func (c *CPU) VisitState(f func(uint32)) {
 	f(c.ELRHyp)
 	f(c.SPSRHyp)
 	f(c.HSR)
-	f(c.HVBAR)
-	f(c.HCR)
-	f(uint32(c.VTTBR))
-	f(uint32(c.VTTBR >> 32))
 	f(c.HDFAR)
-	f(c.HIFAR)
-	f(c.HPFAR)
 	f(c.MIDR)
 	f(c.MPIDR)
-	f(c.SCTLR)
-	f(c.VBAR)
 	if c.Online {
 		f(1)
 	} else {

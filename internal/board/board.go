@@ -1,6 +1,6 @@
 // Package board models the paper's test hardware: a Banana Pi M1
 // (Allwinner A20 SoC — two Cortex-A7 cores, 1 GiB DRAM, 16550-class
-// UARTs, a GIC-400 interrupt controller and the LED GPIO bank). The board
+// UARTs, a GIC-400 interrupt controller and the LED GPIO line). The board
 // is a passive substrate: the hypervisor and guests drive the CPUs; the
 // board provides the physical address map, the devices and per-CPU timers.
 package board
@@ -120,7 +120,7 @@ type Board struct {
 	GIC    *gic.Distributor
 	UART0  *uart.UART
 	UART7  *uart.UART
-	GPIO   *gpio.Port
+	GPIO   gpio.Port
 
 	timers []Timer
 	mmio   []mmioRange
@@ -145,7 +145,6 @@ func New(seed uint64, opts Options) *Board {
 		GIC:    gic.New(NumCPUs),
 		UART0:  uart.New(eng.Now),
 		UART7:  uart.New(eng.Now),
-		GPIO:   gpio.New(),
 		timers: make([]Timer, NumCPUs),
 	}
 	for i := 0; i < NumCPUs; i++ {
@@ -163,21 +162,21 @@ func New(seed uint64, opts Options) *Board {
 		func(cpu int, off uint64, v uint32) error { return b.GIC.WriteReg(off, v, cpu) })
 	b.addMMIO("gpio", GPIOBase, GPIOSize,
 		func(_ int, off uint64) (uint32, error) {
-			if b.GPIO.Get(gpio.LEDGreen) {
+			if b.GPIO.Get() {
 				return 1, nil
 			}
 			return 0, nil
 		},
 		func(_ int, off uint64, v uint32) error {
-			b.GPIO.Set(gpio.LEDGreen, v&1 != 0)
+			b.GPIO.Set(v&1 != 0)
 			return nil
 		})
 	return b
 }
 
 // Snapshot is the whole board at one instant: scheduler (events, clock,
-// trace position), RAM image, interrupt controller, both UARTs, the GPIO
-// bank, every core and the timer bookkeeping. The append-only logs —
+// trace position), RAM image, interrupt controller, both UARTs, the LED
+// line, every core and the timer bookkeeping. The append-only logs —
 // trace records and UART lines — are held as lengths only; their
 // content lives once in the golden Log a restore is handed. The
 // timers are Event handles into the engine slab; the engine snapshot
@@ -189,7 +188,7 @@ type Snapshot struct {
 	gic    gic.Snapshot
 	uart0  *uart.Snapshot
 	uart7  *uart.Snapshot
-	gpio   *gpio.Snapshot
+	gpio   gpio.Port
 	cpus   [NumCPUs]armv7.State
 	timers []Timer
 }
@@ -217,7 +216,7 @@ func (b *Board) CaptureSnapshot() *Snapshot {
 		gic:    b.GIC.CaptureSnapshot(),
 		uart0:  b.UART0.CaptureSnapshot(),
 		uart7:  b.UART7.CaptureSnapshot(),
-		gpio:   b.GPIO.CaptureSnapshot(),
+		gpio:   b.GPIO,
 		timers: append([]Timer(nil), b.timers...),
 	}
 	for i, c := range b.CPUs {
@@ -255,7 +254,7 @@ func (b *Board) RestoreSnapshot(s *Snapshot, seed uint64, l *Log) (dirtied, rest
 	b.GIC.RestoreSnapshot(s.gic)
 	b.UART0.RestoreSnapshot(s.uart0, l.uart0)
 	b.UART7.RestoreSnapshot(s.uart7, l.uart7)
-	b.GPIO.RestoreSnapshot(s.gpio)
+	b.GPIO = s.gpio
 	b.restoreCPUs(s)
 	return dirtied, restored
 }
@@ -277,7 +276,7 @@ func (b *Board) MatchesCPUs(s *Snapshot) bool {
 }
 
 // MatchesDevices reports whether the interrupt controller, both UARTs,
-// the GPIO levels and the timer programming equal the snapshot's.
+// the LED level and the timer programming equal the snapshot's.
 func (b *Board) MatchesDevices(s *Snapshot) bool {
 	if !b.GIC.Matches(s.gic) || !b.UART0.Matches(s.uart0) || !b.UART7.Matches(s.uart7) || !b.GPIO.Matches(s.gpio) {
 		return false

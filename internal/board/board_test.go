@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"github.com/dessertlab/certify/internal/gic"
-	"github.com/dessertlab/certify/internal/gpio"
 	"github.com/dessertlab/certify/internal/sim"
 )
 
@@ -67,7 +66,7 @@ func TestBusGPIOAccess(t *testing.T) {
 	if err := b.Write32(0, GPIOBase, 1); err != nil {
 		t.Fatal(err)
 	}
-	if !b.GPIO.Get(gpio.LEDGreen) {
+	if !b.GPIO.Get() {
 		t.Fatal("LED write lost")
 	}
 	v, _ := b.Read32(0, GPIOBase)

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"github.com/dessertlab/certify/internal/board"
-	"github.com/dessertlab/certify/internal/gpio"
 	"github.com/dessertlab/certify/internal/obs"
 	"github.com/dessertlab/certify/internal/sim"
 )
@@ -317,15 +316,15 @@ func TestCutoffNeedsEveryCheck(t *testing.T) {
 		if c != nil {
 			m.restoreTo(c, 5)
 		}
-		return m.Board.GPIO.ToggleCount(gpio.LEDGreen)
+		return m.Board.GPIO.ToggleCount()
 	}
 	// skew raises the LED count by 4: an even number of toggles leaves
 	// the LED level, which is state, as b has it.
 	skew := func() {
-		led := m.Board.GPIO.Get(gpio.LEDGreen)
+		led := m.Board.GPIO.Get()
 		for i := 0; i < 4; i++ {
 			led = !led
-			m.Board.GPIO.Set(gpio.LEDGreen, led)
+			m.Board.GPIO.Set(led)
 		}
 	}
 	for _, c := range []struct {

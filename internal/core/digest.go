@@ -8,7 +8,6 @@ import (
 
 	"github.com/dessertlab/certify/internal/board"
 	"github.com/dessertlab/certify/internal/gic"
-	"github.com/dessertlab/certify/internal/gpio"
 	"github.com/dessertlab/certify/internal/uart"
 )
 
@@ -106,8 +105,8 @@ func (m *Machine) StateDigest() uint64 {
 	}
 
 	// GPIO and RAM.
-	f.i64(int64(m.Board.GPIO.ToggleCount(gpio.LEDGreen)))
-	f.b(m.Board.GPIO.Get(gpio.LEDGreen))
+	f.i64(int64(m.Board.GPIO.ToggleCount()))
+	f.b(m.Board.GPIO.Get())
 	f.u64(m.Board.RAM.Digest())
 
 	// CPUs: the complete architectural state — current-mode GPRs, every

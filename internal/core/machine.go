@@ -86,22 +86,18 @@ type machineState struct {
 // mode boot the same machine — so campaigns have at most 3 profiles,
 // whatever their durations.
 type profileKey struct {
-	skipCellStart   bool
-	recreateLoop    bool
-	recreatePeriod  sim.Time
-	delayedCreate   bool
-	delayedCreateAt sim.Time
-	stateWatchdog   bool
+	recreateLoop   bool
+	recreatePeriod sim.Time
+	delayedCreate  bool
+	stateWatchdog  bool
 }
 
 func profileOf(opts MachineOptions) profileKey {
 	return profileKey{
-		skipCellStart:   opts.SkipCellStart,
-		recreateLoop:    opts.RecreateLoop,
-		recreatePeriod:  opts.RecreatePeriod,
-		delayedCreate:   opts.DelayedCreate,
-		delayedCreateAt: opts.DelayedCreateAt,
-		stateWatchdog:   opts.StateWatchdog,
+		recreateLoop:   opts.RecreateLoop,
+		recreatePeriod: opts.RecreatePeriod,
+		delayedCreate:  opts.DelayedCreate,
+		stateWatchdog:  opts.StateWatchdog,
 	}
 }
 
@@ -109,18 +105,14 @@ func profileOf(opts MachineOptions) profileKey {
 type MachineOptions struct {
 	// Seed drives every random decision in the run.
 	Seed uint64
-	// SkipCellStart leaves the FreeRTOS cell created-but-not-started
-	// (used by plans that inject into the start path itself).
-	SkipCellStart bool
 	// RecreateLoop arms the E1 management workload: the root cell
 	// destroys and recreates the FreeRTOS cell every RecreatePeriod.
 	RecreateLoop   bool
 	RecreatePeriod sim.Time
 	// DelayedCreate postpones the single cell create/load/start by
-	// DelayedCreateAt (default 2 s) — the E2 workload, where the
-	// injector is already armed when the bring-up happens.
-	DelayedCreate   bool
-	DelayedCreateAt sim.Time
+	// delayedCreateAt — the E2 workload, where the injector is already
+	// armed when the bring-up happens.
+	DelayedCreate bool
 	// StateWatchdog arms the periodic "jailhouse cell state" probe.
 	StateWatchdog bool
 	// Deprecated: LeanCapture has no effect. The UARTs keep no raw byte
@@ -209,12 +201,8 @@ func (m *Machine) boot(opts MachineOptions) error {
 	}
 
 	if opts.DelayedCreate {
-		at := opts.DelayedCreateAt
-		if at <= 0 {
-			at = 2 * sim.Second
-		}
 		m.createCfg, m.createWatchdog = cfg, opts.StateWatchdog
-		m.Board.Engine.Schedule(at, board.EvDelayedCreate, 0, 0)
+		m.Board.Engine.Schedule(delayedCreateAt, board.EvDelayedCreate, 0, 0)
 		return nil
 	}
 
@@ -226,16 +214,17 @@ func (m *Machine) boot(opts MachineOptions) error {
 	if err := m.Linux.CellLoad(m.CellID, inmateImage(), m.RTOS); err != nil {
 		return fmt.Errorf("cell load: %w", err)
 	}
-	if !opts.SkipCellStart {
-		if err := m.Linux.CellStart(m.CellID); err != nil {
-			return fmt.Errorf("cell start: %w", err)
-		}
+	if err := m.Linux.CellStart(m.CellID); err != nil {
+		return fmt.Errorf("cell start: %w", err)
 	}
 	if opts.StateWatchdog {
 		m.Linux.StartStateWatchdog(m.CellID)
 	}
 	return nil
 }
+
+// delayedCreateAt is when the E2 workload's delayed cell bring-up runs.
+const delayedCreateAt = 2 * sim.Second
 
 // delayedCreate is the delayed cell bring-up boot scheduled: create,
 // load and start the FreeRTOS cell, then arm the state watchdog.

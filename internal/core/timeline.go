@@ -208,8 +208,7 @@ func (m *Machine) capture() *checkpoint {
 }
 
 // restoreTo rewinds the machine to checkpoint c and reseeds its RNG.
-// The injection hook comes back as captured (nil); the run installs its
-// own afterwards.
+// The injection hook is cleared; the run installs its own afterwards.
 func (m *Machine) restoreTo(c *checkpoint, seed uint64) {
 	start := time.Now()
 	logs := c.golden.cur.Load()
@@ -376,7 +375,6 @@ func (m *Machine) rejoin(r timelineRun, b, horizon sim.Time) bool {
 	ct := tl.cps[it]
 	m.splice(cb, ct)
 	inj.advance(cb, ct)
-	m.HV.Hook = inj.Hook
 	skipped := virtualMillis(ct.at() - b)
 	if it == ih {
 		metCutoffRuns.Inc()

@@ -517,12 +517,12 @@ func TestPoolServesEachProfileItsOwnMachine(t *testing.T) {
 	}
 
 	// idle is in parking order: E1, E2, then the E3 machine. A fourth
-	// profile — the E3 workload with its cell left unstarted — replaces
+	// profile — the E3 workload without its state watchdog — replaces
 	// the E1 machine.
 	e1 := pool.idle[0]
-	unstarted := runMachineOptions(short, 5)
-	unstarted.SkipCellStart = true
-	m4, err := pool.Get(unstarted)
+	unwatched := runMachineOptions(short, 5)
+	unwatched.StateWatchdog = false
+	m4, err := pool.Get(unwatched)
 	if err != nil {
 		t.Fatal(err)
 	}

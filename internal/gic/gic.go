@@ -74,8 +74,8 @@ type Distributor struct {
 	state
 
 	// DeliverHook, when set, is called whenever a new interrupt becomes
-	// deliverable to a CPU. The board wires this to the hypervisor's IRQ
-	// entry path.
+	// deliverable to a CPU. The hypervisor wires it once, to its IRQ
+	// entry path, when it is built.
 	DeliverHook func(cpu, irq int)
 }
 
@@ -108,34 +108,21 @@ var powerOn = func() (s state) {
 // New returns a distributor for numCPUs cores (at most maxCPUs),
 // everything disabled, as after reset.
 func New(numCPUs int) *Distributor {
-	d := &Distributor{numCPUs: min(numCPUs, maxCPUs)}
-	d.Reset()
-	return d
+	return &Distributor{numCPUs: min(numCPUs, maxCPUs), state: powerOn}
 }
 
-// Reset restores the distributor and every CPU interface to the
-// power-on state New establishes, in place, with no delivery hook.
-func (d *Distributor) Reset() {
-	d.state = powerOn
-	d.DeliverHook = nil
-}
-
-// Snapshot is the distributor's register file at one instant plus the
-// delivery hook, a func value the board wires to the hypervisor the
-// snapshot belongs to.
-type Snapshot struct {
-	state
-	hook func(cpu, irq int)
-}
+// Snapshot is the distributor's register file at one instant. The
+// delivery hook is wiring, not state: it is neither captured nor
+// compared.
+type Snapshot struct{ state }
 
 // CaptureSnapshot copies the distributor state.
-func (d *Distributor) CaptureSnapshot() Snapshot { return Snapshot{d.state, d.DeliverHook} }
+func (d *Distributor) CaptureSnapshot() Snapshot { return Snapshot{d.state} }
 
 // RestoreSnapshot rewinds the distributor to a captured state.
-func (d *Distributor) RestoreSnapshot(s Snapshot) { d.state, d.DeliverHook = s.state, s.hook }
+func (d *Distributor) RestoreSnapshot(s Snapshot) { d.state = s.state }
 
-// Matches reports whether the register file equals the snapshot's. The
-// delivery hook is wiring, not state, and is not compared.
+// Matches reports whether the register file equals the snapshot's.
 func (d *Distributor) Matches(s Snapshot) bool { return d.state == s.state }
 
 // EnableDistributor sets GICD_CTLR.EnableGrp0.

@@ -3,61 +3,55 @@ package gpio
 import "testing"
 
 func TestSetCountsToggles(t *testing.T) {
-	p := New()
-	p.Set(LEDGreen, true)
-	p.Set(LEDGreen, false)
-	if p.ToggleCount(LEDGreen) != 2 {
-		t.Fatalf("ToggleCount = %d", p.ToggleCount(LEDGreen))
+	var p Port
+	p.Set(true)
+	p.Set(false)
+	if p.ToggleCount() != 2 {
+		t.Fatalf("ToggleCount = %d", p.ToggleCount())
 	}
-	if p.Get(LEDGreen) {
+	if p.Get() {
 		t.Fatal("Get lost state")
 	}
 }
 
 func TestRedundantSetIsNoToggle(t *testing.T) {
-	p := New()
-	p.Set(5, true)
-	p.Set(5, true)
-	if p.ToggleCount(5) != 1 {
-		t.Fatalf("redundant Set recorded: %d", p.ToggleCount(5))
+	var p Port
+	p.Set(true)
+	p.Set(true)
+	if p.ToggleCount() != 1 {
+		t.Fatalf("redundant Set recorded: %d", p.ToggleCount())
 	}
-	if !p.Get(5) {
+	if !p.Get() {
 		t.Fatal("Get lost state")
 	}
 }
 
-// TestSnapshotRestoreAndSplice: a restore puts back the captured levels
-// and counts, dropping pins first driven after the capture; a splice
-// takes the later snapshot's levels and adds the golden toggles between
-// the two snapshots to the port's own count.
+// TestSnapshotRestoreAndSplice: a restore puts back the captured level
+// and count; a splice takes the later snapshot's level and adds the
+// golden toggles between the two snapshots to the port's own count.
 func TestSnapshotRestoreAndSplice(t *testing.T) {
-	p := New()
-	p.Set(LEDGreen, true)
-	from := p.CaptureSnapshot()
-	p.Set(LEDGreen, false)
-	p.Set(LEDGreen, true)
-	p.Set(LEDGreen, false)
-	to := p.CaptureSnapshot()
+	var p Port
+	p.Set(true)
+	from := p
+	p.Set(false)
+	p.Set(true)
+	p.Set(false)
+	to := p
 
-	p.RestoreSnapshot(from)
-	if !p.Matches(from) || p.ToggleCount(LEDGreen) != 1 {
-		t.Fatalf("after restore: count %d, matches %v", p.ToggleCount(LEDGreen), p.Matches(from))
-	}
-	p.Set(3, true)
-	p.RestoreSnapshot(from)
-	if p.Get(3) || p.ToggleCount(3) != 0 {
-		t.Fatalf("restore kept pin 3: count %d", p.ToggleCount(3))
+	p = from
+	if !p.Matches(from) || p.Matches(to) || p.ToggleCount() != 1 {
+		t.Fatalf("after restore: count %d, matches from %v, to %v", p.ToggleCount(), p.Matches(from), p.Matches(to))
 	}
 
 	// A run that toggled twice more than golden, with the level back
 	// where golden had it, splices onto to with its excess kept.
-	p.Set(LEDGreen, false)
-	p.Set(LEDGreen, true)
+	p.Set(false)
+	p.Set(true)
 	p.Splice(from, to)
-	if !p.Matches(to) || p.Get(LEDGreen) {
-		t.Fatal("splice did not take to's levels")
+	if !p.Matches(to) || p.Get() {
+		t.Fatal("splice did not take to's level")
 	}
-	if got, want := p.ToggleCount(LEDGreen), to.toggles[LEDGreen]+2; got != want {
+	if got, want := p.ToggleCount(), to.ToggleCount()+2; got != want {
 		t.Fatalf("spliced count = %d, want %d", got, want)
 	}
 }

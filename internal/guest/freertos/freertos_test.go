@@ -6,7 +6,6 @@ import (
 
 	"github.com/dessertlab/certify/internal/armv7"
 	"github.com/dessertlab/certify/internal/core"
-	"github.com/dessertlab/certify/internal/gpio"
 	"github.com/dessertlab/certify/internal/sim"
 )
 
@@ -45,7 +44,7 @@ func TestGoldenRunProducesWorkloadOutput(t *testing.T) {
 func TestGoldenRunBlinksLED(t *testing.T) {
 	m := boot(t, 8, 5*sim.Second)
 	// 500 ms toggle period → ~10 toggles in 5 s.
-	n := m.Board.GPIO.ToggleCount(gpio.LEDGreen)
+	n := m.Board.GPIO.ToggleCount()
 	if n < 8 || n > 12 {
 		t.Fatalf("LED toggles = %d, want ≈10", n)
 	}

@@ -80,7 +80,6 @@ type tcbState struct {
 	State TaskState
 
 	wakeTick uint64
-	waitOn   *Queue
 
 	// Working registers of the task — the state mapped onto r8-r11 in
 	// the register image. Tasks keep checksums here; corruption is
@@ -99,8 +98,6 @@ type tcbState struct {
 	// closure, so the closure is immutable and a kernel snapshot is a
 	// plain by-value copy at any instant.
 	locals [2]uint32
-
-	runs uint64
 }
 
 // Locals returns the task body's working state (for the machine-level
@@ -202,7 +199,7 @@ var _ jailhouse.Inmate = (*Kernel)(nil)
 // recycled by snapshot restore.
 func (k *Kernel) DeepReset(cpu int) {
 	for _, t := range k.tasks {
-		*t = TCB{} // release the step closure and any wait edges
+		*t = TCB{} // release the step closure
 	}
 	for _, q := range k.queues {
 		q.recycle()
@@ -511,7 +508,6 @@ func (k *Kernel) runSlice() {
 		return
 	}
 	t := k.tasks[k.cur]
-	t.runs++
 	if !t.step(k, t) {
 		k.setState(t, StateSuspended)
 	}

@@ -70,7 +70,6 @@ func (q *Queue) Send(k *Kernel, t *TCB, v uint32) bool {
 	}
 	if len(q.buf) >= q.cap {
 		k.setState(t, StateBlocked)
-		t.waitOn = q
 		q.sendWaiters = append(q.sendWaiters, t)
 		return false
 	}
@@ -79,7 +78,6 @@ func (q *Queue) Send(k *Kernel, t *TCB, v uint32) bool {
 	if len(q.recvWaiters) > 0 {
 		w := popFront(&q.recvWaiters)
 		k.setState(w, StateReady)
-		w.waitOn = nil
 	}
 	return true
 }
@@ -92,7 +90,6 @@ func (q *Queue) Receive(k *Kernel, t *TCB, out *uint32) bool {
 	}
 	if len(q.buf) == 0 {
 		k.setState(t, StateBlocked)
-		t.waitOn = q
 		q.recvWaiters = append(q.recvWaiters, t)
 		return false
 	}
@@ -101,7 +98,6 @@ func (q *Queue) Receive(k *Kernel, t *TCB, out *uint32) bool {
 	if len(q.sendWaiters) > 0 {
 		w := popFront(&q.sendWaiters)
 		k.setState(w, StateReady)
-		w.waitOn = nil
 	}
 	return true
 }

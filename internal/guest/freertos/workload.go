@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"github.com/dessertlab/certify/internal/board"
-	"github.com/dessertlab/certify/internal/gpio"
 	"github.com/dessertlab/certify/internal/jailhouse"
 )
 
@@ -191,7 +190,7 @@ func integerTask(id int) StepFunc {
 // LEDToggleCount reports how many times the blink task has toggled the
 // LED — read from the GPIO capture, usable by the classifier.
 func (k *Kernel) LEDToggleCount() int {
-	return k.brd.GPIO.ToggleCount(gpio.LEDGreen)
+	return k.brd.GPIO.ToggleCount()
 }
 
 // AssertedTasks returns the names of tasks that failed their own checks.

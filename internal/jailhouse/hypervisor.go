@@ -135,6 +135,12 @@ func New(b *board.Board) *Hypervisor {
 	}
 	b.Handle(board.EvCellCPUBoot, func(cpu int32, cell uint64) { h.bootGuest(int(cpu), uint32(cell), true) })
 	b.Handle(board.EvPSCIBoot, func(cpu int32, cell uint64) { h.bootGuest(int(cpu), uint32(cell), false) })
+	// Interrupts route to HYP while the hypervisor is enabled.
+	b.GIC.DeliverHook = func(cpu, irq int) {
+		if h.enabled {
+			h.IRQChipHandleIRQ(cpu)
+		}
+	}
 	return h
 }
 
@@ -296,7 +302,6 @@ func (h *Hypervisor) Enable(sysCfg *SystemConfig) Errno {
 		p.repair()
 	}
 	h.enabled = true
-	h.brd.GIC.DeliverHook = func(cpu, irq int) { h.IRQChipHandleIRQ(cpu) }
 	// Interrupts route to HYP from now on; the CPU interfaces of the
 	// root cell's online cores are armed by the hypervisor.
 	for _, p := range h.percpu {
@@ -321,7 +326,6 @@ func (h *Hypervisor) Disable() Errno {
 		return EBUSY
 	}
 	h.enabled = false
-	h.brd.GIC.DeliverHook = nil
 	h.consolef("Shutting down hypervisor")
 	return EOK
 }

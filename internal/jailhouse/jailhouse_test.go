@@ -9,6 +9,7 @@ import (
 
 	"github.com/dessertlab/certify/internal/armv7"
 	"github.com/dessertlab/certify/internal/board"
+	"github.com/dessertlab/certify/internal/gic"
 	"github.com/dessertlab/certify/internal/memmap"
 	"github.com/dessertlab/certify/internal/sim"
 )
@@ -740,4 +741,86 @@ func TestHypercallTraceRendersErrnoString(t *testing.T) {
 // consoleContains reports whether any hypervisor console line contains s.
 func consoleContains(h *Hypervisor, s string) bool {
 	return slices.ContainsFunc(h.ConsoleLines, func(l string) bool { return strings.Contains(l, s) })
+}
+
+// TestRestoreClearsHookAndSpliceKeepsIt: checkpoints hold no injection
+// hook. A restore leaves none installed, whatever the hypervisor held
+// at capture, and a splice keeps the run's own.
+func TestRestoreClearsHookAndSpliceKeepsIt(t *testing.T) {
+	_, h := rig(t)
+	var golden, run int
+	h.Hook = func(InjectionPoint, int, string, *armv7.TrapContext) InjectionResult {
+		golden++
+		return InjectionResult{}
+	}
+	hvc := func() { _ = h.HVC(0, HCHypervisorGetInfo, InfoNumCells, 0) }
+	from := h.CaptureSnapshot()
+	hvc()
+	per := golden // hook calls per hypercall
+	to := h.CaptureSnapshot()
+	console := h.PublishConsole(nil)
+
+	h.RestoreSnapshot(from, console)
+	if h.Hook != nil {
+		t.Fatal("restore left the capture-time hook installed")
+	}
+	h.Hook = func(InjectionPoint, int, string, *armv7.TrapContext) InjectionResult {
+		run++
+		return InjectionResult{}
+	}
+	hvc()
+	h.Splice(from, to, console)
+	golden, run = 0, 0
+	hvc()
+	if golden != 0 || run != per {
+		t.Fatalf("after a splice the golden hook ran %d times and the run's %d, want 0 and %d", golden, run, per)
+	}
+}
+
+// TestIRQDeliveryFollowsEnabled: the GIC's delivery hook is wired once,
+// when the hypervisor is built, and acts only while the hypervisor is
+// enabled. An interrupt raised after a disable does not enter
+// IRQChipHandleIRQ; after a restore to an enabled checkpoint one does
+// again.
+func TestIRQDeliveryFollowsEnabled(t *testing.T) {
+	brd, h := rig(t)
+	entries := 0
+	count := func(point InjectionPoint, _ int, _ string, _ *armv7.TrapContext) InjectionResult {
+		if point == PointIRQChip {
+			entries++
+		}
+		return InjectionResult{}
+	}
+	h.Hook = count
+	for off, v := range map[uint64]uint32{gic.GICDCtlr: 1, gic.GICDISEnabler: 1 << gic.IRQVirtualTimer} {
+		if err := brd.GIC.WriteReg(off, v, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	raise := func() {
+		if err := brd.GIC.RaisePPI(0, gic.IRQVirtualTimer); err != nil {
+			t.Fatal(err)
+		}
+	}
+	raise()
+	if entries != 1 {
+		t.Fatalf("enabled hypervisor: %d IRQ entries, want 1", entries)
+	}
+	enabled := h.CaptureSnapshot()
+	console := h.PublishConsole(nil)
+
+	if e := h.HVC(0, HCDisable, 0, 0); e.Failed() {
+		t.Fatalf("Disable: %v", e)
+	}
+	raise()
+	if entries != 1 {
+		t.Fatal("an IRQ raised after the disable entered IRQChipHandleIRQ")
+	}
+
+	h.RestoreSnapshot(enabled, console)
+	h.Hook = count
+	raise()
+	if entries != 2 {
+		t.Fatalf("after a restore to an enabled checkpoint: %d IRQ entries, want 2", entries)
+	}
 }

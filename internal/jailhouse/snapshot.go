@@ -37,13 +37,12 @@ type linkSnapshot struct {
 
 // Snapshot is a copy of the hypervisor's mutable state at one instant:
 // its scalar state, the cell list with per-cell content, per-CPU
-// blocks, console length, the injection hook, the putc buffer and the
-// ivshmem links.
+// blocks, console length, the putc buffer and the ivshmem links. The
+// injection hook is not state: each run installs its own.
 type Snapshot struct {
 	hvState
 	cells     []cellSnapshot
 	percpu    []PerCPU
-	hook      EntryHook
 	console   int
 	putcAccum []byte
 	ivshmem   []linkSnapshot
@@ -55,7 +54,6 @@ type Snapshot struct {
 func (h *Hypervisor) CaptureSnapshot() *Snapshot {
 	s := &Snapshot{
 		hvState:   h.hvState,
-		hook:      h.Hook,
 		console:   len(h.ConsoleLines),
 		putcAccum: append([]byte(nil), h.putcAccum...),
 	}
@@ -83,27 +81,29 @@ func (h *Hypervisor) PublishConsole(l *sim.Prefix[string]) *sim.Prefix[string] {
 // list; cells present at capture get their content written back into
 // the same objects, so guest models holding those pointers keep
 // working. The console is rewritten from the golden log. The injection
-// hook comes back as captured: a run installs its own after the
-// restore.
+// hook is cleared: a run installs its own after the restore.
 func (h *Hypervisor) RestoreSnapshot(s *Snapshot, console *sim.Prefix[string]) {
 	h.restoreState(s)
+	h.Hook = nil
 	h.ConsoleLines = sim.Rewind(h.ConsoleLines, console, s.console)
 }
 
 // Splice moves a hypervisor whose state matches golden snapshot from to
-// the later golden snapshot to: the state becomes to's, and the console
+// the later golden snapshot to: the state becomes to's, the console
 // keeps this run's lines and gains the golden lines between the two
-// snapshots from the golden console log.
+// snapshots from the golden console log, and the run's injection hook
+// stays installed.
 func (h *Hypervisor) Splice(from, to *Snapshot, console *sim.Prefix[string]) {
 	h.restoreState(to)
 	h.ConsoleLines = append(h.ConsoleLines, console.Items()[from.console:to.console]...)
 }
 
 // Matches reports whether the hypervisor state equals the snapshot's:
-// everything RestoreSnapshot restores except the console, a log, and
-// the injection hook, which each run installs. Cells are compared by
-// identity (ID and creation configuration) and content, not by object: a cell the run created after the capture is a different
-// object from the golden run's, and a restore rebinds the golden one.
+// everything RestoreSnapshot restores except the console, a log. Cells
+// are compared by identity (ID and creation configuration) and
+// content, not by object: a cell the run created after the capture is
+// a different object from the golden run's, and a restore rebinds the
+// golden one.
 func (h *Hypervisor) Matches(s *Snapshot) bool {
 	if h.hvState != s.hvState || len(h.cells) != len(s.cells) || len(h.ivshmem) != len(s.ivshmem) ||
 		!bytes.Equal(h.putcAccum, s.putcAccum) {
@@ -149,7 +149,8 @@ func sameCell(a, b *Cell) bool {
 		ca.ConsoleBase == cb.ConsoleBase && slices.Equal(ca.MemRegions, cb.MemRegions))
 }
 
-// restoreState rewinds everything but the console to s.
+// restoreState rewinds everything but the console and the injection
+// hook to s.
 func (h *Hypervisor) restoreState(s *Snapshot) {
 	h.hvState = s.hvState
 	for i := range h.cells {
@@ -167,7 +168,6 @@ func (h *Hypervisor) restoreState(s *Snapshot) {
 	for i, p := range h.percpu {
 		*p = s.percpu[i]
 	}
-	h.Hook = s.hook
 	h.putcAccum = append(h.putcAccum[:0], s.putcAccum...)
 	for i := range h.ivshmem {
 		h.ivshmem[i] = nil

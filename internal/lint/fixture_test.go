@@ -191,3 +191,140 @@ var Big = shapes.Grow(shapes.Unit())
 		t.Fatalf("error %v does not point at bench/bench.go", tr.errs[0])
 	}
 }
+
+// fixtureTasks is a small module whose task control block has one
+// state field of each kind the state check must tell apart.
+var fixtureTasks = map[string]string{
+	"go.mod": "module example.com/fx\n\ngo 1.21\n",
+	"internal/task/task.go": `package task
+
+// tcbState is a task's checkpointed content.
+type tcbState struct {
+	Name   string    // written by New, read by main
+	count  int       // written by the body, read through Count by the body
+	runs   int       // written by Run, read by nobody
+	guard  uint32    // read by the body, written by nobody
+	locals int       // written by the body, read only by the digest
+	work   [2]uint32 // written through its address, read by copy
+	peer   *TCB      // written through, never assigned
+}
+
+type TCB struct {
+	tcbState
+	step func(*TCB)
+}
+
+func New(name string) *TCB {
+	t := &TCB{tcbState: tcbState{Name: name}}
+	t.step = func(t *TCB) {
+		t.count++
+		if t.Count() > 2 && t.guard == 0 {
+			t.locals = t.Count()
+		}
+		p := &t.work[0]
+		*p = 1
+		if t.peer != nil {
+			t.peer.work[1] = 2
+		}
+	}
+	return t
+}
+
+func (t *TCB) Run() {
+	t.runs++
+	t.step(t)
+}
+
+func (t *TCB) Count() int { return t.count }
+
+// Locals is called only by the digest.
+func (t *TCB) Locals() int { return t.locals }
+
+// Work copies the working registers out.
+func (t *TCB) Work(out []uint32) { copy(out, t.work[:]) }
+
+func (t *TCB) VisitState(f func(int)) {
+	f(t.runs)
+	f(int(t.guard))
+}
+`,
+	"internal/core/digest.go": `package core
+
+import "example.com/fx/internal/task"
+
+func Digest(t *task.TCB) int { return t.Locals() + digestRuns(t) }
+
+func digestRuns(t *task.TCB) int {
+	n := 0
+	t.VisitState(func(v int) { n += v })
+	return n
+}
+`,
+	"cmd/run/main.go": `package main
+
+import (
+	"example.com/fx/internal/core"
+	"example.com/fx/internal/task"
+)
+
+func main() {
+	t := task.New("blink")
+	t.Run()
+	var w [2]uint32
+	t.Work(w[:])
+	t.VisitState(func(int) {}) // VisitState reads nothing live, whoever calls it
+	println(t.Name, core.Digest(t))
+}
+`,
+}
+
+// TestStateFindingsFlagDeadFields: a write-only field, a never-written
+// field, a field only the digest reads and a pointer only written
+// through are reported; a field a task body reads through a method and
+// one written through its address are not.
+func TestStateFindingsFlagDeadFields(t *testing.T) {
+	tr := loadFixture(t, fixtureTasks)
+	if len(tr.errs) > 0 {
+		t.Fatalf("fixture does not type-check: %v", tr.errs)
+	}
+	got := tr.stateFindings([]string{"task.tcbState"}, nil)
+	for name, want := range map[string]string{
+		"task.tcbState.runs":   "has no non-test reader",
+		"task.tcbState.guard":  "has no non-test writer",
+		"task.tcbState.locals": "has no non-test reader",
+		"task.tcbState.peer":   "has no non-test writer",
+	} {
+		if f := mentions(got, name); len(f) != 1 || !strings.Contains(f[0], want) {
+			t.Errorf("%s: findings %q, want one %q report", name, f, want)
+		}
+	}
+	if len(got) != 4 {
+		t.Errorf("findings = %q, want exactly the four dead fields", got)
+	}
+}
+
+// TestStateFindingsFlagStaleEntries: an allowlisted dead field is
+// silenced, and an allowlisted live field, a missing field and a
+// missing state type are each reported.
+func TestStateFindingsFlagStaleEntries(t *testing.T) {
+	tr := loadFixture(t, fixtureTasks)
+	got := tr.stateFindings([]string{"task.tcbState", "task.gone"}, []allowGroup{
+		{reason: "fixture", names: []string{"task.tcbState.runs", "task.tcbState.count", "task.tcbState.gone"}},
+		{names: []string{"task.tcbState.guard"}},
+	})
+	if f := mentions(got, "task.tcbState.runs"); len(f) != 0 {
+		t.Errorf("allowlisted dead field reported: %q", f)
+	}
+	if f := mentions(got, "task.tcbState.count"); len(f) != 1 || !strings.Contains(f[0], "now has a writer and a reader") {
+		t.Errorf("allowlisted live field: findings %q", f)
+	}
+	if f := mentions(got, "task.tcbState.gone"); len(f) != 1 || !strings.Contains(f[0], "no longer exists") {
+		t.Errorf("allowlisted missing field: findings %q", f)
+	}
+	if f := mentions(got, "task.gone"); len(f) != 1 || !strings.Contains(f[0], "drop it from stateTypes") {
+		t.Errorf("missing state type: findings %q", f)
+	}
+	if !slices.ContainsFunc(got, func(f string) bool { return strings.Contains(f, "has no reason") }) {
+		t.Errorf("reasonless group not reported: %q", got)
+	}
+}

@@ -199,8 +199,10 @@ func loadTree(dir string) (*tree, error) {
 			return p.types, nil
 		}
 		p.info = &types.Info{
-			Types: map[ast.Expr]types.TypeAndValue{},
-			Uses:  map[*ast.Ident]types.Object{},
+			Types:      map[ast.Expr]types.TypeAndValue{},
+			Defs:       map[*ast.Ident]types.Object{},
+			Uses:       map[*ast.Ident]types.Object{},
+			Selections: map[*ast.SelectorExpr]*types.Selection{},
 		}
 		conf := types.Config{
 			Importer: importerFunc(check),

@@ -48,9 +48,6 @@ type UART struct {
 	regs
 	lines []Line
 	cur   strings.Builder
-
-	// OnLine, when set, is called for each completed output line.
-	OnLine func(Line)
 }
 
 // regs is a UART's register state, one comparable value.
@@ -67,14 +64,11 @@ func New(now func() sim.Time) *UART {
 // Snapshot is a UART's register and capture state at one instant. The
 // captured lines are an append-only log and are not copied: the snapshot
 // keeps their count, and the content lives once in the golden Log the
-// restore is handed. The line hook is captured as a func value:
-// the machine's boot wires it to objects the snapshot belongs to, so
-// restoring the same value is exact.
+// restore is handed.
 type Snapshot struct {
 	regs
-	lines  int
-	cur    string
-	onLine func(Line)
+	lines int
+	cur   string
 }
 
 // Log is the published fault-free prefix of a UART's line capture,
@@ -87,10 +81,9 @@ type Log struct {
 // CaptureSnapshot records the UART state and its line count.
 func (u *UART) CaptureSnapshot() *Snapshot {
 	return &Snapshot{
-		regs:   u.regs,
-		lines:  len(u.lines),
-		cur:    u.cur.String(),
-		onLine: u.OnLine,
+		regs:  u.regs,
+		lines: len(u.lines),
+		cur:   u.cur.String(),
 	}
 }
 
@@ -109,7 +102,6 @@ func (u *UART) RestoreSnapshot(s *Snapshot, l Log) {
 	u.lines = sim.Rewind(u.lines, l.lines, s.lines)
 	u.cur.Reset()
 	u.cur.WriteString(s.cur)
-	u.OnLine = s.onLine
 }
 
 // Matches reports whether the UART's register state and the line in
@@ -133,12 +125,8 @@ func (u *UART) Splice(from, to *Snapshot, l Log) {
 // PutByte transmits one byte.
 func (u *UART) PutByte(b byte) {
 	if b == '\n' {
-		line := Line{At: u.now(), Text: u.cur.String()}
-		u.lines = append(u.lines, line)
+		u.lines = append(u.lines, Line{At: u.now(), Text: u.cur.String()})
 		u.cur.Reset()
-		if u.OnLine != nil {
-			u.OnLine(line)
-		}
 		return
 	}
 	if b != '\r' {

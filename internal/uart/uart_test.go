@@ -38,16 +38,6 @@ func TestCarriageReturnStripped(t *testing.T) {
 	}
 }
 
-func TestOnLineCallback(t *testing.T) {
-	u := New(fixedClock(7))
-	var got []Line
-	u.OnLine = func(l Line) { got = append(got, l) }
-	u.PutString("one\ntwo\n")
-	if len(got) != 2 || got[1].Text != "two" {
-		t.Fatalf("callback lines = %v", got)
-	}
-}
-
 func TestMMIOTHRWrite(t *testing.T) {
 	u := New(fixedClock(0))
 	for _, b := range []byte("ok\n") {
@@ -139,11 +129,9 @@ func TestTranscriptStampsMatchTimeString(t *testing.T) {
 // capture from the golden log, so a UART whose lines diverged from the
 // golden run from the first one on — another run on a pooled machine —
 // reads exactly the golden lines up to the snapshot, with the golden
-// registers, line in progress and line hook, and nothing of its own.
+// registers and line in progress, and nothing of its own.
 func TestRestoreRewritesCaptureFromGoldenLog(t *testing.T) {
 	golden := New(fixedClock(3))
-	var hooked []string
-	golden.OnLine = func(l Line) { hooked = append(hooked, l.Text) }
 	if err := golden.WriteReg(RegIER, 0x5); err != nil {
 		t.Fatal(err)
 	}
@@ -153,15 +141,8 @@ func TestRestoreRewritesCaptureFromGoldenLog(t *testing.T) {
 	log := golden.Publish(Log{})
 
 	run := New(fixedClock(9))
-	restored := false
-	run.OnLine = func(l Line) {
-		if restored {
-			t.Errorf("the run's own hook saw %q after the restore", l.Text)
-		}
-	}
 	run.PutString("x\ny\nz\nw\nv\ndangling")
 	run.RestoreSnapshot(snap, log)
-	restored = true
 
 	if !run.Matches(snap) {
 		t.Fatal("restored UART does not match its snapshot")
@@ -173,12 +154,8 @@ func TestRestoreRewritesCaptureFromGoldenLog(t *testing.T) {
 	if len(lines) != 2 || lines[0] != (Line{3, "boot"}) || lines[1] != (Line{3, "ready"}) {
 		t.Fatalf("Lines after restore = %v, want the two golden lines before the snapshot", lines)
 	}
-	hooked = nil
 	run.PutString("ial\n")
 	if got := run.Lines(); len(got) != 3 || got[2].Text != "partial" {
 		t.Fatalf("Lines after finishing the line in progress = %v", got)
-	}
-	if len(hooked) != 1 || hooked[0] != "partial" {
-		t.Fatalf("golden hook saw %v, want [partial]", hooked)
 	}
 }
